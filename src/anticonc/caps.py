@@ -2,7 +2,8 @@
 
 Every cap can be overridden through the ANTICONC_CAPS environment variable,
 a JSON object such as ``{"clique": 800, "odd_hole": 32}``. Unknown keys are
-rejected so typos do not silently leave a cap at its default.
+rejected so typos do not silently leave a cap at its default, and every value
+must be a nonnegative JSON integer.
 """
 
 from __future__ import annotations
@@ -29,12 +30,23 @@ class Caps:
         raw = os.environ.get(ENV_VAR)
         if not raw:
             return cls()
-        data = json.loads(raw)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{ENV_VAR} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{ENV_VAR} must be a JSON object, got {raw!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cap names in {ENV_VAR}: {sorted(unknown)}")
-        return cls(**{k: int(v) for k, v in data.items()})
+        for name, value in data.items():
+            # bool is an int subclass; JSON true/false is no cap value
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"cap {name!r} in {ENV_VAR} must be a nonnegative integer, got {value!r}"
+                )
+        return cls(**data)
 
 
 def resolve(caps: Caps | None) -> Caps:

@@ -5,17 +5,21 @@ atom behind ``weights[i]`` sits at ``(offset_index + i) / 2``. Storing the
 lattice densely (interior zero weights allowed) keeps convolution trivial
 even when factors living on integers and on half-integers mix.
 
-Everything in this module is pure and exact: weights are Fractions and no
-comparison ever goes through floating point. A separate compensated
-floating-point convolution path is provided for long products (hundreds of
-factors) where exact arithmetic is possible but wasteful; results carry an
-explicit exactness flag.
+Everything in this module is pure and exact: weights cross the API as
+Fractions and no comparison ever goes through floating point. Internally,
+t-values and convolutions run on integer numerators over one common
+denominator and build their Fractions once, at the end. A separate
+compensated floating-point convolution path is provided for long products
+(hundreds of factors) where exact arithmetic is possible but wasteful;
+results carry an explicit exactness flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 from .caps import Caps, resolve
@@ -137,14 +141,24 @@ class ExtremalSpec:
         return spec
 
 
-def _centered_uniform(count: int) -> LatticeMeasure:
-    # uniform on {1, ..., count} - (count+1)/2: atoms step 1 apart, so every
-    # other lattice slot carries weight
-    w = Fraction(1, count)
-    weights = []
-    for i in range(2 * count - 1):
-        weights.append(w if i % 2 == 0 else ZERO)
-    return LatticeMeasure(-(count - 1), tuple(weights))
+def _extremal_weights(alpha) -> tuple[int, int, int, int]:
+    """(k, inner, outer, den) for the extremal measure of ``alpha``.
+
+    The measure puts inner/den on each of the k half-integer slots
+    -(k-1), ..., k-1 and outer/den on each of the k+1 slots -k, ..., k (both
+    in steps of 2, so the two sets interleave). ``outer`` is 0 when alpha is
+    1/k.
+    """
+    spec = ExtremalSpec.from_alpha(alpha)
+    inner = spec.p / spec.k
+    outer = (1 - spec.p) / (spec.k + 1)
+    den = lcm(inner.denominator, outer.denominator)
+    return (
+        spec.k,
+        inner.numerator * (den // inner.denominator),
+        outer.numerator * (den // outer.denominator),
+        den,
+    )
 
 
 def mixture(terms: Sequence[tuple[Fraction, LatticeMeasure]]) -> LatticeMeasure:
@@ -169,12 +183,9 @@ def extremal_measure(alpha) -> LatticeMeasure:
     Mixes the centered uniform distribution on k points (weight p) with the
     one on k+1 points (weight 1-p), k = floor(1/alpha). Symmetric about 0.
     """
-    spec = ExtremalSpec.from_alpha(alpha)
-    inner = _centered_uniform(spec.k)
-    if spec.p == 1:
-        return inner
-    outer = _centered_uniform(spec.k + 1)
-    return mixture([(spec.p, inner), (1 - spec.p, outer)])
+    k, inner, outer, den = _extremal_weights(alpha)
+    weights = [Fraction(outer if i % 2 == 0 else inner, den) for i in range(2 * k + 1)]
+    return LatticeMeasure(-k, tuple(weights))
 
 
 def extremal_variance(alpha) -> Fraction:
@@ -195,38 +206,79 @@ def third_abs_moment(alpha) -> Fraction:
     return extremal_measure(alpha).abs_moment(3)
 
 
+def _numerators(m: LatticeMeasure) -> tuple[list[int], int]:
+    """Weights of ``m`` as integer numerators over their lcm denominator."""
+    den = lcm(*(w.denominator for w in m.weights))
+    return [w.numerator * (den // w.denominator) for w in m.weights], den
+
+
+def _convolve_ints(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     """Exact convolution; offsets add, total mass stays 1."""
-    out = [ZERO] * (len(a.weights) + len(b.weights) - 1)
-    for i, wa in enumerate(a.weights):
-        if wa == 0:
-            continue
-        for j, wb in enumerate(b.weights):
-            if wb != 0:
-                out[i + j] += wa * wb
-    return LatticeMeasure(a.offset_index + b.offset_index, tuple(out))
+    return convolve_many([a, b])
 
 
 def convolve_many(measures: Sequence[LatticeMeasure]) -> LatticeMeasure:
+    """Exact convolution of all ``measures``, on integer numerators."""
     if not measures:
         raise DomainError("need at least one measure")
-    acc = measures[0]
+    nums, den = _numerators(measures[0])
     for m in measures[1:]:
-        acc = convolve(acc, m)
-    return acc
+        b, d = _numerators(m)
+        nums = _convolve_ints(nums, b)
+        den *= d
+    offset = sum(m.offset_index for m in measures)
+    return LatticeMeasure(offset, tuple(Fraction(w, den) for w in nums))
+
+
+def _extremal_step(acc: list[int], k: int, inner: int, outer: int) -> list[int]:
+    """Numerators ``acc`` convolved with one factor of ``_extremal_weights``.
+
+    The result, over the old denominator times the factor's ``den``, is
+    outer·box_{k+1}(acc) + inner·shift(box_k(acc)), where box_m sums m
+    slots two apart. With s the stride-2 prefix sums of acc,
+    box_m(acc)[j] = s[j] - s[j - 2m], so a factor costs O(len(acc))
+    integer operations whatever k is. The result is 2k slots longer.
+    """
+    n = len(acc) + 2 * k
+    padded = acc + [0] * (2 * k)
+    s = [0] * n
+    s[0::2] = accumulate(padded[0::2])
+    s[1::2] = accumulate(padded[1::2])
+    lag = [0] * (2 * k + 2) + s  # lag[j + 2k + 2 - i] is s[j - i], 0 before slot 0
+    return [
+        outer * (s_j - s_back) + inner * (s_prev - s_prev_back)
+        for s_j, s_prev, s_prev_back, s_back in zip(s, lag[2 * k + 1:], lag[1:], lag)
+    ]
 
 
 def t_value(alphas: Sequence) -> Fraction:
     """Mass the sum of independent extremal variables puts on {0, 1/2}.
 
     Exact; when all factor supports share a parity only one of the two
-    points carries mass, otherwise both contributions are summed.
+    points carries mass, otherwise both contributions are summed. The sum's
+    weights are kept as integers over the product of the factors'
+    denominators; slot 0 sits at index sum(k), the support's half-width.
     """
     fracs = [as_fraction(a) for a in alphas]
     if not fracs:
         raise DomainError("need at least one alpha")
-    conv = convolve_many([extremal_measure(a) for a in fracs])
-    return conv.mass_at(ZERO) + conv.mass_at(HALF)
+    acc, den, mid = [1], 1, 0
+    for a in fracs:
+        k, inner, outer, d = _extremal_weights(a)
+        acc = _extremal_step(acc, k, inner, outer)
+        den *= d
+        mid += k
+    return Fraction(acc[mid] + acc[mid + 1], den)
 
 
 def concentration_1d(m: LatticeMeasure) -> Fraction:

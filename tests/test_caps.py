@@ -29,3 +29,24 @@ def test_unknown_key_rejected(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"cliques": 3}))
     with pytest.raises(ValueError):
         Caps.from_env()
+
+
+@pytest.mark.parametrize("raw", ["{clique: 3}", "{", "[1, 2]", "7", '"clique"', "null"])
+def test_malformed_env_names_variable(monkeypatch, raw):
+    monkeypatch.setenv(ENV_VAR, raw)
+    with pytest.raises(ValueError, match=ENV_VAR):
+        Caps.from_env()
+
+
+@pytest.mark.parametrize("value", [-5, -1, 2.7, 2.0, "x", "3", True, None, [3]])
+def test_bad_cap_values_rejected(monkeypatch, value):
+    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": value}))
+    with pytest.raises(ValueError, match=ENV_VAR):
+        Caps.from_env()
+
+
+@pytest.mark.parametrize("value", [0, 3, 5, 10, 16, 100, 10**6])
+def test_integer_caps_accepted(monkeypatch, value):
+    monkeypatch.setenv(ENV_VAR, json.dumps({"odd_hole": value, "exact_factors": value}))
+    caps = Caps.from_env()
+    assert caps.odd_hole == value and caps.exact_factors == value

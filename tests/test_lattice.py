@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anticonc.chains import middle_layer_count
 from anticonc.errors import DomainError
 from anticonc.lattice import (
     ExtremalSpec,
@@ -26,9 +27,26 @@ from anticonc.lattice import (
 
 rationals_01 = st.fractions(min_value=F(1, 100), max_value=1)
 
+# alpha = 1 (k = 1, a point mass), alpha = 1/k (zero weight on the k+1
+# outer atoms) and general mixtures, with k of both parities
+mixed_alphas = st.one_of(
+    st.just(F(1)),
+    st.integers(1, 9).map(lambda k: F(1, k)),
+    st.fractions(min_value=F(1, 12), max_value=1, max_denominator=60),
+)
+
 
 def weights_of(m: LatticeMeasure) -> list[F]:
     return list(m.weights)
+
+
+def fraction_convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
+    """Reference convolution directly on Fraction weights."""
+    out = [F(0)] * (len(a.weights) + len(b.weights) - 1)
+    for i, wa in enumerate(a.weights):
+        for j, wb in enumerate(b.weights):
+            out[i + j] += wa * wb
+    return LatticeMeasure(a.offset_index + b.offset_index, tuple(out))
 
 
 class TestExtremalMeasure:
@@ -130,6 +148,21 @@ class TestConvolve:
             b = convolve(ms[0], convolve(ms[1], ms[2]))
             assert a == b
 
+    @given(st.lists(mixed_alphas, min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_reference(self, alphas):
+        ms = [extremal_measure(a) for a in alphas]
+        expected = ms[0]
+        for m in ms[1:]:
+            expected = fraction_convolve(expected, m)
+        assert convolve_many(ms) == expected
+        assert convolve(ms[0], ms[-1]) == fraction_convolve(ms[0], ms[-1])
+
+    def test_non_extremal_operands(self):
+        a = LatticeMeasure(-3, (F(1, 6), F(0), F(1, 2), F(1, 3)))
+        b = LatticeMeasure(4, (F(2, 7), F(5, 7)))
+        assert convolve(a, b) == fraction_convolve(a, b)
+
 
 class TestTValue:
     def test_single_point_mass(self):
@@ -155,6 +188,36 @@ class TestTValue:
     def test_matches_window_concentration(self, alphas):
         conv = convolve_many([extremal_measure(a) for a in alphas])
         assert t_value(alphas) == concentration_1d(conv)
+
+    @given(st.lists(mixed_alphas, min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_convolution_mass(self, alphas):
+        m = convolve_many([extremal_measure(a) for a in alphas])
+        assert t_value(alphas) == m.mass_at(F(0)) + m.mass_at(F(1, 2))
+
+    @pytest.mark.parametrize(
+        "ks", [list(range(1, 9)) * 6, [2] * 48, [3, 5, 7] * 16, [1, 4] * 24]
+    )
+    def test_uniform_factors_count_middle_layer(self, ks):
+        assert len(ks) == 48
+        expected = F(middle_layer_count(ks), math.prod(ks))
+        assert t_value([F(1, k) for k in ks]) == expected
+
+    def test_pinned_long_mixture(self):
+        # computed by a direct Fraction convolution of the 64 factors
+        assert t_value([F(3, 8)] * 64) == F(
+            207767857972779419672960828374731304258672136959147000035,
+            3138550867693340381917894711603833208051177722232017256448,
+        )
+
+    @pytest.mark.parametrize("alphas", [[], [F(0)], [F(6, 5)], [F(1, 2), F(0)]])
+    def test_domain_errors(self, alphas):
+        with pytest.raises(DomainError):
+            t_value(alphas)
+
+    def test_float_alpha_rejected(self):
+        with pytest.raises(TypeError):
+            t_value([F(1, 2), 0.5])
 
 
 class TestConcentration1d:
