@@ -2,7 +2,8 @@
 
 Subcommands parse JSON instances, dispatch to the library and emit JSON (or
 flattened CSV) reports. Exit codes: 0 on success or a passing scenario, 1
-when an asserted inequality fails, 2 on malformed input.
+when an asserted inequality fails, 2 on malformed input or when a solver
+stops at a resource cap.
 """
 
 from __future__ import annotations
@@ -68,17 +69,30 @@ def _parse_alphas(text: str) -> list[Fraction]:
     return [as_fraction(s) for s in items]
 
 
-def _fail_input(exc: Exception) -> None:
-    click.echo(f"input error: {exc}", err=True)
-    sys.exit(2)
-
-
 def _scenario_exit(result: scenarios.ScenarioResult, output: str) -> None:
     _emit(result.to_json(), output)
     sys.exit(0 if result.passed else 1)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Command group that maps every subcommand's expected failures to exit 2.
+
+    Malformed input and a solver stopped by a resource cap both exit 2 with
+    one line on stderr, never with a traceback; exit 1 stays reserved for a
+    checked inequality that failed.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ResourceCapExceeded as exc:
+            click.echo(f"resource cap: {exc}", err=True)
+        except _INPUT_ERRORS as exc:
+            click.echo(f"input error: {exc}", err=True)
+        sys.exit(2)
+
+
+@click.group(cls=_Cli)
 def main() -> None:
     """Exact concentration toolkit."""
 
@@ -93,10 +107,7 @@ _output_option = click.option(
 @_output_option
 def nu_star_cmd(alpha: str, output: str) -> None:
     """Extremal lattice measure with concentration exactly alpha."""
-    try:
-        measure = lat.extremal_measure(as_fraction(alpha))
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    measure = lat.extremal_measure(as_fraction(alpha))
     _emit(measure.to_json(), output)
 
 
@@ -106,20 +117,17 @@ def nu_star_cmd(alpha: str, output: str) -> None:
 @_output_option
 def t_value_cmd(alphas: str, exact: bool, output: str) -> None:
     """Mass of the extremal sum on {0, 1/2}."""
-    try:
-        fracs = _parse_alphas(alphas)
-        if exact:
-            t = lat.t_value(fracs)
-            data = {"t": fraction_str(t), "float": float(t), "exact": True}
-        else:
-            res = lat.t_value_auto(fracs)
-            data = {
-                "t": None if res.fraction is None else fraction_str(res.fraction),
-                "float": res.value,
-                "exact": res.exact,
-            }
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    fracs = _parse_alphas(alphas)
+    if exact:
+        t = lat.t_value(fracs)
+        data = {"t": fraction_str(t), "float": float(t), "exact": True}
+    else:
+        res = lat.t_value_auto(fracs)
+        data = {
+            "t": None if res.fraction is None else fraction_str(res.fraction),
+            "float": res.value,
+            "exact": res.exact,
+        }
     _emit(data, output)
 
 
@@ -128,28 +136,22 @@ def t_value_cmd(alphas: str, exact: bool, output: str) -> None:
 @_output_option
 def concentration_cmd(input_path: str, output: str) -> None:
     """Exact concentration of a lattice or vector measure (JSON file)."""
-    try:
-        data = _load_json(input_path)
-        if "weights" in data and "offset_index" in data:
-            m = lat.LatticeMeasure.from_json(data)
-            value = lat.concentration_1d(m)
-            result = {"kind": "lattice", "value": fraction_str(value), "float": float(value)}
-        elif "atoms" in data:
-            vm = geom.VectorMeasure.from_json(data)
-            res = geom.concentration_q(vm)
-            result = {
-                "kind": "vector",
-                "value": fraction_str(res.value),
-                "float": float(res.value),
-                "witness": list(res.witness),
-            }
-        else:
-            raise DomainError("input must contain 'weights'+'offset_index' or 'atoms'")
-    except ResourceCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(2)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    data = _load_json(input_path)
+    if "weights" in data and "offset_index" in data:
+        m = lat.LatticeMeasure.from_json(data)
+        value = lat.concentration_1d(m)
+        result = {"kind": "lattice", "value": fraction_str(value), "float": float(value)}
+    elif "atoms" in data:
+        vm = geom.VectorMeasure.from_json(data)
+        res = geom.concentration_q(vm)
+        result = {
+            "kind": "vector",
+            "value": fraction_str(res.value),
+            "float": float(res.value),
+            "witness": list(res.witness),
+        }
+    else:
+        raise DomainError("input must contain 'weights'+'offset_index' or 'atoms'")
     _emit(result, output)
 
 
@@ -159,31 +161,25 @@ def concentration_cmd(input_path: str, output: str) -> None:
 @_output_option
 def berge_cmd(input_path: str, complement: bool, output: str) -> None:
     """Odd-hole search on a point configuration or a raw graph."""
-    try:
-        data = _load_json(input_path)
-        if "points" in data:
-            g = geom.distance_graph(geom.PointConfig.from_json(data))
-        else:
-            g = pg.DistGraph.from_json(data)
-        if complement:
-            witness = pg.find_odd_hole(g, True)
-            result = {
-                "berge": None,
-                "hole": None if witness is None else list(witness.cycle),
-                "in_complement": True,
-            }
-        else:
-            berge, witness = pg.is_berge(g)
-            result = {
-                "berge": berge,
-                "hole": None if witness is None else list(witness.cycle),
-                "in_complement": None if witness is None else witness.in_complement,
-            }
-    except ResourceCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(2)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    data = _load_json(input_path)
+    if "points" in data:
+        g = geom.distance_graph(geom.PointConfig.from_json(data))
+    else:
+        g = pg.DistGraph.from_json(data)
+    if complement:
+        witness = pg.find_odd_hole(g, True)
+        result = {
+            "berge": None,
+            "hole": None if witness is None else list(witness.cycle),
+            "in_complement": True,
+        }
+    else:
+        berge, witness = pg.is_berge(g)
+        result = {
+            "berge": berge,
+            "hole": None if witness is None else list(witness.cycle),
+            "in_complement": None if witness is None else witness.in_complement,
+        }
     _emit(result, output)
 
 
@@ -193,29 +189,23 @@ def berge_cmd(input_path: str, complement: bool, output: str) -> None:
 @_output_option
 def decompose_cmd(input_path: str, alpha: str | None, output: str) -> None:
     """Block decomposition of a uniform near-line vector measure."""
-    try:
-        vm = geom.VectorMeasure.from_json(_load_json(input_path))
-        # the decomposition itself only accepts uniform multisets; clear
-        # denominators here on the caller side
-        uniform = all(w == vm.weights[0] for w in vm.weights)
-        subject = vm if uniform else pg.to_uniform_multiset(vm)
-        config = subject.config if uniform else subject
-        fit = geom.near_line_fit(config)
-        blocks = pg.block_decomposition(
-            subject, fit.frame, None if alpha is None else as_fraction(alpha)
-        )
-        result = {
-            "near_line_certified": fit.certified,
-            "max_deviation": fit.max_deviation,
-            "multiset_size": len(config.points),
-            "num_blocks": len(blocks),
-            "blocks": [b.to_json() for b in blocks],
-        }
-    except ResourceCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(2)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    vm = geom.VectorMeasure.from_json(_load_json(input_path))
+    # the decomposition itself only accepts uniform multisets; clear
+    # denominators here on the caller side
+    uniform = all(w == vm.weights[0] for w in vm.weights)
+    subject = vm if uniform else pg.to_uniform_multiset(vm)
+    config = subject.config if uniform else subject
+    fit = geom.near_line_fit(config)
+    blocks = pg.block_decomposition(
+        subject, fit.frame, None if alpha is None else as_fraction(alpha)
+    )
+    result = {
+        "near_line_certified": fit.certified,
+        "max_deviation": fit.max_deviation,
+        "multiset_size": len(config.points),
+        "num_blocks": len(blocks),
+        "blocks": [b.to_json() for b in blocks],
+    }
     _emit(result, output)
 
 
@@ -236,19 +226,13 @@ def btk_cmd(input_path: str, output: str) -> None:
 
     Input: {"norm": ..., "dim": d, "direction": [...], "blocks": [[...]]}.
     """
-    try:
-        blocks = _blocks_from_json(_load_json(input_path))
-        decomp = chains_mod.iterated_decompose(blocks)
-        result = {
-            "num_chains": len(decomp.chains),
-            "sizes": sorted(decomp.sizes),
-            "chains": decomp.to_json(),
-        }
-    except ResourceCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(2)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    blocks = _blocks_from_json(_load_json(input_path))
+    decomp = chains_mod.iterated_decompose(blocks)
+    result = {
+        "num_chains": len(decomp.chains),
+        "sizes": sorted(decomp.sizes),
+        "chains": decomp.to_json(),
+    }
     _emit(result, output)
 
 
@@ -257,20 +241,14 @@ def btk_cmd(input_path: str, output: str) -> None:
 @_output_option
 def jones_cmd(input_path: str, output: str) -> None:
     """Middle-layer bound for a product of blocks, with the exact check."""
-    try:
-        blocks = _blocks_from_json(_load_json(input_path))
-        res = chains_mod.jones_bound(blocks)
-        result = {
-            "bound": fraction_str(res.bound),
-            "t_exact": fraction_str(res.t_exact),
-            "q_exact": None if res.q_exact is None else fraction_str(res.q_exact),
-            "ok": res.ok,
-        }
-    except ResourceCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(2)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    blocks = _blocks_from_json(_load_json(input_path))
+    res = chains_mod.jones_bound(blocks)
+    result = {
+        "bound": fraction_str(res.bound),
+        "t_exact": fraction_str(res.t_exact),
+        "q_exact": None if res.q_exact is None else fraction_str(res.q_exact),
+        "ok": res.ok,
+    }
     _emit(result, output)
     sys.exit(0 if res.ok else 1)
 
@@ -282,13 +260,10 @@ def jones_cmd(input_path: str, output: str) -> None:
 @_output_option
 def clt_cmd(alphas: str, c_param: str, delta_prime: float | None, output: str) -> None:
     """Normal window for the t-value with exact condition checks."""
-    try:
-        fracs = _parse_alphas(alphas)
-        if delta_prime is None:
-            delta_prime = bounds_mod.minimal_delta_prime(fracs)
-        report = bounds_mod.clt_window(fracs, as_fraction(c_param), delta_prime)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    fracs = _parse_alphas(alphas)
+    if delta_prime is None:
+        delta_prime = bounds_mod.minimal_delta_prime(fracs)
+    report = bounds_mod.clt_window(fracs, as_fraction(c_param), delta_prime)
     _emit(report.to_json(), output)
     sys.exit(0 if report.extras.get("t_in_window", False) else 1)
 
@@ -303,13 +278,10 @@ def clt_cmd(alphas: str, c_param: str, delta_prime: float | None, output: str) -
 @_output_option
 def main_bound_cmd(alphas, d, big_c, c_param, delta_prime, gamma, output) -> None:
     """Master bound evaluation; reports every side condition."""
-    try:
-        params = bounds_mod.make_main_bound_params(
-            _parse_alphas(alphas), d, big_c, as_fraction(c_param), delta_prime, gamma
-        )
-        report = bounds_mod.main_bound(params)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    params = bounds_mod.make_main_bound_params(
+        _parse_alphas(alphas), d, big_c, as_fraction(c_param), delta_prime, gamma
+    )
+    report = bounds_mod.main_bound(params)
     _emit(report.to_json(), output)
     sys.exit(0 if report.all_hold else 1)
 
@@ -321,19 +293,16 @@ def main_bound_cmd(alphas, d, big_c, c_param, delta_prime, gamma, output) -> Non
 @_output_option
 def halasz_cmd(input_path, direction_samples, center_samples, output) -> None:
     """Direction/shift diagnostics for a JSON list of plane measures."""
-    try:
-        data = _load_json(input_path)
-        measures = [geom.VectorMeasure.from_json(m) for m in data["measures"]]
-        diag = geom.halasz_diagnostics(measures, direction_samples, center_samples)
-        result = {
-            "D": diag.D,
-            "mu": diag.mu,
-            "best_direction": list(diag.best_direction),
-            "shifts": [list(s) for s in diag.shifts],
-            "best_center": None if diag.best_center is None else list(diag.best_center),
-        }
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    data = _load_json(input_path)
+    measures = [geom.VectorMeasure.from_json(m) for m in data["measures"]]
+    diag = geom.halasz_diagnostics(measures, direction_samples, center_samples)
+    result = {
+        "D": diag.D,
+        "mu": diag.mu,
+        "best_direction": list(diag.best_direction),
+        "shifts": [list(s) for s in diag.shifts],
+        "best_center": None if diag.best_center is None else list(diag.best_center),
+    }
     _emit(result, output)
 
 
@@ -351,12 +320,9 @@ def octagon_cmd(output: str) -> None:
 @_output_option
 def sharpness_cmd(epsilon: str, strip_samples: int, seed: int, output: str) -> None:
     """Run the strip-threshold sharpness scenario."""
-    try:
-        result = scenarios.run_sharpness_scenario(
-            as_fraction(epsilon), strip_samples=strip_samples, seed=seed
-        )
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    result = scenarios.run_sharpness_scenario(
+        as_fraction(epsilon), strip_samples=strip_samples, seed=seed
+    )
     _scenario_exit(result, output)
 
 
@@ -367,13 +333,10 @@ def sharpness_cmd(epsilon: str, strip_samples: int, seed: int, output: str) -> N
 @_output_option
 def verify22_cmd(input_path, count, seed, output) -> None:
     """Randomized near-line verification of the sum/t-value inequality."""
-    try:
-        gen = _load_json(input_path) if input_path else {}
-        if count is not None:
-            gen["count"] = count
-        result = scenarios.run_verify_theorem22(gen, seed=seed)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    gen = _load_json(input_path) if input_path else {}
+    if count is not None:
+        gen["count"] = count
+    result = scenarios.run_verify_theorem22(gen, seed=seed)
     _scenario_exit(result, output)
 
 
@@ -385,11 +348,8 @@ def verify22_cmd(input_path, count, seed, output) -> None:
 @_output_option
 def empirical_cmd(input_path, n, delta, seed, output) -> None:
     """Empirical measure of n draws from the dilated input measure."""
-    try:
-        vm = geom.VectorMeasure.from_json(_load_json(input_path))
-        emp = geom.empirical_measure(vm, n, as_fraction(delta), seed)
-    except _INPUT_ERRORS as exc:
-        _fail_input(exc)
+    vm = geom.VectorMeasure.from_json(_load_json(input_path))
+    emp = geom.empirical_measure(vm, n, as_fraction(delta), seed)
     _emit(emp.to_json(), output)
 
 

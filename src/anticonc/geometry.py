@@ -433,63 +433,29 @@ class NearLineFit:
     exact: Optional[Fraction]  # deviation itself when rational (l1/linf, d=2)
 
 
-def _canonical_direction(vec: Point) -> Optional[Point]:
-    if all(c == 0 for c in vec):
-        return None
-    denom_lcm = math.lcm(*(c.denominator for c in vec))
-    ints = [int(c * denom_lcm) for c in vec]
-    g = math.gcd(*(abs(i) for i in ints))
-    ints = [i // g for i in ints]
-    for i in ints:
-        if i != 0:
-            if i < 0:
-                ints = [-j for j in ints]
-            break
-    return tuple(Fraction(i) for i in ints)
+def _candidate_directions(
+    points: Sequence[tuple[int, ...]], d: int
+) -> list[tuple[int, ...]]:
+    """The axes, then the direction of every pairwise difference, first seen first.
 
-
-def _candidate_directions(config: PointConfig) -> list[Point]:
-    d = config.norm.dimension
-    seen = set()
-    out: list[Point] = []
-    for i in range(d):
-        axis = tuple(Fraction(1 if j == i else 0) for j in range(d))
-        seen.add(axis)
-        out.append(axis)
-    pts = config.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            cand = _canonical_direction(tuple(a - b for a, b in zip(pts[i], pts[j])))
-            if cand is not None and cand not in seen:
+    Directions are primitive integer vectors (coprime coordinates, first
+    nonzero coordinate positive), so each line direction appears once.
+    """
+    out = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    seen = set(out)
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            diff = [a - b for a, b in zip(p, q)]
+            g = math.gcd(*diff)
+            if g == 0:
+                continue
+            if next(c for c in diff if c) < 0:
+                g = -g
+            cand = tuple(c // g for c in diff)
+            if cand not in seen:
                 seen.add(cand)
                 out.append(cand)
     return out
-
-
-def _kappa_exact_2d(norm: NormSpec, v: Point) -> Fraction:
-    """min_t ||w0 - t v|| for the unit-determinant representative w0.
-
-    Exact for l1 and linf in the plane: the minimum of the convex piecewise
-    linear objective sits at a breakpoint, and there are at most four.
-    """
-    s = v[0] * v[0] + v[1] * v[1]
-    w = (-v[1] / s, v[0] / s)
-    cands: list[Fraction] = []
-    if v[0] != 0:
-        cands.append(w[0] / v[0])
-    if v[1] != 0:
-        cands.append(w[1] / v[1])
-    if norm.kind == "linf":
-        if v[0] != v[1]:
-            cands.append((w[0] - w[1]) / (v[0] - v[1]))
-        if v[0] != -v[1]:
-            cands.append((w[0] + w[1]) / (v[0] + v[1]))
-    best = None
-    for t in cands:
-        val = norm_power(norm, (w[0] - t * v[0], w[1] - t * v[1]))
-        if best is None or val < best:
-            best = val
-    return best
 
 
 def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> float:
@@ -526,44 +492,63 @@ def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> floa
 def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     """Search candidate lines and report the smallest maximal deviation.
 
-    Candidate directions are the coordinate axes plus all pairwise point
-    differences. In the plane the deviation for a fixed direction has a
-    closed form (half the spread of the determinants times the distance of a
-    unit-determinant point from the direction line) and the base point is
-    centered exactly; for l2 this works in any dimension through squared
+    The points are scaled once to integers over the lcm of their
+    denominators. Candidate directions are the coordinate axes plus all
+    pairwise point differences, as primitive integer vectors. In the plane
+    (l2, l1, linf) the deviation for a direction v has a closed form: half
+    the spread of the determinants det(v, x) divided by ||v||_2 for l2, and
+    by the dual norm of v for l1 (||v||_inf) and linf (||v||_1). The keys
+    are compared exactly by integer cross-multiplication, and Fractions are
+    built, with the base point centered exactly, only when the best key
+    improves. For l2 in any dimension the deviation comes from squared
     projections. Remaining cases fall back to per-point ternary search with
     a small certification margin.
 
-    With ``early_stop`` the scan returns the first direction whose deviation
-    is certified below the norm's near-line radius.
+    A direction replaces the best one only when its key is strictly
+    smaller, so ties keep the earliest direction. With ``early_stop`` the
+    scan returns the first such improvement whose deviation is certified
+    below the norm's near-line radius.
     """
     norm = config.norm
     if len(config.points) == 0:
         raise DomainError("need at least one point")
     d = norm.dimension
+    scale = math.lcm(*(c.denominator for p in config.points for c in p))
+    ipts = [
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in config.points
+    ]
+    planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best: Optional[NearLineFit] = None
-    best_key = None  # exact Fraction (dev or dev^2) or float
+    best_key = None  # Fraction or float; planar keys as (num, den) of num / den
 
-    for v in _candidate_directions(config):
+    for v in _candidate_directions(ipts, d):
         exact_sq: Optional[Fraction] = None
         exact_dev: Optional[Fraction] = None
-        if d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf")):
-            dets = [v[0] * p[1] - v[1] * p[0] for p in config.points]
+        if planar:
+            v0, v1 = v
+            dets = [v0 * y - v1 * x for x, y in ipts]
             lo, hi = min(dets), max(dets)
-            spread = hi - lo
-            s = v[0] * v[0] + v[1] * v[1]
-            mid = (lo + hi) / 2
-            base = (-v[1] * mid / s, v[0] * mid / s)
+            spread = hi - lo  # scale * (spread of det(v, x))
+            s = v0 * v0 + v1 * v1
             if norm.is_hilbert:
-                exact_sq = spread * spread / (4 * s)
+                num, den = spread * spread, s
+            elif norm.kind == "l1":
+                num, den = spread, max(abs(v0), abs(v1))
+            else:
+                num, den = spread, abs(v0) + abs(v1)
+            if best is not None and num * best_key[1] >= best_key[0] * den:
+                continue
+            best_key = (num, den)
+            # the line det(v, x) = (lo + hi) / 2, through its point nearest 0
+            base_den = 2 * scale * s
+            base = (Fraction(-v1 * (lo + hi), base_den), Fraction(v0 * (lo + hi), base_den))
+            if norm.is_hilbert:
+                exact_sq = Fraction(num, 4 * den * scale * scale)
                 dev_float = math.sqrt(float(exact_sq))
-                key = exact_sq
                 certified = exact_sq < norm.near_line_radius_sq
             else:
-                kappa = _kappa_exact_2d(norm, v)
-                exact_dev = spread / 2 * kappa
+                exact_dev = Fraction(num, 2 * den * scale)
                 dev_float = float(exact_dev)
-                key = exact_dev
                 certified = exact_dev * exact_dev < norm.near_line_radius_sq
         elif norm.is_hilbert:
             base = tuple(
@@ -580,9 +565,10 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
                 dist_sq = rr - rv * rv / vv
                 if dist_sq > worst:
                     worst = dist_sq
-            exact_sq = worst
+            if best is not None and worst >= best_key:
+                continue
+            best_key = exact_sq = worst
             dev_float = math.sqrt(float(worst))
-            key = worst
             certified = worst < norm.near_line_radius_sq
         else:
             base = tuple(
@@ -593,16 +579,16 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             dev_float = max(
                 _point_line_dist_float(norm, p, base, v) for p in config.points
             )
-            key = dev_float
+            if best is not None and dev_float >= best_key:
+                continue
+            best_key = dev_float
             certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
 
-        if best is None or key < best_key:
-            frame = supporting_functional(norm, v, base)
-            frame.verify_supporting(config.points)
-            best = NearLineFit(frame, dev_float, certified, exact_sq, exact_dev)
-            best_key = key
-            if early_stop and certified:
-                return best
+        frame = supporting_functional(norm, v, base)
+        frame.verify_supporting(config.points)
+        best = NearLineFit(frame, dev_float, certified, exact_sq, exact_dev)
+        if early_stop and certified:
+            break
     return best
 
 

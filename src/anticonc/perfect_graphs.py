@@ -4,7 +4,11 @@ Strict distance graphs of near-line point sets are Berge, hence perfect; the
 solvers here certify that on concrete instances: maximum (weighted) clique by
 branch and bound with a greedy colouring bound, chromatic number by
 backtracking with a clique lower bound, and shortest odd holes by an
-iterative-deepening search over induced paths. Everything is deterministic:
+iterative-deepening search over induced paths. The odd-hole search prunes
+each path by a breadth-first bound on the steps left to a vertex that could
+close it, and stops deepening once no path can still grow into a longer
+hole; both rules drop only branches without a hole of the length searched,
+so witnesses and None answers are exact. Everything is deterministic:
 vertices are explored lowest index first, colours lowest first.
 
 Adjacency is kept both as an edge set (for serialization) and as per-vertex
@@ -323,35 +327,100 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
 # --- odd holes --------------------------------------------------------------
 
 
-def _induced_odd_cycle(masks: Sequence[int], n: int, length: int) -> Optional[tuple[int, ...]]:
-    """Find an induced cycle of exactly this length, or None.
+def _closer_distance(
+    masks: Sequence[int], start: int, allowed: int, closers: int
+) -> Optional[int]:
+    """Fewest edges from start to a vertex of closers, stepping only on allowed vertices.
+
+    Breadth-first search over bitmasks; None when no closer is reachable.
+    """
+    frontier = 1 << start
+    dist = 0
+    while frontier and closers:
+        dist += 1
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        if reach & closers:
+            return dist
+        frontier = reach & allowed
+        allowed &= ~frontier
+    return None
+
+
+def _induced_odd_cycle(
+    masks: Sequence[int], n: int, length: int
+) -> tuple[Optional[tuple[int, ...]], bool]:
+    """Find an induced cycle of exactly this length.
 
     Depth-first search over induced paths anchored at the cycle's minimum
     vertex s: interior vertices must avoid the neighbourhoods of all path
     vertices before the current endpoint (including s), the closing vertex
     must additionally be adjacent to s. Direction symmetry is broken by
     requiring the closing vertex to exceed the second one.
+
+    Every path shorter than length - 1 is pruned by ``_closer_distance``
+    from its end. The walk steps only on vertices a completion may still
+    use: above s, outside N(s), outside the neighbourhoods of the earlier
+    interior vertices and off the path. It ends at a legal closer: adjacent
+    to s, above the second vertex, outside those neighbourhoods and off the
+    path. Returns the cycle (or None) and whether a longer hole may exist:
+    true when some path reached length - 1 vertices or some branch was
+    dropped for distance alone.
     """
     full = (1 << n) - 1
+    deeper = False
     for s in range(n):
         above = full & ~((1 << (s + 1)) - 1)
         n_s = masks[s]
         for p1 in _iter_bits(n_s & above):
+            closer_base = n_s & ~((1 << (p1 + 1)) - 1)
             # stack entries: (path, path mask, union of N(p_1..p_{t-1}))
             stack = [([s, p1], (1 << s) | (1 << p1), 0)]
             while stack:
                 path, pmask, forbid = stack.pop()
                 last = path[-1]
+                closers = closer_base & ~forbid & ~pmask
                 if len(path) == length - 1:
-                    closers = masks[last] & n_s & above & ~forbid & ~pmask
-                    for v in _iter_bits(closers):
-                        if v > path[1]:
-                            return tuple(path) + (v,)
+                    deeper = True
+                    closers &= masks[last]
+                    if closers:
+                        low = closers & -closers
+                        return tuple(path) + (low.bit_length() - 1,), True
                     continue
-                nxt = masks[last] & above & ~n_s & ~forbid & ~pmask
+                allowed = above & ~n_s & ~forbid & ~pmask
+                dist = _closer_distance(masks, last, allowed, closers)
+                if dist is None:
+                    continue
+                if dist > length - len(path):
+                    deeper = True
+                    continue
                 new_forbid = forbid | masks[last]
-                for v in _iter_bits(nxt):
+                for v in _iter_bits(masks[last] & allowed):
                     stack.append((path + [v], pmask | (1 << v), new_forbid))
+    return None, deeper
+
+
+def _shortest_odd_hole(
+    g: DistGraph, check_complement: bool, caps: Caps | None, first: int
+) -> Optional[HoleWitness]:
+    """Shortest odd hole of length >= first; see ``find_odd_hole``."""
+    caps = resolve(caps)
+    if g.n > caps.odd_hole:
+        raise ResourceCapExceeded(f"odd-hole search capped at {caps.odd_hole} vertices")
+    h = g.complement() if check_complement else g
+    masks = h.masks
+    for length in range(first, h.n + 1, 2):
+        cycle, deeper = _induced_odd_cycle(masks, h.n, length)
+        if cycle is not None:
+            witness = HoleWitness(cycle, check_complement)
+            if not witness.verify(g):
+                raise InvariantViolation("odd-hole witness failed self-check")
+            return witness
+        if not deeper:
+            break
     return None
 
 
@@ -363,28 +432,28 @@ def find_odd_hole(
     With ``check_complement`` the search runs in the complement graph. A
     None answer for both orientations certifies the graph Berge and hence
     perfect.
+
+    Lengths 5, 7, ... are tried in turn by a depth-first search over induced
+    paths (the chordless-path pruning of Uno and Satoh, 2014). A path is
+    dropped when a breadth-first search from its end, through vertices a
+    completion may still use, reaches no vertex that could close it, or
+    reaches one only after more steps than the length leaves. Any completion
+    is such a walk, so a dropped branch holds no cycle of the current
+    length, and the order of the rest is unchanged: the witness is the one
+    the unpruned search returns. Deepening stops after a length at which no
+    path reached length - 1 vertices and no branch was dropped for distance
+    alone. That is exact: the rest of a longer hole is a walk to a closer,
+    so its prefixes are never dropped as unreachable, and one of them would
+    have been dropped for distance or reached length - 1 vertices.
     """
-    caps = resolve(caps)
-    if g.n > caps.odd_hole:
-        raise ResourceCapExceeded(f"odd-hole search capped at {caps.odd_hole} vertices")
-    h = g.complement() if check_complement else g
-    if h.n < 5:
-        return None
-    masks = h.masks
-    for length in range(5, h.n + 1, 2):
-        cycle = _induced_odd_cycle(masks, h.n, length)
-        if cycle is not None:
-            witness = HoleWitness(cycle, check_complement)
-            if not witness.verify(g):
-                raise InvariantViolation("odd-hole witness failed self-check")
-            return witness
-    return None
+    return _shortest_odd_hole(g, check_complement, caps, 5)
 
 
 def is_berge(g: DistGraph, caps: Caps | None = None) -> tuple[bool, Optional[HoleWitness]]:
-    witness = find_odd_hole(g, False, caps)
+    witness = _shortest_odd_hole(g, False, caps, 5)
     if witness is None:
-        witness = find_odd_hole(g, True, caps)
+        # C5 is self-complementary, so the complement has no C5 either
+        witness = _shortest_odd_hole(g, True, caps, 7)
     return witness is None, witness
 
 

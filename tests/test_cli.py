@@ -203,3 +203,26 @@ class TestHalaszCommand:
         assert result.exit_code == 0
         out = json.loads(result.output)
         assert out["D"] < 1e-9 and out["mu"] == 1.5
+
+
+class TestErrorContract:
+    """Every subcommand exits 2, without a traceback, on a cap or bad input."""
+
+    @pytest.mark.parametrize(
+        "args, caps",
+        [
+            (["sharpness", "--strip-samples", "5"], {"odd_hole": 3}),
+            (["octagon"], {"clique": 3}),
+        ],
+        ids=["sharpness", "octagon"],
+    )
+    def test_cap_exits_2(self, runner, args, caps):
+        result = runner.invoke(main, args, env={"ANTICONC_CAPS": json.dumps(caps)})
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("resource cap: ")
+
+    def test_malformed_caps_exit_2(self, runner):
+        result = runner.invoke(main, ["octagon"], env={"ANTICONC_CAPS": "{"})
+        assert result.exit_code == 2
+        assert result.stderr.startswith("input error: ")

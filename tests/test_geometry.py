@@ -12,6 +12,8 @@ from anticonc.errors import (
     UnsupportedNorm,
 )
 from anticonc.geometry import (
+    _FLOAT_GUARD,
+    NearLineFit,
     NormSpec,
     PointConfig,
     VectorMeasure,
@@ -26,11 +28,13 @@ from anticonc.geometry import (
     lp,
     near_line_fit,
     norm_float,
+    norm_power,
     product_sum_measure,
     separation_check,
     supporting_functional,
     symmetrize,
 )
+from anticonc.geometry import _point_line_dist_float
 
 
 def rational_point(rng, span=4, den=12):
@@ -212,6 +216,185 @@ class TestNearLineFit:
             )
             assert abs(fit.max_deviation - oracle) < 1e-9
 
+
+
+# --- reference near-line scan ---------------------------------------------------
+# The Fraction scan that the integer near_line_fit replaced, kept verbatim as
+# the oracle: canonical Fraction directions, kappa from the breakpoints of the
+# piecewise-linear objective, Fraction keys compared with strict <.
+
+
+def _ref_canonical_direction(vec):
+    if all(c == 0 for c in vec):
+        return None
+    denom_lcm = math.lcm(*(c.denominator for c in vec))
+    ints = [int(c * denom_lcm) for c in vec]
+    g = math.gcd(*(abs(i) for i in ints))
+    ints = [i // g for i in ints]
+    for i in ints:
+        if i != 0:
+            if i < 0:
+                ints = [-j for j in ints]
+            break
+    return tuple(F(i) for i in ints)
+
+
+def _ref_candidate_directions(config):
+    d = config.norm.dimension
+    seen = set()
+    out = []
+    for i in range(d):
+        axis = tuple(F(1 if j == i else 0) for j in range(d))
+        seen.add(axis)
+        out.append(axis)
+    pts = config.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            cand = _ref_canonical_direction(tuple(a - b for a, b in zip(pts[i], pts[j])))
+            if cand is not None and cand not in seen:
+                seen.add(cand)
+                out.append(cand)
+    return out
+
+
+def _ref_kappa_exact_2d(norm, v):
+    s = v[0] * v[0] + v[1] * v[1]
+    w = (-v[1] / s, v[0] / s)
+    cands = []
+    if v[0] != 0:
+        cands.append(w[0] / v[0])
+    if v[1] != 0:
+        cands.append(w[1] / v[1])
+    if norm.kind == "linf":
+        if v[0] != v[1]:
+            cands.append((w[0] - w[1]) / (v[0] - v[1]))
+        if v[0] != -v[1]:
+            cands.append((w[0] + w[1]) / (v[0] + v[1]))
+    best = None
+    for t in cands:
+        val = norm_power(norm, (w[0] - t * v[0], w[1] - t * v[1]))
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def ref_near_line_fit(config, early_stop=False):
+    norm = config.norm
+    d = norm.dimension
+    best = None
+    best_key = None
+    for v in _ref_candidate_directions(config):
+        exact_sq = None
+        exact_dev = None
+        if d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf")):
+            dets = [v[0] * p[1] - v[1] * p[0] for p in config.points]
+            lo, hi = min(dets), max(dets)
+            spread = hi - lo
+            s = v[0] * v[0] + v[1] * v[1]
+            mid = (lo + hi) / 2
+            base = (-v[1] * mid / s, v[0] * mid / s)
+            if norm.is_hilbert:
+                exact_sq = spread * spread / (4 * s)
+                dev_float = math.sqrt(float(exact_sq))
+                key = exact_sq
+                certified = exact_sq < norm.near_line_radius_sq
+            else:
+                kappa = _ref_kappa_exact_2d(norm, v)
+                exact_dev = spread / 2 * kappa
+                dev_float = float(exact_dev)
+                key = exact_dev
+                certified = exact_dev * exact_dev < norm.near_line_radius_sq
+        elif norm.is_hilbert:
+            base = tuple(
+                (min(p[i] for p in config.points) + max(p[i] for p in config.points))
+                / 2
+                for i in range(d)
+            )
+            vv = sum(c * c for c in v)
+            worst = F(0)
+            for p in config.points:
+                r = tuple(a - b for a, b in zip(p, base))
+                rr = sum(c * c for c in r)
+                rv = sum(a * b for a, b in zip(r, v))
+                dist_sq = rr - rv * rv / vv
+                if dist_sq > worst:
+                    worst = dist_sq
+            exact_sq = worst
+            dev_float = math.sqrt(float(worst))
+            key = worst
+            certified = worst < norm.near_line_radius_sq
+        else:
+            base = tuple(
+                (min(p[i] for p in config.points) + max(p[i] for p in config.points))
+                / 2
+                for i in range(d)
+            )
+            dev_float = max(
+                _point_line_dist_float(norm, p, base, v) for p in config.points
+            )
+            key = dev_float
+            certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
+        if best is None or key < best_key:
+            frame = supporting_functional(norm, v, base)
+            frame.verify_supporting(config.points)
+            best = NearLineFit(frame, dev_float, certified, exact_sq, exact_dev)
+            best_key = key
+            if early_stop and certified:
+                return best
+    return best
+
+
+def _parity_configs(norm, rng):
+    """Point sets that stress ties, duplicates and degenerate spreads."""
+    yield ((F(3, 7), F(-2, 5)),)
+    yield ((F(1), F(1)),) * 4
+    yield tuple((F(i, 3), F(i, 5)) for i in range(6))  # collinear, slanted
+    yield tuple((F(0), F(i, 4)) for i in range(5))  # collinear, vertical
+    # symmetric sets whose directions tie on the key
+    yield ((F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1)))
+    yield ((F(1), F(1)), (F(-1), F(1)), (F(-1), F(-1)), (F(1), F(-1)))
+    yield tuple((F(x, 2), F(y, 2)) for x in (-1, 0, 1) for y in (-1, 0, 1))
+    yield ((F(0), F(0)), (F(2), F(1, 4)), (F(4), F(0)), (F(2), F(-1, 4)), (F(2), F(-1, 4)))
+    yield ((F(0), F(0)), (F(1), F(1, 4)), (F(2), F(0)))  # l1, linf: deviation exactly 1/8
+    bound = 12 if norm.is_hilbert else 3
+    for _ in range(25):
+        n = rng.randint(2, 14)
+        yield tuple(
+            (F(rng.randint(0, 5 * n), 32), F(rng.randint(-bound, bound), 32))
+            for _ in range(n)
+        )
+    for _ in range(15):
+        yield tuple(rational_point(rng, 2, rng.choice((3, 8, 12))) for _ in range(rng.randint(2, 9)))
+
+
+class TestNearLineParity:
+    """The integer scan returns exactly the fit of the Fraction reference."""
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_planar_matches_reference(self, norm, early_stop):
+        rng = random.Random(31)
+        for pts in _parity_configs(norm, rng):
+            cfg = PointConfig(norm, pts)
+            assert near_line_fit(cfg, early_stop) == ref_near_line_fit(cfg, early_stop)
+
+    @pytest.mark.parametrize("norm", [l2(3), lp(3, 2)], ids=["l2-3d", "l3-2d"])
+    def test_other_branches_match_reference(self, norm):
+        rng = random.Random(32)
+        d = norm.dimension
+        # a line whose direction starts with zero: the sign rule must look
+        # past the first coordinate
+        line = tuple((F(0),) * (d - 2) + (F(t, 3), F(-2 * t, 3) + F(t % 2, 8)) for t in range(4))
+        configs = [line]
+        for _ in range(6):
+            configs.append(tuple(
+                tuple(F(rng.randint(-24, 24), 16) for _ in range(d))
+                for _ in range(rng.randint(1, 7))
+            ))
+        for pts in configs:
+            cfg = PointConfig(norm, pts)
+            for early_stop in (False, True):
+                assert near_line_fit(cfg, early_stop) == ref_near_line_fit(cfg, early_stop)
 
 class TestSeparationCheck:
     def test_unit_interval(self):

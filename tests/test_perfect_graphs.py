@@ -6,7 +6,7 @@ import pytest
 
 from anticonc.caps import Caps
 from anticonc.errors import DomainError, ResourceCapExceeded
-from anticonc.geometry import PointConfig, VectorMeasure, l1, l2
+from anticonc.geometry import PointConfig, VectorMeasure, l1, l2, linf
 from anticonc.perfect_graphs import (
     ColoringCertificate,
     DistGraph,
@@ -219,6 +219,130 @@ class TestOddHoles:
             if found is not None:
                 assert found.verify(g)
 
+
+
+# --- reference odd-hole search --------------------------------------------------
+# The unpruned induced-path search that the pruned one replaced, kept verbatim
+# as the oracle: a full depth-first search for every odd length 5, 7, ..., n.
+
+
+def _iter_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ref_induced_odd_cycle(masks, n, length):
+    full = (1 << n) - 1
+    for s in range(n):
+        above = full & ~((1 << (s + 1)) - 1)
+        n_s = masks[s]
+        for p1 in _iter_bits(n_s & above):
+            stack = [([s, p1], (1 << s) | (1 << p1), 0)]
+            while stack:
+                path, pmask, forbid = stack.pop()
+                last = path[-1]
+                if len(path) == length - 1:
+                    closers = masks[last] & n_s & above & ~forbid & ~pmask
+                    for v in _iter_bits(closers):
+                        if v > path[1]:
+                            return tuple(path) + (v,)
+                    continue
+                nxt = masks[last] & above & ~n_s & ~forbid & ~pmask
+                new_forbid = forbid | masks[last]
+                for v in _iter_bits(nxt):
+                    stack.append((path + [v], pmask | (1 << v), new_forbid))
+    return None
+
+
+def ref_odd_hole(g):
+    for length in range(5, g.n + 1, 2):
+        cycle = _ref_induced_odd_cycle(g.masks, g.n, length)
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def nx_shortest_odd_hole_length(g):
+    """Shortest odd chordless cycle of length >= 5 by networkx, or None."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    lengths = [len(c) for c in nx.chordless_cycles(h) if len(c) >= 5 and len(c) % 2]
+    return min(lengths, default=None)
+
+
+def planted_hole_graph(rng, length, extra, p):
+    """An induced odd cycle on random labels plus extra vertices wired at random.
+
+    Extra vertices join each other and the cycle with probability p; no edge
+    joins two cycle vertices, so the planted cycle stays induced.
+    """
+    n = length + extra
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {(label[i], label[(i + 1) % length]) for i in range(length)}
+    for u in range(length, n):
+        for v in range(u):
+            if rng.random() < p:
+                edges.add((label[u], label[v]))
+    return DistGraph(n, frozenset((min(e), max(e)) for e in edges))
+
+
+class TestOddHoleOracles:
+    """The pruned search returns the reference witness and the true length."""
+
+    def _check(self, g):
+        expected = ref_odd_hole(g)
+        found = find_odd_hole(g)
+        assert (None if found is None else found.cycle) == expected
+        length = nx_shortest_odd_hole_length(g)
+        assert (None if found is None else len(found.cycle)) == length
+        comp = find_odd_hole(g, check_complement=True)
+        assert (None if comp is None else comp.cycle) == ref_odd_hole(g.complement())
+        berge, witness = is_berge(g)
+        assert witness == (found if found is not None else comp)
+        assert berge == (witness is None)
+
+    def test_random_graphs_and_complements(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.randint(5, 14)
+            self._check(random_graph(rng, n, rng.uniform(0.15, 0.6)))
+
+    @pytest.mark.parametrize("length", [5, 7, 9, 11, 13])
+    def test_planted_holes(self, length):
+        rng = random.Random(length)
+        for _ in range(12):
+            g = planted_hole_graph(rng, length, rng.randint(0, 3), rng.uniform(0.1, 0.5))
+            assert find_odd_hole(g) is not None
+            self._check(g)
+            self._check(g.complement())
+
+    def test_antihole_found_in_complement(self):
+        g = cycle_graph(7).complement()
+        berge, witness = is_berge(g)
+        assert not berge and witness.in_complement
+        assert witness.cycle == ref_odd_hole(cycle_graph(7))
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("n", [60, 64])
+    def test_large_near_line_sets_are_berge(self, norm, n):
+        # 64 is the default odd_hole cap; the unpruned search took minutes
+        # at 60 points, so an exponential regression shows as a slow run
+        from anticonc.geometry import distance_graph, near_line_fit
+
+        rng = random.Random(n)
+        ymax = 12 if norm.is_hilbert else 3
+        pts = tuple(
+            (F(rng.randint(0, 32 * n // 6), 32), F(rng.randint(-ymax, ymax), 32))
+            for _ in range(n)
+        )
+        cfg = PointConfig(norm, pts)
+        assert near_line_fit(cfg, early_stop=True).certified
+        assert is_berge(distance_graph(cfg)) == (True, None)
 
 class TestPerfectionNearLine:
     def test_l2_strip(self):
