@@ -17,7 +17,6 @@ from .lattice import (
     extremal_measure,
     extremal_variance,
     t_value,
-    t_value_auto,
     third_abs_moment,
     variance_profile,
 )

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .caps import Caps, resolve
 from .errors import DomainError, InvariantViolation
 from .exact import as_fraction
 from .lattice import (
     TValueResult,
     VarianceProfile,
     extremal_variance,
-    t_value_auto,
+    t_value,
     third_abs_moment,
     variance_profile,
 )
@@ -120,18 +119,15 @@ def _eps_condition(delta: Fraction, c: Fraction, limit: Fraction) -> bool:
     return Fraction(405) ** 4 * delta ** 2 <= limit ** 4 * c ** 3
 
 
-def clt_window(
-    alphas: Sequence, c, delta_prime: float, caps: Caps | None = None
-) -> BoundReport:
+def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
     """Normal window for the t-value under the stated side conditions.
 
     Checks, exactly: positive total variance; the head-variance condition
     V*_ceil(n(1-c)) >= V*/2; the third-moment condition against delta';
     and epsilon' <= 1/2. The interval (1 +- eps')/sqrt(2 pi V*) and the
-    t-value (exact when the factor count allows) are always included in the
-    extras so a failed report still shows the numbers.
+    t-value are always included in the extras so a failed report still
+    shows the numbers; the t-value is exact and is the report's ``exact_t``.
     """
-    caps = resolve(caps)
     cf = as_fraction(c)
     if not (0 < cf < 1):
         raise DomainError("c must lie in (0, 1)")
@@ -168,20 +164,20 @@ def clt_window(
     )
 
     lo, hi = window_interval(eps, v)
-    t_res = t_value_auto(fracs, caps)
+    t = t_value(fracs)
     extras = {
         "n": n,
         "v_star": v,
         "epsilon_prime": eps,
         "window_lo": lo,
         "window_hi": hi,
-        "t": t_res.value,
-        "t_exact_path": t_res.exact,
-        "t_in_window": lo <= t_res.value <= hi,
+        "t": float(t),
+        "t_exact_path": True,
+        "t_in_window": lo <= float(t) <= hi,
     }
     all_hold = all(cc.holds for cc in conditions)
     center = 1.0 / math.sqrt(2 * math.pi * float(v))
-    return BoundReport(center if all_hold else None, tuple(conditions), t_res.fraction, extras)
+    return BoundReport(center if all_hold else None, tuple(conditions), t, extras)
 
 
 def crude_bound(alpha_bar, n: int) -> float:
@@ -241,7 +237,6 @@ def make_main_bound_params(
     c,
     delta_prime: Optional[float] = None,
     gamma: Optional[float] = None,
-    caps: Caps | None = None,
 ) -> MainBoundParams:
     """Assemble master-bound inputs, defaulting delta' and gamma to the
     smallest values compatible with their conditions."""
@@ -271,8 +266,8 @@ def make_main_bound_params(
                 break
             g = math.nextafter(g, math.inf)
         gamma = g
-    t_res = t_value_auto(fracs, caps)
-    m = C * math.sqrt(float(xi)) * t_res.value ** -0.5 * math.sqrt(n)
+    t = t_value(fracs)
+    m = C * math.sqrt(float(xi)) * float(t) ** -0.5 * math.sqrt(n)
     return MainBoundParams(
         alphas=tuple(fracs),
         n=n,
@@ -286,7 +281,7 @@ def make_main_bound_params(
         xi=xi,
         m=m,
         profile=profile,
-        t=t_res,
+        t=TValueResult(float(t), True, t),
     )
 
 
@@ -367,12 +362,9 @@ def main_bound(params: MainBoundParams) -> BoundReport:
             float(Fraction(1) / (100 * c_big * c_big)),
         )
     )
-    # m < c n / 5: exact when the t-value came through the exact path
-    if params.t.fraction is not None and params.t.fraction > 0:
-        m_sq = c_big * c_big * params.xi * n / params.t.fraction
-        m_ok = m_sq < (params.c * n / 5) ** 2
-    else:
-        m_ok = params.m < float(params.c) * n / 5
+    # m < c n / 5, squared: m^2 = C^2 xi n / t exactly (t > 0 always)
+    m_sq = c_big * c_big * params.xi * n / params.t.fraction
+    m_ok = m_sq < (params.c * n / 5) ** 2
     conditions.append(
         ConditionCheck("m < c n / 5", m_ok, params.m, float(params.c) * n / 5)
     )

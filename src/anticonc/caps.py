@@ -23,7 +23,6 @@ class Caps:
     product_support: int = 200_000
     chain_tuples: int = 1_000_000
     replicas: int = 10_000
-    exact_factors: int = 64
 
     @classmethod
     def from_env(cls) -> "Caps":

@@ -113,22 +113,11 @@ def nu_star_cmd(alpha: str, output: str) -> None:
 
 @main.command("t-value")
 @click.option("--alphas", required=True, help="comma-separated rationals")
-@click.option("--exact/--auto", default=True, show_default=True)
 @_output_option
-def t_value_cmd(alphas: str, exact: bool, output: str) -> None:
-    """Mass of the extremal sum on {0, 1/2}."""
-    fracs = _parse_alphas(alphas)
-    if exact:
-        t = lat.t_value(fracs)
-        data = {"t": fraction_str(t), "float": float(t), "exact": True}
-    else:
-        res = lat.t_value_auto(fracs)
-        data = {
-            "t": None if res.fraction is None else fraction_str(res.fraction),
-            "float": res.value,
-            "exact": res.exact,
-        }
-    _emit(data, output)
+def t_value_cmd(alphas: str, output: str) -> None:
+    """Mass of the extremal sum on {0, 1/2}, exactly."""
+    t = lat.t_value(_parse_alphas(alphas))
+    _emit({"t": fraction_str(t), "float": float(t), "exact": True}, output)
 
 
 @main.command("concentration")

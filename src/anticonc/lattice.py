@@ -8,10 +8,7 @@ even when factors living on integers and on half-integers mix.
 Everything in this module is pure and exact: weights cross the API as
 Fractions and no comparison ever goes through floating point. Internally,
 t-values and convolutions run on integer numerators over one common
-denominator and build their Fractions once, at the end. A separate
-compensated floating-point convolution path is provided for long products
-(hundreds of factors) where exact arithmetic is possible but wasteful;
-results carry an explicit exactness flag.
+denominator and build their Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -22,13 +19,11 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .caps import Caps, resolve
 from .errors import DomainError
 from .exact import as_fraction, fraction_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -375,74 +370,13 @@ def check_unimodal_logconcave(m: LatticeMeasure, parity: str) -> ParityRestricti
     return ParityRestrictionReport(parity, False, symmetric, unimodal, log_concave)
 
 
-# --- compensated floating-point path for long products ---------------------
-
-
-@dataclass(frozen=True)
-class FloatLattice:
-    """Floating-point mirror of LatticeMeasure for long convolutions."""
-
-    offset_index: int
-    weights: tuple[float, ...]
-
-    @classmethod
-    def from_exact(cls, m: LatticeMeasure) -> "FloatLattice":
-        return cls(m.offset_index, tuple(float(w) for w in m.weights))
-
-    def mass_near(self, position: Fraction) -> float:
-        idx = 2 * as_fraction(position) - self.offset_index
-        if idx.denominator != 1:
-            return 0.0
-        i = int(idx)
-        if 0 <= i < len(self.weights):
-            return self.weights[i]
-        return 0.0
-
-
-def convolve_float(a: FloatLattice, b: FloatLattice) -> FloatLattice:
-    """Convolution with Kahan-compensated accumulation per output cell."""
-    la, lb = len(a.weights), len(b.weights)
-    out = [0.0] * (la + lb - 1)
-    comp = [0.0] * (la + lb - 1)
-    for i, wa in enumerate(a.weights):
-        if wa == 0.0:
-            continue
-        for j, wb in enumerate(b.weights):
-            if wb == 0.0:
-                continue
-            term = wa * wb
-            k = i + j
-            y = term - comp[k]
-            t = out[k] + y
-            comp[k] = (t - out[k]) - y
-            out[k] = t
-    return FloatLattice(a.offset_index + b.offset_index, tuple(out))
-
-
 @dataclass(frozen=True)
 class TValueResult:
-    """t-value together with the arithmetic path that produced it."""
+    """t-value as a float for reading, with its exact fraction.
+
+    ``exact`` is always True: every t-value comes from ``t_value``.
+    """
 
     value: float
     exact: bool
-    fraction: Fraction | None
-
-
-def t_value_auto(alphas: Sequence, caps: Caps | None = None) -> TValueResult:
-    """t-value through the exact path when the factor count permits.
-
-    Up to ``caps.exact_factors`` factors the exact rational convolution is
-    used; beyond that the compensated float path is taken and the result is
-    flagged as non-exact.
-    """
-    caps = resolve(caps)
-    fracs = [as_fraction(a) for a in alphas]
-    if not fracs:
-        raise DomainError("need at least one alpha")
-    if len(fracs) <= caps.exact_factors:
-        t = t_value(fracs)
-        return TValueResult(float(t), True, t)
-    acc = FloatLattice.from_exact(extremal_measure(fracs[0]))
-    for a in fracs[1:]:
-        acc = convolve_float(acc, FloatLattice.from_exact(extremal_measure(a)))
-    return TValueResult(acc.mass_near(ZERO) + acc.mass_near(HALF), False, None)
+    fraction: Fraction

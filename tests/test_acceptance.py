@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from anticonc.bounds import epsilon_prime, kesten_bound, minimal_delta_prime
+from anticonc.bounds import clt_window, epsilon_prime, kesten_bound, minimal_delta_prime
 from anticonc.chains import Block, btk_decompose, middle_layer_count
 from anticonc.geometry import (
     PointConfig,
@@ -28,7 +28,6 @@ from anticonc.lattice import (
     extremal_measure,
     extremal_variance,
     t_value,
-    t_value_auto,
     variance_profile,
 )
 from anticonc.perfect_graphs import (
@@ -343,11 +342,10 @@ def test_criterion_09_normal_window():
         if abs(float(t_exact) * math.sqrt(2 * math.pi * float(v)) - 1) > 0.05:
             passed = False
             break
-        auto = t_value_auto(alphas)
-        if auto.exact:  # these all exceed the 64-factor exact cap
+        if t_value(alphas) != t_exact:
             passed = False
             break
-        if abs(auto.value - float(t_exact)) > 1e-9 * float(t_exact):
+        if clt_window(alphas, c, minimal_delta_prime(alphas)).exact_t != t_exact:
             passed = False
             break
     _report(

@@ -166,6 +166,22 @@ class TestMainBound:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+class TestExactT:
+    @pytest.mark.parametrize(
+        "alphas",
+        [[F(1, 3)] * 100, [F(1, 2), F(3, 8)] * 75],
+        ids=["100x1/3", "150-mixed"],
+    )
+    def test_long_lists_stay_exact(self, alphas):
+        t = t_value(alphas)
+        window = clt_window(alphas, F(1, 4), minimal_delta_prime(alphas))
+        report = main_bound(make_main_bound_params(alphas, 2, 1.0, F(1, 4)))
+        for r in (window, report):
+            assert r.exact_t == t
+            assert r.extras["t_exact_path"] is True
+            assert r.extras["t"] == float(t)
+
+
 class TestKesten:
     def test_ratio_at_half(self):
         for n in (100, 10_000):

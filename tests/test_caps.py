@@ -47,6 +47,13 @@ def test_bad_cap_values_rejected(monkeypatch, value):
 
 @pytest.mark.parametrize("value", [0, 3, 5, 10, 16, 100, 10**6])
 def test_integer_caps_accepted(monkeypatch, value):
-    monkeypatch.setenv(ENV_VAR, json.dumps({"odd_hole": value, "exact_factors": value}))
+    monkeypatch.setenv(ENV_VAR, json.dumps({"odd_hole": value, "replicas": value}))
     caps = Caps.from_env()
-    assert caps.odd_hole == value and caps.exact_factors == value
+    assert caps.odd_hole == value and caps.replicas == value
+
+
+def test_retired_exact_factors_cap_rejected(monkeypatch):
+    # there is no factor cap: every t-value is computed exactly
+    monkeypatch.setenv(ENV_VAR, json.dumps({"exact_factors": 64}))
+    with pytest.raises(ValueError, match=ENV_VAR):
+        Caps.from_env()

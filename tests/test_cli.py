@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,18 @@ class TestTValue:
 
     def test_malformed(self, runner):
         result = runner.invoke(main, ["t-value", "--alphas", "zebra"])
+        assert result.exit_code == 2
+
+    def test_long_list_exact(self, runner):
+        result = runner.invoke(main, ["t-value", "--alphas", ",".join(["1/2"] * 200)])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        want = F(math.comb(200, 100), 2 ** 200)
+        assert data == {"t": str(want), "float": float(want), "exact": True}
+
+    @pytest.mark.parametrize("flag", ["--auto", "--exact"])
+    def test_retired_path_flags_exit_2(self, runner, flag):
+        result = runner.invoke(main, ["t-value", "--alphas", "1/2", flag])
         assert result.exit_code == 2
 
 

@@ -8,19 +8,16 @@ from anticonc.chains import middle_layer_count
 from anticonc.errors import DomainError
 from anticonc.lattice import (
     ExtremalSpec,
-    FloatLattice,
     LatticeMeasure,
     check_unimodal_logconcave,
     concentration_1d,
     convolve,
-    convolve_float,
     convolve_many,
     delta,
     extremal_measure,
     extremal_variance,
     mixture,
     t_value,
-    t_value_auto,
     third_abs_moment,
     variance_profile,
 )
@@ -179,6 +176,9 @@ class TestTValue:
             expected = F(math.comb(n, (n + 1) // 2), 2 ** n)
             assert t_value([F(1, 2)] * n) == expected
 
+    def test_central_binomial_200(self):
+        assert t_value([F(1, 2)] * 200) == F(math.comb(200, 100), 2 ** 200)
+
     def test_mixed_parity(self):
         # one coin, one three-point uniform: mass sits at 1/2 only
         assert t_value([F(1, 2), F(1, 3)]) == F(1, 3)
@@ -305,26 +305,3 @@ class TestValidation:
         m = convolve_many([extremal_measure(a) for a in alphas])
         assert LatticeMeasure.from_json(m.to_json()) == m
 
-
-class TestFloatPath:
-    def test_matches_exact_on_small_products(self):
-        alphas = [F(1, 2), F(1, 3), F(2, 5), F(3, 7)]
-        exact = convolve_many([extremal_measure(a) for a in alphas])
-        acc = FloatLattice.from_exact(extremal_measure(alphas[0]))
-        for a in alphas[1:]:
-            acc = convolve_float(acc, FloatLattice.from_exact(extremal_measure(a)))
-        assert acc.offset_index == exact.offset_index
-        for i, w in enumerate(exact.weights):
-            assert abs(acc.weights[i] - float(w)) < 1e-14
-
-    def test_auto_switches_paths(self):
-        small = t_value_auto([F(1, 2)] * 10)
-        assert small.exact and small.fraction == t_value([F(1, 2)] * 10)
-        big = t_value_auto([F(1, 2)] * 80)
-        assert not big.exact and big.fraction is None
-        assert abs(big.value - float(t_value([F(1, 2)] * 80))) < 1e-12
-
-    def test_float_path_against_binomial(self):
-        res = t_value_auto([F(1, 2)] * 200)
-        expected = math.comb(200, 100) / 2 ** 200
-        assert abs(res.value - expected) / expected < 1e-12

@@ -344,6 +344,27 @@ class TestOddHoleOracles:
         assert near_line_fit(cfg, early_stop=True).certified
         assert is_berge(distance_graph(cfg)) == (True, None)
 
+class TestCliqueOracle:
+    """Clique values agree with networkx ``max_weight_clique``."""
+
+    def test_random_graphs_unweighted_and_integer_weights(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1505)
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            ints = [rng.randint(1, 9) for _ in range(n)]
+            nx.set_node_attributes(h, dict(enumerate(ints)), "weight")
+            for weights, attr in ((None, None), ([F(w) for w in ints], "weight")):
+                value, witness = max_clique(g, weights=weights)
+                assert value == nx.max_weight_clique(h, weight=attr)[1]
+                assert all(g.has_edge(u, v) for u, v in itertools.combinations(witness, 2))
+                assert value == sum(1 if attr is None else ints[v] for v in witness)
+
+
 class TestPerfectionNearLine:
     def test_l2_strip(self):
         rng = random.Random(5)
