@@ -11,6 +11,7 @@ names the failing inequality.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -77,10 +78,15 @@ def epsilon_prime(delta_prime: float, c) -> float:
     return 405.0 * math.sqrt(delta_prime) * cf ** (-0.75)
 
 
+def _third_moment_sum(alphas: Sequence[Fraction]) -> Fraction:
+    """Exact sum of E|Y|^3 over the factors, one moment per distinct alpha."""
+    return sum((third_abs_moment(a) * k for a, k in Counter(alphas).items()), Fraction(0))
+
+
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
     fracs = [as_fraction(a) for a in alphas]
-    third = sum((third_abs_moment(a) for a in fracs), Fraction(0))
+    third = _third_moment_sum(fracs)
     v = variance_profile(fracs).total
     if v == 0:
         raise DomainError("total variance is zero")
@@ -109,7 +115,7 @@ def _sorted_desc(alphas: Sequence) -> list[Fraction]:
 
 
 def _third_moment_condition(alphas: Sequence[Fraction], delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
-    third = sum((third_abs_moment(a) for a in alphas), Fraction(0))
+    third = _third_moment_sum(alphas)
     holds = third * third <= delta * delta * v ** 3
     return holds, float(third), float(delta) * float(v) ** 1.5
 
@@ -429,7 +435,7 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
     reports = []
     if v == 0:
         return (RatioReport("V* > 0 fails: total variance is zero", math.inf),)
-    third = sum((third_abs_moment(a) for a in fracs), Fraction(0))
+    third = _third_moment_sum(fracs)
     v32 = float(v) ** 1.5
     reports.append(RatioReport("xi(abar)^2 V* / n^2", float(xi * xi * v) / n ** 2))
     reports.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 ENV_VAR = "ANTICONC_CAPS"
 
@@ -26,7 +27,12 @@ class Caps:
 
     @classmethod
     def from_env(cls) -> "Caps":
-        raw = os.environ.get(ENV_VAR)
+        return cls._from_raw(os.environ.get(ENV_VAR) or "")
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def _from_raw(cls, raw: str) -> "Caps":
+        """Parse and validate one raw value; cached, so each value is parsed once."""
         if not raw:
             return cls()
         try:

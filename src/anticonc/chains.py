@@ -26,7 +26,7 @@ from .geometry import (
     LineFrame,
     VectorMeasure,
     concentration_q,
-    dist_vs_one,
+    near_pairs,
     product_sum_measure,
 )
 from .lattice import t_value
@@ -60,13 +60,10 @@ class Block:
                 raise InvariantViolation(
                     "consecutive functional values closer than 1/2"
                 )
-        norm = self.frame.norm
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if dist_vs_one(norm, self.points[i], self.points[j]) < 0:
-                    raise InvariantViolation(
-                        f"points {i} and {j} are at distance below 1"
-                    )
+        near = near_pairs(self.frame.norm, self.points)
+        if near:
+            i, j = min(near)
+            raise InvariantViolation(f"points {i} and {j} are at distance below 1")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -7,6 +7,9 @@ floats appear only in reported magnitudes. For the p-norms this is possible
 because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, which is a
 rational comparison whenever p is an integer.
 
+Every "d < 1" decision over a point set goes through one integer kernel,
+``near_pairs``; ``dist_vs_one`` is the single-pair check.
+
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
 decisions and is rejected.
@@ -286,18 +289,46 @@ class VectorMeasure:
         return cls(PointConfig(norm, pts), ws)
 
 
+def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm of all coordinate denominators, and the points times it."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+
+
+def near_pairs(norm: NormSpec, points: Sequence[Point]) -> set[tuple[int, int]]:
+    """Index pairs i < j with d(points[i], points[j]) < 1, decided on integers.
+
+    The points are scaled once to integers over the lcm of their
+    denominators and swept in order of the first coordinate. A row ends at
+    the first x-gap of at least 1, which is exact for every supported norm
+    because |dx_1| <= ||dx||. A pair is near when its integer power sum
+    (the maximum for linf) is below scale ** exponent.
+    """
+    _check_dims(norm, *points)
+    scale, ipts = _scaled_integers(points)
+    order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
+    e = norm.exponent
+    limit = scale**e
+    agg = max if norm.kind == "linf" else sum
+    near = set()
+    for a, i in enumerate(order):
+        p = ipts[i]
+        for j in order[a + 1 :]:
+            q = ipts[j]
+            if q[0] - p[0] >= scale:
+                break
+            if agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit:
+                near.add((i, j) if i < j else (j, i))
+    return near
+
+
 def distance_graph(config: PointConfig) -> DistGraph:
     """Strict distance graph: edge exactly when d(x_i, x_j) < 1.
 
     Duplicate points are at distance 0 and therefore always adjacent.
     """
-    n = len(config.points)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist_vs_one(config.norm, config.points[i], config.points[j]) < 0:
-                edges.add((i, j))
-    return DistGraph(n, frozenset(edges), origin=config)
+    edges = frozenset(near_pairs(config.norm, config.points))
+    return DistGraph(len(config.points), edges, origin=config)
 
 
 # --- supporting functionals and line frames ----------------------------------
@@ -513,10 +544,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     if len(config.points) == 0:
         raise DomainError("need at least one point")
     d = norm.dimension
-    scale = math.lcm(*(c.denominator for p in config.points for c in p))
-    ipts = [
-        tuple(c.numerator * (scale // c.denominator) for c in p) for p in config.points
-    ]
+    scale, ipts = _scaled_integers(config.points)
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best: Optional[NearLineFit] = None
     best_key = None  # Fraction or float; planar keys as (num, den) of num / den
@@ -611,15 +639,15 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     half = Fraction(1, 2)
     pts = config.points
     raws = [frame.f_raw(p) for p in pts]
-    checked = 0
-    bad = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if dist_vs_one(config.norm, pts[i], pts[j]) >= 0:
-                checked += 1
-                if not frame.raw_gap_at_least(raws[i] - raws[j], half):
-                    bad.append((i, j))
-    return SeparationReport(checked, tuple(bad))
+    near = near_pairs(config.norm, pts)
+    n = len(pts)
+    bad = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in near and not frame.raw_gap_at_least(raws[i] - raws[j], half)
+    )
+    return SeparationReport(n * (n - 1) // 2 - len(near), bad)
 
 
 # --- sums, concentration, sampling -------------------------------------------

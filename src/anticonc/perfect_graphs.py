@@ -293,31 +293,37 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     if lb < best_k:
         masks = g.masks
         colors = [-1] * g.n
-
-        def backtrack(v: int, used: int) -> bool:
-            nonlocal best_k, best_colors
-            if used >= best_k:
-                return False
-            if v == g.n:
-                best_k = used
-                best_colors = colors[:]
-                return best_k == lb
-            forbidden = 0
-            for u in _iter_bits(masks[v]):
-                if colors[u] >= 0:
-                    forbidden |= 1 << colors[u]
-            limit = min(used + 1, best_k - 1)
-            for c in range(limit):
-                if forbidden >> c & 1:
-                    continue
-                colors[v] = c
-                if backtrack(v + 1, max(used, c + 1)):
-                    colors[v] = -1
-                    return True
-                colors[v] = -1
-            return False
-
-        backtrack(0, 0)
+        # the recursion, one level per vertex, on an explicit stack: cand[v]
+        # holds the colours v may still try (-1 before v is opened) and
+        # used[v] the number of colours used below v
+        cand = [-1] * g.n
+        used = [0] * g.n
+        v = 0
+        while v >= 0:
+            if cand[v] < 0:
+                forbidden = 0
+                for u in _iter_bits(masks[v]):
+                    if colors[u] >= 0:
+                        forbidden |= 1 << colors[u]
+                cand[v] = ((1 << min(used[v] + 1, best_k - 1)) - 1) & ~forbidden
+            colors[v] = -1
+            if not cand[v]:
+                cand[v] = -1
+                v -= 1
+                continue
+            c = (cand[v] & -cand[v]).bit_length() - 1
+            cand[v] &= cand[v] - 1
+            colors[v] = c
+            now_used = max(used[v], c + 1)
+            if now_used >= best_k:
+                continue
+            if v + 1 == g.n:
+                best_k, best_colors = now_used, colors[:]
+                if best_k == lb:
+                    break
+                continue
+            v += 1
+            used[v] = now_used
     cert = ColoringCertificate(best_k, _classes_from_colors(best_colors))
     if not cert.verify(g):
         raise InvariantViolation("colouring certificate failed self-check")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc.bounds import (
+    _third_moment_sum,
     clt_window,
     crude_bound,
     epsilon_prime,
@@ -44,6 +45,16 @@ class TestEpsilonPrime:
         assert third * third <= F(d) ** 2 * v ** 3
         below = math.nextafter(d, 0.0)
         assert not third * third <= F(below) ** 2 * v ** 3
+
+
+class TestThirdMomentSum:
+    def test_equals_per_factor_sum(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            alphas = [F(rng.randint(1, 8), 8) for _ in range(rng.randint(0, 60))]
+            rng.shuffle(alphas)
+            want = sum((third_abs_moment(a) for a in alphas), F(0))
+            assert _third_moment_sum(alphas) == want
 
 
 class TestCltWindow:

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc.caps import Caps
+from anticonc.chains import Block
 from anticonc.errors import (
     DimensionMismatch,
     DomainError,
+    InvariantViolation,
     ResourceCapExceeded,
     UnsupportedNorm,
 )
@@ -18,6 +20,7 @@ from anticonc.geometry import (
     PointConfig,
     VectorMeasure,
     concentration_q,
+    dist_vs_one,
     distance,
     distance_graph,
     empirical_measure,
@@ -27,6 +30,7 @@ from anticonc.geometry import (
     linf,
     lp,
     near_line_fit,
+    near_pairs,
     norm_float,
     norm_power,
     product_sum_measure,
@@ -439,6 +443,129 @@ class TestSeparationCheck:
             fit = near_line_fit(cfg)
             assert fit.certified
             assert separation_check(fit.frame, cfg).ok
+
+
+# --- reference: the per-pair Fraction loops the integer kernel replaced ------
+
+
+def ref_distance_edges(norm, points):
+    return {
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if dist_vs_one(norm, points[i], points[j]) < 0
+    }
+
+
+def ref_separation_check(frame, config):
+    half = F(1, 2)
+    pts = config.points
+    raws = [frame.f_raw(p) for p in pts]
+    checked = 0
+    bad = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if dist_vs_one(config.norm, pts[i], pts[j]) >= 0:
+                checked += 1
+                if not frame.raw_gap_at_least(raws[i] - raws[j], half):
+                    bad.append((i, j))
+    return checked, tuple(bad)
+
+
+KERNEL_NORMS = [
+    norm(d)
+    for d in (1, 2, 3)
+    for norm in (l1, l2, linf, lambda d: lp(3, d), lambda d: lp(4, d))
+]
+
+
+def _kernel_configs(norm, rng):
+    """Point sets at the edge and row-cut boundaries of the integer kernel."""
+    d = norm.dimension
+    zero = (F(0),) * d
+
+    def axis(k, t):
+        return tuple(F(t) if i == k else F(0) for i in range(d))
+
+    yield ()
+    yield (zero,)
+    # distance exactly 1 along every axis: no edge; the x axis is also an
+    # x-gap of exactly 1
+    yield (zero,) + tuple(axis(k, 1) for k in range(d)) + tuple(axis(k, -1) for k in range(d))
+    # x-gap exactly 1 with other coordinates apart (distance > 1), just below 1
+    # (edge or not by norm), and equal x (the row cut never fires)
+    for t in (F(1), F(96, 97), F(0)):
+        yield tuple((F(k) * t,) + tuple(F(rng.randint(-3, 3), 7) for _ in range(d - 1)) for k in range(6))
+    # rational points at distance exactly 1 off the axes
+    if d >= 2:
+        exact = {"l1": (F(1, 2), F(1, 2)), "l2": (F(3, 5), F(4, 5)), "linf": (F(1), F(1, 3))}
+        if norm.kind in exact:
+            p = exact[norm.kind] + (F(0),) * (d - 2)
+            yield (zero, p, tuple(-c for c in p), tuple(c + 1 for c in p))
+    if d == 3 and norm.kind == "l2":
+        yield (zero, (F(1, 3), F(2, 3), F(2, 3)), (F(2, 3), F(-1, 3), F(2, 3)))
+    # mixed denominators, negative coordinates and duplicates
+    for _ in range(20):
+        pts = [
+            tuple(F(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 7, 12))) for _ in range(d))
+            for _ in range(rng.randint(2, 16))
+        ]
+        pts += rng.sample(pts, rng.randint(0, min(3, len(pts))))
+        rng.shuffle(pts)
+        yield tuple(pts)
+    # dense clusters, many pairs near distance 1
+    for _ in range(10):
+        yield tuple(
+            tuple(F(rng.randint(-8, 8), 8) for _ in range(d)) for _ in range(rng.randint(2, 24))
+        )
+
+
+class TestNearPairsKernel:
+    """The integer kernel decides every pair like the per-pair Fraction loop."""
+
+    @pytest.mark.parametrize("norm", KERNEL_NORMS, ids=lambda n: f"{n.kind}{n.p or ''}-{n.dimension}d")
+    def test_edges_match_reference(self, norm):
+        rng = random.Random(500 + KERNEL_NORMS.index(norm))
+        for pts in _kernel_configs(norm, rng):
+            cfg = PointConfig(norm, pts)
+            want = ref_distance_edges(norm, cfg.points)
+            assert near_pairs(norm, cfg.points) == want
+            g = distance_graph(cfg)
+            assert g.n == len(pts) and g.edges == want
+
+    @pytest.mark.parametrize("norm", KERNEL_NORMS, ids=lambda n: f"{n.kind}{n.p or ''}-{n.dimension}d")
+    def test_separation_matches_reference(self, norm):
+        rng = random.Random(600 + KERNEL_NORMS.index(norm))
+        d = norm.dimension
+        directions = [(F(1),) + (F(0),) * (d - 1), tuple(F(rng.randint(1, 5), 4) for _ in range(d))]
+        for pts in _kernel_configs(norm, rng):
+            cfg = PointConfig(norm, pts)
+            for v in directions:
+                frame = supporting_functional(norm, v)
+                rep = separation_check(frame, cfg)
+                assert (rep.pairs_checked, rep.violations) == ref_separation_check(frame, cfg)
+
+    def test_boundary_pairs(self):
+        # exactly 1 apart: no edge; a hair closer: an edge
+        for norm in (l1(2), l2(2), linf(2), lp(3, 2)):
+            cfg = PointConfig(norm, ((F(0), F(0)), (F(1), F(0)), (F(0), F(-1)), (F(-1, 2), F(1, 2))))
+            want = {(0, 3)} if norm.kind != "l1" else set()
+            assert distance_graph(cfg).edges == want
+        cfg = PointConfig(l2(2), ((F(0), F(0)), (F(3, 5), F(4, 5)), (F(3, 5), F(799, 1000))))
+        assert distance_graph(cfg).edges == {(0, 2), (1, 2)}
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            near_pairs(l2(2), ((F(0), F(0)), (F(1),)))
+
+    def test_block_rejects_close_pair(self):
+        frame = supporting_functional(l2(2), (F(1), F(0)))
+        # functional gaps are fine, but points 1, 2 and 2, 3 are 0.95 apart;
+        # the error names the first close pair
+        pts = [(F(0), F(0)), (F(2), F(0)), (F(29, 10), F(3, 10)), (F(38, 10), F(0))]
+        with pytest.raises(InvariantViolation, match="points 1 and 2 are at distance below 1"):
+            Block.from_points(pts, frame)
+        Block.from_points(pts[:2] + pts[3:], frame)
 
 
 class TestProductSum:

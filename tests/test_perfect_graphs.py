@@ -9,6 +9,8 @@ from anticonc.errors import DomainError, ResourceCapExceeded
 from anticonc.geometry import PointConfig, VectorMeasure, l1, l2, linf
 from anticonc.perfect_graphs import (
     ColoringCertificate,
+    _classes_from_colors,
+    _dsatur_greedy,
     DistGraph,
     block_decomposition,
     chromatic_number,
@@ -55,6 +57,35 @@ def brute_is_colorable(g, k):
         if all(assignment[u] != assignment[v] for u, v in g.edges):
             return True
     return False
+
+
+def ref_coloring_classes(g, caps):
+    """The recursive colouring backtrack, one call per vertex."""
+    greedy = _dsatur_greedy(g)
+    best_k = max(greedy) + 1
+    best_colors = greedy[:]
+    lb = int(max_clique(g, caps=caps)[0]) if g.n <= caps.clique else 1
+    colors = [-1] * g.n
+
+    def backtrack(v, used):
+        nonlocal best_k, best_colors
+        if used >= best_k:
+            return False
+        if v == g.n:
+            best_k, best_colors = used, colors[:]
+            return best_k == lb
+        forbidden = {colors[u] for u in range(g.n) if g.masks[v] >> u & 1}
+        for c in range(min(used + 1, best_k - 1)):
+            if c not in forbidden:
+                colors[v] = c
+                if backtrack(v + 1, max(used, c + 1)):
+                    return True
+                colors[v] = -1
+        return False
+
+    if lb < best_k:
+        backtrack(0, 0)
+    return _classes_from_colors(best_colors)
 
 
 def brute_has_odd_hole(g):
@@ -178,6 +209,23 @@ class TestChromaticNumber:
     def test_deterministic(self):
         g = octagon_circulant()
         assert chromatic_number(g) == chromatic_number(g)
+
+    @pytest.mark.parametrize("caps", [Caps(), Caps(clique=0)], ids=["clique-lb", "lb-1"])
+    def test_matches_recursive_reference(self, caps):
+        # about one graph in eight needs fewer colours than DSATUR finds
+        rng = random.Random(148)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(8, 22), 0.3 + 0.4 * rng.random())
+            assert chromatic_number(g, caps).classes == ref_coloring_classes(g, caps)
+
+    def test_complete_graph_past_recursion_limit(self):
+        # the clique cap stays 500, so the lower bound is 1 and the
+        # backtrack walks 1,100 vertices deep before it gives up
+        n = 1100
+        g = DistGraph(n, frozenset(itertools.combinations(range(n), 2)))
+        cert = chromatic_number(g, Caps(coloring=2000))
+        assert cert.num_colors == n
+        assert cert.classes == tuple((v,) for v in range(n))
 
 
 class TestOddHoles:
