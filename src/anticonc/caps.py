@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 ENV_VAR = "ANTICONC_CAPS"
 
@@ -27,12 +26,7 @@ class Caps:
 
     @classmethod
     def from_env(cls) -> "Caps":
-        return cls._from_raw(os.environ.get(ENV_VAR) or "")
-
-    @classmethod
-    @lru_cache(maxsize=16)
-    def _from_raw(cls, raw: str) -> "Caps":
-        """Parse and validate one raw value; cached, so each value is parsed once."""
+        raw = os.environ.get(ENV_VAR)
         if not raw:
             return cls()
         try:

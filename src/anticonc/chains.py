@@ -26,7 +26,7 @@ from .geometry import (
     LineFrame,
     VectorMeasure,
     concentration_q,
-    near_pairs,
+    _near_pairs,
     product_sum_measure,
 )
 from .lattice import t_value
@@ -60,7 +60,7 @@ class Block:
                 raise InvariantViolation(
                     "consecutive functional values closer than 1/2"
                 )
-        near = near_pairs(self.frame.norm, self.points)
+        near = _near_pairs(self.frame.norm, self.points)
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")

@@ -8,7 +8,7 @@ because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, which is a
 rational comparison whenever p is an integer.
 
 Every "d < 1" decision over a point set goes through one integer kernel,
-``near_pairs``; ``dist_vs_one`` is the single-pair check.
+``_near_pairs``; ``dist_vs_one`` is the single-pair check.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -295,14 +295,11 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
 
-def near_pairs(norm: NormSpec, points: Sequence[Point]) -> set[tuple[int, int]]:
+def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int, int]]:
     """Index pairs i < j with d(points[i], points[j]) < 1, decided on integers.
 
-    The points are scaled once to integers over the lcm of their
-    denominators and swept in order of the first coordinate. A row ends at
-    the first x-gap of at least 1, which is exact for every supported norm
-    because |dx_1| <= ||dx||. A pair is near when its integer power sum
-    (the maximum for linf) is below scale ** exponent.
+    The points are scaled once to integers and swept in order of x; a row ends
+    at the first x-gap of at least 1, exact because |dx_1| <= ||dx||.
     """
     _check_dims(norm, *points)
     scale, ipts = _scaled_integers(points)
@@ -313,13 +310,14 @@ def near_pairs(norm: NormSpec, points: Sequence[Point]) -> set[tuple[int, int]]:
     near = set()
     for a, i in enumerate(order):
         p = ipts[i]
-        for j in order[a + 1 :]:
+        for b in range(a + 1, len(order)):
+            j = order[b]
             q = ipts[j]
             if q[0] - p[0] >= scale:
                 break
             if agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit:
                 near.add((i, j) if i < j else (j, i))
-    return near
+    return frozenset(near)
 
 
 def distance_graph(config: PointConfig) -> DistGraph:
@@ -327,8 +325,7 @@ def distance_graph(config: PointConfig) -> DistGraph:
 
     Duplicate points are at distance 0 and therefore always adjacent.
     """
-    edges = frozenset(near_pairs(config.norm, config.points))
-    return DistGraph(len(config.points), edges, origin=config)
+    return DistGraph(len(config.points), _near_pairs(config.norm, config.points), origin=config)
 
 
 # --- supporting functionals and line frames ----------------------------------
@@ -639,15 +636,11 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     half = Fraction(1, 2)
     pts = config.points
     raws = [frame.f_raw(p) for p in pts]
-    near = near_pairs(config.norm, pts)
+    near = _near_pairs(config.norm, pts)
     n = len(pts)
-    bad = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in near and not frame.raw_gap_at_least(raws[i] - raws[j], half)
-    )
-    return SeparationReport(n * (n - 1) // 2 - len(near), bad)
+    far = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in near]
+    bad = tuple((i, j) for i, j in far if not frame.raw_gap_at_least(raws[i] - raws[j], half))
+    return SeparationReport(len(far), bad)
 
 
 # --- sums, concentration, sampling -------------------------------------------

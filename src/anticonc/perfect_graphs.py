@@ -293,9 +293,8 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     if lb < best_k:
         masks = g.masks
         colors = [-1] * g.n
-        # the recursion, one level per vertex, on an explicit stack: cand[v]
-        # holds the colours v may still try (-1 before v is opened) and
-        # used[v] the number of colours used below v
+        # one stack level per vertex: cand[v] holds the colours v may still try
+        # (-1 before v is opened), used[v] the number of colours used below v
         cand = [-1] * g.n
         used = [0] * g.n
         v = 0

@@ -57,23 +57,3 @@ def test_retired_exact_factors_cap_rejected(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"exact_factors": 64}))
     with pytest.raises(ValueError, match=ENV_VAR):
         Caps.from_env()
-
-
-def test_parse_cached_per_raw_value(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 7}))
-    first = Caps.from_env()
-    assert Caps.from_env() is first
-    # a changed value is parsed afresh, and an unset one gives the defaults
-    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 9}))
-    assert Caps.from_env().clique == 9
-    monkeypatch.delenv(ENV_VAR)
-    assert Caps.from_env() == Caps()
-    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 7}))
-    assert Caps.from_env() is first
-
-
-def test_bad_value_rejected_on_every_call(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": -1}))
-    for _ in range(2):
-        with pytest.raises(ValueError, match=ENV_VAR):
-            Caps.from_env()

@@ -30,7 +30,7 @@ from anticonc.geometry import (
     linf,
     lp,
     near_line_fit,
-    near_pairs,
+    _near_pairs,
     norm_float,
     norm_power,
     product_sum_measure,
@@ -529,7 +529,7 @@ class TestNearPairsKernel:
         for pts in _kernel_configs(norm, rng):
             cfg = PointConfig(norm, pts)
             want = ref_distance_edges(norm, cfg.points)
-            assert near_pairs(norm, cfg.points) == want
+            assert _near_pairs(norm, cfg.points) == want
             g = distance_graph(cfg)
             assert g.n == len(pts) and g.edges == want
 
@@ -556,7 +556,7 @@ class TestNearPairsKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            near_pairs(l2(2), ((F(0), F(0)), (F(1),)))
+            _near_pairs(l2(2), ((F(0), F(0)), (F(1),)))
 
     def test_block_rejects_close_pair(self):
         frame = supporting_functional(l2(2), (F(1), F(0)))
