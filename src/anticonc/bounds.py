@@ -87,7 +87,7 @@ def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
     fracs = [as_fraction(a) for a in alphas]
     third = _third_moment_sum(fracs)
-    v = variance_profile(fracs).total
+    v = sum((extremal_variance(a) * k for a, k in Counter(fracs).items()), Fraction(0))
     if v == 0:
         raise DomainError("total variance is zero")
     d = math.sqrt(float(third * third / v ** 3))

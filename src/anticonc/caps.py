@@ -24,6 +24,13 @@ class Caps:
     chain_tuples: int = 1_000_000
     replicas: int = 10_000
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass; True/False is no cap value
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"cap {f.name!r} must be a nonnegative integer, got {value!r}")
+
     @classmethod
     def from_env(cls) -> "Caps":
         raw = os.environ.get(ENV_VAR)
@@ -39,13 +46,10 @@ class Caps:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cap names in {ENV_VAR}: {sorted(unknown)}")
-        for name, value in data.items():
-            # bool is an int subclass; JSON true/false is no cap value
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"cap {name!r} in {ENV_VAR} must be a nonnegative integer, got {value!r}"
-                )
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_VAR}: {exc}") from None
 
 
 def resolve(caps: Caps | None) -> Caps:

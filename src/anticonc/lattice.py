@@ -8,13 +8,17 @@ even when factors living on integers and on half-integers mix.
 Everything in this module is pure and exact: weights cross the API as
 Fractions and no comparison ever goes through floating point. Internally,
 t-values and convolutions run on integer numerators over one common
-denominator and build their Fractions once, at the end.
+denominator and build their Fractions once, at the end. A t-value reads
+only slots 0 and 1/2 of a symmetric sum, so its recurrence keeps one half
+of the centre window those slots can still be reached from; the last few
+results are memoised by their sorted alphas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from typing import Sequence
@@ -235,45 +239,55 @@ def convolve_many(measures: Sequence[LatticeMeasure]) -> LatticeMeasure:
     return LatticeMeasure(offset, tuple(Fraction(w, den) for w in nums))
 
 
-def _extremal_step(acc: list[int], k: int, inner: int, outer: int) -> list[int]:
-    """Numerators ``acc`` convolved with one factor of ``_extremal_weights``.
+@lru_cache(maxsize=8)
+def _centre_t_value(alphas: tuple[Fraction, ...]) -> Fraction:
+    """``t_value`` of ``alphas`` sorted increasingly, so by decreasing k.
 
-    The result, over the old denominator times the factor's ``den``, is
-    outer·box_{k+1}(acc) + inner·shift(box_k(acc)), where box_m sums m
-    slots two apart. With s the stride-2 prefix sums of acc,
-    box_m(acc)[j] = s[j] - s[j - 2m], so a factor costs O(len(acc))
-    integer operations whatever k is. The result is 2k slots longer.
+    h[x] is the numerator of slot x of the partial sum for x = 0 ... min(S,
+    R + 1), S the half-width summed so far and R that of the factors still
+    to come; slot -x holds h[x]. With s the stride-2 prefix sums, a
+    factor's outer weight sums k + 1 slots two apart and its inner weight
+    the k between them, so a step costs O(min(S, R) + k) whatever k is.
     """
-    n = len(acc) + 2 * k
-    padded = acc + [0] * (2 * k)
-    s = [0] * n
-    s[0::2] = accumulate(padded[0::2])
-    s[1::2] = accumulate(padded[1::2])
-    lag = [0] * (2 * k + 2) + s  # lag[j + 2k + 2 - i] is s[j - i], 0 before slot 0
-    return [
-        outer * (s_j - s_back) + inner * (s_prev - s_prev_back)
-        for s_j, s_prev, s_prev_back, s_back in zip(s, lag[2 * k + 1:], lag[1:], lag)
-    ]
+    weights = {a: _extremal_weights(a) for a in dict.fromkeys(alphas)}
+    rest = sum(weights[a][0] for a in alphas)
+    h, den, half = [1], 1, 0
+    for a in alphas:
+        k, inner, outer, d = weights[a]
+        rest -= k
+        half += k
+        top = min(rest + 1, half)
+        m = min(k, len(h) - 1)
+        # slots -k ... top + k: the mirror, the window, zeros past it
+        g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
+        s = [0] * len(g)
+        s[0::2] = accumulate(g[0::2])
+        s[1::2] = accumulate(g[1::2])
+        lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
+        h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
+             in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
+        den *= d
+    return Fraction(h[0] + h[1], den)
 
 
 def t_value(alphas: Sequence) -> Fraction:
     """Mass the sum of independent extremal variables puts on {0, 1/2}.
 
     Exact; when all factor supports share a parity only one of the two
-    points carries mass, otherwise both contributions are summed. The sum's
-    weights are kept as integers over the product of the factors'
-    denominators; slot 0 sits at index sum(k), the support's half-width.
+    points carries mass, otherwise both contributions are summed. The
+    factors are symmetric, so each partial sum is; a step keeps only slots
+    0 ... R + 1, all that the factors still to come (half-width R) can
+    carry onto those two points. The order of ``alphas`` does not matter:
+    the last few sorted lists are memoised, so the normal window and the
+    master bound on the same factors compute the sum once.
     """
     fracs = [as_fraction(a) for a in alphas]
     if not fracs:
         raise DomainError("need at least one alpha")
-    acc, den, mid = [1], 1, 0
     for a in fracs:
-        k, inner, outer, d = _extremal_weights(a)
-        acc = _extremal_step(acc, k, inner, outer)
-        den *= d
-        mid += k
-    return Fraction(acc[mid] + acc[mid + 1], den)
+        if not (0 < a <= 1):
+            raise DomainError(f"alpha must lie in (0, 1], got {a}")
+    return _centre_t_value(tuple(sorted(fracs)))
 
 
 def concentration_1d(m: LatticeMeasure) -> Fraction:
@@ -312,13 +326,11 @@ class VarianceProfile:
 
 
 def variance_profile(alphas: Sequence) -> VarianceProfile:
-    per = tuple(extremal_variance(a) for a in alphas)
-    sums = []
-    acc = ZERO
-    for v in per:
-        acc += v
-        sums.append(acc)
-    return VarianceProfile(per, tuple(sums), acc)
+    fracs = [as_fraction(a) for a in alphas]
+    variance = {a: extremal_variance(a) for a in dict.fromkeys(fracs)}
+    per = tuple(variance[a] for a in fracs)
+    sums = tuple(accumulate(per, initial=ZERO))
+    return VarianceProfile(per, sums[1:], sums[-1])
 
 
 @dataclass(frozen=True)

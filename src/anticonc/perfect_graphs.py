@@ -212,27 +212,28 @@ def max_clique(
     best_w = sum(iw[v] for v in seed)
     best_set = sorted(seed)
 
-    def expand(cand: int, cur_w: int, cur: list[int]) -> None:
-        nonlocal best_w, best_set
-        if cand == 0:
-            if cur_w > best_w:
-                best_w = cur_w
-                best_set = sorted(cur)
-            return
-        if cur_w + _greedy_color_bound(cand, masks, iw) <= best_w:
-            return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
+    # depth-first on an explicit stack, lowest vertex first; a node is
+    # dropped once its colour bound cannot beat the best clique
+    cur: list[int] = []  # the vertices branched on down to the top open node
+    stack = [[(1 << g.n) - 1, 0]]  # open nodes: [candidates left, clique weight]
+    while stack:
+        rest, cur_w = stack[-1]
+        if not rest or cur_w + _greedy_color_bound(rest, masks, iw) <= best_w:
+            stack.pop()
+            if cur:
+                cur.pop()
+            continue
+        low = rest & -rest
+        v = low.bit_length() - 1
+        stack[-1][0] = rest ^ low
+        cand = (rest ^ low) & masks[v]
+        if cand:
             cur.append(v)
-            expand(rest & masks[v], cur_w + iw[v], cur)
-            cur.pop()
-            if cur_w + _greedy_color_bound(rest, masks, iw) <= best_w:
-                return
+            stack.append([cand, cur_w + iw[v]])
+        elif cur_w + iw[v] > best_w:
+            best_w = cur_w + iw[v]
+            best_set = sorted(cur + [v])
 
-    expand((1 << g.n) - 1, 0, [])
     return Fraction(best_w, denom), tuple(best_set)
 
 

@@ -57,3 +57,12 @@ def test_retired_exact_factors_cap_rejected(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"exact_factors": 64}))
     with pytest.raises(ValueError, match=ENV_VAR):
         Caps.from_env()
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"clique": -1}, {"coloring": True}, {"odd_hole": 2.0}, {"replicas": "3"}]
+)
+def test_bad_caps_in_code_rejected(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"cap '{name}' must be a nonnegative integer"):
+        Caps(**kwargs)

@@ -1,14 +1,18 @@
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anticonc.bounds import clt_window, make_main_bound_params, minimal_delta_prime
 from anticonc.chains import middle_layer_count
 from anticonc.errors import DomainError
 from anticonc.lattice import (
     ExtremalSpec,
     LatticeMeasure,
+    _centre_t_value,
+    _extremal_weights,
     check_unimodal_logconcave,
     concentration_1d,
     convolve,
@@ -31,6 +35,50 @@ mixed_alphas = st.one_of(
     st.integers(1, 9).map(lambda k: F(1, k)),
     st.fractions(min_value=F(1, 12), max_value=1, max_denominator=60),
 )
+
+
+# alpha = 1, alpha = 1/k and every j/d with d <= 25, drawn from a small pool
+# so lists repeat alphas, then shuffled
+@st.composite
+def t_value_lists(draw):
+    alpha = st.one_of(
+        st.just(F(1)),
+        st.integers(1, 25).map(lambda k: F(1, k)),
+        st.integers(1, 25).flatmap(lambda d: st.integers(1, d).map(lambda j: F(j, d))),
+    )
+    pool = draw(st.lists(alpha, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    return draw(st.permutations(picks))
+
+
+def ref_extremal_step(acc, k, inner, outer):
+    """The full-width step: ``acc`` convolved with one extremal factor.
+
+    outer·box_{k+1}(acc) + inner·shift(box_k(acc)), where box_m sums m
+    slots two apart, from the stride-2 prefix sums s of acc. The result is
+    2k slots longer.
+    """
+    n = len(acc) + 2 * k
+    padded = acc + [0] * (2 * k)
+    s = [0] * n
+    s[0::2] = accumulate(padded[0::2])
+    s[1::2] = accumulate(padded[1::2])
+    lag = [0] * (2 * k + 2) + s  # lag[j + 2k + 2 - i] is s[j - i], 0 before slot 0
+    return [
+        outer * (s_j - s_back) + inner * (s_prev - s_prev_back)
+        for s_j, s_prev, s_prev_back, s_back in zip(s, lag[2 * k + 1:], lag[1:], lag)
+    ]
+
+
+def ref_t_value(alphas):
+    """The full-width recurrence, factors in the given order."""
+    acc, den, mid = [1], 1, 0
+    for a in alphas:
+        k, inner, outer, d = _extremal_weights(a)
+        acc = ref_extremal_step(acc, k, inner, outer)
+        den *= d
+        mid += k
+    return F(acc[mid] + acc[mid + 1], den)
 
 
 def weights_of(m: LatticeMeasure) -> list[F]:
@@ -220,6 +268,45 @@ class TestTValue:
             t_value([F(1, 2), 0.5])
 
 
+class TestCentreWindow:
+    @given(t_value_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_width_reference(self, alphas):
+        assert t_value(alphas) == ref_t_value(alphas)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [[F(1, 2)] * 257, [F(1, 25)] + [F(1)] * 30, [F(1, 8), F(2, 8), F(3, 8)] * 40,
+         [F(24, 25), F(1, 25), F(1)] * 20],
+    )
+    def test_long_lists_match_reference(self, alphas):
+        assert t_value(alphas) == ref_t_value(alphas) == ref_t_value(alphas[::-1])
+
+    def test_memo_ignores_order_and_input_type(self):
+        _centre_t_value.cache_clear()
+        t = t_value([F(1, 3), F(1, 2), F(1, 2), F(2, 7)])
+        assert t_value(["1/2", F(2, 7), F(2, 4), "2/6"]) == t
+        info = _centre_t_value.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_domain_error_raised_every_call(self):
+        _centre_t_value.cache_clear()
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                t_value([F(1, 2), F(0)])
+        assert _centre_t_value.cache_info().currsize == 0
+
+    def test_window_and_master_bound_share_one_t_value(self):
+        alphas = [F(3, 8)] * 60 + [F(1, 2)] * 40
+        _centre_t_value.cache_clear()
+        report = clt_window(alphas, F(1, 4), minimal_delta_prime(alphas))
+        assert _centre_t_value.cache_info().misses == 1
+        params = make_main_bound_params(alphas, d=2, C=0.01, c=F(1, 4))
+        info = _centre_t_value.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert params.t.fraction == report.exact_t == ref_t_value(alphas)
+
+
 class TestConcentration1d:
     def test_point_mass(self):
         assert concentration_1d(delta(F(1, 2))) == F(1)
@@ -237,6 +324,14 @@ class TestMoments:
     )
     def test_third_abs_moment(self, alpha, expected):
         assert third_abs_moment(alpha) == expected
+
+    def test_profile_matches_per_term_variance(self):
+        alphas = [F(1, 2), F(3, 8), F(1, 2), F(1), "3/8", F(1, 5), F(1, 2)]
+        p = variance_profile(alphas)
+        per = [extremal_variance(a) for a in alphas]
+        assert p.per_term == tuple(per)
+        assert p.partial_sums == tuple(accumulate(per))
+        assert p.total == sum(per)
 
     def test_profile_examples(self):
         assert variance_profile([F(1)]).total == 0

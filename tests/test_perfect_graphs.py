@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from anticonc.perfect_graphs import (
     ColoringCertificate,
     _classes_from_colors,
     _dsatur_greedy,
+    _greedy_color_bound,
     DistGraph,
     block_decomposition,
     chromatic_number,
@@ -131,6 +133,40 @@ class TestDistGraph:
         assert DistGraph.from_json(g.to_json()) == g
 
 
+def ref_max_clique(g, weights):
+    """The recursive clique branch and bound, one call per clique vertex."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    iw = [int(w * denom) for w in weights]
+    masks = g.masks
+    seed = []
+    for v in sorted(range(g.n), key=lambda v: (-iw[v], v)):
+        if all(masks[v] >> u & 1 for u in seed):
+            seed.append(v)
+    best_w, best_set = sum(iw[v] for v in seed), sorted(seed)
+
+    def expand(cand, cur_w, cur):
+        nonlocal best_w, best_set
+        if cand == 0:
+            if cur_w > best_w:
+                best_w, best_set = cur_w, sorted(cur)
+            return
+        if cur_w + _greedy_color_bound(cand, masks, iw) <= best_w:
+            return
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            cur.append(v)
+            expand(rest & masks[v], cur_w + iw[v], cur)
+            cur.pop()
+            if cur_w + _greedy_color_bound(rest, masks, iw) <= best_w:
+                return
+
+    expand((1 << g.n) - 1, 0, [])
+    return F(best_w, denom), tuple(best_set)
+
+
 class TestMaxClique:
     def test_empty_graph_single_vertex(self):
         g = DistGraph(5, frozenset())
@@ -174,6 +210,28 @@ class TestMaxClique:
             g = random_graph(rng, n, 0.5)
             value, _ = max_clique(g)
             assert value == brute_max_clique_weight(g, [F(1)] * n)
+
+    def test_matches_recursive_reference(self):
+        # same value and same witness: the stack search branches and prunes
+        # in the recursive order
+        rng = random.Random(2024)
+        for _ in range(120):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, 0.2 + 0.7 * rng.random())
+            if rng.random() < 0.25:
+                weights = [F(1)] * n
+            else:
+                weights = [F(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(n)]
+            assert max_clique(g, weights=weights) == ref_max_clique(g, weights)
+
+    def test_deep_clique_past_recursion_limit(self):
+        # the heavy isolated vertex seeds the bound at 1000, so the search
+        # walks the whole 1,100-clique one level per vertex
+        n = 1100
+        g = DistGraph(n + 1, frozenset(itertools.combinations(range(n), 2)))
+        value, witness = max_clique(g, weights=[F(1)] * n + [F(1000)], caps=Caps(clique=2000))
+        assert value == n
+        assert witness == tuple(range(n))
 
 
 class TestChromaticNumber:
