@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,16 +79,19 @@ def epsilon_prime(delta_prime: float, c) -> float:
     return 405.0 * math.sqrt(delta_prime) * cf ** (-0.75)
 
 
-def _third_moment_sum(alphas: Sequence[Fraction]) -> Fraction:
-    """Exact sum of E|Y|^3 over the factors, one moment per distinct alpha."""
+def _third_moment_sum(alphas) -> Fraction:
+    """Exact sum of E|Y|^3, one moment per distinct alpha (a list, or alpha -> count)."""
     return sum((third_abs_moment(a) * k for a, k in Counter(alphas).items()), Fraction(0))
 
 
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
-    fracs = [as_fraction(a) for a in alphas]
-    third = _third_moment_sum(fracs)
-    v = sum((extremal_variance(a) * k for a, k in Counter(fracs).items()), Fraction(0))
+    counts = Counter(as_fraction(a) for a in alphas)
+    v = sum((extremal_variance(a) * k for a, k in counts.items()), Fraction(0))
+    return _minimal_delta(_third_moment_sum(counts), v)
+
+
+def _minimal_delta(third: Fraction, v: Fraction) -> float:
     if v == 0:
         raise DomainError("total variance is zero")
     d = math.sqrt(float(third * third / v ** 3))
@@ -114,8 +118,13 @@ def _sorted_desc(alphas: Sequence) -> list[Fraction]:
     return sorted(fracs, reverse=True)
 
 
-def _third_moment_condition(alphas: Sequence[Fraction], delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
-    third = _third_moment_sum(alphas)
+def _run_counts(fracs: Sequence[Fraction]) -> dict[Fraction, int]:
+    """Multiplicity of each alpha, read off its run in a sorted list."""
+    return {a: sum(1 for _ in run) for a, run in groupby(fracs)}
+
+
+def _third_moment_condition(counts: dict[Fraction, int], delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
+    third = _third_moment_sum(counts)
     holds = third * third <= delta * delta * v ** 3
     return holds, float(third), float(delta) * float(v) ** 1.5
 
@@ -141,6 +150,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         raise DomainError("delta' must lie in (0, 1)")
     fracs = _sorted_desc(alphas)
     n = len(fracs)
+    counts = _run_counts(fracs)
     profile = variance_profile(fracs)
     v = profile.total
     conditions = []
@@ -160,7 +170,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         )
     )
     delta = Fraction(delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(fracs, delta, v)
+    ok3, lhs3, rhs3 = _third_moment_condition(counts, delta, v)
     conditions.append(
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
     )
@@ -255,14 +265,15 @@ def make_main_bound_params(
         raise DomainError("c must lie in (0, 1/3)")
     fracs = _sorted_desc(alphas)
     n = len(fracs)
+    counts = _run_counts(fracs)
     profile = variance_profile(fracs)
     v = profile.total
     if v == 0:
         raise DomainError("total variance is zero")
     if delta_prime is None:
-        delta_prime = minimal_delta_prime(fracs)
+        delta_prime = _minimal_delta(_third_moment_sum(counts), v)
     eps = epsilon_prime(delta_prime, cf)
-    abar = sum(fracs, Fraction(0)) / n
+    abar = sum((a * k for a, k in counts.items()), Fraction(0)) / n
     xi = abar if d == 2 else Fraction(1)
     if gamma is None:
         g = float(xi * abar * abar * n) / float(v) ** 1.5
@@ -337,7 +348,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
         )
     )
     delta = Fraction(params.delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(list(params.alphas), delta, v)
+    ok3, lhs3, rhs3 = _third_moment_condition(_run_counts(params.alphas), delta, v)
     conditions.append(
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
     )
@@ -428,14 +439,15 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
     """
     fracs = _sorted_desc(alphas)
     n = len(fracs)
+    counts = _run_counts(fracs)
     profile = variance_profile(fracs)
     v = profile.total
-    abar = sum(fracs, Fraction(0)) / n
+    abar = sum((a * k for a, k in counts.items()), Fraction(0)) / n
     xi = abar if d == 2 else Fraction(1)
     reports = []
     if v == 0:
         return (RatioReport("V* > 0 fails: total variance is zero", math.inf),)
-    third = _third_moment_sum(fracs)
+    third = _third_moment_sum(counts)
     v32 = float(v) ** 1.5
     reports.append(RatioReport("xi(abar)^2 V* / n^2", float(xi * xi * v) / n ** 2))
     reports.append(

@@ -7,6 +7,7 @@ denominator) is the in-memory representation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,6 +27,12 @@ def as_fraction(value) -> Fraction:
             "refusing to coerce float to exact rational; pass a string or Fraction"
         )
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their lcm denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def fraction_str(q: Fraction) -> str:

@@ -18,6 +18,7 @@ decisions and is rejected.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .errors import (
     ResourceCapExceeded,
     UnsupportedNorm,
 )
-from .exact import as_fraction, fraction_str, parse_vector, vector_str
+from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
 from .perfect_graphs import DistGraph, max_clique
 
 Point = tuple[Fraction, ...]
@@ -230,23 +231,24 @@ class VectorMeasure:
 
     def __post_init__(self):
         ws = tuple(as_fraction(w) for w in self.weights)
-        if len(ws) != len(self.config.points):
+        pts = self.config.points
+        if len(ws) != len(pts):
             raise DomainError("weights do not align with points")
         if any(w < 0 for w in ws):
             raise DomainError("negative weight")
-        if sum(ws) != 1:
+        nums, den = _numerators(ws)
+        if sum(nums) != den:
             raise DomainError("weights must sum to exactly 1")
+        if all(ws) and all(p < q for p, q in zip(pts, pts[1:])):
+            object.__setattr__(self, "weights", ws)  # already merged and sorted
+            return
         merged: dict[Point, Fraction] = {}
-        for p, w in zip(self.config.points, ws):
-            if w == 0:
-                continue
-            merged[p] = merged.get(p, Fraction(0)) + w
+        for p, w in zip(pts, ws):
+            if w:
+                merged[p] = merged.get(p, 0) + w
         atoms = sorted(merged.items())
-        object.__setattr__(
-            self,
-            "config",
-            PointConfig(self.config.norm, tuple(p for p, _ in atoms)),
-        )
+        config = PointConfig(self.config.norm, tuple(p for p, _ in atoms))
+        object.__setattr__(self, "config", config)
         object.__setattr__(self, "weights", tuple(w for _, w in atoms))
 
     @property
@@ -649,7 +651,8 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
 def product_sum_measure(
     measures: Sequence[VectorMeasure], caps: Caps | None = None
 ) -> VectorMeasure:
-    """Exact distribution of the sum of independent vector measures."""
+    """Exact distribution of the sum of independent vector measures, convolved
+    on coordinates and weights scaled to integers; Fractions are built at the end."""
     caps = resolve(caps)
     if not measures:
         raise DomainError("need at least one measure")
@@ -657,25 +660,28 @@ def product_sum_measure(
     for m in measures[1:]:
         if m.norm != norm:
             raise DomainError("summands must share the same norm and dimension")
-    acc: dict[Point, Fraction] = {
-        p: w for p, w in measures[0].atoms()
-    }
-    for m in measures[1:]:
-        if len(acc) * len(m.points) > caps.product_support:
+    scale, ipts = _scaled_integers([p for m in measures for p in m.points])
+    ipts = iter(ipts)
+    acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators
+    for i, m in enumerate(measures):
+        if i and len(acc) * len(m.points) > caps.product_support:
             raise ResourceCapExceeded(
                 f"product support would exceed {caps.product_support}"
             )
-        nxt: dict[Point, Fraction] = {}
+        nums, wden = _numerators(m.weights)
+        atoms = [(next(ipts), u) for u in nums]
+        nxt: dict[tuple[int, ...], int] = {}
         for p, w in acc.items():
-            for q, u in m.atoms():
-                key = tuple(a + b for a, b in zip(p, q))
-                prev = nxt.get(key)
-                nxt[key] = w * u if prev is None else prev + w * u
+            for q, u in atoms:
+                key = tuple(map(operator.add, p, q))
+                nxt[key] = nxt.get(key, 0) + w * u
         acc = nxt
-    atoms = sorted(acc.items())
+        den *= wden
+    keys = sorted(acc)
+    coord = {c: Fraction(c, scale) for c in {c for p in keys for c in p}}
     return VectorMeasure(
-        PointConfig(norm, tuple(p for p, _ in atoms)),
-        tuple(w for _, w in atoms),
+        PointConfig(norm, tuple(tuple(coord[c] for c in p) for p in keys)),
+        tuple(Fraction(acc[p], den) for p in keys),
     )
 
 
@@ -740,18 +746,9 @@ def empirical_measure(
 
 
 def symmetrize(measure: VectorMeasure) -> VectorMeasure:
-    """Distribution of X - X' for X' an independent copy of X."""
-    atoms: dict[Point, Fraction] = {}
-    for p, w in measure.atoms():
-        for q, u in measure.atoms():
-            key = tuple(a - b for a, b in zip(p, q))
-            prev = atoms.get(key)
-            atoms[key] = w * u if prev is None else prev + w * u
-    items = sorted(atoms.items())
-    return VectorMeasure(
-        PointConfig(measure.norm, tuple(p for p, _ in items)),
-        tuple(w for _, w in items),
-    )
+    """Distribution of X - X' for X' an independent copy of X: the product
+    sum of X and -X, so it is bounded by the ``product_support`` cap."""
+    return product_sum_measure([measure, measure.dilate(-1)])
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, groupby, repeat
 from math import lcm
 from typing import Sequence
 
 from .errors import DomainError
-from .exact import as_fraction, fraction_str
+from .exact import _numerators, as_fraction, fraction_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -205,12 +205,6 @@ def third_abs_moment(alpha) -> Fraction:
     return extremal_measure(alpha).abs_moment(3)
 
 
-def _numerators(m: LatticeMeasure) -> tuple[list[int], int]:
-    """Weights of ``m`` as integer numerators over their lcm denominator."""
-    den = lcm(*(w.denominator for w in m.weights))
-    return [w.numerator * (den // w.denominator) for w in m.weights], den
-
-
 def _convolve_ints(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -230,9 +224,9 @@ def convolve_many(measures: Sequence[LatticeMeasure]) -> LatticeMeasure:
     """Exact convolution of all ``measures``, on integer numerators."""
     if not measures:
         raise DomainError("need at least one measure")
-    nums, den = _numerators(measures[0])
+    nums, den = _numerators(measures[0].weights)
     for m in measures[1:]:
-        b, d = _numerators(m)
+        b, d = _numerators(m.weights)
         nums = _convolve_ints(nums, b)
         den *= d
     offset = sum(m.offset_index for m in measures)
@@ -326,9 +320,11 @@ class VarianceProfile:
 
 
 def variance_profile(alphas: Sequence) -> VarianceProfile:
+    """Per-term variances, computed once per run of equal alphas."""
     fracs = [as_fraction(a) for a in alphas]
-    variance = {a: extremal_variance(a) for a in dict.fromkeys(fracs)}
-    per = tuple(variance[a] for a in fracs)
+    runs = [(a, sum(1 for _ in run)) for a, run in groupby(fracs)]
+    variance = {a: extremal_variance(a) for a, _ in runs}
+    per = tuple(chain.from_iterable(repeat(variance[a], k) for a, k in runs))
     sums = tuple(accumulate(per, initial=ZERO))
     return VarianceProfile(per, sums[1:], sums[-1])
 

@@ -2,7 +2,9 @@
 
 Strict distance graphs of near-line point sets are Berge, hence perfect; the
 solvers here certify that on concrete instances: maximum (weighted) clique by
-branch and bound with a greedy colouring bound, chromatic number by
+branch and bound with greedy colouring bounds (at the root, one colouring of
+the whole graph bounds every suffix of vertices; the witness is the greedy
+seed when optimal, else the first best leaf in branch order), chromatic number by
 backtracking with a clique lower bound, and shortest odd holes by an
 iterative-deepening search over induced paths. The odd-hole search prunes
 each path by a breadth-first bound on the steps left to a vertex that could
@@ -26,7 +28,7 @@ from typing import Any, Optional, Sequence
 
 from .caps import Caps, resolve
 from .errors import DomainError, InvariantViolation, ResourceCapExceeded
-from .exact import as_fraction
+from .exact import _numerators, as_fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +175,29 @@ def _greedy_color_bound(cand: int, masks: Sequence[int], iw: Sequence[int]) -> i
     return total
 
 
+def _suffix_color_bounds(masks: Sequence[int], iw: Sequence[int]) -> list[int]:
+    """suffix[v] bounds every clique inside {v ... n-1}: one greedy colouring
+    of all vertices in index order, summing each class's heaviest member >= v."""
+    n = len(iw)
+    color, uncolored, c = [0] * n, (1 << n) - 1, 0
+    while uncolored:
+        avail = uncolored
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            color[v] = c
+            avail &= ~masks[v] & ~(1 << v)
+            uncolored &= ~(1 << v)
+        c += 1
+    heaviest, total, suffix = [0] * c, 0, [0] * n
+    for v in range(n - 1, -1, -1):
+        gain = iw[v] - heaviest[color[v]]
+        if gain > 0:
+            heaviest[color[v]] = iw[v]
+            total += gain
+        suffix[v] = total
+    return suffix
+
+
 def max_clique(
     g: DistGraph,
     weights: Optional[Sequence[Fraction]] = None,
@@ -180,9 +205,11 @@ def max_clique(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact maximum weight clique; unit weights when none are given.
 
-    Branch and bound over bitmask candidate sets with a greedy colouring
-    bound. Weights are scaled to a common integer denominator so all solver
-    arithmetic is on ints.
+    Branch and bound over bitmask candidate sets, lowest vertex first, on
+    integer weights. The root's candidates are a suffix {v ... n-1}, bounded
+    by one greedy colouring of the whole graph; deeper nodes colour their own.
+    The best changes only on a strict gain, so the witness is the greedy seed
+    when that is optimal, else the first maximum-weight leaf in branch order.
     """
     caps = resolve(caps)
     if g.n > caps.clique:
@@ -197,8 +224,7 @@ def max_clique(
             raise DomainError("weight vector length mismatch")
         if any(w < 0 for w in fw):
             raise DomainError("negative clique weight")
-    denom = math.lcm(*(w.denominator for w in fw))
-    iw = [int(w * denom) for w in fw]
+    iw, denom = _numerators(fw)
     masks = g.masks
 
     # greedy seed: descending weight, then index
@@ -214,17 +240,19 @@ def max_clique(
 
     # depth-first on an explicit stack, lowest vertex first; a node is
     # dropped once its colour bound cannot beat the best clique
+    suffix = _suffix_color_bounds(masks, iw)
     cur: list[int] = []  # the vertices branched on down to the top open node
     stack = [[(1 << g.n) - 1, 0]]  # open nodes: [candidates left, clique weight]
     while stack:
         rest, cur_w = stack[-1]
-        if not rest or cur_w + _greedy_color_bound(rest, masks, iw) <= best_w:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        bound = cur_w + _greedy_color_bound(rest, masks, iw) if cur else suffix[v]
+        if not rest or bound <= best_w:
             stack.pop()
             if cur:
                 cur.pop()
             continue
-        low = rest & -rest
-        v = low.bit_length() - 1
         stack[-1][0] = rest ^ low
         cand = (rest ^ low) & masks[v]
         if cand:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc.bounds import (
+    _run_counts,
     _third_moment_sum,
     clt_window,
     crude_bound,
@@ -55,6 +56,33 @@ class TestThirdMomentSum:
             rng.shuffle(alphas)
             want = sum((third_abs_moment(a) for a in alphas), F(0))
             assert _third_moment_sum(alphas) == want
+
+
+class TestSharedCounts:
+    """Counts read off the sorted runs give the per-factor sums exactly."""
+
+    def test_matches_per_factor_sums(self):
+        rng = random.Random(84)
+        pool = [F(1), F(1, 2), F(1, 3), F(3, 8), F(2, 5), F(1, 7), F(5, 6)]
+        for _ in range(30):
+            alphas = [rng.choice(pool) for _ in range(rng.randint(8, 60))]
+            fracs = sorted(alphas, reverse=True)
+            third = sum((third_abs_moment(a) for a in alphas), F(0))
+            v = sum((extremal_variance(a) for a in alphas), F(0))
+            assert _run_counts(fracs) == {a: alphas.count(a) for a in set(alphas)}
+            assert _third_moment_sum(_run_counts(fracs)) == third
+            if v == 0:
+                continue
+            params = make_main_bound_params(alphas, 2, 0.01, F(1, 4))
+            assert params.alpha_bar == sum(alphas, F(0)) / len(alphas)
+            assert params.delta_prime == minimal_delta_prime(alphas)
+            assert params.profile.per_term == tuple(extremal_variance(a) for a in fracs)
+            assert params.profile.total == v
+            for report in (main_bound(params), clt_window(alphas, F(1, 4), params.delta_prime)):
+                check = next(c for c in report.conditions if c.name.startswith("sum E|Y|^3"))
+                assert check.lhs == float(third)
+            ratios = {r.name: r.value for r in theorem_local_conditions(alphas, 2, 1.0)}
+            assert ratios["sum E|Y|^3 / V*^(3/2)"] == float(third) / float(v) ** 1.5
 
 
 class TestCltWindow:

@@ -235,6 +235,16 @@ class TestErrorContract:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("resource cap: ")
 
+    def test_halasz_product_support_cap_exits_2(self, runner, tmp_path):
+        # symmetrizing a 3-atom measure asks for 3 * 3 product atoms
+        ms = [VectorMeasure.uniform(l2(2), [(0, 0), (1, 0), (0, 1)]).to_json()]
+        path = write_json(tmp_path, "ms.json", {"measures": ms})
+        env = {"ANTICONC_CAPS": json.dumps({"product_support": 8})}
+        result = runner.invoke(main, ["halasz", "--input", path], env=env)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("resource cap: ")
+
     def test_malformed_caps_exit_2(self, runner):
         result = runner.invoke(main, ["octagon"], env={"ANTICONC_CAPS": "{"})
         assert result.exit_code == 2

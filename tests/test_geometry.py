@@ -600,6 +600,152 @@ class TestProductSum:
             product_sum_measure([a, b])
 
 
+def ref_normalise(points, weights):
+    """The Fraction merge ``VectorMeasure`` always ran: drop zero weights,
+    add up equal atoms, sort; the result as (points, weights)."""
+    assert sum(weights, F(0)) == 1 and all(w >= 0 for w in weights)
+    merged = {}
+    for p, w in zip(points, weights):
+        if w == 0:
+            continue
+        merged[p] = merged.get(p, F(0)) + w
+    atoms = sorted(merged.items())
+    return tuple(p for p, _ in atoms), tuple(w for _, w in atoms)
+
+
+def ref_product_sum(measures, cap=Caps().product_support):
+    """The Fraction dictionary convolution, as (points, weights)."""
+    acc = dict(measures[0].atoms())
+    for m in measures[1:]:
+        if len(acc) * len(m.points) > cap:
+            raise ResourceCapExceeded("product support")
+        nxt = {}
+        for p, w in acc.items():
+            for q, u in m.atoms():
+                key = tuple(a + b for a, b in zip(p, q))
+                nxt[key] = nxt.get(key, F(0)) + w * u
+        acc = nxt
+    atoms = sorted(acc.items())
+    return tuple(p for p, _ in atoms), tuple(w for _, w in atoms)
+
+
+def ref_symmetrize(measure):
+    """The double loop ``symmetrize`` ran before it became a product sum."""
+    atoms = {}
+    for p, w in measure.atoms():
+        for q, u in measure.atoms():
+            key = tuple(a - b for a, b in zip(p, q))
+            atoms[key] = atoms.get(key, F(0)) + w * u
+    items = sorted(atoms.items())
+    return tuple(p for p, _ in items), tuple(w for _, w in items)
+
+
+def raw_atoms(rng, d, size, zeros=False):
+    """Unsorted atoms with negative coordinates, denominators 1-12, repeats
+    and (optionally) zero weights; the weights sum to 1."""
+    pts = [tuple(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(d))
+           for _ in range(size)]
+    pts += rng.sample(pts, min(2, size))  # duplicate atoms
+    ws = [F(rng.randint(0 if zeros else 1, 9), rng.randint(1, 12)) for _ in pts]
+    if not any(ws):
+        ws[0] = F(1)
+    total = sum(ws, F(0))
+    return pts, [w / total for w in ws]
+
+
+def seeded_measure(rng, d, size, zeros=False):
+    pts, ws = raw_atoms(rng, d, size, zeros)
+    return VectorMeasure(PointConfig(l2(d), tuple(pts)), tuple(ws))
+
+
+class TestIntegerProductSum:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_fraction_reference(self, d):
+        rng = random.Random(700 + d)
+        for _ in range(25):
+            ms = [seeded_measure(rng, d, rng.randint(1, 7), zeros=True)
+                  for _ in range(rng.randint(1, 4))]
+            s = product_sum_measure(ms)
+            assert (s.points, s.weights) == ref_product_sum(ms)
+
+    def test_same_measure_twice(self):
+        rng = random.Random(71)
+        for d in (1, 2, 3):
+            m = seeded_measure(rng, d, 9)
+            for ms in ([m, m], [m, m, m], [m, m.dilate(-1), m]):
+                s = product_sum_measure(ms)
+                assert (s.points, s.weights) == ref_product_sum(ms)
+
+    def test_cap_boundary(self):
+        # the cap applies to the merged support so far times the next size:
+        # {0, 1} + {0, 1} has 3 atoms, so a third {0, 1} asks for 3 * 2 = 6
+        a = VectorMeasure.uniform(l2(1), [(0,), (1,)])
+        s = product_sum_measure([a, a, a], Caps(product_support=6))
+        assert (s.points, s.weights) == ref_product_sum([a, a, a], 6)
+        with pytest.raises(ResourceCapExceeded):
+            product_sum_measure([a, a, a], Caps(product_support=5))
+        rng = random.Random(72)
+        b, c = seeded_measure(rng, 2, 6), seeded_measure(rng, 2, 5)
+        edge = len(b.points) * len(c.points)
+        product_sum_measure([b, c], Caps(product_support=edge))
+        with pytest.raises(ResourceCapExceeded):
+            product_sum_measure([b, c], Caps(product_support=edge - 1))
+
+
+class TestVectorMeasureNormalisation:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_fraction_merge(self, d):
+        rng = random.Random(800 + d)
+        for _ in range(40):
+            pts, ws = raw_atoms(rng, d, rng.randint(1, 10), zeros=rng.random() < 0.5)
+            for order in ("raw", "sorted", "distinct"):
+                if order == "sorted":  # sorted, but duplicates and zeros stay
+                    pts, ws = map(list, zip(*sorted(zip(pts, ws))))
+                if order == "distinct":  # strictly increasing, zeros stay
+                    merged = dict(zip(pts, [F(0)] * len(pts)))
+                    for p, w in zip(pts, ws):
+                        merged[p] += w
+                    pts, ws = list(merged), list(merged.values())
+                m = VectorMeasure(PointConfig(l2(d), tuple(pts)), tuple(ws))
+                assert (m.points, m.weights) == ref_normalise(tuple(pts), tuple(ws))
+                again = VectorMeasure(PointConfig(l2(d), m.points), m.weights)
+                assert (again.points, again.weights) == (m.points, m.weights)
+
+    def test_merged_input_kept(self):
+        rng = random.Random(81)
+        m = seeded_measure(rng, 2, 12)
+        again = VectorMeasure(m.config, m.weights)
+        assert (again.points, again.weights) == (m.points, m.weights)
+        assert again.config is m.config  # strictly increasing, no zero: kept as is
+
+    @pytest.mark.parametrize("eps", [F(1, 10**9), F(-1, 10**9)])
+    def test_near_one_rejected(self, eps):
+        pts = ((F(0), F(0)), (F(1, 3), F(0)), (F(2), F(1, 7)))
+        ws = (F(1, 3), F(1, 3), F(1, 3) + eps)
+        with pytest.raises(DomainError, match="sum to exactly 1"):
+            VectorMeasure(PointConfig(l2(2), pts), ws)
+        with pytest.raises(DomainError, match="sum to exactly 1"):
+            VectorMeasure(PointConfig(l2(2), pts[::-1]), ws[::-1])
+
+
+class TestSymmetrizeProductSum:
+    def test_matches_double_loop(self):
+        rng = random.Random(90)
+        for d in (1, 2, 3):
+            for _ in range(15):
+                m = seeded_measure(rng, d, rng.randint(1, 9), zeros=True)
+                s = symmetrize(m)
+                assert (s.points, s.weights) == ref_symmetrize(m)
+
+    def test_respects_product_support_cap(self, monkeypatch):
+        m = VectorMeasure.uniform(l2(2), [(0, 0), (1, 0), (0, 1)])
+        monkeypatch.setenv("ANTICONC_CAPS", '{"product_support": 8}')
+        with pytest.raises(ResourceCapExceeded):
+            symmetrize(m)
+        monkeypatch.setenv("ANTICONC_CAPS", '{"product_support": 9}')
+        assert len(symmetrize(m).points) == 7
+
+
 class TestConcentrationQ:
     def test_point_mass(self):
         m = VectorMeasure.uniform(l2(2), [(5, 5)])

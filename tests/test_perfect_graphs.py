@@ -7,12 +7,21 @@ import pytest
 
 from anticonc.caps import Caps
 from anticonc.errors import DomainError, ResourceCapExceeded
-from anticonc.geometry import PointConfig, VectorMeasure, l1, l2, linf
+from anticonc.geometry import (
+    PointConfig,
+    VectorMeasure,
+    distance_graph,
+    l1,
+    l2,
+    linf,
+    product_sum_measure,
+)
 from anticonc.perfect_graphs import (
     ColoringCertificate,
     _classes_from_colors,
     _dsatur_greedy,
     _greedy_color_bound,
+    _suffix_color_bounds,
     DistGraph,
     block_decomposition,
     chromatic_number,
@@ -167,6 +176,38 @@ def ref_max_clique(g, weights):
     return F(best_w, denom), tuple(best_set)
 
 
+def near_line_sum_graphs(seed, count):
+    """Distance graphs of seeded near-line product sums with 200-400 atoms,
+    vertices in the sum's sorted (x-first) order, with the sum's weights."""
+    rng = random.Random(seed)
+    norms = [l2, l1, linf]
+    out = []
+    while len(out) < count:
+        norm = norms[len(out) % 3](2)
+        ms = []
+        for _ in range(3):
+            pts = tuple((F(rng.randint(0, 64), 16), F(rng.randint(-3, 3), 16))
+                        for _ in range(rng.randint(5, 8)))
+            ws = [rng.randint(1, 5) for _ in pts]
+            ms.append(VectorMeasure(PointConfig(norm, pts), tuple(F(w, sum(ws)) for w in ws)))
+        total = product_sum_measure(ms)
+        if 200 <= len(total.points) <= 400:
+            out.append((distance_graph(total.config), list(total.weights)))
+    return out
+
+
+def brute_suffix_cliques(g, weights):
+    """best[v]: the heaviest clique inside {v ... n-1}, by enumeration."""
+    best = [0] * (g.n + 1)
+    for mask in range(1, 1 << g.n):
+        vs = [v for v in range(g.n) if mask >> v & 1]
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2)):
+            best[vs[0]] = max(best[vs[0]], sum(weights[v] for v in vs))
+    for v in range(g.n - 1, -1, -1):
+        best[v] = max(best[v], best[v + 1])
+    return best[:g.n]
+
+
 class TestMaxClique:
     def test_empty_graph_single_vertex(self):
         g = DistGraph(5, frozenset())
@@ -223,6 +264,20 @@ class TestMaxClique:
             else:
                 weights = [F(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(n)]
             assert max_clique(g, weights=weights) == ref_max_clique(g, weights)
+        # x-sorted near-line sums: the graphs the root suffix bound is for
+        for g, weights in near_line_sum_graphs(2025, 6):
+            assert max_clique(g, weights=weights) == ref_max_clique(g, weights)
+
+    def test_suffix_bounds_dominate_suffix_cliques(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, 0.15 + 0.8 * rng.random())
+            iw = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(n)]
+            suffix = _suffix_color_bounds(g.masks, iw)
+            best = brute_suffix_cliques(g, iw)
+            assert all(s >= b for s, b in zip(suffix, best))
+            assert suffix[0] <= sum(iw)
 
     def test_deep_clique_past_recursion_limit(self):
         # the heavy isolated vertex seeds the bound at 1000, so the search
