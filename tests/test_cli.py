@@ -183,6 +183,65 @@ class TestScenarioCommands:
         result = runner.invoke(main, ["sharpness", "--epsilon", "1/1000"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["octagon"],
+                {
+                    "details": {
+                        "center_weight": "1/8",
+                        "circulant_steps_1_2": True,
+                        "contrast_radius_half_q": "1/2",
+                        "q_single": "3/8",
+                        "q_sum": "3/8",
+                        "sum_support_size": 33,
+                        "t_below_alpha": True,
+                        "t_value": "11/32",
+                    },
+                    "name": "octagon",
+                    "pass": True,
+                },
+            ),
+            (
+                ["sharpness"],
+                {
+                    "details": {
+                        "below_threshold_berge": True,
+                        "deviation_above_threshold": True,
+                        "edge_count": 5,
+                        "epsilon": "1/1000",
+                        "hole": [0, 1, 2, 3, 4],
+                        "hole_found": True,
+                        "max_abs_y_float": 0.4350107018922193,
+                    },
+                    "name": "sharpness",
+                    "pass": True,
+                },
+            ),
+        ],
+        ids=["octagon", "sharpness"],
+    )
+    def test_scenario_stdout_pinned(self, runner, args, expected):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_sharpness_csv_pinned(self, runner):
+        result = runner.invoke(main, ["sharpness", "--epsilon", "0", "--output", "csv"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "key,value\n"
+            "details.degenerate_no_edges,True\n"
+            "details.deviation_above_threshold,False\n"
+            "details.edge_count,0\n"
+            "details.epsilon,0/1\n"
+            "details.hole_found,False\n"
+            "details.max_abs_y_float,0.4330127018922193\n"
+            "name,sharpness\n"
+            "pass,True\n"
+        )
+
     def test_verify_theorem22(self, runner):
         result = runner.invoke(main, ["verify-theorem22", "--count", "10", "--seed", "5"])
         assert result.exit_code == 0

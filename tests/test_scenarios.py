@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,71 @@ class TestSharpness:
         a = run_sharpness_scenario(F(1, 1000), strip_samples=10, seed=9)
         b = run_sharpness_scenario(F(1, 1000), strip_samples=10, seed=9)
         assert a.to_json() == b.to_json()
+
+
+_OCTAGON_JSON = {
+    "name": "octagon",
+    "pass": True,
+    "details": {
+        "circulant_steps_1_2": True,
+        "q_single": "3/8",
+        "q_sum": "3/8",
+        "sum_support_size": 33,
+        "center_weight": "1/8",
+        "t_value": "11/32",
+        "t_below_alpha": True,
+        "contrast_radius_half_q": "1/2",
+    },
+}
+
+
+def _sharpness_json(eps, max_abs_y):
+    details = {
+        "epsilon": eps,
+        "edge_count": 5,
+        "hole_found": True,
+        "deviation_above_threshold": True,
+        "max_abs_y_float": max_abs_y,
+        "hole": [0, 1, 2, 3, 4],
+        "below_threshold_berge": True,
+        "strip_samples": 20,
+        "strip_all_berge": True,
+    }
+    return {"name": "sharpness", "pass": True, "details": details}
+
+
+_SHARPNESS_JSON = {
+    F(0): {
+        "name": "sharpness",
+        "pass": True,
+        "details": {
+            "epsilon": "0/1",
+            "edge_count": 0,
+            "hole_found": False,
+            "deviation_above_threshold": False,
+            "max_abs_y_float": 0.4330127018922193,
+            "degenerate_no_edges": True,
+            "strip_samples": 20,
+            "strip_all_berge": True,
+        },
+    },
+    F(1, 1000): _sharpness_json("1/1000", 0.4350107018922193),
+    F(1, 200): _sharpness_json("1/200", 0.4429627018922193),
+    F(99, 10000): _sharpness_json("99/10000", 0.4526166818922193),
+}
+
+
+class TestPinnedOutput:
+    """Literal scenario output: key order, values and hole indices."""
+
+    def test_octagon_json(self):
+        out = run_octagon_scenario().to_json()
+        assert json.dumps(out) == json.dumps(_OCTAGON_JSON)
+
+    @pytest.mark.parametrize("eps", sorted(_SHARPNESS_JSON), ids=str)
+    def test_sharpness_json(self, eps):
+        out = run_sharpness_scenario(eps, strip_samples=20, seed=3).to_json()
+        assert json.dumps(out) == json.dumps(_SHARPNESS_JSON[eps])
 
 
 class TestVerifyTheorem22:
