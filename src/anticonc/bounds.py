@@ -258,6 +258,9 @@ def make_main_bound_params(
     smallest values compatible with their conditions."""
     if d < 2:
         raise DomainError("dimension must be at least 2")
+    for name, x in (("C", C), ("delta'", delta_prime), ("gamma", gamma)):
+        if x is not None and not math.isfinite(x):
+            raise DomainError(f"{name} must be finite")
     if C <= 0:
         raise DomainError("C must be positive")
     cf = as_fraction(c)

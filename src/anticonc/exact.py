@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import DomainError
+
 Rational = Fraction
 
 
@@ -21,7 +23,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce float to exact rational; pass a string or Fraction"
@@ -36,6 +41,7 @@ def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def fraction_str(q: Fraction) -> str:
+    q = as_fraction(q)  # rationals only: a Q(sqrt(m)) value has no wire format
     return f"{q.numerator}/{q.denominator}"
 
 

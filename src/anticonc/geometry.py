@@ -1,14 +1,18 @@
 """Finite point configurations and measures in small normed spaces.
 
-Coordinates are exact rationals. The design rule of the module: every
+Coordinates are exact rationals. Point configurations and measures also
+accept coordinates from one real quadratic field Q(sqrt(m)) (`QuadExt`), for
+distance graphs, concentrations and product sums; serialisation and
+near-line fitting stay rational. The design rule of the module: every
 comparison that feeds a combinatorial decision (is a pair an edge, is a pair
 a block pair, does a functional separate two points) is decided exactly,
 floats appear only in reported magnitudes. For the p-norms this is possible
-because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, which is a
-rational comparison whenever p is an integer.
+because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, a comparison
+inside the coordinate field whenever p is an integer.
 
-Every "d < 1" decision over a point set goes through one integer kernel,
-``_near_pairs``; ``dist_vs_one`` is the single-pair check.
+Every "d < 1" decision over a point set goes through one kernel,
+``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]; ``dist_vs_one``
+is the single-pair check.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -35,6 +39,7 @@ from .errors import (
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
 from .perfect_graphs import DistGraph, max_clique
+from .quadfield import QuadExt
 
 Point = tuple[Fraction, ...]
 
@@ -194,16 +199,24 @@ def distance(norm: NormSpec, x, y) -> Distance:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Ordered point sequence; duplicates allowed and kept."""
+    """Ordered point sequence; duplicates allowed and kept.
+
+    Coordinates are all rational or all `QuadExt` values with one m.
+    """
 
     norm: NormSpec
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = tuple(tuple(as_fraction(c) for c in p) for p in self.points)
+        pts = tuple(
+            tuple(c if isinstance(c, QuadExt) else as_fraction(c) for c in p)
+            for p in self.points
+        )
         for p in pts:
             if len(p) != self.norm.dimension:
                 raise DimensionMismatch("point dimension does not match norm")
+        if len({c.m if isinstance(c, QuadExt) else 0 for p in pts for c in p}) > 1:
+            raise DomainError("coordinates must be all rational or all in one Q(sqrt(m))")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -292,7 +305,8 @@ class VectorMeasure:
 
 
 def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm of all coordinate denominators, and the points times it."""
+    """The lcm of all coordinate denominators, and the points times it: ints,
+    or elements of Z[sqrt(m)] for `QuadExt` coordinates."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
@@ -300,8 +314,10 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]
 def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int, int]]:
     """Index pairs i < j with d(points[i], points[j]) < 1, decided on integers.
 
-    The points are scaled once to integers and swept in order of x; a row ends
-    at the first x-gap of at least 1, exact because |dx_1| <= ||dx||.
+    The points are scaled once to integers (Z[sqrt(m)] for `QuadExt`
+    coordinates, whose operations decide the same comparisons exactly) and
+    swept in order of x; a row ends at the first x-gap of at least 1, exact
+    because |dx_1| <= ||dx||.
     """
     _check_dims(norm, *points)
     scale, ipts = _scaled_integers(points)
@@ -678,7 +694,10 @@ def product_sum_measure(
         acc = nxt
         den *= wden
     keys = sorted(acc)
-    coord = {c: Fraction(c, scale) for c in {c for p in keys for c in p}}
+    coord = {
+        c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
+        for c in {c for p in keys for c in p}
+    }
     return VectorMeasure(
         PointConfig(norm, tuple(tuple(coord[c] for c in p) for p in keys)),
         tuple(Fraction(acc[p], den) for p in keys),
@@ -794,6 +813,8 @@ def halasz_diagnostics(
     """
     if not measures:
         raise DomainError("need at least one measure")
+    if center_samples < 1:
+        raise DomainError("center_samples must be at least 1")
     for m in measures:
         if m.norm.kind != "l2" or m.norm.dimension != 2:
             raise UnsupportedNorm("diagnostics need the Euclidean plane (l2, d=2)")

@@ -1,9 +1,12 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(m)).
 
-Used by the verification scenarios whose point coordinates involve sqrt(2)
-(regular octagon) or sqrt(3) (unit-rhombus five-point set): squared
-distances of such configurations stay inside the field, so comparisons
-against 1 are decided exactly.
+The octagon's coordinates lie in Q(sqrt(2)) and the sharpness points' in
+Q(sqrt(3)). Such points go through the same "d < 1" kernel as rational ones
+(``geometry._near_pairs``): `QuadExt` supports the operations the kernel
+uses (``abs``, ``**``, ``sum``, ``<``), and ``numerator``/``denominator``
+scale a coordinate into Z[sqrt(m)] as they scale a Fraction into Z. Power
+sums of such coordinates stay inside the field, so every comparison against
+1 is decided exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from .exact import as_fraction
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Field element a + b*sqrt(m) with rational a, b and squarefree m > 1."""
+    """Field element a + b*sqrt(m) with rational a, b and squarefree m > 1.
+
+    The components are Fractions, or ints for an element of Z[sqrt(m)].
+    """
 
     a: Fraction
     b: Fraction
@@ -31,13 +37,11 @@ class QuadExt:
     def of(cls, a, b=0, m=2) -> "QuadExt":
         return cls(as_fraction(a), as_fraction(b), m)
 
-    def _check(self, other: "QuadExt") -> None:
-        if self.m != other.m:
-            raise ValueError("mixing different quadratic fields")
-
     def __add__(self, other):
         other = self._coerce(other)
         return QuadExt(self.a + other.a, self.b + other.b, self.m)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -45,6 +49,9 @@ class QuadExt:
 
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.m)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -54,40 +61,57 @@ class QuadExt:
             self.m,
         )
 
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative exponent")
+        out = QuadExt(1, 0, self.m)
+        for _ in range(e):
+            out = out * self
+        return out
+
     def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            self._check(other)
-            return other
-        return QuadExt(as_fraction(other), Fraction(0), self.m)
+        if not isinstance(other, QuadExt):
+            return QuadExt(other if isinstance(other, int) else as_fraction(other), 0, self.m)
+        if other.m != self.m:
+            raise ValueError("mixing different quadratic fields")
+        return other
+
+    @property
+    def denominator(self) -> int:
+        """Least positive int d with d * self in Z[sqrt(m)]."""
+        return math.lcm(self.a.denominator, self.b.denominator)
+
+    @property
+    def numerator(self) -> "QuadExt":
+        """self * denominator, with int components."""
+        d = self.denominator
+        return QuadExt(int(self.a * d), int(self.b * d), self.m)
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(m)."""
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # signs differ: compare a^2 with m*b^2, the larger magnitude wins
-        lhs = self.a * self.a
-        rhs = self.m * self.b * self.b
-        if lhs == rhs:
-            return 0
-        if self.a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa * sb >= 0:
+            return sa or sb
+        # signs differ: the larger of a^2 and m*b^2 wins
+        return sa * _sign(self.a * self.a - self.m * self.b * self.b)
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.m)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)

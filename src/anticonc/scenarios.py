@@ -7,10 +7,11 @@ Euclidean strip half-width cannot be raised, and a randomized check that
 near-line sums never beat the lattice t-value.
 
 Octagon coordinates live in Q(sqrt(2)) and the sharpness points in
-Q(sqrt(3)); both scenarios scale their configurations so that every squared
-distance stays inside the field and each edge decision is exact. The strict
-comparison against 1 matters: the critical chords of both configurations
-have length exactly 1.
+Q(sqrt(3)). Both scenarios pass them as `QuadExt` coordinates to the same
+``distance_graph``, ``concentration_q`` and ``product_sum_measure`` as
+rational points, so every edge decision is exact. The strict comparison
+against 1 matters: the critical chords of both configurations have length
+exactly 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .caps import Caps, resolve
 from .errors import DomainError, ResourceCapExceeded
@@ -36,7 +37,7 @@ from .geometry import (
     product_sum_measure,
 )
 from .lattice import t_value
-from .perfect_graphs import DistGraph, find_odd_hole, is_berge, max_clique
+from .perfect_graphs import find_odd_hole, is_berge
 from .quadfield import QuadExt
 
 QuadPoint = tuple[QuadExt, QuadExt]
@@ -61,99 +62,64 @@ class ScenarioResult:
         return {"name": self.name, "pass": self.passed, "details": conv(self.details)}
 
 
-# --- exact geometry over quadratic fields -------------------------------------
+# --- octagon and sharpness points in Q(sqrt(2)) and Q(sqrt(3)) ---------------
 
 
-def _quad_distance_graph(points: Sequence[QuadPoint], r_sq: QuadExt) -> DistGraph:
-    """Strict distance graph of points given in units of r, with r^2 = r_sq."""
-    n = len(points)
-    one = QuadExt.of(1, 0, r_sq.m)
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = points[i][0] - points[j][0]
-            dy = points[i][1] - points[j][1]
-            dist_sq = r_sq * (dx * dx + dy * dy)
-            if dist_sq < one:
-                edges.add((i, j))
-    return DistGraph(n, frozenset(edges))
+def _octagon_points() -> list[QuadPoint]:
+    """Regular octagon 1 wide across its flats, in cyclic order.
+
+    Its vertices are (+-1/2, +-h) and (+-h, +-1/2) with h = (sqrt(2) - 1)/2,
+    so the three-step chord, from (1/2, h) to (-1/2, h), is exactly 1.
+    """
+    half = QuadExt.of(Fraction(1, 2), 0, 2)
+    h = QuadExt.of(Fraction(-1, 2), Fraction(1, 2), 2)
+    return [(half, h), (h, half), (-h, half), (-half, h),
+            (-half, -h), (-h, -half), (h, -half), (half, -h)]
 
 
-def _quad_concentration(
-    points: Sequence[QuadPoint],
-    weights: Sequence[Fraction],
-    r_sq: QuadExt,
-    caps: Caps | None = None,
-) -> Fraction:
-    g = _quad_distance_graph(points, r_sq)
-    value, _ = max_clique(g, weights=weights, caps=caps)
-    return value
-
-
-def _quad_sum_measure(
-    points: Sequence[QuadPoint], weights: Sequence[Fraction]
-) -> tuple[list[QuadPoint], list[Fraction]]:
-    acc: dict[QuadPoint, Fraction] = {}
-    for p, w in zip(points, weights):
-        for q, u in zip(points, weights):
-            key = (p[0] + q[0], p[1] + q[1])
-            prev = acc.get(key)
-            acc[key] = w * u if prev is None else prev + w * u
-    items = sorted(acc.items(), key=lambda kv: (float(kv[0][0]), float(kv[0][1])))
-    return [k for k, _ in items], [v for _, v in items]
-
-
-def _octagon_unit_points() -> list[QuadPoint]:
-    half_rt2 = QuadExt.of(0, Fraction(1, 2), 2)  # sqrt(2)/2
-    one = QuadExt.of(1, 0, 2)
+def _contrast_octagon_points() -> list[QuadPoint]:
+    """The unit-circumradius regular octagon scaled by 1/2."""
+    half = QuadExt.of(Fraction(1, 2), 0, 2)
     zero = QuadExt.of(0, 0, 2)
-    return [
-        (one, zero),
-        (half_rt2, half_rt2),
-        (zero, one),
-        (-half_rt2, half_rt2),
-        (-one, zero),
-        (-half_rt2, -half_rt2),
-        (zero, -one),
-        (half_rt2, -half_rt2),
-    ]
+    q = QuadExt.of(0, Fraction(1, 4), 2)  # sqrt(2)/4
+    return [(half, zero), (q, q), (zero, half), (-q, q),
+            (-half, zero), (-q, -q), (zero, -half), (q, -q)]
 
 
 def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
     """Octagon counterexample, all comparisons exact in Q(sqrt(2)).
 
-    At radius with r^2 = (2 - sqrt(2))/2 the three-step chord has length
-    exactly 1 (not an edge), the graph is the circulant with steps {1, 2},
-    and the concentration of one vertex-uniform vector and of the sum of two
-    independent copies both equal 3/8, strictly above the exact t-value of
-    (3/8, 3/8). A shrunken contrast octagon (radius 1/2) grows a 4-clique.
+    The regular octagon 1 wide across its flats has its three-step chord
+    exactly 1 (not an edge), so its distance graph is the circulant with
+    steps {1, 2}. The concentration of one vertex-uniform vector and of the
+    sum of two independent copies both equal 3/8, strictly above the exact
+    t-value of (3/8, 3/8). A contrast octagon of circumradius 1/2 grows a
+    4-clique.
     """
     caps = resolve(caps)
-    unit = _octagon_unit_points()
-    weights = [Fraction(1, 8)] * 8
-    r_sq = QuadExt.of(1, Fraction(-1, 2), 2)  # (2 - sqrt(2)) / 2
+    norm = l2(2)
+    config = PointConfig(norm, _octagon_points())
+    weights = (Fraction(1, 8),) * 8
 
-    g = _quad_distance_graph(unit, r_sq)
+    g = distance_graph(config)
     expected_edges = frozenset(
         (min(i, (i + s) % 8), max(i, (i + s) % 8)) for i in range(8) for s in (1, 2)
     )
     circulant_ok = g.edges == expected_edges
 
-    q_single = _quad_concentration(unit, weights, r_sq, caps)
-    sum_points, sum_weights = _quad_sum_measure(unit, weights)
-    q_sum = _quad_concentration(sum_points, sum_weights, r_sq, caps)
-
-    origin = QuadExt.of(0, 0, 2)
-    center_weight = Fraction(0)
-    for p, w in zip(sum_points, sum_weights):
-        if p[0] == origin and p[1] == origin:
-            center_weight += w
+    octagon = VectorMeasure(config, weights)
+    q_single = concentration_q(octagon, caps).value
+    total = product_sum_measure([octagon, octagon], caps)
+    q_sum = concentration_q(total, caps).value
+    zero = QuadExt.of(0, 0, 2)
+    center_weight = dict(total.atoms()).get((zero, zero), Fraction(0))
 
     alpha = Fraction(3, 8)
     t_both = t_value([alpha, alpha])
 
-    # contrast case: radius 1/2 pulls the three-step chord below 1
-    contrast_q = _quad_concentration(unit, weights, QuadExt.of(Fraction(1, 4), 0, 2), caps)
+    # contrast case: circumradius 1/2 pulls the three-step chord below 1
+    contrast = VectorMeasure(PointConfig(norm, _contrast_octagon_points()), weights)
+    contrast_q = concentration_q(contrast, caps).value
 
     passed = (
         circulant_ok
@@ -170,7 +136,7 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
             "circulant_steps_1_2": circulant_ok,
             "q_single": q_single,
             "q_sum": q_sum,
-            "sum_support_size": len(sum_points),
+            "sum_support_size": len(total.points),
             "center_weight": center_weight,
             "t_value": t_both,
             "t_below_alpha": t_both < alpha,
@@ -179,7 +145,7 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
     )
 
 
-def _sharpness_points(epsilon: Fraction) -> list[QuadPoint]:
+def _sharpness_points(epsilon: Fraction, below_threshold: bool = False) -> list[QuadPoint]:
     """Five points around a unit rhombus pair, perturbed and recentered.
 
     The middle bottom point drops by 2*epsilon and everything shrinks by
@@ -187,20 +153,21 @@ def _sharpness_points(epsilon: Fraction) -> list[QuadPoint]:
     two inner chords rise strictly above 1, so the distance graph becomes an
     induced five-cycle. The final vertical shift centers the strip, pushing
     the worst deviation just above sqrt(3)/4.
+
+    With ``below_threshold`` the middle point stays on the bottom row and the
+    shift recenters the rows at +-(1 - epsilon) sqrt(3)/4, strictly inside
+    the threshold.
     """
     zero = QuadExt.of(0, 0, 3)
     one = QuadExt.of(1, 0, 3)
     half = QuadExt.of(Fraction(1, 2), 0, 3)
     rt3_half = QuadExt.of(0, Fraction(1, 2), 3)  # sqrt(3)/2
-    base: list[QuadPoint] = [
-        (-one, zero),
-        (zero, QuadExt.of(-2 * epsilon, 0, 3)),
-        (one, zero),
-        (half, rt3_half),
-        (-half, rt3_half),
-    ]
+    drop = zero if below_threshold else QuadExt.of(-2 * epsilon, 0, 3)
+    base: list[QuadPoint] = [(-one, zero), (zero, drop), (one, zero), (half, rt3_half), (-half, rt3_half)]
     s = QuadExt.of(1 - epsilon, 0, 3)
     shift = QuadExt.of(0, Fraction(-1, 4), 3)  # -sqrt(3)/4
+    if below_threshold:
+        shift = s * shift
     return [(s * x, s * y + shift) for x, y in base]
 
 
@@ -224,18 +191,12 @@ def run_sharpness_scenario(
     eps = as_fraction(epsilon)
     if not (0 <= eps < Fraction(1, 100)):
         raise DomainError("epsilon must lie in [0, 1/100)")
-    r_sq = QuadExt.of(1, 0, 3)  # points carry their own scale
     pts = _sharpness_points(eps)
-    g = _quad_distance_graph(pts, r_sq)
+    g = distance_graph(PointConfig(l2(2), pts))
     hole = find_odd_hole(g, False, caps)
 
-    rt3_quarter = QuadExt.of(0, Fraction(1, 4), 3)
-    max_abs_y = None
-    for _, y in pts:
-        mag = y if y.sign() >= 0 else -y
-        if max_abs_y is None or mag > max_abs_y:
-            max_abs_y = mag
-    above_threshold = max_abs_y > rt3_quarter
+    max_abs_y = max(abs(y) for _, y in pts)
+    above_threshold = max_abs_y > QuadExt.of(0, Fraction(1, 4), 3)
 
     details: dict = {
         "epsilon": eps,
@@ -255,9 +216,8 @@ def run_sharpness_scenario(
 
         # the unperturbed configuration, compressed strictly below the
         # threshold, must stay Berge
-        safe = _safe_strip_points(eps)
-        g_safe = _quad_distance_graph(safe, r_sq)
-        berge, witness = is_berge(g_safe, caps)
+        safe = _sharpness_points(eps, below_threshold=True)
+        berge, _ = is_berge(distance_graph(PointConfig(l2(2), safe)), caps)
         details["below_threshold_berge"] = berge
         passed = passed and berge
 
@@ -275,24 +235,6 @@ def run_sharpness_scenario(
         passed = passed and berge_all
 
     return ScenarioResult("sharpness", passed, details)
-
-
-def _safe_strip_points(epsilon: Fraction) -> list[QuadPoint]:
-    zero = QuadExt.of(0, 0, 3)
-    one = QuadExt.of(1, 0, 3)
-    half = QuadExt.of(Fraction(1, 2), 0, 3)
-    rt3_half = QuadExt.of(0, Fraction(1, 2), 3)
-    base: list[QuadPoint] = [
-        (-one, zero),
-        (zero, zero),
-        (one, zero),
-        (half, rt3_half),
-        (-half, rt3_half),
-    ]
-    s = QuadExt.of(1 - epsilon, 0, 3)
-    # recenter so the rows sit at +- (1 - epsilon) sqrt(3)/4, strictly inside
-    shift = QuadExt.of(0, -(1 - epsilon) * Fraction(1, 4), 3)
-    return [(s * x, s * y + shift) for x, y in base]
 
 
 def _random_strip_config(

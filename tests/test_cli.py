@@ -308,3 +308,45 @@ class TestErrorContract:
         result = runner.invoke(main, ["octagon"], env={"ANTICONC_CAPS": "{"})
         assert result.exit_code == 2
         assert result.stderr.startswith("input error: ")
+
+    def test_octagon_product_support_cap_exits_2(self, runner):
+        # the octagon sum asks for 8 * 8 product atoms
+        env = {"ANTICONC_CAPS": json.dumps({"product_support": 63})}
+        result = runner.invoke(main, ["octagon"], env=env)
+        assert result.exit_code == 2
+        assert result.stderr == "resource cap: product support would exceed 63\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["t-value", "--alphas", "1/0"],
+            ["t-value", "--alphas", "1/2,1/0"],
+            ["nu-star", "--alpha", "3/0"],
+            ["sharpness", "--epsilon", "1/0"],
+            ["clt-window", "--alphas", "1/2", "--c", "1/0"],
+            ["halasz", "--input", "MEASURES", "--center-samples", "0"],
+            ["halasz", "--input", "MEASURES", "--center-samples", "-1"],
+            ["main-bound", "--alphas", "3/8,3/8", "--big-c", "inf"],
+            ["main-bound", "--alphas", "3/8,3/8", "--big-c", "-inf"],
+            ["main-bound", "--alphas", "3/8,3/8", "--big-c", "nan"],
+            ["main-bound", "--alphas", "3/8,3/8", "--big-c", "1", "--delta-prime", "inf"],
+            ["main-bound", "--alphas", "3/8,3/8", "--big-c", "1", "--gamma", "inf"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_bad_value_exits_2(self, runner, tmp_path, args):
+        ms = [VectorMeasure.uniform(l2(2), [(0, 0), (2, 0)]).to_json()]
+        path = write_json(tmp_path, "ms.json", {"measures": ms})
+        result = runner.invoke(main, [path if a == "MEASURES" else a for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("input error: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_zero_denominator_in_json_exits_2(self, runner, tmp_path):
+        data = VectorMeasure.uniform(l2(2), [(0, 0), (2, 0)]).to_json()
+        data["atoms"][0]["point"][0] = "1/0"
+        path = write_json(tmp_path, "vm.json", data)
+        result = runner.invoke(main, ["concentration", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == "input error: zero denominator in '1/0'\n"

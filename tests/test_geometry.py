@@ -13,6 +13,7 @@ from anticonc.errors import (
     ResourceCapExceeded,
     UnsupportedNorm,
 )
+from anticonc.quadfield import QuadExt
 from anticonc.geometry import (
     _FLOAT_GUARD,
     NearLineFit,
@@ -566,6 +567,134 @@ class TestNearPairsKernel:
         with pytest.raises(InvariantViolation, match="points 1 and 2 are at distance below 1"):
             Block.from_points(pts, frame)
         Block.from_points(pts[:2] + pts[3:], frame)
+
+
+# --- reference: the all-pairs QuadExt check the scenarios ran before the
+# kernel took Q(sqrt(m)) coordinates; every decision goes through sign() ---
+
+
+def ref_quad_edges(norm, points):
+    """Pairs i < j with ||p_i - p_j||^e < 1, all pairs, decided by sign()."""
+    edges = set()
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            m = p[0].m
+            mags = []
+            for u, v in zip(p, points[j]):
+                dx = u - v
+                mags.append(dx if dx.sign() >= 0 else -dx)
+            power = QuadExt.of(0, 0, m)
+            for x in mags:
+                if norm.kind == "linf":
+                    if (x - power).sign() > 0:
+                        power = x
+                    continue
+                term = QuadExt.of(1, 0, m)
+                for _ in range(norm.exponent):
+                    term = term * x
+                power = power + term
+            if (power - QuadExt.of(1, 0, m)).sign() < 0:
+                edges.add((i, j))
+    return edges
+
+
+def ref_quad_sum(a, b):
+    """Brute-force dictionary sum of two Q(sqrt(m)) measures."""
+    acc = {}
+    for p, w in a.atoms():
+        for q, u in b.atoms():
+            key = (p[0] + q[0], p[1] + q[1])
+            acc[key] = acc.get(key, F(0)) + w * u
+    return acc
+
+
+def _quad_units(norm, m):
+    """Vectors of norm exactly 1 in Q(sqrt(m))^2 with an irrational coordinate."""
+    r = QuadExt.of(0, 1, m)
+    half = F(1, 2)
+    if norm.kind == "l1":
+        return [(r - 1, -r + 2), (-r + 2, -r + 1)]
+    if norm.kind == "linf":
+        return [(QuadExt.of(1, 0, m), r * F(1, 4)), (r * F(-1, 4), QuadExt.of(-1, 0, m))]
+    if m == 2:
+        return [(r * half, r * half), (r * half, r * -half)]
+    return [(QuadExt.of(half, 0, 3), r * half), (r * half, QuadExt.of(-half, 0, 3))]
+
+
+def _quad_configs(norm, m, rng):
+    """Random Q(sqrt(m)) point sets, with pairs exactly 1 apart (the x-gap
+    exactly 1 for linf), a hair closer and a hair farther, and duplicates."""
+    def coord():
+        return QuadExt.of(F(rng.randint(-12, 12), 4), F(rng.randint(-6, 6), rng.choice((1, 2, 4))), m)
+
+    units = _quad_units(norm, m)
+    for _ in range(25):
+        pts = [(coord(), coord()) for _ in range(rng.randint(1, 10))]
+        for p in rng.sample(pts, min(3, len(pts))):
+            u = rng.choice(units)
+            for t in (F(1), F(96, 97), F(98, 97)):
+                pts.append((p[0] + u[0] * t, p[1] + u[1] * t))
+        pts += rng.sample(pts, min(2, len(pts)))
+        rng.shuffle(pts)
+        yield tuple(pts)
+
+
+QUAD_CASES = [(norm, m) for m in (2, 3) for norm in (l2(2), l1(2), linf(2))]
+
+
+class TestQuadKernel:
+    """The one kernel decides Q(sqrt(m)) pairs like the all-pairs QuadExt check."""
+
+    @pytest.mark.parametrize("norm, m", QUAD_CASES, ids=lambda c: getattr(c, "kind", c))
+    def test_edges_match_reference(self, norm, m):
+        rng = random.Random(900 + 10 * m + QUAD_CASES.index((norm, m)))
+        for pts in _quad_configs(norm, m, rng):
+            assert distance_graph(PointConfig(norm, pts)).edges == ref_quad_edges(norm, pts)
+
+    def test_units_are_exactly_one(self):
+        for norm, m in QUAD_CASES:
+            for u in _quad_units(norm, m):
+                cfg = PointConfig(norm, ((QuadExt.of(0, 0, m),) * 2, u))
+                assert distance_graph(cfg).edges == set()
+                shrunk = tuple(c * F(999, 1000) for c in u)
+                cfg = PointConfig(norm, ((QuadExt.of(0, 0, m),) * 2, shrunk))
+                assert distance_graph(cfg).edges == {(0, 1)}
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_product_sum_matches_brute_force(self, m):
+        rng = random.Random(950 + m)
+        for _ in range(5):
+            ms = []
+            for _ in range(2):
+                pts = next(_quad_configs(l2(2), m, rng))
+                raw = [rng.randint(1, 5) for _ in pts]
+                ms.append(VectorMeasure(PointConfig(l2(2), pts), tuple(F(r, sum(raw)) for r in raw)))
+            s = product_sum_measure(ms)
+            assert dict(s.atoms()) == ref_quad_sum(*ms)
+            floats = [tuple(map(float, p)) for p in s.points]
+            assert floats == sorted(floats) and len(set(s.points)) == len(s.points)
+            assert concentration_q(s).value <= min(concentration_q(x).value for x in ms)
+
+    def test_measure_merges_and_sorts(self):
+        r = QuadExt.of(0, 1, 2)
+        one = QuadExt.of(1, 0, 2)
+        m = VectorMeasure(PointConfig(l2(2), ((r, one), (one, r), (r, one))), (F(1, 4), F(1, 4), F(1, 2)))
+        assert m.points == ((one, r), (r, one)) and m.weights == (F(1, 4), F(3, 4))
+        assert m.dilate(-1).points == ((-r, -one), (-one, -r))
+
+    def test_one_field_per_config(self):
+        with pytest.raises(DomainError):
+            PointConfig(l2(2), ((QuadExt.of(1, 1, 2), QuadExt.of(0, 0, 3)),))
+        with pytest.raises(DomainError):
+            PointConfig(l2(2), ((QuadExt.of(1, 1, 2), F(0)),))
+
+    def test_to_json_rejects_quadratic_coordinates(self):
+        cfg = PointConfig(l2(2), ((QuadExt.of(1, 1, 2), QuadExt.of(0, 0, 2)),))
+        with pytest.raises(TypeError):
+            cfg.to_json()
+        m = VectorMeasure(cfg, (F(1),))
+        with pytest.raises(TypeError):
+            m.to_json()
 
 
 class TestProductSum:

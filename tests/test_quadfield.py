@@ -38,6 +38,72 @@ class TestArithmetic:
         assert math.isclose(float(x * y), float(x) * float(y), rel_tol=1e-9, abs_tol=1e-9)
 
 
+class TestKernelOperations:
+    """The operations the "d < 1" kernel applies to Q(sqrt(m)) coordinates."""
+
+    def test_abs(self):
+        assert abs(q2(1, -1)) == q2(-1, 1)  # 1 - sqrt(2) < 0
+        assert abs(q2(-1, 1)) == q2(-1, 1)
+        assert abs(q2(3, -2)) == q2(3, -2)  # 3 - 2 sqrt(2) > 0
+        assert abs(q2(0, 0)) == q2(0, 0)
+
+    def test_pow(self):
+        x = q2(1, 1)
+        assert x**0 == q2(1, 0)
+        assert x**1 == x
+        assert x**2 == q2(3, 2)
+        assert x**3 == q2(7, 5)
+        with pytest.raises(ValueError):
+            x ** -1
+
+    def test_zero_plus_and_sum(self):
+        x = QuadExt.of(F(1, 2), F(-1, 3), 3)
+        assert 0 + x == x
+        assert 2 + x == x + 2 == QuadExt.of(F(5, 2), F(-1, 3), 3)
+        assert sum([x, x, x]) == QuadExt.of(F(3, 2), -1, 3)
+        assert 2 * x == x * 2 == x + x
+        assert F(1, 2) * x == QuadExt.of(F(1, 4), F(-1, 6), 3)
+
+    def test_int_coercion(self):
+        x = q2(F(1, 2), 1)
+        y = x + 1
+        assert y == q2(F(3, 2), 1)
+        assert (y - x).a == 1 and (y - x).b == 0
+        assert x < 2 and x > 1 and not x >= 2 and x <= 2
+        assert q2(1, 0) <= 1 and q2(1, 0) >= 1 and not q2(1, 0) < 1
+        assert 1 < x and 2 > x  # reflected comparisons
+        # int components stay ints through the ring operations
+        z = QuadExt(3, -2, 2)
+        for w in (z + 1, z - 5, z * 4, z * z, z**3, -z, abs(z)):
+            assert type(w.a) is int and type(w.b) is int
+
+    def test_scaling_to_integers(self):
+        x = QuadExt.of(F(5, 6), F(-3, 4), 3)
+        assert x.denominator == 12
+        assert x.numerator == QuadExt(10, -9, 3)
+        assert type(x.numerator.a) is int and type(x.numerator.b) is int
+        assert QuadExt.of(2, 0, 2).denominator == 1
+        assert QuadExt(4, -1, 2).numerator == QuadExt(4, -1, 2)
+
+    def test_hash_ignores_component_type(self):
+        assert QuadExt(1, 2, 2) == q2(1, 2)
+        assert hash(QuadExt(1, 2, 2)) == hash(q2(1, 2))
+
+    @given(small_fracs, small_fracs, st.integers(0, 4), st.integers(-3, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_ops_match_float(self, a, b, e, k):
+        x = q2(a, b)
+        fx = float(x)
+        close = lambda u, v: math.isclose(u, v, rel_tol=1e-9, abs_tol=1e-9)
+        assert close(float(abs(x)), abs(fx))
+        assert close(float(x**e), fx**e)
+        assert close(float(0 + x), fx) and close(float(x + k), fx + k)
+        assert close(float(x * k), fx * k) and close(float(k * x), k * fx)
+        assert float(x.numerator) == pytest.approx(fx * x.denominator, rel=1e-9, abs=1e-9)
+        if abs(fx - k) > 1e-9:
+            assert (x < k) == (fx < k) and (x >= k) == (fx >= k)
+
+
 class TestComparisons:
     def test_sign_mixed_cases(self):
         # 3 - 2 sqrt(2) < 0 since 9 < 8 is false: 3^2=9 > 8=2*2^2, sign +

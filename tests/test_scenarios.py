@@ -5,7 +5,10 @@ import pytest
 
 from anticonc.errors import DomainError
 from anticonc.lattice import t_value
+from anticonc.quadfield import QuadExt
 from anticonc.scenarios import (
+    _octagon_points,
+    _sharpness_points,
     run_octagon_scenario,
     run_sharpness_scenario,
     run_verify_theorem22,
@@ -33,6 +36,20 @@ class TestOctagon:
     def test_contrast_octagon_grows_clique(self):
         result = run_octagon_scenario()
         assert result.details["contrast_radius_half_q"] == F(1, 2)
+
+    def test_points_form_regular_octagon_one_wide(self):
+        pts = _octagon_points()
+
+        def sq(p, q):
+            return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+        origin = (QuadExt.of(0, 0, 2),) * 2
+        assert len({sq(p, origin) for p in pts}) == 1
+        for step in (1, 2, 3, 4):
+            assert len({sq(pts[i], pts[(i + step) % 8]) for i in range(8)}) == 1
+        assert sq(pts[0], pts[3]) == QuadExt.of(1, 0, 2)  # the three-step chord
+        # the flats x = 1/2 and y = 1/2 are 1 apart from x = -1/2 and y = -1/2
+        assert max(p[0] for p in pts) == QuadExt.of(F(1, 2), 0, 2) == max(p[1] for p in pts)
 
     def test_t_value_cross_check(self):
         assert t_value([F(3, 8), F(3, 8)]) == F(11, 32)
@@ -74,6 +91,15 @@ class TestSharpness:
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             run_sharpness_scenario(F(1, 50))
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 1000), F(99, 10000)], ids=str)
+    def test_below_threshold_points(self, eps):
+        # the five points of the former safe-strip helper, written out
+        q = lambda a, b=0: QuadExt.of(a, b, 3)
+        s, shift = q(1 - eps), q(0, -(1 - eps) / 4)
+        base = [(q(-1), q(0)), (q(0), q(0)), (q(1), q(0)), (q(F(1, 2)), q(0, F(1, 2))), (q(F(-1, 2)), q(0, F(1, 2)))]
+        want = [(s * x, s * y + shift) for x, y in base]
+        assert _sharpness_points(eps, below_threshold=True) == want
 
     def test_deterministic(self):
         a = run_sharpness_scenario(F(1, 1000), strip_samples=10, seed=9)
