@@ -208,15 +208,16 @@ class PointConfig:
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = tuple(
-            tuple(c if isinstance(c, QuadExt) else as_fraction(c) for c in p)
-            for p in self.points
-        )
+        pts = tuple(map(tuple, self.points))
+        first = pts[0][0] if pts and pts[0] else None
+        if isinstance(first, QuadExt):
+            if any(not isinstance(c, QuadExt) or c.m != first.m for p in pts for c in p):
+                raise DomainError("coordinates must be all rational or all in one Q(sqrt(m))")
+        else:
+            pts = tuple(tuple(map(as_fraction, p)) for p in pts)
         for p in pts:
             if len(p) != self.norm.dimension:
                 raise DimensionMismatch("point dimension does not match norm")
-        if len({c.m if isinstance(c, QuadExt) else 0 for p in pts for c in p}) > 1:
-            raise DomainError("coordinates must be all rational or all in one Q(sqrt(m))")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

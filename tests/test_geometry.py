@@ -13,7 +13,6 @@ from anticonc.errors import (
     ResourceCapExceeded,
     UnsupportedNorm,
 )
-from anticonc.quadfield import QuadExt
 from anticonc.geometry import (
     _FLOAT_GUARD,
     NearLineFit,
@@ -39,6 +38,7 @@ from anticonc.geometry import (
     supporting_functional,
     symmetrize,
 )
+from anticonc.quadfield import QuadExt
 from anticonc.geometry import _point_line_dist_float
 
 
@@ -687,6 +687,10 @@ class TestQuadKernel:
             PointConfig(l2(2), ((QuadExt.of(1, 1, 2), QuadExt.of(0, 0, 3)),))
         with pytest.raises(DomainError):
             PointConfig(l2(2), ((QuadExt.of(1, 1, 2), F(0)),))
+        with pytest.raises(DomainError):
+            PointConfig(l2(2), ((QuadExt.of(1, 1, 2), QuadExt.of(0, 0, 2)), (F(0), F(1))))
+        with pytest.raises(TypeError):  # a rational first coordinate: rationals only
+            PointConfig(l2(2), ((F(0), QuadExt.of(1, 1, 2)),))
 
     def test_to_json_rejects_quadratic_coordinates(self):
         cfg = PointConfig(l2(2), ((QuadExt.of(1, 1, 2), QuadExt.of(0, 0, 2)),))
