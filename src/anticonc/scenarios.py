@@ -163,7 +163,8 @@ def _sharpness_points(epsilon: Fraction, below_threshold: bool = False) -> list[
     half = QuadExt.of(Fraction(1, 2), 0, 3)
     rt3_half = QuadExt.of(0, Fraction(1, 2), 3)  # sqrt(3)/2
     drop = zero if below_threshold else QuadExt.of(-2 * epsilon, 0, 3)
-    base: list[QuadPoint] = [(-one, zero), (zero, drop), (one, zero), (half, rt3_half), (-half, rt3_half)]
+    base: list[QuadPoint] = [(-one, zero), (zero, drop), (one, zero),
+                             (half, rt3_half), (-half, rt3_half)]
     s = QuadExt.of(1 - epsilon, 0, 3)
     shift = QuadExt.of(0, Fraction(-1, 4), 3)  # -sqrt(3)/4
     if below_threshold:
