@@ -15,6 +15,7 @@ LineFrame, so the decomposition is certified, not assumed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,7 +42,8 @@ class Block:
     ``f_raw`` stores the exact numerators <coeffs, x> of the frame's
     functional; dividing by the frame scale (often irrational) is never
     needed because every comparison goes through the frame's exact gap
-    tests.
+    tests. Chains and block decompositions pass values they already know;
+    construction still checks their order, gaps and point distances.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -102,10 +104,6 @@ class ChainDecomposition:
         return [c.to_json() for c in self.chains]
 
 
-def _vector_sum(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def btk_decompose(a: Block, b: Block) -> ChainDecomposition:
     """Peel the matrix of pairwise sums into chains.
 
@@ -115,7 +113,8 @@ def btk_decompose(a: Block, b: Block) -> ChainDecomposition:
     m+n-1, m+n-3, ..., m-n+1. Consecutive chain elements inherit a
     functional gap of at least 1/2 from the blocks, which forces pairwise
     distances of at least 1 along each chain; both facts are re-checked
-    exactly during Block construction.
+    exactly during Block construction, which takes f(x + y) = f(x) + f(y)
+    from the two blocks.
     """
     if a.frame is not b.frame and a.frame != b.frame:
         raise DomainError("blocks must share one line frame")
@@ -126,11 +125,11 @@ def btk_decompose(a: Block, b: Block) -> ChainDecomposition:
     chains = []
     for k in range(n):
         # row with the (k+1)-th smallest functional value of the small block,
-        # then the remaining column above it
-        row = [(_vector_sum(xs[j], ys[k])) for j in range(m - k)]
-        col = [(_vector_sum(xs[m - k - 1], ys[i])) for i in range(k + 1, n)]
-        chain_points = row + col
-        chains.append(Block.from_points(chain_points, a.frame))
+        # then the remaining column above it: increasing in f
+        cells = [(j, k) for j in range(m - k)] + [(m - k - 1, i) for i in range(k + 1, n)]
+        points = tuple(tuple(map(operator.add, xs[j], ys[i])) for j, i in cells)
+        values = tuple(big.f_raw[j] + small.f_raw[i] for j, i in cells)
+        chains.append(Block(points, values, a.frame))
     decomp = ChainDecomposition(tuple(chains))
     expected = sorted(range(m - n + 1, m + n, 2))
     if sorted(decomp.sizes) != expected:

@@ -406,11 +406,20 @@ class LineFrame:
         )
 
     def verify_supporting(self, points: Iterable[Sequence[Fraction]]) -> None:
-        for p in points:
-            if not self.supports(p):
-                raise InvariantViolation(
-                    f"functional exceeds the norm at point {p}"
-                )
+        """``supports`` at every point, on X = s x and C = t coeffs scaled to
+        integers: |<C, X>| ** r * s ** e <= scale_pow * (st) ** r * ||X|| ** e,
+        with r = scale_root and e the norm exponent."""
+        points = list(points)
+        s, ipts = _scaled_integers(points)
+        t, (icoeffs,) = _scaled_integers([self.coeffs])
+        r, e = self.scale_root, self.norm.exponent
+        lhs_mul = self.scale_pow.denominator * s**e
+        rhs_mul = self.scale_pow.numerator * (s * t) ** r
+        agg = max if self.norm.kind == "linf" else sum
+        for p, x in zip(points, ipts):
+            dot = sum(map(operator.mul, icoeffs, x))
+            if abs(dot) ** r * lhs_mul > rhs_mul * agg([abs(u) ** e for u in x]):
+                raise InvariantViolation(f"functional exceeds the norm at point {p}")
 
     def to_json(self) -> dict:
         return {
@@ -505,6 +514,26 @@ def _candidate_directions(
     return out
 
 
+def _hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Convex hull vertices of integer points in the plane, by Andrew's
+    monotone chain: a linear functional's extremes over the points are there."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    hull: list[tuple[int, int]] = []
+    for seq in (pts, pts[::-1]):
+        start = len(hull)
+        for x, y in seq:
+            while len(hull) > start + 1:
+                (ax, ay), (bx, by) = hull[-2:]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()
+    return hull
+
+
 def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> float:
     """Ternary search on the convex map t -> ||x - b - t v||."""
     xf = [float(c) for c in x]
@@ -544,8 +573,9 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     pairwise point differences, as primitive integer vectors. In the plane
     (l2, l1, linf) the deviation for a direction v has a closed form: half
     the spread of the determinants det(v, x) divided by ||v||_2 for l2, and
-    by the dual norm of v for l1 (||v||_inf) and linf (||v||_1). The keys
-    are compared exactly by integer cross-multiplication, and Fractions are
+    by the dual norm of v for l1 (||v||_inf) and linf (||v||_1), taken over
+    the convex hull's vertices since det(v, .) is linear. The keys are
+    compared exactly by integer cross-multiplication, and Fractions are
     built, with the base point centered exactly, only when the best key
     improves. For l2 in any dimension the deviation comes from squared
     projections. Remaining cases fall back to per-point ternary search with
@@ -554,23 +584,29 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     A direction replaces the best one only when its key is strictly
     smaller, so ties keep the earliest direction. With ``early_stop`` the
     scan returns the first such improvement whose deviation is certified
-    below the norm's near-line radius.
+    below the norm's near-line radius. The returned frame is checked once to
+    be norm-bounded at every point. Q(sqrt(m)) coordinates raise `DomainError`.
     """
     norm = config.norm
     if len(config.points) == 0:
         raise DomainError("need at least one point")
+    if isinstance(config.points[0][0], QuadExt):
+        raise DomainError("near-line fitting needs rational coordinates")
     d = norm.dimension
     scale, ipts = _scaled_integers(config.points)
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best: Optional[NearLineFit] = None
     best_key = None  # Fraction or float; planar keys as (num, den) of num / den
+    hull = _hull(ipts) if planar else ()
+    # off the plane every line passes through the centre of the bounding box
+    mid = () if planar else tuple((min(c) + max(c)) / 2 for c in zip(*config.points))
 
     for v in _candidate_directions(ipts, d):
         exact_sq: Optional[Fraction] = None
         exact_dev: Optional[Fraction] = None
         if planar:
             v0, v1 = v
-            dets = [v0 * y - v1 * x for x, y in ipts]
+            dets = [v0 * y - v1 * x for x, y in hull]
             lo, hi = min(dets), max(dets)
             spread = hi - lo  # scale * (spread of det(v, x))
             s = v0 * v0 + v1 * v1
@@ -595,11 +631,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
                 dev_float = float(exact_dev)
                 certified = exact_dev * exact_dev < norm.near_line_radius_sq
         elif norm.is_hilbert:
-            base = tuple(
-                (min(p[i] for p in config.points) + max(p[i] for p in config.points))
-                / 2
-                for i in range(d)
-            )
+            base = mid
             vv = sum(c * c for c in v)
             worst = Fraction(0)
             for p in config.points:
@@ -615,11 +647,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             dev_float = math.sqrt(float(worst))
             certified = worst < norm.near_line_radius_sq
         else:
-            base = tuple(
-                (min(p[i] for p in config.points) + max(p[i] for p in config.points))
-                / 2
-                for i in range(d)
-            )
+            base = mid
             dev_float = max(
                 _point_line_dist_float(norm, p, base, v) for p in config.points
             )
@@ -629,10 +657,10 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
 
         frame = supporting_functional(norm, v, base)
-        frame.verify_supporting(config.points)
         best = NearLineFit(frame, dev_float, certified, exact_sq, exact_dev)
         if early_stop and certified:
             break
+    best.frame.verify_supporting(config.points)
     return best
 
 

@@ -40,14 +40,17 @@ class DistGraph:
     origin: Any = None  # optional back-reference to the point configuration
 
     def __post_init__(self):
-        canon = set()
+        n = self.n
+        canonical = isinstance(self.edges, frozenset)
         for u, v in self.edges:
-            if u == v:
-                raise DomainError("self-loop in graph")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DomainError("edge endpoint out of range")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise DomainError("self-loop in graph")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise DomainError("edge endpoint out of range")
+                canonical = False
+        if not canonical:
+            object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in self.edges))
 
     def __eq__(self, other):
         return (
@@ -611,9 +614,10 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     else:
         raise DomainError("expected a PointConfig or a uniform VectorMeasure")
     points = list(config_in.points)
+    raws = [frame.f_raw(p) for p in points]
     # canonical processing order: sort along the frame so colour classes and
     # greedy bounds follow the line geometry
-    order = sorted(range(len(points)), key=lambda i: (frame.f_raw(points[i]), points[i]))
+    order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
     sorted_points = [points[i] for i in order]
     config = PointConfig(config_in.norm, tuple(sorted_points))
     g = distance_graph(config)
@@ -629,7 +633,8 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
             raise InvariantViolation(
                 f"colouring uses {cert.num_colors} classes, above alpha*|S| = {bound}"
             )
-    blocks = []
-    for cls in cert.classes:
-        blocks.append(Block.from_points([sorted_points[v] for v in cls], frame))
-    return blocks
+    # each class lists its vertices in increasing order, hence increasing f
+    return [
+        Block(tuple(sorted_points[v] for v in cls), tuple(raws[order[v]] for v in cls), frame)
+        for cls in cert.classes
+    ]

@@ -97,6 +97,18 @@ class QuadExt:
         # signs differ: the larger of a^2 and m*b^2 wins
         return sa * _sign(self.a * self.a - self.m * self.b * self.b)
 
+    def __eq__(self, other):
+        """Exact: both parts of the difference vanish. Two fields meet in Q."""
+        if isinstance(other, QuadExt):
+            same_field = other.m == self.m or self.b == 0 == other.b
+            return same_field and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.a if self.b == 0 else (self.a, self.b, self.m))
+
     def __lt__(self, other):
         return (self - other).sign() < 0
 

@@ -13,7 +13,16 @@ from anticonc.chains import (
     middle_layer_count,
 )
 from anticonc.errors import DomainError, InvariantViolation
-from anticonc.geometry import dist_vs_one, l2, supporting_functional
+from anticonc.geometry import (
+    PointConfig,
+    dist_vs_one,
+    l1,
+    l2,
+    linf,
+    near_line_fit,
+    supporting_functional,
+)
+from anticonc.perfect_graphs import block_decomposition
 
 X_FRAME = supporting_functional(l2(2), (F(1), F(0)))
 LINE_FRAME = supporting_functional(l2(1), (F(1),))
@@ -215,3 +224,49 @@ class TestJonesBound:
         res = jones_bound([a, b])
         assert res.bound == F(1, 2)
         assert res.q_exact is not None and res.q_exact <= res.bound
+
+
+def near_line_set(rng, norm):
+    # a 1/32 grid strip well inside every norm's near-line radius
+    n = rng.randint(10, 24)
+    return PointConfig(norm, tuple(
+        (F(rng.randint(0, 32 * n // 6), 32), F(rng.randint(-3, 3), 32)) for _ in range(n)
+    ))
+
+
+class TestKnownFunctionalValues:
+    """Blocks and chains carry f values equal to the frame's own."""
+
+    @staticmethod
+    def assert_values(block, frame):
+        assert block.frame == frame
+        assert list(block.f_raw) == [frame.f_raw(p) for p in block.points]
+        assert block == Block.from_points(block.points, frame)
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_blocks_and_chains_of_near_line_sets(self, norm):
+        rng = random.Random({"l2": 60, "l1": 61, "linf": 62}[norm.kind])
+        for _ in range(8):
+            cfg = near_line_set(rng, norm)
+            frame = near_line_fit(cfg).frame
+            blocks = block_decomposition(cfg, frame)
+            for b in blocks:
+                self.assert_values(b, frame)
+            for chain in iterated_decompose(blocks[:3]).chains:
+                self.assert_values(chain, frame)
+
+    def test_btk_chains_of_random_blocks(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            a, b = random_block(rng), random_block(rng)
+            for chain in btk_decompose(a, b).chains:
+                self.assert_values(chain, X_FRAME)
+
+    def test_wrong_values_still_raise(self):
+        pts = ((F(0), F(0)), (F(2), F(0)))
+        with pytest.raises(InvariantViolation):  # out of order
+            Block(pts, (F(2), F(0)), X_FRAME)
+        with pytest.raises(InvariantViolation):  # gap below 1/2
+            Block(pts, (F(0), F(1, 4)), X_FRAME)
+        with pytest.raises(InvariantViolation):  # points at distance below 1
+            Block(((F(0), F(0)), (F(1, 2), F(0))), (F(0), F(1)), X_FRAME)

@@ -15,6 +15,7 @@ from anticonc.errors import (
 )
 from anticonc.geometry import (
     _FLOAT_GUARD,
+    LineFrame,
     NearLineFit,
     NormSpec,
     PointConfig,
@@ -30,7 +31,9 @@ from anticonc.geometry import (
     linf,
     lp,
     near_line_fit,
+    _hull,
     _near_pairs,
+    _scaled_integers,
     norm_float,
     norm_power,
     product_sum_measure,
@@ -370,6 +373,25 @@ def _parity_configs(norm, rng):
         )
     for _ in range(15):
         yield tuple(rational_point(rng, 2, rng.choice((3, 8, 12))) for _ in range(rng.randint(2, 9)))
+    yield from _hull_configs(norm, rng)
+
+
+def _hull_configs(norm, rng):
+    """Sets whose convex hull is a strict subset, and hull degeneracies."""
+    bound = 12 if norm.is_hilbert else 3
+    for n in (20, 27, 33, 40):  # strip sets: most points lie inside the hull
+        yield tuple(
+            (F(rng.randint(0, 32 * n // 6), 32), F(rng.randint(-bound, bound), 32))
+            for _ in range(n)
+        )
+    yield tuple((F(i, 4), F(i * i, 64)) for i in range(-6, 7))  # every point on the hull
+    yield tuple((F(x, 2), F(y, 3)) for x, y in ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)))
+    corners = ((F(0), F(0)), (F(3), F(1, 8)), (F(3), F(-1, 8)), (F(0), F(-1, 4)))
+    yield corners * 3 + ((F(1), F(0)), (F(2), F(-1, 16)))  # duplicate hull vertices
+    yield tuple((F(i, 5), F(-2 * i, 7)) for i in range(25))[::-1]  # collinear, slanted
+    yield tuple((F(2), F(i, 3)) for i in (4, -1, 0, 7, 2, 2))  # collinear, vertical
+    yield ((F(0), F(0)), (F(3, 4), F(1, 8)))  # two distinct points
+    yield ((F(1, 3), F(0)), (F(-2), F(1, 2))) * 3
 
 
 class TestNearLineParity:
@@ -400,6 +422,116 @@ class TestNearLineParity:
             cfg = PointConfig(norm, pts)
             for early_stop in (False, True):
                 assert near_line_fit(cfg, early_stop) == ref_near_line_fit(cfg, early_stop)
+
+class TestHull:
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_spread_over_hull_equals_spread_over_points(self, norm):
+        rng = random.Random(41)
+        for pts in _hull_configs(norm, rng):
+            _, ipts = _scaled_integers(pts)
+            hull = _hull(ipts)
+            assert set(hull) <= set(ipts) and len(set(hull)) == len(hull)
+            for _ in range(25):
+                v = (rng.randint(-9, 9), rng.randint(-9, 9))
+                dets = [v[0] * y - v[1] * x for x, y in ipts]
+                hull_dets = [v[0] * y - v[1] * x for x, y in hull]
+                assert (min(hull_dets), max(hull_dets)) == (min(dets), max(dets))
+
+    def test_vertex_counts(self):
+        rng = random.Random(42)
+        strips = list(_hull_configs(l2(2), rng))[:4]
+        for pts in strips:
+            _, ipts = _scaled_integers(pts)
+            assert len(_hull(ipts)) < len(set(ipts))
+        parabola = [(i, i * i) for i in range(-6, 7)]
+        assert sorted(_hull(parabola)) == sorted(parabola)
+        assert _hull([(3, 1)] * 4) == [(3, 1)]
+        assert sorted(_hull([(2 * i, -i) for i in range(9)])) == [(0, 0), (16, -8)]
+        assert sorted(_hull([(5, i) for i in (3, -2, 7, 7)])) == [(5, -2), (5, 7)]
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        assert sorted(_hull(square * 2 + [(2, 2), (1, 3), (2, 0)])) == sorted(square)
+
+
+class TestNearLineFitChecks:
+    def test_quadratic_coordinates_rejected(self):
+        from anticonc.scenarios import _octagon_points
+
+        with pytest.raises(DomainError, match="rational coordinates"):
+            near_line_fit(PointConfig(l2(2), tuple(_octagon_points())))
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), l2(3)], ids=["l2", "l1", "l2-3d"])
+    def test_one_support_check_per_fit(self, norm, monkeypatch):
+        calls = []
+        original = LineFrame.verify_supporting
+
+        def counted(frame, points):
+            calls.append(frame)
+            return original(frame, points)
+
+        monkeypatch.setattr(LineFrame, "verify_supporting", counted)
+        rng = random.Random(43)
+        for _ in range(5):
+            pts = tuple(
+                tuple(F(rng.randint(-40, 40), 16) for _ in range(norm.dimension))
+                for _ in range(12)
+            )
+            calls.clear()
+            fit = near_line_fit(PointConfig(norm, pts))
+            assert calls == [fit.frame]
+
+
+def _hand_frame(norm, coeffs, scale_pow):
+    zero = (F(0),) * norm.dimension
+    return LineFrame(norm, (F(1),) + zero[1:], zero, tuple(coeffs), F(scale_pow), norm.exponent)
+
+
+class TestVerifySupporting:
+    def test_coefficients_above_the_norm_raise(self):
+        # |(3/2, 1/3)|^2 = 85/36: a scale_pow of 7/3 = 84/36 is too small
+        # exactly at the point along the coefficients, 5/2 is enough
+        x = (F(3, 4), F(1, 6))
+        far = [(F(1), F(0)), (F(0), F(-2, 7))]
+        low = _hand_frame(l2(2), (F(3, 2), F(1, 3)), F(7, 3))
+        low.verify_supporting(far)
+        with pytest.raises(InvariantViolation):
+            low.verify_supporting(far + [x])
+        _hand_frame(l2(2), (F(3, 2), F(1, 3)), F(5, 2)).verify_supporting(far + [x])
+        # l1: the dual norm is the largest |coefficient|
+        with pytest.raises(InvariantViolation):
+            _hand_frame(l1(2), (F(5, 4), F(1, 2)), F(6, 5)).verify_supporting([(F(1, 3), F(0))])
+        _hand_frame(l1(2), (F(5, 4), F(-1, 2)), F(5, 4)).verify_supporting([(F(1, 3), F(-7, 9))])
+
+    @pytest.mark.parametrize(
+        "norm", [l2(2), l1(2), linf(2), lp(3, 2), l2(3), linf(3)], ids=lambda n: f"{n.kind}-{n.dimension}"
+    )
+    def test_matches_pointwise_supports(self, norm):
+        rng = random.Random(44 + norm.dimension)
+        for _ in range(40):
+            coeffs = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(norm.dimension)]
+            frame = _hand_frame(norm, coeffs, F(rng.randint(1, 30), rng.randint(1, 6)))
+            pts = [
+                tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(norm.dimension))
+                for _ in range(rng.randint(1, 6))
+            ]
+            for p in pts:  # each point alone, ties at equality included
+                try:
+                    frame.verify_supporting([p])
+                    ok = True
+                except InvariantViolation:
+                    ok = False
+                assert ok == frame.supports(p)
+            if all(frame.supports(p) for p in pts):
+                frame.verify_supporting(pts)
+            else:
+                with pytest.raises(InvariantViolation):
+                    frame.verify_supporting(iter(pts))
+
+    def test_equality_is_supported(self):
+        frame = _hand_frame(l1(2), (F(1), F(-1)), 1)
+        frame.verify_supporting([(F(2, 3), F(-1, 5)), (F(0), F(0))])  # |x - y| = |x| + |y|
+        frame = _hand_frame(l2(2), (F(3, 5), F(4, 5)), 1)
+        frame.verify_supporting([(F(6, 7), F(8, 7))])
+
 
 class TestSeparationCheck:
     def test_unit_interval(self):

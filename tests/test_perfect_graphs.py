@@ -131,6 +131,32 @@ class TestDistGraph:
         with pytest.raises(DomainError):
             DistGraph(3, frozenset([(1, 1)]))
 
+    def test_canonical_edges_kept_as_given(self):
+        edges = frozenset([(0, 1), (1, 3), (0, 3)])
+        assert DistGraph(4, edges).edges is edges
+
+    def test_reversed_and_duplicate_edges(self):
+        assert DistGraph(4, frozenset([(3, 1), (1, 0)])).edges == {(1, 3), (0, 1)}
+        g = DistGraph(4, frozenset([(2, 0), (0, 2), (3, 2)]))
+        assert g.edges == frozenset([(0, 2), (2, 3)]) and g.degree(2) == 2
+        g = DistGraph(3, [(0, 1), (0, 1), (1, 2)])
+        assert isinstance(g.edges, frozenset) and g.edges == {(0, 1), (1, 2)}
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2)], "self-loop in graph"),
+            ([(1, 0), (3, 3)], "self-loop in graph"),
+            ([(0, 4)], "edge endpoint out of range"),
+            ([(4, 0)], "edge endpoint out of range"),
+            ([(-1, 2)], "edge endpoint out of range"),
+            ([(2, -1)], "edge endpoint out of range"),
+        ],
+    )
+    def test_bad_edges_rejected(self, edges, message):
+        with pytest.raises(DomainError, match=message):
+            DistGraph(4, frozenset(edges))
+
     def test_complement_of_cycle(self):
         c5 = cycle_graph(5)
         assert c5.complement().edges == frozenset(

@@ -129,3 +129,50 @@ class TestComparisons:
         x, y = q2(a, b), q2(c, d)
         if abs(float(x) - float(y)) > 1e-9:
             assert (x < y) == (float(x) < float(y))
+
+
+def _other(kind, x, k, c, d):
+    """A value to compare with x: often equal to it, in each allowed type."""
+    return {
+        "same": QuadExt(x.a, x.b, x.m),
+        "int": k,
+        "fraction": c,
+        "rational_part": x.a,
+        "quad": q2(c, d),
+        "shifted": x + q2(0, d),
+    }[kind]
+
+
+class TestEquality:
+    """==, != and hash agree with the exact order."""
+
+    @given(
+        small_fracs,
+        st.sampled_from([0, 0, F(1, 2), -1]) | small_fracs,
+        st.sampled_from(["same", "int", "fraction", "rational_part", "quad", "shifted"]),
+        st.integers(-3, 3),
+        small_fracs,
+        st.sampled_from([0, 0, 1]) | small_fracs,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eq_matches_order(self, a, b, kind, k, c, d):
+        x = q2(a, b)
+        y = _other(kind, x, k, c, d)
+        equal = x <= y and x >= y
+        assert (x == y) == equal and (y == x) == equal
+        assert (x != y) == (not equal) and (y != x) == (not equal)
+        if equal:
+            assert hash(x) == hash(y)
+
+    def test_rational_elements(self):
+        one = QuadExt.of(1, 0, 2)
+        assert one == 1 and 1 == one and one == F(1) and not one != 1
+        assert hash(one) == hash(1) == hash(F(1))
+        assert QuadExt.of(F(3, 4), 0, 3) == F(3, 4) and hash(QuadExt.of(F(3, 4), 0, 3)) == hash(F(3, 4))
+        assert q2(1, 1) != 1 and q2(0, 1) != 0 and q2(1, 1) != q2(1, -1)
+        assert len({one, 1, F(1), QuadExt(1, 0, 2)}) == 1
+
+    def test_other_fields_and_types(self):
+        assert QuadExt.of(2, 0, 2) == QuadExt.of(2, 0, 3)
+        assert QuadExt.of(0, 1, 2) != QuadExt.of(0, 1, 3)
+        assert q2(1, 0) != "1"
