@@ -79,7 +79,10 @@ class _Cli(click.Group):
 
     Malformed input and a solver stopped by a resource cap both exit 2 with
     one line on stderr, never with a traceback; exit 1 stays reserved for a
-    checked inequality that failed.
+    checked inequality that failed. An `InvariantViolation` (a structural
+    check that failed) is a `ValueError` and also exits 2 as an input
+    error: most of them fire on what the user supplied, such as a graph
+    that is not perfect handed to the block decomposition.
     """
 
     def invoke(self, ctx: click.Context):

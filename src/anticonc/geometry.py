@@ -884,18 +884,17 @@ def halasz_diagnostics(
     if len(candidates) > center_samples:
         stride = len(candidates) / center_samples
         candidates = [candidates[int(i * stride)] for i in range(center_samples)]
-    mu_best = Fraction(0)
-    best_center = None
-    for y in candidates:
-        total = Fraction(0)
-        for s in sym:
-            for p, w in s.atoms():
-                diff = (p[0] - y[0], p[1] - y[1])
-                if diff[0] * diff[0] + diff[1] * diff[1] < 1:
-                    total += w
-        if total > mu_best:
-            mu_best = total
-            best_center = y
+    # each ball test |p - y|^2 < 1 is decided on the scaled integer points
+    atoms = [a for s in sym for a in s.atoms()]
+    scale, ipts = _scaled_integers([p for p, _ in atoms] + candidates)
+    wnums, wden = _numerators([w for _, w in atoms])
+    limit = scale * scale
+    mu_num, best_center = 0, None
+    for y, (cx, cy) in zip(candidates, ipts[len(atoms):]):
+        total = sum(w for (x, z), w in zip(ipts, wnums) if (x - cx) ** 2 + (z - cy) ** 2 < limit)
+        if total > mu_num:
+            mu_num, best_center = total, y
+    mu_best = Fraction(mu_num, wden)
     if best_center is None and candidates:
         best_center = candidates[0]
 

@@ -9,21 +9,26 @@ Everything in this module is pure and exact: weights cross the API as
 Fractions and no comparison ever goes through floating point. Internally,
 t-values and convolutions run on integer numerators over one common
 denominator and build their Fractions once, at the end. A t-value reads
-only slots 0 and 1/2 of a symmetric sum, so its recurrence keeps one half
-of the centre window those slots can still be reached from; the last few
-results are memoised by their sorted alphas.
+only slots 0 and 1/2 of a symmetric sum, so it keeps one half of the
+centre window those slots can still be reached from. Equal alphas form a
+run, and a run is one polynomial power, taken by an exact integer
+recurrence: the first run seeds the window, the last closes it with two
+dot products, and factors in between are folded one at a time. The last
+few results are memoised by their (alpha, count) runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, repeat
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .exact import _numerators, as_fraction, fraction_str
 
 ZERO = Fraction(0)
@@ -233,55 +238,110 @@ def convolve_many(measures: Sequence[LatticeMeasure]) -> LatticeMeasure:
     return LatticeMeasure(offset, tuple(Fraction(w, den) for w in nums))
 
 
+def _power_low(g: list[int], c: int, n: int) -> list[int]:
+    """Coefficients 0 ... n of the polynomial ``g`` (g[0] != 0) to the power c.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): F = G^c obeys
+    g0·m·f_m = sum over j >= 1 of ((c + 1)j - m)·g_j·f_(m-j), so a
+    coefficient costs O(deg g) and every division is exact on integers.
+    """
+    if c == 1:
+        return (g + [0] * n)[:n + 1]
+    g0, tail = g[0], g[1:]
+    jtail = [j * x for j, x in enumerate(tail, 1)]
+    f = [g0 ** c]
+    for m in range(1, n + 1):
+        back = f[:-len(g):-1]  # f_(m-1), f_(m-2), ... down to f_(m - deg g)
+        acc = (c + 1) * sum(map(mul, jtail, back)) - m * sum(map(mul, tail, back))
+        q, r = divmod(acc, m * g0)
+        if r:
+            raise InvariantViolation(f"power recurrence left remainder {r} at m={m}")
+        f.append(q)
+    return f
+
+
+def _centre_power(k: int, inner: int, outer: int, c: int) -> list[int]:
+    """Slots 0 ... kc of the sum of c extremal factors, numerators over den^c.
+
+    One factor is G(x) = outer·(1 + x^2 + ... + x^2k) + inner·x·(1 + ... +
+    x^(2k-2)) with slot 0 at x^k. When alpha is 1/k, ``outer`` is 0 and G is
+    x·H(x^2), so the power is taken of H. The sum is symmetric, so slot x
+    is the coefficient of x^(kc - x) and only the low half is computed.
+    """
+    n = k * c
+    if outer:
+        low = _power_low([outer, inner] * k + [outer], c, n)
+    else:
+        low = [0] * (n + 1)
+        low[c::2] = _power_low([inner] * k, c, (n - c) // 2)
+    return low[::-1]
+
+
 @lru_cache(maxsize=8)
-def _centre_t_value(alphas: tuple[Fraction, ...]) -> Fraction:
-    """``t_value`` of ``alphas`` sorted increasingly, so by decreasing k.
+def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
+    """``t_value`` of the (alpha, count) ``runs``, alphas increasing.
 
     h[x] is the numerator of slot x of the partial sum for x = 0 ... min(S,
     R + 1), S the half-width summed so far and R that of the factors still
-    to come; slot -x holds h[x]. With s the stride-2 prefix sums, a
+    to come; slot -x holds h[x]. The first run (largest k) seeds h with its
+    power, the last closes it: slots 0 and 1/2 of the whole sum are dot
+    products of h against the last run's power. Factors of the runs in
+    between are folded one at a time: with s the stride-2 prefix sums, a
     factor's outer weight sums k + 1 slots two apart and its inner weight
     the k between them, so a step costs O(min(S, R) + k) whatever k is.
     """
-    weights = {a: _extremal_weights(a) for a in dict.fromkeys(alphas)}
-    rest = sum(weights[a][0] for a in alphas)
-    h, den, half = [1], 1, 0
-    for a in alphas:
-        k, inner, outer, d = weights[a]
-        rest -= k
-        half += k
-        top = min(rest + 1, half)
-        m = min(k, len(h) - 1)
-        # slots -k ... top + k: the mirror, the window, zeros past it
-        g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
-        s = [0] * len(g)
-        s[0::2] = accumulate(g[0::2])
-        s[1::2] = accumulate(g[1::2])
-        lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
-        h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
-             in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
-        den *= d
-    return Fraction(h[0] + h[1], den)
+    factors = [(*_extremal_weights(a), c) for a, c in runs]
+    rest = sum(k * c for k, _, _, _, c in factors)
+    k, inner, outer, d, c = factors[0]
+    half = k * c
+    rest -= half
+    h = _centre_power(k, inner, outer, c)[:min(rest + 1, half) + 1]
+    den = d ** c
+    if len(factors) == 1:
+        return Fraction(h[0] + h[1], den)
+    for k, inner, outer, d, c in factors[1:-1]:
+        for _ in range(c):
+            rest -= k
+            half += k
+            top = min(rest + 1, half)
+            m = min(k, len(h) - 1)
+            # slots -k ... top + k: the mirror, the window, zeros past it
+            g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
+            s = [0] * len(g)
+            s[0::2] = accumulate(g[0::2])
+            s[1::2] = accumulate(g[1::2])
+            lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
+            h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
+                 in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
+        den *= d ** c
+    k, inner, outer, d, c = factors[-1]
+    p = _centre_power(k, inner, outer, c)
+    at_zero = 2 * sum(map(mul, h, p)) - h[0] * p[0]
+    at_half = sum(map(mul, h[1:], p)) + sum(map(mul, h, p[1:]))
+    return Fraction(at_zero + at_half, den * d ** c)
 
 
 def t_value(alphas: Sequence) -> Fraction:
     """Mass the sum of independent extremal variables puts on {0, 1/2}.
 
     Exact; when all factor supports share a parity only one of the two
-    points carries mass, otherwise both contributions are summed. The
-    factors are symmetric, so each partial sum is; a step keeps only slots
-    0 ... R + 1, all that the factors still to come (half-width R) can
-    carry onto those two points. The order of ``alphas`` does not matter:
-    the last few sorted lists are memoised, so the normal window and the
-    master bound on the same factors compute the sum once.
+    points carries mass, otherwise both contributions are summed. Equal
+    alphas are counted into runs and each distinct value is checked once.
+    A run of c equal factors is one polynomial power, computed by an
+    integer recurrence in time linear in c; factors of middle runs are
+    folded one at a time, keeping only slots 0 ... R + 1, all that the
+    factors still to come (half-width R) can carry onto 0 and 1/2. The
+    order of ``alphas`` does not matter: the last few run lists are
+    memoised, so the normal window and the master bound on the same
+    factors compute the sum once.
     """
-    fracs = [as_fraction(a) for a in alphas]
-    if not fracs:
+    counts = Counter(map(as_fraction, alphas))
+    if not counts:
         raise DomainError("need at least one alpha")
-    for a in fracs:
+    for a in counts:
         if not (0 < a <= 1):
             raise DomainError(f"alpha must lie in (0, 1], got {a}")
-    return _centre_t_value(tuple(sorted(fracs)))
+    return _centre_t_value(tuple(sorted(counts.items())))
 
 
 def concentration_1d(m: LatticeMeasure) -> Fraction:

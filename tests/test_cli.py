@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
+from anticonc import lattice
 from anticonc.cli import main
+from anticonc.errors import InvariantViolation
 from anticonc.geometry import PointConfig, VectorMeasure, l2
 
 
@@ -342,6 +344,17 @@ class TestErrorContract:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("input error: ")
         assert result.stderr.count("\n") == 1
+
+    def test_invariant_violation_exits_2(self, runner, monkeypatch):
+        def broken(alphas):
+            raise InvariantViolation("power recurrence left remainder 1 at m=3")
+
+        monkeypatch.setattr(lattice, "t_value", broken)
+        result = runner.invoke(main, ["t-value", "--alphas", "1/2,1/2"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "input error: power recurrence left remainder 1 at m=3\n"
+        assert "Traceback" not in result.output
 
     def test_zero_denominator_in_json_exits_2(self, runner, tmp_path):
         data = VectorMeasure.uniform(l2(2), [(0, 0), (2, 0)]).to_json()

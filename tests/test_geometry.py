@@ -1090,7 +1090,45 @@ class TestEmpiricalMeasure:
             empirical_measure(m, 5, F(0), seed=0)
 
 
+def ref_halasz_mu(measures, center_samples):
+    """mu and its centre by a Fraction loop over every candidate and atom."""
+    sym = [symmetrize(m) for m in measures]
+    candidates = sorted({p for s in sym for p in s.points})
+    if len(candidates) > center_samples:
+        stride = len(candidates) / center_samples
+        candidates = [candidates[int(i * stride)] for i in range(center_samples)]
+    mu_best, best_center = F(0), None
+    for y in candidates:
+        total = F(0)
+        for s in sym:
+            for p, w in s.atoms():
+                if (p[0] - y[0]) ** 2 + (p[1] - y[1]) ** 2 < 1:
+                    total += w
+        if total > mu_best:
+            mu_best, best_center = total, y
+    return mu_best, best_center or candidates[0]
+
+
 class TestHalasz:
+    @pytest.mark.parametrize(
+        "seed, den, atoms, samples",
+        [(0, 16, 6, 256), (1, 4, 6, 8), (2, 7, 6, 20), (3, 3, 6, 3), (4, 16, 6, 40),
+         (5, 2, 6, 1), (6, 16, 9, 256)],
+    )
+    def test_mu_matches_fraction_loop(self, seed, den, atoms, samples):
+        rng = random.Random(seed)
+        ms = []
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, atoms)
+            pts = tuple((F(rng.randint(-den, den), den), F(rng.randint(-den, den), den))
+                        for _ in range(size))
+            ws = [rng.randint(1, 5) for _ in range(size)]
+            ms.append(VectorMeasure(PointConfig(l2(2), pts), tuple(F(w, sum(ws)) for w in ws)))
+        mu, centre = ref_halasz_mu(ms, samples)
+        diag = halasz_diagnostics(ms, 8, samples)
+        assert diag.mu == float(mu)
+        assert diag.best_center == (float(centre[0]), float(centre[1]))
+
     def test_point_masses(self):
         ms = [VectorMeasure.uniform(l2(2), [(1, 2)]) for _ in range(5)]
         diag = halasz_diagnostics(ms, 60, 32)

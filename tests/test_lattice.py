@@ -13,6 +13,7 @@ from anticonc.lattice import (
     LatticeMeasure,
     _centre_t_value,
     _extremal_weights,
+    _power_low,
     check_unimodal_logconcave,
     concentration_1d,
     convolve,
@@ -48,6 +49,23 @@ def t_value_lists(draw):
     )
     pool = draw(st.lists(alpha, min_size=1, max_size=5))
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    return draw(st.permutations(picks))
+
+
+# runs of up to 60 equal alphas: alpha = 1, alpha = 1/k (zero outer weight)
+# and mixtures j/d with k <= 8; 1-4 distinct values, runs of one included
+run_alpha = st.one_of(
+    st.just(F(1)),
+    st.integers(2, 8).map(lambda k: F(1, k)),
+    st.integers(3, 8).flatmap(lambda d: st.integers(2, d - 1).map(lambda j: F(j, d))),
+)
+
+
+@st.composite
+def run_lists(draw):
+    values = draw(st.lists(run_alpha, min_size=1, max_size=4, unique=True))
+    counts = st.one_of(st.just(1), st.integers(1, 60))
+    picks = [a for a in values for _ in range(draw(counts))]
     return draw(st.permutations(picks))
 
 
@@ -281,6 +299,44 @@ class TestCentreWindow:
     )
     def test_long_lists_match_reference(self, alphas):
         assert t_value(alphas) == ref_t_value(alphas) == ref_t_value(alphas[::-1])
+
+    @given(run_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_runs_match_full_width_reference(self, alphas):
+        assert t_value(alphas) == ref_t_value(alphas)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [[F(1)] * 40, [F(1, 3)] * 59, [F(3, 8)] * 60,
+         [F(1, 4)] * 37 + [F(1)], [F(2, 5)] + [F(1, 2)] * 60,
+         [F(1, 5)] * 20 + [F(3, 8)] + [F(1)] * 30,
+         [F(1, 7)] * 13 + [F(2, 7)] * 45 + [F(1, 2)] * 60 + [F(1)] * 3,
+         [F(5, 6), F(1, 6), F(1, 2), F(3, 4)] * 15],
+        ids=["one-1", "one-1/k", "one-mixture", "two-last-single",
+             "two-first-single", "three-middle-single", "four", "four-interleaved"],
+    )
+    def test_run_shapes_match_reference(self, alphas):
+        assert t_value(alphas) == ref_t_value(alphas)
+
+    @pytest.mark.parametrize("n", [4, 99, 100, 2047, 2048])
+    def test_coin_runs_central_binomial(self, n):
+        assert t_value([F(1, 2)] * n) == F(math.comb(n, n // 2), 2 ** n)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 199, 200])
+    def test_uniform_runs_count_middle_layer(self, k, n):
+        assert t_value([F(1, k)] * n) == F(middle_layer_count([k] * n), k ** n)
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda g: g[0]),
+           st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_power_matches_repeated_product(self, g, c):
+        power = [1]
+        for _ in range(c):
+            power = [sum(power[i] * g[m - i] for i in range(len(power)) if 0 <= m - i < len(g))
+                     for m in range(len(power) + len(g) - 1)]
+        n = len(power) + 2
+        assert _power_low(g, c, n) == power + [0] * 3
 
     def test_memo_ignores_order_and_input_type(self):
         _centre_t_value.cache_clear()
