@@ -80,9 +80,6 @@ class Block:
             frame,
         )
 
-    def f_floats(self) -> tuple[float, ...]:
-        return tuple(float(f) / self.frame.scale_float for f in self.f_raw)
-
     def to_json(self) -> list:
         return [vector_str(p) for p in self.points]
 

@@ -370,13 +370,6 @@ class LineFrame:
     def f_raw(self, x: Sequence[Fraction]) -> Fraction:
         return sum((c * v for c, v in zip(self.coeffs, x)), Fraction(0))
 
-    @property
-    def scale_float(self) -> float:
-        return float(self.scale_pow) ** (1.0 / self.scale_root)
-
-    def f_float(self, x: Sequence[Fraction]) -> float:
-        return float(self.f_raw(x)) / self.scale_float
-
     def raw_gap_at_least(self, gap: Fraction, threshold: Fraction) -> bool:
         """Exactly decide |gap| / scale >= threshold for threshold >= 0."""
         g = abs(gap)
@@ -575,17 +568,18 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     the spread of the determinants det(v, x) divided by ||v||_2 for l2, and
     by the dual norm of v for l1 (||v||_inf) and linf (||v||_1), taken over
     the convex hull's vertices since det(v, .) is linear. The keys are
-    compared exactly by integer cross-multiplication, and Fractions are
-    built, with the base point centered exactly, only when the best key
-    improves. For l2 in any dimension the deviation comes from squared
-    projections. Remaining cases fall back to per-point ternary search with
-    a small certification margin.
+    compared exactly by integer cross-multiplication, and the base point,
+    centered exactly, is built in Fractions only when the best key improves.
+    For l2 in any dimension the deviation comes from squared projections.
+    Remaining cases fall back to per-point ternary search with a small
+    certification margin.
 
     A direction replaces the best one only when its key is strictly
     smaller, so ties keep the earliest direction. With ``early_stop`` the
     scan returns the first such improvement whose deviation is certified
-    below the norm's near-line radius. The returned frame is checked once to
-    be norm-bounded at every point. Q(sqrt(m)) coordinates raise `DomainError`.
+    below the norm's near-line radius. Only that fit's frame is built; it is
+    checked once to be norm-bounded at every point. Q(sqrt(m)) coordinates
+    raise `DomainError`.
     """
     norm = config.norm
     if len(config.points) == 0:
@@ -595,7 +589,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     d = norm.dimension
     scale, ipts = _scaled_integers(config.points)
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
-    best: Optional[NearLineFit] = None
+    best = None  # ((v, base), the other NearLineFit fields) of the best key
     best_key = None  # Fraction or float; planar keys as (num, den) of num / den
     hull = _hull(ipts) if planar else ()
     # off the plane every line passes through the centre of the bounding box
@@ -656,12 +650,12 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             best_key = dev_float
             certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
 
-        frame = supporting_functional(norm, v, base)
-        best = NearLineFit(frame, dev_float, certified, exact_sq, exact_dev)
+        best = (v, base), (dev_float, certified, exact_sq, exact_dev)
         if early_stop and certified:
             break
-    best.frame.verify_supporting(config.points)
-    return best
+    fit = NearLineFit(supporting_functional(norm, *best[0]), *best[1])
+    fit.frame.verify_supporting(config.points)
+    return fit
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ branch and bound with greedy colouring bounds (at the root, one colouring of
 the whole graph bounds every suffix of vertices; the witness is the greedy
 seed when optimal, else the first best leaf in branch order), chromatic number by
 backtracking with a clique lower bound, and shortest odd holes by an
-iterative-deepening search over induced paths. The odd-hole search prunes
-each path by a breadth-first bound on the steps left to a vertex that could
-close it, and stops deepening once no path can still grow into a longer
-hole; both rules drop only branches without a hole of the length searched,
-so witnesses and None answers are exact. Everything is deterministic:
-vertices are explored lowest index first, colours lowest first.
+iterative-deepening search over induced paths. That search skips vertices
+that share no hole with the path (simplicial ones, Dirac 1961; in the
+complement, those beyond distance 2 in g, as odd antiholes have diameter 2,
+Nikolopoulos and Palios 2004), prunes each path by a breadth-first bound on
+the steps left to a vertex that could close it, and stops deepening once no
+path can grow into a longer hole. Each rule drops only branches without a
+hole of the length searched, so witnesses and None answers are exact.
+Everything is deterministic: vertices lowest index first, colours lowest first.
 
 Adjacency is kept both as an edge set (for serialization) and as per-vertex
 bitmasks (for the solvers); n stays in the low hundreds by design.
@@ -23,7 +25,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Any, Optional, Sequence
 
 from .caps import Caps, resolve
@@ -136,13 +139,12 @@ class HoleWitness:
 
     def verify(self, g: DistGraph) -> bool:
         """Check the cycle is induced in g (or in its complement if flagged)."""
-        h = g.complement() if self.in_complement else g
         k = len(self.cycle)
         if len(set(self.cycle)) != k:
             return False
         for i in range(k):
             for j in range(i + 1, k):
-                adjacent = h.has_edge(self.cycle[i], self.cycle[j])
+                adjacent = g.has_edge(self.cycle[i], self.cycle[j]) != self.in_complement
                 on_cycle = j - i == 1 or (i == 0 and j == k - 1)
                 if adjacent != on_cycle:
                     return False
@@ -276,11 +278,12 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
     colors = [-1] * g.n
     neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
     uncolored = set(range(g.n))
+    degree = [m.bit_count() for m in masks]
     while uncolored:
         # highest saturation, then highest degree, then lowest index
         v = min(
             uncolored,
-            key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u),
+            key=lambda u: (-len(neighbor_colors[u]), -degree[u], u),
         )
         c = 0
         while c in neighbor_colors[v]:
@@ -388,38 +391,38 @@ def _closer_distance(
 
 
 def _induced_odd_cycle(
-    masks: Sequence[int], n: int, length: int
+    masks: Sequence[int], n: int, length: int, reach: Sequence[int]
 ) -> tuple[Optional[tuple[int, ...]], bool]:
     """Find an induced cycle of exactly this length.
 
     Depth-first search over induced paths anchored at the cycle's minimum
-    vertex s: interior vertices must avoid the neighbourhoods of all path
-    vertices before the current endpoint (including s), the closing vertex
-    must additionally be adjacent to s. Direction symmetry is broken by
-    requiring the closing vertex to exceed the second one.
+    vertex s, on vertices in ``reach`` of every path vertex (reach[v] holds
+    every vertex sharing a hole with v): interior vertices must avoid the
+    neighbourhoods of all path vertices before the current endpoint
+    (including s), the closing vertex must additionally be adjacent to s.
+    The closing vertex must exceed the second one, which breaks symmetry.
 
     Every path shorter than length - 1 is pruned by ``_closer_distance``
     from its end. The walk steps only on vertices a completion may still
-    use: above s, outside N(s), outside the neighbourhoods of the earlier
-    interior vertices and off the path. It ends at a legal closer: adjacent
-    to s, above the second vertex, outside those neighbourhoods and off the
-    path. Returns the cycle (or None) and whether a longer hole may exist:
-    true when some path reached length - 1 vertices or some branch was
-    dropped for distance alone.
+    use: above s, in reach, outside N(s), outside the neighbourhoods of the
+    earlier interior vertices and off the path. It ends at a legal closer:
+    adjacent to s, above the second vertex, in reach, outside those
+    neighbourhoods and off the path. Returns the cycle (or None) and whether
+    a longer hole may exist: true when some path reached length - 1 vertices
+    or some branch was dropped for distance alone.
     """
-    full = (1 << n) - 1
     deeper = False
     for s in range(n):
-        above = full & ~((1 << (s + 1)) - 1)
-        n_s = masks[s]
-        for p1 in _iter_bits(n_s & above):
+        above = reach[s] & ~((1 << (s + 1)) - 1)
+        n_s = masks[s] & above
+        for p1 in _iter_bits(n_s):
             closer_base = n_s & ~((1 << (p1 + 1)) - 1)
-            # stack entries: (path, path mask, union of N(p_1..p_{t-1}))
+            # stack entries: (path, path mask, N(p_1..p_{t-1}) | ~reach(same))
             stack = [([s, p1], (1 << s) | (1 << p1), 0)]
             while stack:
                 path, pmask, forbid = stack.pop()
                 last = path[-1]
-                closers = closer_base & ~forbid & ~pmask
+                closers = closer_base & reach[last] & ~forbid & ~pmask
                 if len(path) == length - 1:
                     deeper = True
                     closers &= masks[last]
@@ -427,17 +430,31 @@ def _induced_odd_cycle(
                         low = closers & -closers
                         return tuple(path) + (low.bit_length() - 1,), True
                     continue
-                allowed = above & ~n_s & ~forbid & ~pmask
+                allowed = above & reach[last] & ~n_s & ~forbid & ~pmask
                 dist = _closer_distance(masks, last, allowed, closers)
                 if dist is None:
                     continue
                 if dist > length - len(path):
                     deeper = True
                     continue
-                new_forbid = forbid | masks[last]
+                new_forbid = forbid | masks[last] | ~reach[last]
                 for v in _iter_bits(masks[last] & allowed):
                     stack.append((path + [v], pmask | (1 << v), new_forbid))
     return None, deeper
+
+
+def _strip_simplicial(masks: Sequence[int], live: int) -> int:
+    """live less its simplicial vertices, removed until none is left; only
+    the neighbours of a removed vertex can become simplicial."""
+    pending = live
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        nb = masks[low.bit_length() - 1] & live
+        if all(nb & ~masks[u] == 1 << u for u in _iter_bits(nb)):
+            live ^= low
+            pending |= nb
+    return live
 
 
 def _shortest_odd_hole(
@@ -447,10 +464,17 @@ def _shortest_odd_hole(
     caps = resolve(caps)
     if g.n > caps.odd_hole:
         raise ResourceCapExceeded(f"odd-hole search capped at {caps.odd_hole} vertices")
-    h = g.complement() if check_complement else g
-    masks = h.masks
-    for length in range(first, h.n + 1, 2):
-        cycle, deeper = _induced_odd_cycle(masks, h.n, length)
+    n, gm, full = g.n, g.masks, (1 << g.n) - 1
+    if check_complement:
+        masks = [full ^ m ^ (1 << v) for v, m in enumerate(gm)]
+        # the closed radius-2 ball in g around each vertex
+        reach = [reduce(or_, [gm[u] for u in _iter_bits(m)], m | 1 << v) for v, m in enumerate(gm)]
+    else:
+        masks = gm
+        live = _strip_simplicial(gm, full)
+        reach = [live if live >> v & 1 else 0 for v in range(n)]
+    for length in range(first, n + 1, 2):
+        cycle, deeper = _induced_odd_cycle(masks, n, length, reach)
         if cycle is not None:
             witness = HoleWitness(cycle, check_complement)
             if not witness.verify(g):
@@ -471,16 +495,21 @@ def find_odd_hole(
     perfect.
 
     Lengths 5, 7, ... are tried in turn by a depth-first search over induced
-    paths (the chordless-path pruning of Uno and Satoh, 2014). A path is
-    dropped when a breadth-first search from its end, through vertices a
-    completion may still use, reaches no vertex that could close it, or
-    reaches one only after more steps than the length leaves. Any completion
-    is such a walk, so a dropped branch holds no cycle of the current
-    length, and the order of the rest is unchanged: the witness is the one
-    the unpruned search returns. Deepening stops after a length at which no
-    path reached length - 1 vertices and no branch was dropped for distance
-    alone. That is exact: the rest of a longer hole is a walk to a closer,
-    so its prefixes are never dropped as unreachable, and one of them would
+    paths (the chordless-path pruning of Uno and Satoh, 2014), on vertices
+    that may share a hole with every path vertex: in g, those left after
+    removing simplicial vertices (live neighbourhood a clique) repeatedly,
+    as a hole's vertex has two non-adjacent neighbours; in the complement,
+    those within distance 2 in g, as an antihole of length >= 5 has
+    diameter 2. A path is dropped when a breadth-first search from its end,
+    through vertices a completion may still use, reaches no vertex that
+    could close it, or reaches one only after more steps than the length
+    leaves. Any completion is such a walk, so a dropped branch holds no
+    cycle of the current length, and the order of the rest is unchanged:
+    the witness is the one the unpruned search returns. Deepening stops
+    after a length at which no path reached length - 1 vertices and no
+    branch was dropped for distance alone. That is exact: a longer hole
+    keeps to the same vertices and the rest of it is a walk to a closer, so
+    its prefixes are never dropped as unreachable, and one of them would
     have been dropped for distance or reached length - 1 vertices.
     """
     return _shortest_odd_hole(g, check_complement, caps, 5)

@@ -479,6 +479,33 @@ class TestNearLineFitChecks:
             fit = near_line_fit(PointConfig(norm, pts))
             assert calls == [fit.frame]
 
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize(
+        "norm", [l2(2), l1(2), linf(2), l2(3)], ids=["l2", "l1", "linf", "l2-3d"]
+    )
+    def test_one_frame_built_per_fit(self, norm, early_stop, monkeypatch):
+        import anticonc.geometry as geometry
+
+        built = []
+        original = geometry.supporting_functional
+
+        def counted(norm, direction, base=None):
+            built.append(direction)
+            return original(norm, direction, base)
+
+        monkeypatch.setattr(geometry, "supporting_functional", counted)
+        rng = random.Random(44)
+        for _ in range(5):
+            pts = tuple(
+                tuple(F(rng.randint(-40, 40), 16) for _ in range(norm.dimension))
+                for _ in range(12)
+            )
+            built.clear()
+            cfg = PointConfig(norm, pts)
+            fit = near_line_fit(cfg, early_stop)
+            assert len(built) == 1
+            assert fit == ref_near_line_fit(cfg, early_stop)
+
 
 def _hand_frame(norm, coeffs, scale_pow):
     zero = (F(0),) * norm.dimension

@@ -21,6 +21,7 @@ from anticonc.perfect_graphs import (
     _classes_from_colors,
     _dsatur_greedy,
     _greedy_color_bound,
+    _strip_simplicial,
     _suffix_color_bounds,
     DistGraph,
     block_decomposition,
@@ -531,6 +532,159 @@ class TestOddHoleOracles:
         assert near_line_fit(cfg, early_stop=True).certified
         assert is_berge(distance_graph(cfg)) == (True, None)
 
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _ball2(g, v):
+    """The closed radius-2 ball of v in g, as a bitmask."""
+    ball = g.masks[v] | 1 << v
+    for u in _iter_bits(g.masks[v]):
+        ball |= g.masks[u]
+    return ball
+
+
+def planted_antihole_graph(rng, length, tail, p):
+    """An induced odd antihole on shuffled labels with a path of tail vertices
+    hanging off one antihole vertex.
+
+    Tail vertices two or more steps apart along the path join with
+    probability p. From the second tail vertex on, each is at distance at
+    least 2 from the antihole vertex the path hangs off and at least 3 from
+    every other antihole vertex, outside their radius-2 balls.
+    """
+    n = length + tail
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {
+        (label[i], label[j])
+        for i in range(length)
+        for j in range(i + 2, length)
+        if (i, j) != (0, length - 1)
+    }
+    path = [0] + list(range(length, n))
+    edges |= {(label[a], label[b]) for a, b in zip(path, path[1:])}
+    for i in range(1, len(path)):
+        for j in range(i + 2, len(path)):
+            if rng.random() < p:
+                edges.add((label[path[i]], label[path[j]]))
+    g = DistGraph(n, frozenset((min(e), max(e)) for e in edges))
+    return g, [label[i] for i in range(length)], [label[v] for v in path[1:]]
+
+
+def chordal_hung_hole(rng, length, extra):
+    """An induced C_length on shuffled labels, then extra vertices added one
+    at a time, each joined to one vertex or to both ends of one edge.
+
+    Each vertex is simplicial when added, so removing simplicial vertices
+    repeatedly strips every extra vertex (later ones first where they hang
+    off earlier ones) and leaves exactly the cycle.
+    """
+    n = length + extra
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    for w in range(length, n):
+        # favour recent edges, so extra vertices hang off extra vertices
+        u, v = edges[rng.randrange(max(0, len(edges) - 6), len(edges))]
+        edges.append((u, w))
+        if rng.random() < 0.7:
+            edges.append((v, w))
+    relabelled = ((label[a], label[b]) for a, b in edges)
+    g = DistGraph(n, frozenset((min(e), max(e)) for e in relabelled))
+    return g, [label[i] for i in range(length)]
+
+
+def ref_strip_simplicial(g):
+    """Remove any simplicial vertex, by edge lookups, until none is left."""
+    live = set(range(g.n))
+    while True:
+        for v in sorted(live):
+            nb = [u for u in live if g.has_edge(u, v)]
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(nb, 2)):
+                live.remove(v)
+                break
+        else:
+            return _mask(live)
+
+
+class TestStructuralPruning:
+    """Antihole balls and simplicial stripping keep every witness and None
+    of the unpruned reference search."""
+
+    @pytest.mark.parametrize("length", [7, 9, 11])
+    def test_planted_antiholes(self, length):
+        rng = random.Random(100 + length)
+        for _ in range(6):
+            g, antihole, tail = planted_antihole_graph(
+                rng, length, rng.randint(3, 20 - length), rng.uniform(0, 0.4)
+            )
+            # the tail's far end lies outside the ball of most antihole vertices
+            assert sum(not _ball2(g, v) >> tail[-1] & 1 for v in antihole) >= length - 1
+            comp = find_odd_hole(g, check_complement=True)
+            expected = ref_odd_hole(g.complement())
+            assert comp is not None and comp.in_complement
+            assert comp.cycle == expected and len(expected) <= length
+            hole = find_odd_hole(g)
+            assert (None if hole is None else hole.cycle) == ref_odd_hole(g)
+            assert is_berge(g) == (False, hole if hole is not None else comp)
+
+    def test_lone_antiholes_found_from_any_labels(self):
+        rng = random.Random(7)
+        for length in (5, 7, 9, 11, 13):
+            g, antihole, _ = planted_antihole_graph(rng, length, 0, 0)
+            comp = find_odd_hole(g, check_complement=True)
+            assert sorted(comp.cycle) == sorted(antihole)
+            assert comp.cycle == ref_odd_hole(g.complement())
+
+    @pytest.mark.parametrize("length", [5, 7, 9])
+    def test_simplicial_cascade_leaves_the_hole(self, length):
+        rng = random.Random(200 + length)
+        for _ in range(10):
+            g, cycle = chordal_hung_hole(rng, length, rng.randint(1, 18 - length))
+            assert _strip_simplicial(g.masks, (1 << g.n) - 1) == _mask(cycle)
+            hole = find_odd_hole(g)
+            assert sorted(hole.cycle) == sorted(cycle)
+            assert hole.cycle == ref_odd_hole(g)
+            comp = find_odd_hole(g, check_complement=True)
+            assert (None if comp is None else comp.cycle) == ref_odd_hole(g.complement())
+
+    def test_chordal_graphs_strip_to_nothing(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            g, _ = chordal_hung_hole(rng, 3, rng.randint(0, 15))  # a triangle, not a hole
+            assert _strip_simplicial(g.masks, (1 << g.n) - 1) == 0
+            assert find_odd_hole(g) is None and ref_odd_hole(g) is None
+
+    def test_strip_matches_reference(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 14), rng.uniform(0.05, 0.6))
+            assert _strip_simplicial(g.masks, (1 << g.n) - 1) == ref_strip_simplicial(g)
+
+    def test_seeded_sweep_both_orientations(self):
+        rng = random.Random(2026)
+        for i in range(1200):
+            kind = i % 4
+            if kind == 0:
+                g = random_graph(rng, rng.randint(5, 18), rng.uniform(0.1, 0.9))
+            elif kind == 1:
+                length, extra = rng.choice([5, 7, 9, 11]), rng.randint(0, 7)
+                g = planted_hole_graph(rng, length, extra, rng.uniform(0.05, 0.4))
+            elif kind == 2:
+                length, tail = rng.choice([5, 7, 9]), rng.randint(0, 9)
+                g = planted_antihole_graph(rng, length, tail, rng.uniform(0, 0.5))[0]
+            else:
+                g = chordal_hung_hole(rng, rng.choice([3, 5, 7, 9]), rng.randint(0, 9))[0]
+            if rng.random() < 0.3:
+                g = g.complement()
+            for check_complement in (False, True):
+                found = find_odd_hole(g, check_complement)
+                expected = ref_odd_hole(g.complement() if check_complement else g)
+                assert (None if found is None else found.cycle) == expected
+
+
 class TestCliqueOracle:
     """Clique values agree with networkx ``max_weight_clique``."""
 
@@ -700,3 +854,18 @@ class TestCertificates:
         g = cycle_graph(5)
         bad = ColoringCertificate(2, ((0, 1, 2), (3, 4)))
         assert not bad.verify(g)
+
+    def test_hole_witness_checks_both_orientations(self):
+        from anticonc.perfect_graphs import HoleWitness
+
+        c7 = cycle_graph(7)
+        anti = c7.complement()
+        cycle = tuple(range(7))
+        assert HoleWitness(cycle, False).verify(c7)
+        assert not HoleWitness(cycle, True).verify(c7)
+        assert HoleWitness(cycle, True).verify(anti)
+        assert not HoleWitness(cycle, False).verify(anti)
+        # a repeated vertex, a vertex off the graph, a chord in the complement
+        assert not HoleWitness((0, 1, 2, 3, 4, 5, 0), True).verify(anti)
+        assert not HoleWitness((0, 1, 2, 3, 4, 5, 7), True).verify(anti)
+        assert not HoleWitness((0, 1, 2, 3, 5), True).verify(anti)
