@@ -5,27 +5,30 @@ normal-window and comparison bounds. Every side condition is checked
 exactly where the quantities involved are rational (squaring removes the
 square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
-names the failing inequality.
+names the failing inequality. Each function that takes an alpha list
+counts it once with ``lattice._alpha_runs`` and passes the runs on to the
+t-value, the third moments and (reversed) the variance profile.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .errors import DomainError, InvariantViolation
 from .exact import as_fraction
 from .lattice import (
+    ZERO,
     TValueResult,
     VarianceProfile,
+    _alpha_runs,
+    _centre_t_value,
+    _run_profile,
     extremal_variance,
-    t_value,
     third_abs_moment,
-    variance_profile,
 )
 
 
@@ -79,16 +82,16 @@ def epsilon_prime(delta_prime: float, c) -> float:
     return 405.0 * math.sqrt(delta_prime) * cf ** (-0.75)
 
 
-def _third_moment_sum(alphas) -> Fraction:
-    """Exact sum of E|Y|^3, one moment per distinct alpha (a list, or alpha -> count)."""
-    return sum((third_abs_moment(a) * k for a, k in Counter(alphas).items()), Fraction(0))
+def _third_moment_sum(runs) -> Fraction:
+    """Exact sum of E|Y|^3 over (alpha, count) runs, one moment per run."""
+    return sum((third_abs_moment(a) * c for a, c in runs), ZERO)
 
 
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
-    counts = Counter(as_fraction(a) for a in alphas)
-    v = sum((extremal_variance(a) * k for a, k in counts.items()), Fraction(0))
-    return _minimal_delta(_third_moment_sum(counts), v)
+    runs = _alpha_runs(alphas)
+    v = sum((extremal_variance(a) * c for a, c in runs), ZERO)
+    return _minimal_delta(_third_moment_sum(runs), v)
 
 
 def _minimal_delta(third: Fraction, v: Fraction) -> float:
@@ -108,23 +111,8 @@ def window_interval(eps: float, v_star: Fraction) -> tuple[float, float]:
     return (1.0 - eps) * center, (1.0 + eps) * center
 
 
-def _sorted_desc(alphas: Sequence) -> list[Fraction]:
-    fracs = [as_fraction(a) for a in alphas]
-    if not fracs:
-        raise DomainError("need at least one alpha")
-    for a in fracs:
-        if not (0 < a <= 1):
-            raise DomainError(f"alpha must lie in (0, 1], got {a}")
-    return sorted(fracs, reverse=True)
-
-
-def _run_counts(fracs: Sequence[Fraction]) -> dict[Fraction, int]:
-    """Multiplicity of each alpha, read off its run in a sorted list."""
-    return {a: sum(1 for _ in run) for a, run in groupby(fracs)}
-
-
-def _third_moment_condition(counts: dict[Fraction, int], delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
-    third = _third_moment_sum(counts)
+def _third_moment_condition(runs, delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
+    third = _third_moment_sum(runs)
     holds = third * third <= delta * delta * v ** 3
     return holds, float(third), float(delta) * float(v) ** 1.5
 
@@ -148,10 +136,9 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         raise DomainError("c must lie in (0, 1)")
     if not (0 < delta_prime < 1):
         raise DomainError("delta' must lie in (0, 1)")
-    fracs = _sorted_desc(alphas)
-    n = len(fracs)
-    counts = _run_counts(fracs)
-    profile = variance_profile(fracs)
+    runs = _alpha_runs(alphas)
+    n = sum(c for _, c in runs)
+    profile = _run_profile(runs[::-1])
     v = profile.total
     conditions = []
     if v == 0:
@@ -170,7 +157,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         )
     )
     delta = Fraction(delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(counts, delta, v)
+    ok3, lhs3, rhs3 = _third_moment_condition(runs, delta, v)
     conditions.append(
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
     )
@@ -180,7 +167,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
     )
 
     lo, hi = window_interval(eps, v)
-    t = t_value(fracs)
+    t = _centre_t_value(runs)
     extras = {
         "n": n,
         "v_star": v,
@@ -266,17 +253,16 @@ def make_main_bound_params(
     cf = as_fraction(c)
     if not (0 < cf < Fraction(1, 3)):
         raise DomainError("c must lie in (0, 1/3)")
-    fracs = _sorted_desc(alphas)
-    n = len(fracs)
-    counts = _run_counts(fracs)
-    profile = variance_profile(fracs)
+    runs = _alpha_runs(alphas)
+    n = sum(c for _, c in runs)
+    profile = _run_profile(runs[::-1])
     v = profile.total
     if v == 0:
         raise DomainError("total variance is zero")
     if delta_prime is None:
-        delta_prime = _minimal_delta(_third_moment_sum(counts), v)
+        delta_prime = _minimal_delta(_third_moment_sum(runs), v)
     eps = epsilon_prime(delta_prime, cf)
-    abar = sum((a * k for a, k in counts.items()), Fraction(0)) / n
+    abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)
     if gamma is None:
         g = float(xi * abar * abar * n) / float(v) ** 1.5
@@ -286,10 +272,10 @@ def make_main_bound_params(
                 break
             g = math.nextafter(g, math.inf)
         gamma = g
-    t = t_value(fracs)
+    t = _centre_t_value(runs)
     m = C * math.sqrt(float(xi)) * float(t) ** -0.5 * math.sqrt(n)
     return MainBoundParams(
-        alphas=tuple(fracs),
+        alphas=tuple(chain.from_iterable(repeat(a, c) for a, c in reversed(runs))),
         n=n,
         d=d,
         c=cf,
@@ -351,7 +337,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
         )
     )
     delta = Fraction(params.delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(_run_counts(params.alphas), delta, v)
+    ok3, lhs3, rhs3 = _third_moment_condition(_alpha_runs(params.alphas), delta, v)
     conditions.append(
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
     )
@@ -411,10 +397,8 @@ def kesten_bound(alphas: Sequence, n: int, C_kesten: float) -> float:
     Specialized to unit scale parameters; meant for ratio comparisons
     against the sharp normal term, not as a certified inequality.
     """
-    fracs = [as_fraction(a) for a in alphas]
-    if not fracs:
-        raise DomainError("need at least one alpha")
-    abar = sum(fracs, Fraction(0)) / len(fracs)
+    runs = _alpha_runs(alphas)
+    abar = sum((a * c for a, c in runs), ZERO) / sum(c for _, c in runs)
     if abar >= 1:
         raise DomainError("alpha_bar must be below 1")
     if n < 1:
@@ -440,17 +424,18 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
     as the ratio of its two sides at the given size; no hidden pass/fail
     thresholds.
     """
-    fracs = _sorted_desc(alphas)
-    n = len(fracs)
-    counts = _run_counts(fracs)
-    profile = variance_profile(fracs)
+    if d < 2:
+        raise DomainError("dimension must be at least 2")
+    runs = _alpha_runs(alphas)
+    n = sum(c for _, c in runs)
+    profile = _run_profile(runs[::-1])
     v = profile.total
-    abar = sum((a * k for a, k in counts.items()), Fraction(0)) / n
+    abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)
     reports = []
     if v == 0:
         return (RatioReport("V* > 0 fails: total variance is zero", math.inf),)
-    third = _third_moment_sum(counts)
+    third = _third_moment_sum(runs)
     v32 = float(v) ** 1.5
     reports.append(RatioReport("xi(abar)^2 V* / n^2", float(xi * xi * v) / n ** 2))
     reports.append(

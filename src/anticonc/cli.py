@@ -63,10 +63,8 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_alphas(text: str) -> list[Fraction]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise DomainError("no alphas given")
-    return [as_fraction(s) for s in items]
+    """Comma-separated rationals; the library checks the list itself."""
+    return [as_fraction(s.strip()) for s in text.split(",") if s.strip()]
 
 
 def _scenario_exit(result: scenarios.ScenarioResult, output: str) -> None:

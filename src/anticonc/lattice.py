@@ -14,7 +14,9 @@ centre window those slots can still be reached from. Equal alphas form a
 run, and a run is one polynomial power, taken by an exact integer
 recurrence: the first run seeds the window, the last closes it with two
 dot products, and factors in between are folded one at a time. The last
-few results are memoised by their (alpha, count) runs.
+few results are memoised by their (alpha, count) runs. ``_alpha_runs`` is
+the one place an alpha list is checked and counted into those runs; the
+variance profile of ``bounds`` is built from them reversed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, repeat
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .errors import DomainError, InvariantViolation
@@ -33,6 +35,7 @@ from .exact import _numerators, as_fraction, fraction_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIO = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -321,6 +324,21 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     return Fraction(at_zero + at_half, den * d ** c)
 
 
+def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
+    """Check ``alphas`` and count them into (alpha, count) runs, alphas increasing.
+
+    An empty list, or an alpha outside (0, 1], is a DomainError naming the
+    first bad value. Counting (numerator, denominator) pairs hashes in C.
+    """
+    counts = Counter(map(_RATIO, map(as_fraction, alphas)))
+    if not counts:
+        raise DomainError("need at least one alpha")
+    for num, den in counts:
+        if not 0 < num <= den:
+            raise DomainError(f"alpha must lie in (0, 1], got {Fraction(num, den)}")
+    return tuple(sorted((Fraction(num, den), c) for (num, den), c in counts.items()))
+
+
 def t_value(alphas: Sequence) -> Fraction:
     """Mass the sum of independent extremal variables puts on {0, 1/2}.
 
@@ -335,13 +353,7 @@ def t_value(alphas: Sequence) -> Fraction:
     memoised, so the normal window and the master bound on the same
     factors compute the sum once.
     """
-    counts = Counter(map(as_fraction, alphas))
-    if not counts:
-        raise DomainError("need at least one alpha")
-    for a in counts:
-        if not (0 < a <= 1):
-            raise DomainError(f"alpha must lie in (0, 1], got {a}")
-    return _centre_t_value(tuple(sorted(counts.items())))
+    return _centre_t_value(_alpha_runs(alphas))
 
 
 def concentration_1d(m: LatticeMeasure) -> Fraction:
@@ -379,14 +391,16 @@ class VarianceProfile:
             raise DomainError("total does not match partial sums")
 
 
-def variance_profile(alphas: Sequence) -> VarianceProfile:
-    """Per-term variances, computed once per run of equal alphas."""
-    fracs = [as_fraction(a) for a in alphas]
-    runs = [(a, sum(1 for _ in run)) for a, run in groupby(fracs)]
-    variance = {a: extremal_variance(a) for a, _ in runs}
-    per = tuple(chain.from_iterable(repeat(variance[a], k) for a, k in runs))
+def _run_profile(runs) -> VarianceProfile:
+    """Variance profile of (alpha, count) ``runs`` in the order given."""
+    per = tuple(chain.from_iterable(repeat(extremal_variance(a), c) for a, c in runs))
     sums = tuple(accumulate(per, initial=ZERO))
     return VarianceProfile(per, sums[1:], sums[-1])
+
+
+def variance_profile(alphas: Sequence) -> VarianceProfile:
+    """Per-term variances in input order, computed once per run of equal alphas."""
+    return _run_profile((a, len(list(run))) for a, run in groupby(map(as_fraction, alphas)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -5,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc.bounds import (
-    _run_counts,
     _third_moment_sum,
     clt_window,
     crude_bound,
@@ -20,6 +20,7 @@ from anticonc.bounds import (
 )
 from anticonc.errors import DomainError
 from anticonc.lattice import (
+    _alpha_runs,
     extremal_variance,
     t_value,
     third_abs_moment,
@@ -55,11 +56,11 @@ class TestThirdMomentSum:
             alphas = [F(rng.randint(1, 8), 8) for _ in range(rng.randint(0, 60))]
             rng.shuffle(alphas)
             want = sum((third_abs_moment(a) for a in alphas), F(0))
-            assert _third_moment_sum(alphas) == want
+            assert _third_moment_sum(_alpha_runs(alphas) if alphas else ()) == want
 
 
 class TestSharedCounts:
-    """Counts read off the sorted runs give the per-factor sums exactly."""
+    """Counts read off the (alpha, count) runs give the per-factor sums exactly."""
 
     def test_matches_per_factor_sums(self):
         rng = random.Random(84)
@@ -69,8 +70,10 @@ class TestSharedCounts:
             fracs = sorted(alphas, reverse=True)
             third = sum((third_abs_moment(a) for a in alphas), F(0))
             v = sum((extremal_variance(a) for a in alphas), F(0))
-            assert _run_counts(fracs) == {a: alphas.count(a) for a in set(alphas)}
-            assert _third_moment_sum(_run_counts(fracs)) == third
+            runs = _alpha_runs(alphas)
+            assert [a for a, _ in runs] == sorted(set(alphas))
+            assert dict(runs) == {a: alphas.count(a) for a in set(alphas)}
+            assert _third_moment_sum(runs) == third
             if v == 0:
                 continue
             params = make_main_bound_params(alphas, 2, 0.01, F(1, 4))
@@ -116,6 +119,8 @@ class TestCltWindow:
             clt_window([F(1, 2)], F(1, 4), 1.5)
         with pytest.raises(DomainError):
             clt_window([F(1, 2), F(3, 2)], F(1, 4), 0.5)
+        with pytest.raises(DomainError, match="need at least one alpha"):
+            minimal_delta_prime([])
 
 
 class TestCrudeBound:
@@ -245,6 +250,11 @@ class TestKesten:
         with pytest.raises(DomainError):
             kesten_bound([F(1)], 100, 1.0)
 
+    @pytest.mark.parametrize("alphas", [[F(-1, 2)], [F(0)], [F(3, 2), F(1, 4)]])
+    def test_alphas_outside_unit_interval_rejected(self, alphas):
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            kesten_bound(alphas, 10, 1.0)
+
 
 class TestTheoremLocalConditions:
     def test_iid_regime_small_ratios(self):
@@ -254,6 +264,11 @@ class TestTheoremLocalConditions:
         assert reports["sum E|Y|^3 / V*^(3/2)"] < 0.05
         assert reports["xi(abar) abar^2 n / V*^(3/2)"] < 0.05
         assert reports["V*_ceil(n(1-1/10))/V*"] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_dimension_below_two_rejected(self, d):
+        with pytest.raises(DomainError, match="dimension"):
+            theorem_local_conditions([F(1, 2)] * 10, d, 1.0)
 
     def test_degenerate_alpha_one(self):
         reports = theorem_local_conditions([F(1)] * 50, 2, 1.0)
@@ -285,3 +300,124 @@ class TestRemarkChain:
                 assert sum(alphas, F(0)) / n == abar
                 assert v_total >= n * v_mean  # Jensen for the convex envelope
                 assert 1 - abar * abar <= 12 * abar * abar * v_mean
+
+
+# (alphas, d) and the exact JSON of the window, the master bound and the
+# local ratios, pinned so that counting alpha lists can never change a byte
+_GOLDEN_LISTS = {
+    "one-run": ([F(1, 2)] * 40, 2),
+    "three-runs": ([F(1, 3)] * 12 + [F(3, 8)] * 10 + [F(1, 2)] * 18, 2),
+    "with-one": ([F(1)] * 4 + [F(2, 5)] * 30 + [F(1, 4)] * 6, 3),
+}
+_GOLDEN_JSON = {
+    "one-run": (
+        '{"value": null, "conditions": [{"name": "V* > 0", "holds": true, "lhs": 10.0, '
+        '"rhs": 0.0}, {"name": "V*_ceil(n(1-c)) >= V*/2", "holds": true, "lhs": 7.5, '
+        '"rhs": 5.0}, {"name": "sum E|Y|^3 <= delta\' V*^(3/2)", "holds": true, '
+        '"lhs": 5.0, "rhs": 5.0}, {"name": "epsilon\' <= 1/2", "holds": false, '
+        '"lhs": 455.4964734041827, "rhs": 0.5}], '
+        '"exact_t": "34461632205/274877906944", "extras": {"n": 40, "v_star": "10", '
+        '"epsilon_prime": 455.4964734041827, "window_lo": -57.337741659478205, '
+        '"window_hi": 57.59005491168022, "t": 0.12537068761957926, '
+        '"t_exact_path": true, "t_in_window": true}}',
+        '{"value": null, "conditions": [{"name": "n >= 8", "holds": true, "lhs": 40.0, '
+        '"rhs": 8.0}, {"name": "V*_ceil((1-c)n) >= (3/4) V*", "holds": true, '
+        '"lhs": 7.5, "rhs": 7.5}, {"name": "sum E|Y|^3 <= delta\' V*^(3/2)", '
+        '"holds": true, "lhs": 5.0, "rhs": 5.0}, {"name": "epsilon\' <= 3/16", '
+        '"holds": false, "lhs": 455.4964734041827, "rhs": 0.1875}, '
+        '{"name": "xi(abar) abar^2 n <= gamma V*^(3/2)", "holds": true, "lhs": 5.0, '
+        '"rhs": 5.0}, {"name": "gamma <= (10C)^-2", "holds": false, '
+        '"lhs": 0.15811388300841897, "rhs": 0.01}, {"name": "m < c n / 5", '
+        '"holds": false, "lhs": 12.630396777534443, "rhs": 2.0}], '
+        '"exact_t": "34461632205/274877906944", "extras": {"m": 12.630396777534443, '
+        '"epsilon_prime": 455.4964734041827, "gamma": 0.15811388300841897, '
+        '"v_star": "10", "t": 0.12537068761957926, "t_exact_path": true, '
+        '"rhs_unconditional": 413.1381874987312}}',
+        '[{"name": "xi(abar)^2 V* / n^2", "value": 0.0015625}, '
+        '{"name": "V* / exp(C^2 sqrt(n) / 36)", "value": 8.388846288908171}, '
+        '{"name": "sum E|Y|^3 / V*^(3/2)", "value": 0.15811388300841897}, '
+        '{"name": "xi(abar) abar^2 n / V*^(3/2)", "value": 0.15811388300841897}, '
+        '{"name": "V*_ceil(n(1-1/10))/V*", "value": 0.9}, '
+        '{"name": "V*_ceil(n(1-1/100))/V*", "value": 1.0}]',
+    ),
+    "three-runs": (
+        '{"value": null, "conditions": [{"name": "V* > 0", "holds": true, '
+        '"lhs": 18.125, "rhs": 0.0}, {"name": "V*_ceil(n(1-c)) >= V*/2", '
+        '"holds": true, "lhs": 11.458333333333334, "rhs": 9.0625}, '
+        '{"name": "sum E|Y|^3 <= delta\' V*^(3/2)", "holds": true, "lhs": 15.5625, '
+        '"rhs": 15.562500000000002}, {"name": "epsilon\' <= 1/2", "holds": false, '
+        '"lhs": 514.4358042987333, "rhs": 0.5}], '
+        '"exact_t": "1736575364014044709/18698417887260966912", "extras": {"n": 40, '
+        '"v_star": "145/8", "epsilon_prime": 514.4358042987333, '
+        '"window_lo": -48.11242077789044, "window_hi": 48.29983435666726, '
+        '"t": 0.09287285023173833, "t_exact_path": true, "t_in_window": true}}',
+        '{"value": null, "conditions": [{"name": "n >= 8", "holds": true, "lhs": 40.0, '
+        '"rhs": 8.0}, {"name": "V*_ceil((1-c)n) >= (3/4) V*", "holds": false, '
+        '"lhs": 11.458333333333334, "rhs": 13.59375}, '
+        '{"name": "sum E|Y|^3 <= delta\' V*^(3/2)", "holds": true, "lhs": 15.5625, '
+        '"rhs": 15.562500000000002}, {"name": "epsilon\' <= 3/16", "holds": false, '
+        '"lhs": 514.4358042987333, "rhs": 0.1875}, '
+        '{"name": "xi(abar) abar^2 n <= gamma V*^(3/2)", "holds": true, '
+        '"lhs": 2.937138671875, "rhs": 2.937138671875}, {"name": "gamma <= (10C)^-2", '
+        '"holds": false, "lhs": 0.03806338682799586, "rhs": 0.01}, '
+        '{"name": "m < c n / 5", "holds": false, "lhs": 13.429598182506767, '
+        '"rhs": 2.0}], "exact_t": "1736575364014044709/18698417887260966912", '
+        '"extras": {"m": 13.429598182506767, "epsilon_prime": 514.4358042987333, '
+        '"gamma": 0.03806338682799586, "v_star": "145/8", "t": 0.09287285023173833, '
+        '"t_exact_path": true, "rhs_unconditional": 399.13843483574146}}',
+        '[{"name": "xi(abar)^2 V* / n^2", "value": 0.0019864044189453127}, '
+        '{"name": "V* / exp(C^2 sqrt(n) / 36)", "value": 15.20478389864606}, '
+        '{"name": "sum E|Y|^3 / V*^(3/2)", "value": 0.20167977194367057}, '
+        '{"name": "xi(abar) abar^2 n / V*^(3/2)", "value": 0.03806338682799586}, '
+        '{"name": "V*_ceil(n(1-1/10))/V*", "value": 0.8528735632183908}, '
+        '{"name": "V*_ceil(n(1-1/100))/V*", "value": 1.0}]',
+    ),
+    "with-one": (
+        '{"value": null, "conditions": [{"name": "V* > 0", "holds": true, "lhs": 22.5, '
+        '"rhs": 0.0}, {"name": "V*_ceil(n(1-c)) >= V*/2", "holds": true, "lhs": 13.0, '
+        '"rhs": 11.25}, {"name": "sum E|Y|^3 <= delta\' V*^(3/2)", "holds": true, '
+        '"lhs": 24.0, "rhs": 24.0}, {"name": "epsilon\' <= 1/2", "holds": false, '
+        '"lhs": 543.2112416230282, "rhs": 0.5}], '
+        '"exact_t": "19885560524039972733739/238418579101562500000000", '
+        '"extras": {"n": 40, "v_star": "45/2", "epsilon_prime": 543.2112416230282, '
+        '"window_lo": -45.602360584799776, "window_hi": 45.770569419601124, '
+        '"t": 0.08340608604822296, "t_exact_path": true, "t_in_window": true}}',
+        '{"value": null, "conditions": [{"name": "n >= 8", "holds": true, "lhs": 40.0, '
+        '"rhs": 8.0}, {"name": "V*_ceil((1-c)n) >= (3/4) V*", "holds": false, '
+        '"lhs": 13.0, "rhs": 16.875}, {"name": "sum E|Y|^3 <= delta\' V*^(3/2)", '
+        '"holds": true, "lhs": 24.0, "rhs": 24.0}, {"name": "epsilon\' <= 3/16", '
+        '"holds": false, "lhs": 543.2112416230282, "rhs": 0.1875}, '
+        '{"name": "xi(abar) abar^2 n <= gamma V*^(3/2)", "holds": true, '
+        '"lhs": 7.65625, "rhs": 7.656250000000001}, {"name": "gamma <= (10C)^-2", '
+        '"holds": false, "lhs": 0.0717368543278938, "rhs": 0.01}, '
+        '{"name": "m < c n / 5", "holds": false, "lhs": 21.899344964914825, '
+        '"rhs": 2.0}], "exact_t": "19885560524039972733739/238418579101562500000000", '
+        '"extras": {"m": 21.899344964914825, "epsilon_prime": 543.2112416230282, '
+        '"gamma": 0.0717368543278938, "v_star": "45/2", "t": 0.08340608604822296, '
+        '"t_exact_path": true, "rhs_unconditional": 475.5552799289844}}',
+        '[{"name": "xi(abar)^2 V* / n^2", "value": 0.0140625}, '
+        '{"name": "V* / exp(C^2 sqrt(n) / 36)", "value": 18.874904150043385}, '
+        '{"name": "sum E|Y|^3 / V*^(3/2)", "value": 0.2248730780564181}, '
+        '{"name": "xi(abar) abar^2 n / V*^(3/2)", "value": 0.0717368543278938}, '
+        '{"name": "V*_ceil(n(1-1/10))/V*", "value": 0.7777777777777778}, '
+        '{"name": "V*_ceil(n(1-1/100))/V*", "value": 1.0}]',
+    ),
+}
+
+
+def _golden_strings(alphas, d):
+    window = clt_window(alphas, F(1, 4), minimal_delta_prime(alphas))
+    bound = main_bound(make_main_bound_params(alphas, d, 1.0, F(1, 4)))
+    local = [r.to_json() for r in theorem_local_conditions(alphas, d, 1.0)]
+    return json.dumps(window.to_json()), json.dumps(bound.to_json()), json.dumps(local)
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize("name", list(_GOLDEN_LISTS))
+    def test_reports_match_golden(self, name):
+        alphas, d = _GOLDEN_LISTS[name]
+        shuffled = list(alphas)
+        random.Random(12).shuffle(shuffled)
+        strings = [f"{a.numerator}/{a.denominator}" for a in shuffled]
+        for variant in (alphas, shuffled, strings):
+            assert _golden_strings(variant, d) == _GOLDEN_JSON[name]

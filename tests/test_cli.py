@@ -323,6 +323,9 @@ class TestErrorContract:
         [
             ["t-value", "--alphas", "1/0"],
             ["t-value", "--alphas", "1/2,1/0"],
+            ["t-value", "--alphas", " , "],
+            ["clt-window", "--alphas", ","],
+            ["main-bound", "--alphas", ",", "--big-c", "1"],
             ["nu-star", "--alpha", "3/0"],
             ["sharpness", "--epsilon", "1/0"],
             ["clt-window", "--alphas", "1/2", "--c", "1/0"],

@@ -5,7 +5,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticonc.bounds import clt_window, make_main_bound_params, minimal_delta_prime
+from anticonc.bounds import clt_window, main_bound, make_main_bound_params, minimal_delta_prime
 from anticonc.chains import middle_layer_count
 from anticonc.errors import DomainError
 from anticonc.lattice import (
@@ -360,6 +360,9 @@ class TestCentreWindow:
         params = make_main_bound_params(alphas, d=2, C=0.01, c=F(1, 4))
         info = _centre_t_value.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+        main_bound(params)
+        minimal_delta_prime(alphas[::-1])
+        assert _centre_t_value.cache_info().misses == 1
         assert params.t.fraction == report.exact_t == ref_t_value(alphas)
 
 
