@@ -7,7 +7,8 @@ square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
 names the failing inequality. Each function that takes an alpha list
 counts it once with ``lattice._alpha_runs`` and passes the runs on to the
-t-value, the third moments and (reversed) the variance profile.
+t-value, the third moments and (reversed) the variance profile, which the
+bounds read only through its total and its head sums.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .lattice import (
     VarianceProfile,
     _alpha_runs,
     _centre_t_value,
-    _run_profile,
     extremal_variance,
     third_abs_moment,
 )
@@ -90,20 +90,22 @@ def _third_moment_sum(runs) -> Fraction:
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
     runs = _alpha_runs(alphas)
-    v = sum((extremal_variance(a) * c for a, c in runs), ZERO)
-    return _minimal_delta(_third_moment_sum(runs), v)
+    return _minimal_delta(_third_moment_sum(runs), VarianceProfile(runs).total)
 
 
 def _minimal_delta(third: Fraction, v: Fraction) -> float:
     if v == 0:
         raise DomainError("total variance is zero")
-    d = math.sqrt(float(third * third / v ** 3))
-    # nudge upward until the exact inequality holds for the float value
+    return _round_up(math.sqrt(float(third * third / v ** 3)), third, v)
+
+
+def _round_up(x: float, lhs: Fraction, v: Fraction) -> float:
+    """The first float from ``x`` upward with lhs <= x V*^(3/2), exactly."""
     for _ in range(64):
-        if third * third <= Fraction(d) ** 2 * v ** 3:
-            return d
-        d = math.nextafter(d, math.inf)
-    raise InvariantViolation("could not round delta' upward")  # pragma: no cover
+        if lhs * lhs <= Fraction(x) ** 2 * v ** 3:
+            return x
+        x = math.nextafter(x, math.inf)
+    raise InvariantViolation(f"could not round {x} upward")  # pragma: no cover
 
 
 def window_interval(eps: float, v_star: Fraction) -> tuple[float, float]:
@@ -138,7 +140,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         raise DomainError("delta' must lie in (0, 1)")
     runs = _alpha_runs(alphas)
     n = sum(c for _, c in runs)
-    profile = _run_profile(runs[::-1])
+    profile = VarianceProfile(runs[::-1])
     v = profile.total
     conditions = []
     if v == 0:
@@ -146,8 +148,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         return BoundReport(None, tuple(conditions), None, {"n": n})
     conditions.append(ConditionCheck("V* > 0", True, float(v), 0.0))
 
-    head = math.ceil(n * (1 - cf))
-    head_v = profile.partial_sums[head - 1]
+    head_v = profile.prefix(math.ceil(n * (1 - cf)))
     conditions.append(
         ConditionCheck(
             "V*_ceil(n(1-c)) >= V*/2",
@@ -255,7 +256,7 @@ def make_main_bound_params(
         raise DomainError("c must lie in (0, 1/3)")
     runs = _alpha_runs(alphas)
     n = sum(c for _, c in runs)
-    profile = _run_profile(runs[::-1])
+    profile = VarianceProfile(runs[::-1])
     v = profile.total
     if v == 0:
         raise DomainError("total variance is zero")
@@ -265,13 +266,8 @@ def make_main_bound_params(
     abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)
     if gamma is None:
-        g = float(xi * abar * abar * n) / float(v) ** 1.5
-        # nudge upward until the exact near-one condition holds for the float
-        for _ in range(64):
-            if (xi * abar * abar * n) ** 2 <= Fraction(g) ** 2 * v ** 3:
-                break
-            g = math.nextafter(g, math.inf)
-        gamma = g
+        near_one = xi * abar * abar * n
+        gamma = _round_up(float(near_one) / float(v) ** 1.5, near_one, v)
     t = _centre_t_value(runs)
     m = C * math.sqrt(float(xi)) * float(t) ** -0.5 * math.sqrt(n)
     return MainBoundParams(
@@ -301,7 +297,7 @@ def main_bound_rhs(params: MainBoundParams) -> float:
     idx = params.n - math.floor(params.m)
     if idx < 1:
         raise DomainError("m is so large that no variance terms remain")
-    v_trim = params.profile.partial_sums[idx - 1]
+    v_trim = params.profile.prefix(idx)
     numerator = (
         1.0
         + 6.0 * params.epsilon_prime
@@ -326,8 +322,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
     n = params.n
     conditions = [ConditionCheck("n >= 8", n >= 8, float(n), 8.0)]
 
-    head = math.ceil((1 - params.c) * n)
-    head_v = params.profile.partial_sums[head - 1]
+    head_v = params.profile.prefix(math.ceil((1 - params.c) * n))
     conditions.append(
         ConditionCheck(
             "V*_ceil((1-c)n) >= (3/4) V*",
@@ -337,7 +332,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
         )
     )
     delta = Fraction(params.delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(_alpha_runs(params.alphas), delta, v)
+    ok3, lhs3, rhs3 = _third_moment_condition(params.profile.runs, delta, v)
     conditions.append(
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
     )
@@ -428,7 +423,7 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
         raise DomainError("dimension must be at least 2")
     runs = _alpha_runs(alphas)
     n = sum(c for _, c in runs)
-    profile = _run_profile(runs[::-1])
+    profile = VarianceProfile(runs[::-1])
     v = profile.total
     abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)
@@ -449,12 +444,10 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
         RatioReport("xi(abar) abar^2 n / V*^(3/2)", float(xi * abar * abar * n) / v32)
     )
     for eps in (Fraction(1, 10), Fraction(1, 100)):
-        head = math.ceil(n * (1 - eps))
-        head = min(max(head, 1), n)
         reports.append(
             RatioReport(
                 f"V*_ceil(n(1-{eps}))/V*",
-                float(profile.partial_sums[head - 1] / v),
+                float(profile.prefix(math.ceil(n * (1 - eps))) / v),
             )
         )
     return tuple(reports)

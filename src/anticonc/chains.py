@@ -8,8 +8,8 @@ is itself a block. Iterating over a list of blocks decomposes the full
 product, and the number of chains equals the size of the middle layer of the
 corresponding box of integer tuples.
 
-All separation checks run through the exact comparisons of the owning
-LineFrame, so the decomposition is certified, not assumed.
+Every separation check is an exact comparison, so the decomposition is
+certified, not assumed.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from .geometry import (
     VectorMeasure,
     concentration_q,
     _near_pairs,
+    _scaled_integers,
     product_sum_measure,
 )
 from .lattice import t_value
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,11 @@ class Block:
 
     ``f_raw`` stores the exact numerators <coeffs, x> of the frame's
     functional; dividing by the frame scale (often irrational) is never
-    needed because every comparison goes through the frame's exact gap
-    tests. Chains and block decompositions pass values they already know;
-    construction still checks their order, gaps and point distances.
+    needed because every gap is compared exactly, raised to the frame's
+    scale_root. Chains and block decompositions pass values they already
+    know; construction checks each against the frame, then their order and
+    gaps, all on the points and coefficients scaled once to integers, and
+    then the point distances.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -53,15 +54,26 @@ class Block:
     def __post_init__(self):
         if not self.points:
             raise DomainError("a block needs at least one point")
-        for i in range(len(self.points) - 1):
-            if self.f_raw[i] > self.f_raw[i + 1]:
+        if len(self.f_raw) != len(self.points):
+            raise InvariantViolation(
+                f"{len(self.f_raw)} functional values for {len(self.points)} points"
+            )
+        # with X = s p and C = t coeffs integers, f_raw(p) = <C, X> / st, and a
+        # gap D / st is at least 1/2 when (2D)^r * den(scale_pow) >= st^r * num
+        s, ipts = _scaled_integers(self.points)
+        t, (icoeffs,) = _scaled_integers([self.frame.coeffs])
+        st = s * t
+        dots = [sum(map(operator.mul, icoeffs, x)) for x in ipts]
+        for p, d, f in zip(self.points, dots, self.f_raw):
+            if f.numerator * st != d * f.denominator:
+                raise InvariantViolation(f"functional value {f} is wrong at point {p}")
+        r, scale_pow = self.frame.scale_root, self.frame.scale_pow
+        gap_min = st ** r * scale_pow.numerator
+        for lo, hi in zip(dots, dots[1:]):
+            if lo > hi:
                 raise InvariantViolation("block points must be sorted by functional value")
-            if not self.frame.raw_gap_at_least(
-                self.f_raw[i + 1] - self.f_raw[i], HALF
-            ):
-                raise InvariantViolation(
-                    "consecutive functional values closer than 1/2"
-                )
+            if (2 * (hi - lo)) ** r * scale_pow.denominator < gap_min:
+                raise InvariantViolation("consecutive functional values closer than 1/2")
         near = _near_pairs(self.frame.norm, self.points)
         if near:
             i, j = min(near)

@@ -179,15 +179,11 @@ def berge_cmd(input_path: str, complement: bool, output: str) -> None:
 @_output_option
 def decompose_cmd(input_path: str, alpha: str | None, output: str) -> None:
     """Block decomposition of a uniform near-line vector measure."""
-    vm = geom.VectorMeasure.from_json(_load_json(input_path))
-    # the decomposition itself only accepts uniform multisets; clear
-    # denominators here on the caller side
-    uniform = all(w == vm.weights[0] for w in vm.weights)
-    subject = vm if uniform else pg.to_uniform_multiset(vm)
-    config = subject.config if uniform else subject
+    # a uniform measure clears to its own atoms, each once
+    config = pg.to_uniform_multiset(geom.VectorMeasure.from_json(_load_json(input_path)))
     fit = geom.near_line_fit(config)
     blocks = pg.block_decomposition(
-        subject, fit.frame, None if alpha is None else as_fraction(alpha)
+        config, fit.frame, None if alpha is None else as_fraction(alpha)
     )
     result = {
         "near_line_certified": fit.certified,

@@ -344,7 +344,7 @@ def distance_graph(config: PointConfig) -> DistGraph:
 
     Duplicate points are at distance 0 and therefore always adjacent.
     """
-    return DistGraph(len(config.points), _near_pairs(config.norm, config.points), origin=config)
+    return DistGraph(len(config.points), _near_pairs(config.norm, config.points))
 
 
 # --- supporting functionals and line frames ----------------------------------

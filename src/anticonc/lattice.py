@@ -15,8 +15,8 @@ run, and a run is one polynomial power, taken by an exact integer
 recurrence: the first run seeds the window, the last closes it with two
 dot products, and factors in between are folded one at a time. The last
 few results are memoised by their (alpha, count) runs. ``_alpha_runs`` is
-the one place an alpha list is checked and counted into those runs; the
-variance profile of ``bounds`` is built from them reversed.
+the one place an alpha list is checked and counted into those runs; a
+``VarianceProfile`` holds such runs and derives its sums from them.
 """
 
 from __future__ import annotations
@@ -209,8 +209,12 @@ def extremal_variance(alpha) -> Fraction:
 
 
 def third_abs_moment(alpha) -> Fraction:
-    """Exact E|Y|^3 for Y distributed by ``extremal_measure(alpha)``."""
-    return extremal_measure(alpha).abs_moment(3)
+    """Exact E|Y|^3 for Y distributed by ``extremal_measure(alpha)``: the slots
+    2Y = -t, -t + 2, ..., t have |2Y|^3 summing to C(t) = 2 (t^3 + (t - 2)^3 +
+    ...), with t = k for the outer weight and k - 1 for the inner."""
+    k, inner, outer, den = _extremal_weights(alpha)
+    cubes = [2 * sum(i ** 3 for i in range(t, 0, -2)) for t in (k, k - 1)]
+    return Fraction(outer * cubes[0] + inner * cubes[1], 8 * den)
 
 
 def _convolve_ints(a: list[int], b: list[int]) -> list[int]:
@@ -373,34 +377,48 @@ def concentration_1d(m: LatticeMeasure) -> Fraction:
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Per-term extremal variances together with their partial sums."""
+    """Extremal variances of a factor list as its (alpha, count) runs, in list
+    order. Sums and the per-term view are derived, so none can disagree."""
 
-    per_term: tuple[Fraction, ...]
-    partial_sums: tuple[Fraction, ...]
-    total: Fraction
+    runs: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
+        for a, c in self.runs:
+            # bool is an int subclass; True is no count
+            if isinstance(c, bool) or not isinstance(c, int) or c < 1:
+                raise DomainError(f"run count must be a positive int, got {c!r}")
+            extremal_variance(a)  # rejects alpha outside (0, 1]
+
+    @property
+    def total(self) -> Fraction:
+        return sum((extremal_variance(a) * c for a, c in self.runs), ZERO)
+
+    def prefix(self, m: int) -> Fraction:
+        """Sum of the first ``m`` variances, one step per run."""
+        if not 0 <= m <= sum(c for _, c in self.runs):
+            raise DomainError(f"the profile has no prefix of length {m}")
         acc = ZERO
-        for v, s in zip(self.per_term, self.partial_sums):
-            if v < 0:
-                raise DomainError("negative variance term")
-            acc += v
-            if acc != s:
-                raise DomainError("partial sums do not match per-term variances")
-        if self.total != acc:
-            raise DomainError("total does not match partial sums")
+        for a, c in self.runs:
+            if m <= 0:
+                break
+            acc += extremal_variance(a) * min(c, m)
+            m -= c
+        return acc
 
+    @property
+    def per_term(self) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(repeat(extremal_variance(a), c) for a, c in self.runs))
 
-def _run_profile(runs) -> VarianceProfile:
-    """Variance profile of (alpha, count) ``runs`` in the order given."""
-    per = tuple(chain.from_iterable(repeat(extremal_variance(a), c) for a, c in runs))
-    sums = tuple(accumulate(per, initial=ZERO))
-    return VarianceProfile(per, sums[1:], sums[-1])
+    @property
+    def partial_sums(self) -> tuple[Fraction, ...]:
+        return tuple(accumulate(self.per_term))
 
 
 def variance_profile(alphas: Sequence) -> VarianceProfile:
-    """Per-term variances in input order, computed once per run of equal alphas."""
-    return _run_profile((a, len(list(run))) for a, run in groupby(map(as_fraction, alphas)))
+    """Profile of ``alphas`` in input order, one run per stretch of equal alphas."""
+    return VarianceProfile(
+        tuple((a, len(list(run))) for a, run in groupby(map(as_fraction, alphas)))
+    )
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .caps import Caps, resolve
 from .errors import DomainError, InvariantViolation, ResourceCapExceeded
 from .exact import _numerators, as_fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DistGraph:
     """Simple undirected graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset[tuple[int, int]]
-    origin: Any = None  # optional back-reference to the point configuration
 
     def __post_init__(self):
         n = self.n
@@ -54,16 +53,6 @@ class DistGraph:
                 canonical = False
         if not canonical:
             object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in self.edges))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DistGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -622,33 +611,26 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     clique number, hence is at most alpha * |S| when the concentration of
     the multiset is at most alpha.
 
-    ``subject`` is a point configuration (multiset; duplicates kept) or a
-    vector measure with all-equal weights. Measures with general rational
-    weights are rejected; callers split them with ``to_uniform_multiset``.
+    ``subject`` is a point configuration, read as a multiset (duplicates
+    kept). Callers turn a vector measure into one with
+    ``to_uniform_multiset``.
     """
     from .chains import Block
-    from .geometry import PointConfig, VectorMeasure, distance_graph
+    from .geometry import PointConfig, distance_graph
 
     caps = resolve(caps)
-    if isinstance(subject, VectorMeasure):
-        weights = subject.weights
-        if any(w != weights[0] for w in weights):
-            raise DomainError(
-                "block decomposition needs a uniform multiset; "
-                "clear denominators with to_uniform_multiset first"
-            )
-        config_in = subject.config
-    elif isinstance(subject, PointConfig):
-        config_in = subject
-    else:
-        raise DomainError("expected a PointConfig or a uniform VectorMeasure")
-    points = list(config_in.points)
+    if not isinstance(subject, PointConfig):
+        raise DomainError(
+            "block decomposition needs a uniform multiset as a PointConfig; "
+            "clear denominators with to_uniform_multiset first"
+        )
+    points = list(subject.points)
     raws = [frame.f_raw(p) for p in points]
     # canonical processing order: sort along the frame so colour classes and
     # greedy bounds follow the line geometry
     order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
     sorted_points = [points[i] for i in order]
-    config = PointConfig(config_in.norm, tuple(sorted_points))
+    config = PointConfig(subject.norm, tuple(sorted_points))
     g = distance_graph(config)
     cert = chromatic_number(g, caps)
     omega = int(max_clique(g, caps=caps)[0])

@@ -175,7 +175,6 @@ def _sharpness_points(epsilon: Fraction, below_threshold: bool = False) -> list[
 def run_sharpness_scenario(
     epsilon,
     strip_samples: int = 0,
-    strip_half_width: Fraction = Fraction(43, 100),
     seed: int = 0,
     caps: Caps | None = None,
 ) -> ScenarioResult:
@@ -226,7 +225,7 @@ def run_sharpness_scenario(
         rng = random.Random(seed)
         berge_all = True
         for _ in range(strip_samples):
-            config = _random_strip_config(rng, strip_half_width)
+            config = _random_strip_config(rng)
             ok, _ = is_berge(distance_graph(config), caps)
             if not ok:
                 berge_all = False
@@ -238,12 +237,11 @@ def run_sharpness_scenario(
     return ScenarioResult("sharpness", passed, details)
 
 
-def _random_strip_config(
-    rng: random.Random, half_width: Fraction, size_range=(5, 10)
-) -> PointConfig:
+def _random_strip_config(rng: random.Random) -> PointConfig:
+    """5 to 10 points on a 1/32 grid with x in [0, 5], in the strip |y| <= 0.43."""
     den = 32
-    n = rng.randint(*size_range)
-    bound_y = int(half_width * den)  # floor; keeps |y| <= half_width exactly
+    n = rng.randint(5, 10)
+    bound_y = 13  # floor(0.43 * 32); keeps |y| <= 0.43 exactly
     pts = []
     for _ in range(n):
         x = Fraction(rng.randint(0, 5 * den), den)

@@ -264,9 +264,18 @@ class TestKnownFunctionalValues:
 
     def test_wrong_values_still_raise(self):
         pts = ((F(0), F(0)), (F(2), F(0)))
-        with pytest.raises(InvariantViolation):  # out of order
-            Block(pts, (F(2), F(0)), X_FRAME)
-        with pytest.raises(InvariantViolation):  # gap below 1/2
+        with pytest.raises(InvariantViolation, match="sorted"):
+            Block(pts[::-1], (F(2), F(0)), X_FRAME)
+        with pytest.raises(InvariantViolation, match="closer than 1/2"):
+            Block(((F(0), F(0)), (F(1, 4), F(1))), (F(0), F(1, 4)), X_FRAME)
+        with pytest.raises(InvariantViolation, match="distance below 1"):
+            Block(((F(0), F(0)), (F(1, 2), F(0))), (F(0), F(1, 2)), X_FRAME)
+        y_frame = supporting_functional(l2(2), (0, 1))
+        with pytest.raises(InvariantViolation, match="wrong at point"):  # f = y is 0 at both
+            Block(((0, 0), (1, 0)), (0, 100), y_frame)
+        with pytest.raises(InvariantViolation, match="1 functional values for 2"):
+            Block(pts, (F(0),), X_FRAME)
+        with pytest.raises(InvariantViolation, match="3 functional values for 2"):
+            Block(pts, (F(0), F(2), F(4)), X_FRAME)
+        with pytest.raises(InvariantViolation, match="wrong at point"):
             Block(pts, (F(0), F(1, 4)), X_FRAME)
-        with pytest.raises(InvariantViolation):  # points at distance below 1
-            Block(((F(0), F(0)), (F(1, 2), F(0))), (F(0), F(1)), X_FRAME)

@@ -11,6 +11,7 @@ from anticonc.errors import DomainError
 from anticonc.lattice import (
     ExtremalSpec,
     LatticeMeasure,
+    VarianceProfile,
     _centre_t_value,
     _extremal_weights,
     _power_low,
@@ -384,6 +385,18 @@ class TestMoments:
     def test_third_abs_moment(self, alpha, expected):
         assert third_abs_moment(alpha) == expected
 
+    @given(st.one_of(mixed_alphas, rationals_01))
+    def test_third_abs_moment_matches_measure(self, alpha):
+        assert third_abs_moment(alpha) == extremal_measure(alpha).abs_moment(3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 99, 100, 1000, 9999, 10_000])
+    def test_third_abs_moment_of_one_over_k(self, k):
+        # the uniform law on k slots of 2Y = -(k-1), ..., k-1 with step 2
+        want = F(sum(abs(j) ** 3 for j in range(1 - k, k, 2)), 8 * k)
+        assert third_abs_moment(F(1, k)) == want
+        if k <= 1000:
+            assert want == extremal_measure(F(1, k)).abs_moment(3)
+
     def test_profile_matches_per_term_variance(self):
         alphas = [F(1, 2), F(3, 8), F(1, 2), F(1), "3/8", F(1, 5), F(1, 2)]
         p = variance_profile(alphas)
@@ -395,8 +408,32 @@ class TestMoments:
     def test_profile_examples(self):
         assert variance_profile([F(1)]).total == 0
         p = variance_profile([F(1, 2), F(1, 2)])
+        assert p.runs == ((F(1, 2), 2),)
         assert p.partial_sums == (F(1, 4), F(1, 2))
         assert variance_profile([F(1, 2), F(1, 3)]).total == F(11, 12)
+
+    @given(st.lists(st.tuples(run_alpha, st.integers(1, 40)), max_size=6))
+    def test_profile_derives_from_runs(self, runs):
+        p = VarianceProfile(tuple(runs))
+        per = [extremal_variance(a) for a, c in runs for _ in range(c)]
+        assert p.per_term == tuple(per)
+        assert p.partial_sums == tuple(accumulate(per))
+        assert p.total == sum(per, F(0))
+        assert p.prefix(0) == 0
+        for m in range(1, len(per) + 1):
+            assert p.prefix(m) == p.partial_sums[m - 1]
+        for m in (-1, len(per) + 1):
+            with pytest.raises(DomainError):
+                p.prefix(m)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [((F(1, 2), 0),), ((F(1, 2), 2.0),), ((F(1, 2), True),),
+         ((F(0), 1),), ((F(3, 2), 1),), ((F(1, 3), 2), (F(1, 2), -1))],
+    )
+    def test_bad_runs_rejected(self, runs):
+        with pytest.raises(DomainError):
+            VarianceProfile(runs)
 
 
 class TestUnimodalLogconcave:
