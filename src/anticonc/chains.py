@@ -28,6 +28,7 @@ from .geometry import (
     VectorMeasure,
     concentration_q,
     _near_pairs,
+    _near_test,
     _scaled_integers,
     product_sum_measure,
 )
@@ -43,8 +44,9 @@ class Block:
     needed because every gap is compared exactly, raised to the frame's
     scale_root. Chains and block decompositions pass values they already
     know; construction checks each against the frame, then their order and
-    gaps, all on the points and coefficients scaled once to integers, and
-    then the point distances.
+    gaps, and then the point distances, all on the points and coefficients
+    scaled once to integers. When the functional is bounded by the norm,
+    only consecutive points are tested.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -68,13 +70,27 @@ class Block:
             if f.numerator * st != d * f.denominator:
                 raise InvariantViolation(f"functional value {f} is wrong at point {p}")
         r, scale_pow = self.frame.scale_root, self.frame.scale_pow
-        gap_min = st ** r * scale_pow.numerator
+        num, den = scale_pow.numerator, scale_pow.denominator
+        gap_min = st ** r * num
         for lo, hi in zip(dots, dots[1:]):
             if lo > hi:
                 raise InvariantViolation("block points must be sorted by functional value")
-            if (2 * (hi - lo)) ** r * scale_pow.denominator < gap_min:
+            if (2 * (hi - lo)) ** r * den < gap_min:
                 raise InvariantViolation("consecutive functional values closer than 1/2")
-        near = _near_pairs(self.frame.norm, self.points)
+        # if ||C / t||_dual <= scale, |f| <= ||.||: points two apart differ by
+        # at least 1 in f, hence in norm, and only consecutive pairs can be near
+        norm, k, dual = self.frame.norm, 1, None
+        if norm.kind == "linf":
+            dual = sum(map(abs, icoeffs))
+        elif norm.exponent == 1:
+            dual = max(map(abs, icoeffs))
+        elif norm.exponent == 2:
+            dual, k = sum(c * c for c in icoeffs), 2  # the dual norm squared
+        if dual is not None and dual**r * den**k <= num**k * t ** (k * r):
+            near_test = _near_test(norm, s)
+            near = [(i, i + 1) for i in range(len(ipts) - 1) if near_test(ipts[i], ipts[i + 1])]
+        else:
+            near = _near_pairs(norm, self.points)
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")

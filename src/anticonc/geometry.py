@@ -11,8 +11,9 @@ because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, a comparison
 inside the coordinate field whenever p is an integer.
 
 Every "d < 1" decision over a point set goes through one kernel,
-``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]; ``dist_vs_one``
-is the single-pair check.
+``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]. Outside the plane
+it applies the pair test ``_near_test``, which blocks also use when only
+their consecutive points can be near; ``dist_vs_one`` checks one pair.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -157,15 +158,15 @@ def norm_float(norm: NormSpec, vec: Sequence[Fraction]) -> float:
     return float(norm_power(norm, vec)) ** (1.0 / norm.exponent)
 
 
+def _sign_vs_one(power: Fraction) -> int:
+    """Sign of d - 1 from the power sum d ** exponent."""
+    return (power > 1) - (power < 1)
+
+
 def dist_vs_one(norm: NormSpec, x: Point, y: Point) -> int:
     """Sign of d(x, y) - 1, decided exactly."""
     _check_dims(norm, x, y)
-    power = norm_power(norm, tuple(a - b for a, b in zip(x, y)))
-    if power < 1:
-        return -1
-    if power == 1:
-        return 0
-    return 1
+    return _sign_vs_one(norm_power(norm, tuple(a - b for a, b in zip(x, y))))
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,6 @@ class Distance:
     exact: Optional[Fraction]  # the distance itself when it is rational
     power_sum: Fraction  # ||x-y||^exponent, always rational
 
-    @property
-    def is_edge(self) -> bool:
-        return self.compare_one < 0
-
 
 def distance(norm: NormSpec, x, y) -> Distance:
     x = parse_vector(x)
@@ -188,7 +185,7 @@ def distance(norm: NormSpec, x, y) -> Distance:
     _check_dims(norm, x, y)
     diff = tuple(a - b for a, b in zip(x, y))
     power = norm_power(norm, diff)
-    cmp_one = -1 if power < 1 else (0 if power == 1 else 1)
+    cmp_one = _sign_vs_one(power)
     if norm.kind in ("l1", "linf"):
         return Distance(float(power), cmp_one, power, power)
     return Distance(float(power) ** (1.0 / norm.exponent), cmp_one, None, power)
@@ -312,30 +309,45 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
 
+def _near_test(norm: NormSpec, scale: int):
+    """The test d(p, q) < 1 on points p, q scaled by ``scale`` to integers."""
+    e, limit = norm.exponent, scale**norm.exponent
+    agg = max if norm.kind == "linf" else sum
+    return lambda p, q: agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit
+
+
 def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int, int]]:
     """Index pairs i < j with d(points[i], points[j]) < 1, decided on integers.
 
     The points are scaled once to integers (Z[sqrt(m)] for `QuadExt`
     coordinates, whose operations decide the same comparisons exactly) and
-    swept in order of x; a row ends at the first x-gap of at least 1, exact
-    because |dx_1| <= ||dx||.
+    swept in order of x; bisection ends a row at the first x-gap of at least
+    1, exact because |dx_1| <= ||dx||. In the plane each norm has one inlined
+    test on dx in [0, 1) and dy (l2 by products: ``QuadExt.__pow__`` loops).
     """
     _check_dims(norm, *points)
-    scale, ipts = _scaled_integers(points)
+    s, ipts = _scaled_integers(points)
     order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
-    e = norm.exponent
-    limit = scale**e
-    agg = max if norm.kind == "linf" else sum
-    near = set()
-    for a, i in enumerate(order):
-        p = ipts[i]
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            q = ipts[j]
-            if q[0] - p[0] >= scale:
-                break
-            if agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit:
-                near.add((i, j) if i < j else (j, i))
+    xs = [ipts[i][0] for i in order]
+    ys = [ipts[i][1] for i in order] if norm.dimension == 2 else None
+    kind, e, near_test = norm.kind, norm.exponent, _near_test(norm, s)
+    limit = s**e
+    near = []
+    for a, x in enumerate(xs):
+        row = range(a + 1, bisect_left(xs, x + s, a + 1))
+        if ys is None:
+            p = ipts[order[a]]
+            hits = [b for b in row if near_test(p, ipts[order[b]])]
+        elif kind == "linf":
+            hits = [b for b in row if abs(ys[b] - ys[a]) < s]
+        elif kind == "l1":
+            hits = [b for b in row if xs[b] - x + abs(ys[b] - ys[a]) < s]
+        elif kind == "l2":
+            hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < limit]
+        else:
+            hits = [b for b in row if (xs[b] - x) ** e + abs(ys[b] - ys[a]) ** e < limit]
+        i = order[a]
+        near.extend((i, j) if i < j else (j, i) for j in map(order.__getitem__, hits))
     return frozenset(near)
 
 

@@ -580,16 +580,16 @@ def verify_perfection_near_line(
     )
 
 
-def to_uniform_multiset(measure, cap: int | None = None):
+def to_uniform_multiset(measure, caps: Caps | None = None):
     """Clear denominators of a rational-weight measure into a point multiset.
 
-    Each atom is replicated weight * lcm(denominators) times; the uniform
-    distribution on the returned configuration (duplicates preserved) equals
-    the original measure.
+    Each atom is replicated weight * lcm(denominators) times, at most
+    ``caps.replicas`` points in all; the uniform distribution on the returned
+    configuration (duplicates preserved) equals the original measure.
     """
     from .geometry import PointConfig
 
-    caps_val = cap if cap is not None else resolve(None).replicas
+    caps_val = resolve(caps).replicas
     denom = math.lcm(*(w.denominator for w in measure.weights))
     counts = [int(w * denom) for w in measure.weights]
     total = sum(counts)

@@ -3,10 +3,10 @@
 The octagon's coordinates lie in Q(sqrt(2)) and the sharpness points' in
 Q(sqrt(3)). Such points go through the same "d < 1" kernel as rational ones
 (``geometry._near_pairs``): `QuadExt` supports the operations the kernel
-uses (``abs``, ``**``, ``sum``, ``<``), and ``numerator``/``denominator``
-scale a coordinate into Z[sqrt(m)] as they scale a Fraction into Z. Power
-sums of such coordinates stay inside the field, so every comparison against
-1 is decided exactly.
+uses (``+``, ``-``, ``*``, ``**``, ``abs``, ``sum``, and ``<``, which is all
+``bisect`` needs), and ``numerator``/``denominator`` scale a coordinate into
+Z[sqrt(m)] as they scale a Fraction into Z. Power sums of such coordinates
+stay inside the field, so every comparison against 1 is decided exactly.
 """
 
 from __future__ import annotations

@@ -91,6 +91,20 @@ class TestDistance:
         assert d.power_sum == F(1, 4)
         assert d.compare_one < 0
 
+    @pytest.mark.parametrize("norm", [l1(3), l2(2), linf(2), lp(3, 2)], ids=lambda n: n.kind)
+    def test_compare_one_is_dist_vs_one(self, norm):
+        rng = random.Random(71)
+        d = norm.dimension
+        zero = (F(0),) * d
+        pairs = [(zero, (F(t),) + zero[1:]) for t in (F(1, 2), 1, 2)]  # below, at, above 1
+        for _ in range(60):
+            x, y = (tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(d)) for _ in "xy")
+            pairs.append((x, y))
+        signs = {dist_vs_one(norm, x, y) for x, y in pairs}
+        assert signs == {-1, 0, 1}
+        for x, y in pairs:
+            assert distance(norm, x, y).compare_one == dist_vs_one(norm, x, y)
+
 
 class TestDistanceGraph:
     def test_collinear_integers_empty(self):
@@ -858,6 +872,159 @@ class TestQuadKernel:
         m = VectorMeasure(cfg, (F(1),))
         with pytest.raises(TypeError):
             m.to_json()
+
+
+# --- reference: the kernel before the planar sweep, rows cut by a linear
+# scan and one generic per-pair test in every dimension ---
+
+
+def ref_near_pairs(norm, points):
+    scale, ipts = _scaled_integers(points)
+    order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
+    e = norm.exponent
+    limit = scale**e
+    agg = max if norm.kind == "linf" else sum
+    near = set()
+    for a, i in enumerate(order):
+        p = ipts[i]
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            q = ipts[j]
+            if q[0] - p[0] >= scale:
+                break
+            if agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit:
+                near.add((i, j) if i < j else (j, i))
+    return frozenset(near)
+
+
+PLANAR_NORMS = [l1(2), l2(2), linf(2), lp(3, 2), lp(4, 2)]
+PLANAR_CASES = [(norm, m) for m in (None, 2, 3) for norm in PLANAR_NORMS]
+
+
+def _planar_configs(norm, m, rng):
+    """Planar point sets at the row ends and edge tests of the sweep, over Q
+    (m None) or with a shared irrational part in Q(sqrt(m))."""
+    def c(a, b=0):
+        return F(a) if m is None else QuadExt.of(a, b, m)
+
+    def shifted(pts, b=1):
+        return tuple((c(x, b), c(y, -b)) for x, y in pts)
+
+    yield ()
+    yield shifted([(0, 0)])
+    # one column of equal x, dy crossing +-1
+    yield shifted([(1, F(k, 3)) for k in range(-4, 5)])
+    # x-gaps exactly 1 and 1 - 1/97: with dy 0 and +-1/2 the first gap is
+    # exactly 1 in every norm, the second below 1 only with dy 0 (or linf)
+    for gap in (F(1), F(96, 97)):
+        yield shifted([(k * gap, F(rng.choice((-1, 0, 1)), 2)) for k in range(8)])
+        yield shifted([(k * gap, F(rng.randint(-6, 6), 7)) for k in range(8)])
+    # pairs exactly at distance 1 (the axes in every norm, and off them), with
+    # negative dy, a hair closer and a hair farther
+    units = [(1, 0), (0, 1), (0, -1)]
+    units += {"l1": [(F(1, 3), F(-2, 3))], "l2": [(F(3, 5), F(-4, 5))],
+              "linf": [(F(1, 3), -1), (F(1, 2), 1)]}.get(norm.kind, [])
+    for x, y in units:
+        for t in (F(1), F(96, 97), F(98, 97)):
+            yield shifted([(0, 0), (x * t, y * t), (1 + x * t, 1 + y * t), (1, 1)])
+    if m is not None and norm.kind != "lp":
+        for u in _quad_units(norm, m):
+            yield ((c(0), c(0)), u, tuple(ui * F(96, 97) for ui in u), (c(-1), u[1]))
+    # random sets with duplicates, negative coordinates and mixed denominators
+    for _ in range(15):
+        pts = [
+            (F(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 8))),
+             F(rng.randint(-24, 24), rng.choice((1, 3, 8))))
+            for _ in range(rng.randint(2, 14))
+        ]
+        pts += rng.sample(pts, rng.randint(0, min(3, len(pts))))
+        rng.shuffle(pts)
+        yield shifted(pts, rng.randint(-2, 2))
+
+
+class TestPlanarSweep:
+    """The planar sweep returns the pair set of the kernel before it."""
+
+    @pytest.mark.parametrize("norm, m", PLANAR_CASES, ids=[f"{n.kind}{n.p or ''}-{m or 'Q'}" for n, m in PLANAR_CASES])
+    def test_matches_previous_kernel(self, norm, m):
+        rng = random.Random(1400 + PLANAR_CASES.index((norm, m)))
+        for pts in _planar_configs(norm, m, rng):
+            want = ref_near_pairs(norm, pts)
+            assert _near_pairs(norm, pts) == want
+            if m is None:
+                assert want == ref_distance_edges(norm, pts)
+
+    def test_row_end_at_gap_one(self):
+        # (1, 1/2) is exactly 1 from the origin in linf: the row ends before it
+        for norm in PLANAR_NORMS:
+            pts = ((F(0), F(0)), (F(1), F(1, 2)), (F(1), F(0)), (F(2, 3), F(-1, 3)))
+            want = {(1, 2), (2, 3)} | ({(0, 3), (1, 3)} if norm.kind != "l1" else set())
+            assert _near_pairs(norm, pts) == want
+
+    def test_exactly_one_off_axis(self):
+        cases = {"l1": (F(1, 3), F(-2, 3)), "l2": (F(3, 5), F(-4, 5)), "linf": (F(1, 3), F(-1))}
+        for norm in (l1(2), l2(2), linf(2)):
+            x, y = cases[norm.kind]
+            assert _near_pairs(norm, ((F(0), F(0)), (x, y))) == set()
+            assert _near_pairs(norm, ((F(0), F(0)), (x * F(96, 97), y * F(96, 97)))) == {(0, 1)}
+
+
+def _block_frames():
+    """Frames from supporting_functional, and hand-built ones whose
+    coefficients have dual norm above 1 (not bounded by the norm)."""
+    for norm in PLANAR_NORMS:
+        for v in ((1, 0), (2, 1), (1, -3)):
+            yield supporting_functional(norm, v)
+    yield _hand_frame(l2(2), (F(2), F(0)), 1)
+    yield _hand_frame(l2(2), (F(1), F(1)), F(3, 2))
+    yield _hand_frame(l1(2), (F(3, 2), F(0)), 1)
+    yield _hand_frame(linf(2), (F(1), F(1)), 1)
+    yield _hand_frame(lp(3, 2), (F(1), F(1)), 1)
+
+
+def _block_points(frame, rng):
+    """Random grid points, thinned greedily to functional gaps >= 1/2."""
+    pts = sorted(
+        {(F(rng.randint(-24, 24), 8), F(rng.randint(-12, 12), 8)) for _ in range(rng.randint(1, 14))},
+        key=frame.f_raw,
+    )
+    kept = pts[:1]
+    for p in pts[1:]:
+        if frame.gap_at_least(p, kept[-1], F(1, 2)):
+            kept.append(p)
+    return kept
+
+
+class TestBlockNearCheck:
+    """Block names the pair the full sweep would name first, or none."""
+
+    def test_matches_full_sweep(self):
+        rng = random.Random(1450)
+        for frame in _block_frames():
+            for _ in range(40):
+                pts = _block_points(frame, rng)
+                near = ref_near_pairs(frame.norm, pts)
+                if not near:
+                    Block.from_points(pts, frame)
+                    continue
+                i, j = min(near)
+                with pytest.raises(InvariantViolation, match=f"^points {i} and {j} are at distance"):
+                    Block.from_points(pts, frame)
+
+    def test_unbounded_functional_catches_non_consecutive_pair(self):
+        # f(x, y) = 2x: gaps and consecutive distances are fine, but the
+        # first and last points are 0.6 apart
+        frame = _hand_frame(l2(2), (F(2), F(0)), 1)
+        pts = [(F(0), F(0)), (F(3, 10), F(1)), (F(6, 10), F(0))]
+        with pytest.raises(InvariantViolation, match="points 0 and 2 are at distance below 1"):
+            Block.from_points(pts, frame)
+
+    def test_lp3_frame(self):
+        frame = supporting_functional(lp(3, 2), (F(1), F(0)))
+        pts = [(F(0), F(0)), (F(1), F(0)), (F(2), F(3, 4)), (F(5, 2), F(0))]
+        with pytest.raises(InvariantViolation, match="points 2 and 3 are at distance below 1"):
+            Block.from_points(pts, frame)
+        Block.from_points(pts[:3], frame)
 
 
 class TestProductSum:

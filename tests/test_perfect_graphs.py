@@ -787,6 +787,15 @@ class TestBlockDecomposition:
         assert len(cfg.points) == 4
         assert cfg.points.count((F(2), F(0))) == 3
 
+    def test_uniform_multiset_replicas_cap(self):
+        vm = VectorMeasure(
+            PointConfig(l2(2), ((F(0), F(0)), (F(2), F(0)))),
+            (F(1, 4), F(3, 4)),
+        )
+        assert len(to_uniform_multiset(vm, Caps(replicas=4)).points) == 4
+        with pytest.raises(ResourceCapExceeded, match="needs 4 replicas, cap is 3"):
+            to_uniform_multiset(vm, Caps(replicas=3))
+
     def test_concentration_two_routes_agree(self):
         # Q of a uniform multiset: clique number over the multiset size must
         # equal the weighted clique value of the merged measure
