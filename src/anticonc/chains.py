@@ -28,7 +28,7 @@ from .geometry import (
     VectorMeasure,
     concentration_q,
     _near_pairs,
-    _near_test,
+    _near_in_row,
     _scaled_integers,
     product_sum_measure,
 )
@@ -86,9 +86,9 @@ class Block:
             dual = max(map(abs, icoeffs))
         elif norm.exponent == 2:
             dual, k = sum(c * c for c in icoeffs), 2  # the dual norm squared
-        if dual is not None and dual**r * den**k <= num**k * t ** (k * r):
-            near_test = _near_test(norm, s)
-            near = [(i, i + 1) for i in range(len(ipts) - 1) if near_test(ipts[i], ipts[i + 1])]
+        if dual is not None and num > 0 and dual**r * den**k <= num**k * t ** (k * r):
+            near_in_row = _near_in_row(norm, s)
+            near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
         else:
             near = _near_pairs(norm, self.points)
         if near:

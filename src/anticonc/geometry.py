@@ -11,9 +11,10 @@ because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, a comparison
 inside the coordinate field whenever p is an integer.
 
 Every "d < 1" decision over a point set goes through one kernel,
-``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]. Outside the plane
-it applies the pair test ``_near_test``, which blocks also use when only
-their consecutive points can be near; ``dist_vs_one`` checks one pair.
+``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]. For lp and
+outside the plane it applies the row test ``_near_in_row``, which blocks also
+use when only their consecutive points can be near; ``dist_vs_one`` checks
+one pair.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -309,11 +310,12 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
 
-def _near_test(norm: NormSpec, scale: int):
-    """The test d(p, q) < 1 on points p, q scaled by ``scale`` to integers."""
+def _near_in_row(norm: NormSpec, scale: int):
+    """The test d(p, qs[b]) < 1 for each index b in a row, on points scaled by
+    ``scale`` to integers: returns the indices that pass."""
     e, limit = norm.exponent, scale**norm.exponent
     agg = max if norm.kind == "linf" else sum
-    return lambda p, q: agg([abs(u - v) ** e for u, v in zip(p, q)]) < limit
+    return lambda p, qs, row: [b for b in row if agg([abs(u - v) ** e for u, v in zip(p, qs[b])]) < limit]
 
 
 def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int, int]]:
@@ -322,30 +324,28 @@ def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int,
     The points are scaled once to integers (Z[sqrt(m)] for `QuadExt`
     coordinates, whose operations decide the same comparisons exactly) and
     swept in order of x; bisection ends a row at the first x-gap of at least
-    1, exact because |dx_1| <= ||dx||. In the plane each norm has one inlined
-    test on dx in [0, 1) and dy (l2 by products: ``QuadExt.__pow__`` loops).
+    1, exact because |dx_1| <= ||dx||. In the plane l1, l2 and linf have one
+    inlined test each on dx in [0, 1) and dy (l2 by products:
+    ``QuadExt.__pow__`` loops); lp and other dimensions use ``_near_in_row``.
     """
     _check_dims(norm, *points)
     s, ipts = _scaled_integers(points)
     order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
-    xs = [ipts[i][0] for i in order]
-    ys = [ipts[i][1] for i in order] if norm.dimension == 2 else None
-    kind, e, near_test = norm.kind, norm.exponent, _near_test(norm, s)
-    limit = s**e
+    spts = [ipts[i] for i in order]
+    xs = [q[0] for q in spts]
+    ys = [q[1] for q in spts] if norm.dimension == 2 and norm.kind != "lp" else None
+    kind, near_in_row, ss = norm.kind, _near_in_row(norm, s), s * s
     near = []
     for a, x in enumerate(xs):
         row = range(a + 1, bisect_left(xs, x + s, a + 1))
         if ys is None:
-            p = ipts[order[a]]
-            hits = [b for b in row if near_test(p, ipts[order[b]])]
+            hits = near_in_row(spts[a], spts, row)
         elif kind == "linf":
             hits = [b for b in row if abs(ys[b] - ys[a]) < s]
         elif kind == "l1":
             hits = [b for b in row if xs[b] - x + abs(ys[b] - ys[a]) < s]
-        elif kind == "l2":
-            hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < limit]
         else:
-            hits = [b for b in row if (xs[b] - x) ** e + abs(ys[b] - ys[a]) ** e < limit]
+            hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < ss]
         i = order[a]
         near.extend((i, j) if i < j else (j, i) for j in map(order.__getitem__, hits))
     return frozenset(near)

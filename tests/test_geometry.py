@@ -968,10 +968,21 @@ class TestPlanarSweep:
             assert _near_pairs(norm, ((F(0), F(0)), (x, y))) == set()
             assert _near_pairs(norm, ((F(0), F(0)), (x * F(96, 97), y * F(96, 97)))) == {(0, 1)}
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions_match_previous_kernel(self, d):
+        rng = random.Random(1420 + d)
+        for norm in (l1(d), l2(d), linf(d), lp(3, d)):
+            for _ in range(15):
+                pts = [tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 4))) for _ in range(d))
+                       for _ in range(rng.randint(0, 14))]
+                pts += rng.sample(pts, min(2, len(pts)))
+                assert _near_pairs(norm, pts) == ref_near_pairs(norm, pts)
+
 
 def _block_frames():
     """Frames from supporting_functional, and hand-built ones whose
-    coefficients have dual norm above 1 (not bounded by the norm)."""
+    coefficients have dual norm above 1 (not bounded by the norm) or are all
+    zero with a zero scale (every gap passes)."""
     for norm in PLANAR_NORMS:
         for v in ((1, 0), (2, 1), (1, -3)):
             yield supporting_functional(norm, v)
@@ -980,13 +991,14 @@ def _block_frames():
     yield _hand_frame(l1(2), (F(3, 2), F(0)), 1)
     yield _hand_frame(linf(2), (F(1), F(1)), 1)
     yield _hand_frame(lp(3, 2), (F(1), F(1)), 1)
+    yield _hand_frame(l2(2), (F(0), F(0)), 0)
 
 
 def _block_points(frame, rng):
     """Random grid points, thinned greedily to functional gaps >= 1/2."""
     pts = sorted(
         {(F(rng.randint(-24, 24), 8), F(rng.randint(-12, 12), 8)) for _ in range(rng.randint(1, 14))},
-        key=frame.f_raw,
+        key=lambda p: (frame.f_raw(p), p),
     )
     kept = pts[:1]
     for p in pts[1:]:
@@ -1018,6 +1030,14 @@ class TestBlockNearCheck:
         pts = [(F(0), F(0)), (F(3, 10), F(1)), (F(6, 10), F(0))]
         with pytest.raises(InvariantViolation, match="points 0 and 2 are at distance below 1"):
             Block.from_points(pts, frame)
+
+    def test_zero_functional_keeps_full_sweep(self):
+        # a zero functional with a zero scale passes every gap check, so
+        # points two apart are not kept apart by it
+        frame = _hand_frame(l2(2), (F(0), F(0)), 0)
+        pts = ((F(0), F(0)), (F(5), F(0)), (F(0), F(1, 2)))
+        with pytest.raises(InvariantViolation, match="points 0 and 2 are at distance below 1"):
+            Block(pts, (F(0),) * 3, frame)
 
     def test_lp3_frame(self):
         frame = supporting_functional(lp(3, 2), (F(1), F(0)))
