@@ -90,7 +90,7 @@ class Block:
             near_in_row = _near_in_row(norm, s)
             near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
         else:
-            near = _near_pairs(norm, self.points)
+            near = _near_pairs(norm, s, ipts)
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")

@@ -16,6 +16,15 @@ outside the plane it applies the row test ``_near_in_row``, which blocks also
 use when only their consecutive points can be near; ``dist_vs_one`` checks
 one pair.
 
+Each `PointConfig` holds one such integer form, ``PointConfig.scaled``.
+``_scaled_integers`` is the only code that computes it from Fractions, once
+per config and on first use. Code that already holds the integers (the
+product sum, a measure's merge, a block decomposition's reordering) supplies
+them through ``PointConfig._from_scaled``. The measure order check,
+``_near_pairs`` (through ``distance_graph``, ``separation_check`` and
+``concentration_q``), near-line fitting and product sums read the stored
+form.
+
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
 decisions and is rejected.
@@ -29,6 +38,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, resolve
@@ -40,7 +50,7 @@ from .errors import (
     UnsupportedNorm,
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
-from .perfect_graphs import DistGraph, max_clique
+from .perfect_graphs import DistGraph, _clique_search
 from .quadfield import QuadExt
 
 Point = tuple[Fraction, ...]
@@ -200,6 +210,9 @@ class PointConfig:
     """Ordered point sequence; duplicates allowed and kept.
 
     Coordinates are all rational or all `QuadExt` values with one m.
+    ``scaled`` is the integer form every exact decision on the points reads:
+    computed by ``_scaled_integers`` on first use, or supplied by
+    ``_from_scaled`` when the caller built the points from integers.
     """
 
     norm: NormSpec
@@ -220,6 +233,28 @@ class PointConfig:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple, ...]]:
+        """``(s, s * points)``: a positive int s that takes every coordinate
+        into Z (or Z[sqrt(m)]), and the points times it."""
+        return _scaled_integers(self.points)
+
+    @classmethod
+    def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> "PointConfig":
+        """The config of the points ``ipts / scale``, storing this integer form.
+
+        The callers hold integer forms of checked configs of this norm, so
+        the points need no second check."""
+        coord = {
+            c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
+            for c in {c for p in ipts for c in p}
+        }
+        config = object.__new__(cls)
+        object.__setattr__(config, "norm", norm)
+        object.__setattr__(config, "points", tuple(tuple(coord[c] for c in p) for p in ipts))
+        config.__dict__["scaled"] = (scale, tuple(ipts))
+        return config
 
     def to_json(self) -> dict:
         return {
@@ -246,22 +281,23 @@ class VectorMeasure:
         pts = self.config.points
         if len(ws) != len(pts):
             raise DomainError("weights do not align with points")
-        if any(w < 0 for w in ws):
-            raise DomainError("negative weight")
         nums, den = _numerators(ws)
+        if any(u < 0 for u in nums):
+            raise DomainError("negative weight")
         if sum(nums) != den:
             raise DomainError("weights must sum to exactly 1")
-        if all(ws) and all(p < q for p, q in zip(pts, pts[1:])):
+        # a positive scale keeps the lexicographic order: decide it on integers
+        scale, ipts = self.config.scaled
+        if all(ws) and all(p < q for p, q in zip(ipts, ipts[1:])):
             object.__setattr__(self, "weights", ws)  # already merged and sorted
             return
-        merged: dict[Point, Fraction] = {}
-        for p, w in zip(pts, ws):
+        merged: dict[tuple, Fraction] = {}
+        for p, w in zip(ipts, ws):
             if w:
                 merged[p] = merged.get(p, 0) + w
-        atoms = sorted(merged.items())
-        config = PointConfig(self.config.norm, tuple(p for p, _ in atoms))
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "weights", tuple(w for _, w in atoms))
+        keys = sorted(merged)
+        object.__setattr__(self, "config", PointConfig._from_scaled(self.norm, scale, keys))
+        object.__setattr__(self, "weights", tuple(merged[p] for p in keys))
 
     @property
     def norm(self) -> NormSpec:
@@ -303,11 +339,11 @@ class VectorMeasure:
         return cls(PointConfig(norm, pts), ws)
 
 
-def _scaled_integers(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+def _scaled_integers(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The lcm of all coordinate denominators, and the points times it: ints,
     or elements of Z[sqrt(m)] for `QuadExt` coordinates."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
-    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+    return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points)
 
 
 def _near_in_row(norm: NormSpec, scale: int):
@@ -318,18 +354,18 @@ def _near_in_row(norm: NormSpec, scale: int):
     return lambda p, qs, row: [b for b in row if agg([abs(u - v) ** e for u, v in zip(p, qs[b])]) < limit]
 
 
-def _near_pairs(norm: NormSpec, points: Sequence[Point]) -> frozenset[tuple[int, int]]:
-    """Index pairs i < j with d(points[i], points[j]) < 1, decided on integers.
+def _near_pairs(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> frozenset[tuple[int, int]]:
+    """Index pairs i < j with d(ipts[i] / s, ipts[j] / s) < 1, decided on
+    the integer form of the points (``PointConfig.scaled``).
 
-    The points are scaled once to integers (Z[sqrt(m)] for `QuadExt`
-    coordinates, whose operations decide the same comparisons exactly) and
-    swept in order of x; bisection ends a row at the first x-gap of at least
-    1, exact because |dx_1| <= ||dx||. In the plane l1, l2 and linf have one
-    inlined test each on dx in [0, 1) and dy (l2 by products:
-    ``QuadExt.__pow__`` loops); lp and other dimensions use ``_near_in_row``.
+    Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
+    operations decide the same comparisons exactly. The points are swept in
+    order of x; bisection ends a row at the first x-gap of at least 1, exact
+    because |dx_1| <= ||dx||. In the plane l1, l2 and linf have one inlined
+    test each on dx in [0, 1) and dy (l2 by products: ``QuadExt.__pow__``
+    loops); lp and other dimensions use ``_near_in_row``.
     """
-    _check_dims(norm, *points)
-    s, ipts = _scaled_integers(points)
+    _check_dims(norm, *ipts)
     order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
     spts = [ipts[i] for i in order]
     xs = [q[0] for q in spts]
@@ -356,7 +392,7 @@ def distance_graph(config: PointConfig) -> DistGraph:
 
     Duplicate points are at distance 0 and therefore always adjacent.
     """
-    return DistGraph(len(config.points), _near_pairs(config.norm, config.points))
+    return DistGraph(len(config.points), _near_pairs(config.norm, *config.scaled))
 
 
 # --- supporting functionals and line frames ----------------------------------
@@ -410,12 +446,16 @@ class LineFrame:
             self.norm, self.direction
         )
 
-    def verify_supporting(self, points: Iterable[Sequence[Fraction]]) -> None:
+    def verify_supporting(self, points: Iterable[Sequence[Fraction]] | PointConfig) -> None:
         """``supports`` at every point, on X = s x and C = t coeffs scaled to
         integers: |<C, X>| ** r * s ** e <= scale_pow * (st) ** r * ||X|| ** e,
-        with r = scale_root and e the norm exponent."""
-        points = list(points)
-        s, ipts = _scaled_integers(points)
+        with r = scale_root and e the norm exponent. A `PointConfig` is
+        checked on its stored integer form."""
+        if isinstance(points, PointConfig):
+            (s, ipts), points = points.scaled, points.points
+        else:
+            points = list(points)
+            s, ipts = _scaled_integers(points)
         t, (icoeffs,) = _scaled_integers([self.coeffs])
         r, e = self.scale_root, self.norm.exponent
         lhs_mul = self.scale_pow.denominator * s**e
@@ -599,7 +639,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     if isinstance(config.points[0][0], QuadExt):
         raise DomainError("near-line fitting needs rational coordinates")
     d = norm.dimension
-    scale, ipts = _scaled_integers(config.points)
+    scale, ipts = config.scaled
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best = None  # ((v, base), the other NearLineFit fields) of the best key
     best_key = None  # Fraction or float; planar keys as (num, den) of num / den
@@ -666,7 +706,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
         if early_stop and certified:
             break
     fit = NearLineFit(supporting_functional(norm, *best[0]), *best[1])
-    fit.frame.verify_supporting(config.points)
+    fit.frame.verify_supporting(config)
     return fit
 
 
@@ -689,7 +729,7 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     half = Fraction(1, 2)
     pts = config.points
     raws = [frame.f_raw(p) for p in pts]
-    near = _near_pairs(config.norm, pts)
+    near = _near_pairs(config.norm, *config.scaled)
     n = len(pts)
     far = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in near]
     bad = tuple((i, j) for i, j in far if not frame.raw_gap_at_least(raws[i] - raws[j], half))
@@ -703,7 +743,8 @@ def product_sum_measure(
     measures: Sequence[VectorMeasure], caps: Caps | None = None
 ) -> VectorMeasure:
     """Exact distribution of the sum of independent vector measures, convolved
-    on coordinates and weights scaled to integers; Fractions are built at the end."""
+    on the summands' integer forms over one common scale and on integer
+    weights; the sum keeps its sorted integer points as its own form."""
     caps = resolve(caps)
     if not measures:
         raise DomainError("need at least one measure")
@@ -711,8 +752,7 @@ def product_sum_measure(
     for m in measures[1:]:
         if m.norm != norm:
             raise DomainError("summands must share the same norm and dimension")
-    scale, ipts = _scaled_integers([p for m in measures for p in m.points])
-    ipts = iter(ipts)
+    scale = math.lcm(*(m.config.scaled[0] for m in measures))
     acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators
     for i, m in enumerate(measures):
         if i and len(acc) * len(m.points) > caps.product_support:
@@ -720,7 +760,10 @@ def product_sum_measure(
                 f"product support would exceed {caps.product_support}"
             )
         nums, wden = _numerators(m.weights)
-        atoms = [(next(ipts), u) for u in nums]
+        s, ipts = m.config.scaled
+        if s != scale:
+            ipts = [tuple(c * (scale // s) for c in p) for p in ipts]
+        atoms = list(zip(ipts, nums))
         nxt: dict[tuple[int, ...], int] = {}
         for p, w in acc.items():
             for q, u in atoms:
@@ -729,12 +772,8 @@ def product_sum_measure(
         acc = nxt
         den *= wden
     keys = sorted(acc)
-    coord = {
-        c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
-        for c in {c for p in keys for c in p}
-    }
     return VectorMeasure(
-        PointConfig(norm, tuple(tuple(coord[c] for c in p) for p in keys)),
+        PointConfig._from_scaled(norm, scale, keys),
         tuple(Fraction(acc[p], den) for p in keys),
     )
 
@@ -758,9 +797,10 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
     if n > caps.clique:
         raise ResourceCapExceeded(f"support size {n} above the clique cap {caps.clique}")
     g = distance_graph(measure.config)
-    value, witness = max_clique(g, weights=measure.weights, caps=caps)
+    nums, den = _numerators(measure.weights)  # validated by the measure
+    best, witness = _clique_search(g, nums)
     return ConcentrationResult(
-        value, witness, tuple(measure.points[i] for i in witness)
+        Fraction(best, den), witness, tuple(measure.points[i] for i in witness)
     )
 
 

@@ -208,8 +208,6 @@ def max_clique(
     caps = resolve(caps)
     if g.n > caps.clique:
         raise ResourceCapExceeded(f"clique solver capped at {caps.clique} vertices")
-    if g.n == 0:
-        return Fraction(0), ()
     if weights is None:
         fw = [Fraction(1)] * g.n
     else:
@@ -219,6 +217,15 @@ def max_clique(
         if any(w < 0 for w in fw):
             raise DomainError("negative clique weight")
     iw, denom = _numerators(fw)
+    best_w, best_set = _clique_search(g, iw)
+    return Fraction(best_w, denom), best_set
+
+
+def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The search behind ``max_clique`` on nonnegative integer weights, one
+    per vertex, already checked: the best weight and its witness."""
+    if g.n == 0:
+        return 0, ()
     masks = g.masks
 
     # greedy seed: descending weight, then index
@@ -256,7 +263,7 @@ def max_clique(
             best_w = cur_w + iw[v]
             best_set = sorted(cur + [v])
 
-    return Fraction(best_w, denom), tuple(best_set)
+    return best_w, tuple(best_set)
 
 
 # --- chromatic number -------------------------------------------------------
@@ -300,20 +307,29 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     bound; backtracking assigns vertices in index order trying colours in
     ascending order, which makes the certificate deterministic.
     """
-    caps = resolve(caps)
+    return _colouring_and_bound(g, resolve(caps), False)[0]
+
+
+def _colouring_and_bound(
+    g: DistGraph, caps: Caps, need_omega: bool
+) -> tuple[ColoringCertificate, int]:
+    """``chromatic_number``'s certificate and the clique lower bound its
+    search used: the clique number, or 1 over the clique cap. With
+    ``need_omega`` the clique number is required, and a graph over the
+    clique cap raises ``max_clique``'s error before the colouring search."""
     if g.n > caps.coloring:
         raise ResourceCapExceeded(f"coloring solver capped at {caps.coloring} vertices")
     if g.n == 0:
-        return ColoringCertificate(0, ())
-    greedy = _dsatur_greedy(g)
-    best_k = max(greedy) + 1
-    best_colors = greedy[:]
+        return ColoringCertificate(0, ()), 0
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    if g.n <= caps.clique:
+    if need_omega or g.n <= caps.clique:
         lb = int(max_clique(g, caps=caps)[0])
     else:
         lb = 1
+    greedy = _dsatur_greedy(g)
+    best_k = max(greedy) + 1
+    best_colors = greedy[:]
     if lb < best_k:
         masks = g.masks
         colors = [-1] * g.n
@@ -350,7 +366,7 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     cert = ColoringCertificate(best_k, _classes_from_colors(best_colors))
     if not cert.verify(g):
         raise InvariantViolation("colouring certificate failed self-check")
-    return cert
+    return cert, lb
 
 
 # --- odd holes --------------------------------------------------------------
@@ -624,16 +640,15 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
             "block decomposition needs a uniform multiset as a PointConfig; "
             "clear denominators with to_uniform_multiset first"
         )
-    points = list(subject.points)
+    points = subject.points
     raws = [frame.f_raw(p) for p in points]
     # canonical processing order: sort along the frame so colour classes and
     # greedy bounds follow the line geometry
     order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
-    sorted_points = [points[i] for i in order]
-    config = PointConfig(subject.norm, tuple(sorted_points))
+    scale, ipts = subject.scaled
+    config = PointConfig._from_scaled(subject.norm, scale, [ipts[i] for i in order])
     g = distance_graph(config)
-    cert = chromatic_number(g, caps)
-    omega = int(max_clique(g, caps=caps)[0])
+    cert, omega = _colouring_and_bound(g, caps, True)
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
@@ -646,6 +661,6 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
             )
     # each class lists its vertices in increasing order, hence increasing f
     return [
-        Block(tuple(sorted_points[v] for v in cls), tuple(raws[order[v]] for v in cls), frame)
+        Block(tuple(config.points[v] for v in cls), tuple(raws[order[v]] for v in cls), frame)
         for cls in cert.classes
     ]

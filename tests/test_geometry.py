@@ -561,11 +561,17 @@ class TestVerifySupporting:
                 except InvariantViolation:
                     ok = False
                 assert ok == frame.supports(p)
+            # a PointConfig is checked on its stored integer form, alike
+            cfg = PointConfig(norm, tuple(pts))
             if all(frame.supports(p) for p in pts):
                 frame.verify_supporting(pts)
+                frame.verify_supporting(cfg)
             else:
-                with pytest.raises(InvariantViolation):
-                    frame.verify_supporting(iter(pts))
+                bad = next(p for p in pts if not frame.supports(p))
+                for arg in (iter(pts), cfg):
+                    with pytest.raises(InvariantViolation) as exc:
+                        frame.verify_supporting(arg)
+                    assert str(exc.value) == f"functional exceeds the norm at point {bad}"
 
     def test_equality_is_supported(self):
         frame = _hand_frame(l1(2), (F(1), F(-1)), 1)
@@ -703,7 +709,7 @@ class TestNearPairsKernel:
         for pts in _kernel_configs(norm, rng):
             cfg = PointConfig(norm, pts)
             want = ref_distance_edges(norm, cfg.points)
-            assert _near_pairs(norm, cfg.points) == want
+            assert _near_pairs(norm, *cfg.scaled) == want
             g = distance_graph(cfg)
             assert g.n == len(pts) and g.edges == want
 
@@ -730,7 +736,7 @@ class TestNearPairsKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            _near_pairs(l2(2), ((F(0), F(0)), (F(1),)))
+            _near_pairs(l2(2), *_scaled_integers(((F(0), F(0)), (F(1),))))
 
     def test_block_rejects_close_pair(self):
         frame = supporting_functional(l2(2), (F(1), F(0)))
@@ -950,7 +956,7 @@ class TestPlanarSweep:
         rng = random.Random(1400 + PLANAR_CASES.index((norm, m)))
         for pts in _planar_configs(norm, m, rng):
             want = ref_near_pairs(norm, pts)
-            assert _near_pairs(norm, pts) == want
+            assert _near_pairs(norm, *_scaled_integers(pts)) == want
             if m is None:
                 assert want == ref_distance_edges(norm, pts)
 
@@ -959,14 +965,14 @@ class TestPlanarSweep:
         for norm in PLANAR_NORMS:
             pts = ((F(0), F(0)), (F(1), F(1, 2)), (F(1), F(0)), (F(2, 3), F(-1, 3)))
             want = {(1, 2), (2, 3)} | ({(0, 3), (1, 3)} if norm.kind != "l1" else set())
-            assert _near_pairs(norm, pts) == want
+            assert _near_pairs(norm, *_scaled_integers(pts)) == want
 
     def test_exactly_one_off_axis(self):
         cases = {"l1": (F(1, 3), F(-2, 3)), "l2": (F(3, 5), F(-4, 5)), "linf": (F(1, 3), F(-1))}
         for norm in (l1(2), l2(2), linf(2)):
             x, y = cases[norm.kind]
-            assert _near_pairs(norm, ((F(0), F(0)), (x, y))) == set()
-            assert _near_pairs(norm, ((F(0), F(0)), (x * F(96, 97), y * F(96, 97)))) == {(0, 1)}
+            assert _near_pairs(norm, *_scaled_integers(((F(0), F(0)), (x, y)))) == set()
+            assert _near_pairs(norm, *_scaled_integers(((F(0), F(0)), (x * F(96, 97), y * F(96, 97))))) == {(0, 1)}
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_other_dimensions_match_previous_kernel(self, d):
@@ -976,7 +982,7 @@ class TestPlanarSweep:
                 pts = [tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 4))) for _ in range(d))
                        for _ in range(rng.randint(0, 14))]
                 pts += rng.sample(pts, min(2, len(pts)))
-                assert _near_pairs(norm, pts) == ref_near_pairs(norm, pts)
+                assert _near_pairs(norm, *_scaled_integers(pts)) == ref_near_pairs(norm, pts)
 
 
 def _block_frames():
@@ -1206,6 +1212,183 @@ class TestVectorMeasureNormalisation:
         with pytest.raises(DomainError, match="sum to exactly 1"):
             VectorMeasure(PointConfig(l2(2), pts[::-1]), ws[::-1])
 
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    def test_integer_order_check_matches_fraction_order(self, field):
+        # the order test runs on the integer form; a config is kept as it is
+        # exactly when its Fraction points are strictly increasing and no
+        # weight is zero
+        rng = random.Random(1180 + (field != "Q"))
+        norm = l2(2)
+        cases = []
+        for _ in range(40):
+            if field == "Q":
+                pts, ws = raw_atoms(rng, 2, rng.randint(1, 8), zeros=rng.random() < 0.3)
+            else:
+                pts = list(next(_quad_configs(norm, 2, rng)))
+                raw = [rng.randint(0 if rng.random() < 0.3 else 1, 5) for _ in pts]
+                raw[0] = raw[0] or 1
+                ws = [F(r, sum(raw)) for r in raw]
+            cases.append((pts, ws))
+            cases.append(tuple(map(list, zip(*sorted(zip(pts, ws))))))
+            distinct = dict(sorted(zip(pts, ws)))  # strictly increasing
+            total = sum(distinct.values(), F(0))
+            cases.append((list(distinct), [w / total for w in distinct.values()]))
+        # orders that the integers' numerators alone would get wrong: 1/3 < 1/2
+        # scales to 2 < 3, and the first coordinates tie at -1/4
+        cases.append(([(F(1, 3), F(0)), (F(1, 2), F(-5))], [F(1, 2)] * 2))
+        cases.append(([(F(1, 2), F(0)), (F(1, 3), F(5))], [F(1, 2)] * 2))
+        cases.append(([(F(-1, 4), F(-1, 3)), (F(-1, 4), F(-1, 6))], [F(1, 2)] * 2))
+        cases.append(([(F(-1, 4), F(-1, 6)), (F(-1, 4), F(-1, 3))], [F(1, 2)] * 2))
+        kept = 0
+        for pts, ws in cases:
+            cfg = PointConfig(norm, tuple(pts))
+            m = VectorMeasure(cfg, tuple(ws))
+            sorted_merged = all(ws) and all(p < q for p, q in zip(cfg.points, cfg.points[1:]))
+            assert (m.config is cfg) == sorted_merged
+            kept += sorted_merged
+            assert (m.points, m.weights) == ref_normalise(tuple(pts), tuple(ws))
+            _assert_stored_form(m.config)
+        assert 0 < kept < len(cases)
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    def test_negative_weight_rejected(self, field):
+        def c(a):
+            return F(a) if field == "Q" else QuadExt.of(a, 1, 2)
+
+        pts = ((c(0), c(0)), (c(1), c(0)), (c(0), c(0)))
+        # the sign is checked before the sum: the last weights add up to 1/2
+        for ws in ((F(3, 2), F(-1, 2), F(0)), (F(1, 2), F(1), F(-1, 2)), (F(-1, 2), F(1, 2), F(1, 2))):
+            for order in (1, -1):
+                with pytest.raises(DomainError, match="negative weight"):
+                    VectorMeasure(PointConfig(l2(2), pts[::order]), ws[::order])
+
+
+def _assert_stored_form(config):
+    """The stored integer form is a fresh ``_scaled_integers`` of the points
+    times one positive int."""
+    scale, ipts = config.scaled
+    fresh_scale, fresh = _scaled_integers(config.points)
+    assert scale > 0 and scale % fresh_scale == 0
+    k = scale // fresh_scale
+    assert ipts == tuple(tuple(c * k for c in p) for p in fresh)
+
+
+class TestStoredIntegerForm:
+    """Configs built from integers keep a form equal to a fresh one, and
+    measures equal to those the public constructor builds."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_product_sums(self, d):
+        rng = random.Random(1240 + d)
+        for _ in range(20):
+            ms = [seeded_measure(rng, d, rng.randint(1, 7), zeros=True)
+                  for _ in range(rng.randint(1, 4))]
+            s = product_sum_measure(ms)
+            assert "scaled" in s.config.__dict__  # supplied, not recomputed
+            _assert_stored_form(s.config)
+            assert s == VectorMeasure(PointConfig(l2(d), s.points), s.weights)
+            for m in ms:
+                _assert_stored_form(m.config)
+
+    def test_octagon_sum(self):
+        from anticonc.scenarios import _octagon_points
+
+        octagon = VectorMeasure(PointConfig(l2(2), _octagon_points()), (F(1, 8),) * 8)
+        for ms in ([octagon, octagon], [octagon, octagon.dilate(-1)], [octagon] * 3):
+            s = product_sum_measure(ms)
+            _assert_stored_form(s.config)
+            assert s == VectorMeasure(PointConfig(l2(2), s.points), s.weights)
+
+    def test_large_scale_kept(self):
+        # summands over quarters whose sum needs only halves: the sum keeps
+        # the summands' scale, twice the fresh one
+        a = VectorMeasure.uniform(l1(1), [(F(1, 4),), (F(3, 4),)])
+        s = product_sum_measure([a, a])
+        assert s.config.scaled == (4, ((2,), (4,), (6,)))
+        assert _scaled_integers(s.points) == (2, ((1,), (2,), (3,)))
+        assert s == VectorMeasure(PointConfig(l1(1), s.points), s.weights)
+        assert distance_graph(s.config).edges == ref_distance_edges(l1(1), s.points)
+        assert concentration_q(s).value == F(3, 4)
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_block_decompositions(self, norm, monkeypatch):
+        from anticonc import geometry
+        from anticonc.perfect_graphs import block_decomposition
+
+        seen = []
+        original = geometry.distance_graph
+
+        def recorded(config):
+            seen.append(config)
+            return original(config)
+
+        monkeypatch.setattr(geometry, "distance_graph", recorded)
+        rng = random.Random(1250)
+        for _ in range(8):
+            pts = tuple((F(rng.randint(0, 96), 16), F(rng.randint(-2, 2), 16))
+                        for _ in range(rng.randint(1, 16)))
+            cfg = PointConfig(norm, pts)
+            frame = near_line_fit(cfg).frame
+            seen.clear()
+            blocks = block_decomposition(cfg, frame)
+            (config,) = seen
+            assert "scaled" in config.__dict__
+            _assert_stored_form(config)
+            assert config.points == tuple(sorted(pts, key=lambda p: (frame.f_raw(p), p)))
+            assert sorted(p for b in blocks for p in b.points) == sorted(pts)
+
+
+class TestScaledOnce:
+    """Counts ``_scaled_integers`` calls: the integer form of a point set is
+    computed once and then read."""
+
+    @pytest.fixture
+    def scaled_calls(self, monkeypatch):
+        from anticonc import geometry
+
+        calls = []
+        original = geometry._scaled_integers
+
+        def counted(points):
+            calls.append(tuple(points))
+            return original(points)
+
+        monkeypatch.setattr(geometry, "_scaled_integers", counted)
+        return calls
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_fit_graph_blocks_scale_once(self, norm, scaled_calls):
+        from anticonc.perfect_graphs import block_decomposition
+
+        rng = random.Random(1260)
+        for _ in range(6):
+            pts = tuple((F(rng.randint(0, 96), 32), F(rng.randint(-3, 3), 32))
+                        for _ in range(rng.randint(3, 20)))
+            cfg = PointConfig(norm, pts)
+            scaled_calls.clear()
+            fit = near_line_fit(cfg)
+            graph = distance_graph(cfg)
+            block_decomposition(cfg, fit.frame)
+            separation_check(fit.frame, cfg)
+            assert graph.edges  # so no block holds every point
+            whole = [c for c in scaled_calls if sorted(c) == sorted(pts)]
+            assert whole == [pts]
+
+    def test_product_sum_and_concentration_never_rescale(self, scaled_calls):
+        from anticonc.scenarios import _octagon_points
+
+        rng = random.Random(1270)
+        groups = [[seeded_measure(rng, d, rng.randint(2, 8)) for _ in range(3)] for d in (1, 2, 3)]
+        octagon = VectorMeasure(PointConfig(l2(2), _octagon_points()), (F(1, 8),) * 8)
+        groups.append([octagon, octagon])
+        groups.append([octagon, octagon.dilate(-1)])
+        built = len(scaled_calls)
+        for ms in groups:
+            for m in ms:
+                concentration_q(m)
+            concentration_q(product_sum_measure(ms))
+        assert len(scaled_calls) == built
+
 
 class TestSymmetrizeProductSum:
     def test_matches_double_loop(self):
@@ -1256,8 +1439,30 @@ class TestConcentrationQ:
 
     def test_cap(self):
         m = VectorMeasure.uniform(l2(1), [(F(i, 100),) for i in range(20)])
-        with pytest.raises(ResourceCapExceeded):
+        with pytest.raises(ResourceCapExceeded, match="support size 20 above the clique cap 10"):
             concentration_q(m, Caps(clique=10))
+
+    def test_matches_max_clique(self):
+        # the integer search on the measure's numerators gives max_clique's
+        # value and witness
+        from anticonc.perfect_graphs import max_clique
+
+        rng = random.Random(1290)
+        measures = []
+        for norm in (l2(1), l1(2), linf(2), l2(2), lp(3, 2), l2(3)):
+            for _ in range(8):
+                pts = [tuple(F(rng.randint(-8, 8), rng.choice((2, 3, 4))) for _ in range(norm.dimension))
+                       for _ in range(rng.randint(1, 14))]
+                measures.append((norm, pts + rng.sample(pts, min(2, len(pts)))))
+        measures += [(l2(2), pts) for pts in _quad_configs(l2(2), 2, rng)]
+        for norm, pts in measures:
+            raw = [rng.randint(0, 6) for _ in pts]
+            raw[0] = raw[0] or 1
+            m = VectorMeasure(PointConfig(norm, tuple(pts)), tuple(F(r, sum(raw)) for r in raw))
+            res = concentration_q(m)
+            value, witness = max_clique(distance_graph(m.config), weights=m.weights)
+            assert (res.value, res.witness) == (value, witness)
+            assert res.witness_points == tuple(m.points[i] for i in witness)
 
 
 class TestEmpiricalMeasure:

@@ -838,6 +838,44 @@ class TestBlockDecomposition:
             ks = [len(b.points) for b in blocks]
             assert len(decomp.chains) == middle_layer_count(ks)
 
+    def test_one_clique_search(self, monkeypatch):
+        # the colouring's clique lower bound is the omega the perfection
+        # check compares against: one search per decomposition
+        from anticonc import perfect_graphs
+        from anticonc.geometry import near_line_fit
+
+        calls = []
+        original = perfect_graphs.max_clique
+
+        def counted(g, weights=None, caps=None):
+            calls.append(g.n)
+            return original(g, weights, caps)
+
+        monkeypatch.setattr(perfect_graphs, "max_clique", counted)
+        rng = random.Random(79)
+        for _ in range(8):
+            n = rng.randint(1, 18)
+            pts = tuple((F(rng.randint(0, 96), 16), F(rng.randint(-3, 3), 16)) for _ in range(n))
+            cfg = PointConfig(l2(2), pts)
+            fit = near_line_fit(cfg, early_stop=True)
+            calls.clear()
+            blocks = block_decomposition(cfg, fit.frame)
+            assert calls == [n]
+            assert len(blocks) == int(original(distance_graph(cfg))[0])
+
+    def test_caps(self):
+        from anticonc.geometry import supporting_functional
+
+        pts = tuple((F(k, 3), F(0)) for k in range(12))
+        cfg = PointConfig(l2(2), pts)
+        frame = supporting_functional(l2(2), (F(1), F(0)))
+        assert len(block_decomposition(cfg, frame, caps=Caps(clique=12, coloring=12))) == 3
+        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 11 vertices$"):
+            block_decomposition(cfg, frame, caps=Caps(clique=11))
+        # the colouring cap is checked first
+        with pytest.raises(ResourceCapExceeded, match="^coloring solver capped at 11 vertices$"):
+            block_decomposition(cfg, frame, caps=Caps(clique=11, coloring=11))
+
     def test_class_count_bound(self):
         from anticonc.geometry import concentration_q, near_line_fit
 
