@@ -27,7 +27,7 @@ from .geometry import (
     LineFrame,
     VectorMeasure,
     concentration_q,
-    _near_pairs,
+    _near_masks,
     _near_in_row,
     _scaled_integers,
     product_sum_measure,
@@ -90,7 +90,8 @@ class Block:
             near_in_row = _near_in_row(norm, s)
             near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
         else:
-            near = _near_pairs(norm, s, ipts)
+            near = [(i, (m & -m).bit_length() - 1)
+                    for i, row in enumerate(_near_masks(norm, s, ipts)) if (m := row & -(2 << i))]
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")

@@ -11,7 +11,8 @@ because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, a comparison
 inside the coordinate field whenever p is an integer.
 
 Every "d < 1" decision over a point set goes through one kernel,
-``_near_pairs``, on coordinates scaled to Z or Z[sqrt(m)]. For lp and
+``_near_masks``, on coordinates scaled to Z or Z[sqrt(m)]; it emits the
+adjacency bitmasks the graph solvers read, once per config. For lp and
 outside the plane it applies the row test ``_near_in_row``, which blocks also
 use when only their consecutive points can be near; ``dist_vs_one`` checks
 one pair.
@@ -19,11 +20,9 @@ one pair.
 Each `PointConfig` holds one such integer form, ``PointConfig.scaled``.
 ``_scaled_integers`` is the only code that computes it from Fractions, once
 per config and on first use. Code that already holds the integers (the
-product sum, a measure's merge, a block decomposition's reordering) supplies
-them through ``PointConfig._from_scaled``. The measure order check,
-``_near_pairs`` (through ``distance_graph``, ``separation_check`` and
-``concentration_q``), near-line fitting and product sums read the stored
-form.
+product sum, a measure's merge) supplies them through ``_from_scaled``.
+``_near_masks``, the measure order check, near-line fitting and product sums
+read the stored form.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -50,7 +49,7 @@ from .errors import (
     UnsupportedNorm,
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
-from .perfect_graphs import DistGraph, _clique_search
+from .perfect_graphs import DistGraph, _clique_search, _iter_bits
 from .quadfield import QuadExt
 
 Point = tuple[Fraction, ...]
@@ -240,6 +239,11 @@ class PointConfig:
         into Z (or Z[sqrt(m)]), and the points times it."""
         return _scaled_integers(self.points)
 
+    @cached_property
+    def _graph(self) -> DistGraph:
+        """The strict distance graph, swept once on first use."""
+        return DistGraph._from_masks(len(self.points), _near_masks(self.norm, *self.scaled))
+
     @classmethod
     def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> "PointConfig":
         """The config of the points ``ipts / scale``, storing this integer form.
@@ -354,9 +358,9 @@ def _near_in_row(norm: NormSpec, scale: int):
     return lambda p, qs, row: [b for b in row if agg([abs(u - v) ** e for u, v in zip(p, qs[b])]) < limit]
 
 
-def _near_pairs(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> frozenset[tuple[int, int]]:
-    """Index pairs i < j with d(ipts[i] / s, ipts[j] / s) < 1, decided on
-    the integer form of the points (``PointConfig.scaled``).
+def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> list[int]:
+    """Adjacency bitmasks of the pairs i != j with d(ipts[i] / s, ipts[j] / s)
+    < 1, decided on the integer form of the points (``PointConfig.scaled``).
 
     Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
     operations decide the same comparisons exactly. The points are swept in
@@ -371,7 +375,7 @@ def _near_pairs(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> frozenset[tupl
     xs = [q[0] for q in spts]
     ys = [q[1] for q in spts] if norm.dimension == 2 and norm.kind != "lp" else None
     kind, near_in_row, ss = norm.kind, _near_in_row(norm, s), s * s
-    near = []
+    masks = [0] * len(ipts)
     for a, x in enumerate(xs):
         row = range(a + 1, bisect_left(xs, x + s, a + 1))
         if ys is None:
@@ -383,16 +387,19 @@ def _near_pairs(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> frozenset[tupl
         else:
             hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < ss]
         i = order[a]
-        near.extend((i, j) if i < j else (j, i) for j in map(order.__getitem__, hits))
-    return frozenset(near)
+        for j in map(order.__getitem__, hits):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
 
 
 def distance_graph(config: PointConfig) -> DistGraph:
     """Strict distance graph: edge exactly when d(x_i, x_j) < 1.
 
-    Duplicate points are at distance 0 and therefore always adjacent.
+    Duplicate points are at distance 0 and therefore always adjacent. The
+    graph is built once per config and shared.
     """
-    return DistGraph(len(config.points), _near_pairs(config.norm, *config.scaled))
+    return config._graph
 
 
 # --- supporting functionals and line frames ----------------------------------
@@ -729,9 +736,8 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     half = Fraction(1, 2)
     pts = config.points
     raws = [frame.f_raw(p) for p in pts]
-    near = _near_pairs(config.norm, *config.scaled)
-    n = len(pts)
-    far = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in near]
+    comp = distance_graph(config).complement().masks
+    far = [(i, j) for i, m in enumerate(comp) for j in _iter_bits(m & -(2 << i))]
     bad = tuple((i, j) for i, j in far if not frame.raw_gap_at_least(raws[i] - raws[j], half))
     return SeparationReport(len(far), bad)
 

@@ -15,36 +15,41 @@ path can grow into a longer hole. Each rule drops only branches without a
 hole of the length searched, so witnesses and None answers are exact.
 Everything is deterministic: vertices lowest index first, colours lowest first.
 
-Adjacency is kept both as an edge set (for serialization) and as per-vertex
-bitmasks (for the solvers); n stays in the low hundreds by design.
+A graph is one adjacency bitmask per vertex, which the solvers read and
+mask operations relabel, complement and check; its edge set is derived on
+first use. n stays in the low hundreds by design.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, resolve
 from .errors import DomainError, InvariantViolation, ResourceCapExceeded
 from .exact import _numerators, as_fraction
 
 
-@dataclass(frozen=True)
 class DistGraph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1: ``edges`` holds
+    the pairs u < v, ``masks`` one adjacency bitmask per vertex. Each is
+    derived from the other on first use: ``DistGraph(n, edges)`` checks the
+    pairs, ``_from_masks`` takes masks built from a checked graph or config."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        n = self.n
-        canonical = isinstance(self.edges, frozenset)
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if type(n) is not int or n < 0:
+            raise DomainError(f"graph size must be a nonnegative int, got {n!r}")
+        canonical = isinstance(edges, frozenset)
+        edges = edges if canonical else tuple(edges)
+        for e in edges:
+            if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(type(u) is int for u in e)):
+                raise DomainError(f"edge {e!r} is not a pair of ints")
+            u, v = e
             if not 0 <= u < v < n:
                 if u == v:
                     raise DomainError("self-loop in graph")
@@ -52,7 +57,26 @@ class DistGraph:
                     raise DomainError("edge endpoint out of range")
                 canonical = False
         if not canonical:
-            object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in self.edges))
+            edges = frozenset((min(e), max(e)) for e in edges)
+        self.__dict__.update(n=n, edges=edges)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Sequence[int]) -> "DistGraph":
+        """The graph with these symmetric, loop-free adjacency masks."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, masks=tuple(masks))
+        return g
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DistGraph) and (self.n, self.masks) == (other.n, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.masks))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -62,37 +86,39 @@ class DistGraph:
             m[v] |= 1 << u
         return tuple(m)
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, m in enumerate(self.masks) for v in _iter_bits(m & -(2 << u)))
+
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and self.masks[u] >> v & 1 == 1
 
     def complement(self) -> "DistGraph":
-        comp = frozenset(
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
-        )
-        return DistGraph(self.n, comp)
+        full = (1 << self.n) - 1
+        return DistGraph._from_masks(self.n, [full ^ m ^ 1 << v for v, m in enumerate(self.masks)])
 
     def induced(self, vertices: Sequence[int]) -> "DistGraph":
+        """The subgraph on these distinct vertices, vertices[i] relabelled i."""
         order = list(vertices)
         pos = {v: i for i, v in enumerate(order)}
-        sub = frozenset(
-            (pos[u], pos[v])
-            for u, v in self.edges
-            if u in pos and v in pos
+        if len(pos) < len(order):
+            raise DomainError("repeated vertex in induced subgraph")
+        if not all(0 <= v < self.n for v in order):
+            raise DomainError("induced subgraph vertex out of range")
+        keep = sum(1 << v for v in order)
+        return DistGraph._from_masks(
+            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order]
         )
-        return DistGraph(len(order), sub)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
 
     @classmethod
     def from_json(cls, data: dict) -> "DistGraph":
-        return cls(int(data["n"]), frozenset(tuple(e) for e in data["edges"]))
+        return cls(data["n"], data["edges"])
 
 
 @dataclass(frozen=True)
@@ -106,11 +132,11 @@ class ColoringCertificate:
             return False
         if len(self.classes) != self.num_colors:
             return False
+        masks = g.masks
         for cls in self.classes:
-            for i, u in enumerate(cls):
-                for v in cls[i + 1 :]:
-                    if g.has_edge(u, v):
-                        return False
+            members = sum(1 << v for v in cls)
+            if any(masks[v] & members for v in cls):
+                return False
         return True
 
     def to_json(self) -> dict:
@@ -128,15 +154,14 @@ class HoleWitness:
 
     def verify(self, g: DistGraph) -> bool:
         """Check the cycle is induced in g (or in its complement if flagged)."""
-        k = len(self.cycle)
-        if len(set(self.cycle)) != k:
+        cycle, k = self.cycle, len(self.cycle)
+        if len(set(cycle)) != k or not all(0 <= v < g.n for v in cycle):
             return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                adjacent = g.has_edge(self.cycle[i], self.cycle[j]) != self.in_complement
-                on_cycle = j - i == 1 or (i == 0 and j == k - 1)
-                if adjacent != on_cycle:
-                    return False
+        on = sum(1 << v for v in cycle)
+        for i, v in enumerate(cycle):
+            ring = 1 << cycle[i - 1] | 1 << cycle[(i + 1) % k]
+            if g.masks[v] & on != (on ^ 1 << v ^ ring if self.in_complement else ring):
+                return False
         return True
 
 
@@ -152,11 +177,9 @@ def _iter_bits(mask: int):
 
 def _greedy_color_bound(cand: int, masks: Sequence[int], iw: Sequence[int]) -> int:
     """Upper bound: a clique takes at most one vertex per colour class."""
-    total = 0
-    uncolored = cand
+    total, uncolored = 0, cand
     while uncolored:
-        avail = uncolored
-        cmax = 0
+        avail, cmax = uncolored, 0
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
@@ -231,13 +254,10 @@ def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...
     # greedy seed: descending weight, then index
     order = sorted(range(g.n), key=lambda v: (-iw[v], v))
     seed: list[int] = []
-    seed_mask = 0
     for v in order:
         if all(masks[v] >> u & 1 for u in seed):
             seed.append(v)
-            seed_mask |= 1 << v
-    best_w = sum(iw[v] for v in seed)
-    best_set = sorted(seed)
+    best_w, best_set = sum(iw[v] for v in seed), sorted(seed)
 
     # depth-first on an explicit stack, lowest vertex first; a node is
     # dropped once its colour bound cannot beat the best clique
@@ -277,10 +297,7 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
     degree = [m.bit_count() for m in masks]
     while uncolored:
         # highest saturation, then highest degree, then lowest index
-        v = min(
-            uncolored,
-            key=lambda u: (-len(neighbor_colors[u]), -degree[u], u),
-        )
+        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degree[u], u))
         c = 0
         while c in neighbor_colors[v]:
             c += 1
@@ -293,11 +310,9 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
 
 
 def _classes_from_colors(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    k = max(colors) + 1 if colors else 0
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    return tuple(tuple(c) for c in classes)
+    return tuple(
+        tuple(v for v, c in enumerate(colors) if c == k) for k in range(max(colors, default=-1) + 1)
+    )
 
 
 def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertificate:
@@ -323,20 +338,15 @@ def _colouring_and_bound(
         return ColoringCertificate(0, ()), 0
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    if need_omega or g.n <= caps.clique:
-        lb = int(max_clique(g, caps=caps)[0])
-    else:
-        lb = 1
-    greedy = _dsatur_greedy(g)
-    best_k = max(greedy) + 1
-    best_colors = greedy[:]
+    lb = int(max_clique(g, caps=caps)[0]) if need_omega or g.n <= caps.clique else 1
+    best_colors = _dsatur_greedy(g)
+    best_k = max(best_colors) + 1
     if lb < best_k:
         masks = g.masks
         colors = [-1] * g.n
         # one stack level per vertex: cand[v] holds the colours v may still try
         # (-1 before v is opened), used[v] the number of colours used below v
-        cand = [-1] * g.n
-        used = [0] * g.n
+        cand, used = [-1] * g.n, [0] * g.n
         v = 0
         while v >= 0:
             if cand[v] < 0:
@@ -379,8 +389,7 @@ def _closer_distance(
 
     Breadth-first search over bitmasks; None when no closer is reachable.
     """
-    frontier = 1 << start
-    dist = 0
+    frontier, dist = 1 << start, 0
     while frontier and closers:
         dist += 1
         reach = 0
@@ -469,14 +478,14 @@ def _shortest_odd_hole(
     caps = resolve(caps)
     if g.n > caps.odd_hole:
         raise ResourceCapExceeded(f"odd-hole search capped at {caps.odd_hole} vertices")
-    n, gm, full = g.n, g.masks, (1 << g.n) - 1
+    n, gm = g.n, g.masks
     if check_complement:
-        masks = [full ^ m ^ (1 << v) for v, m in enumerate(gm)]
+        masks = g.complement().masks
         # the closed radius-2 ball in g around each vertex
         reach = [reduce(or_, [gm[u] for u in _iter_bits(m)], m | 1 << v) for v, m in enumerate(gm)]
     else:
         masks = gm
-        live = _strip_simplicial(gm, full)
+        live = _strip_simplicial(gm, (1 << n) - 1)
         reach = [live if live >> v & 1 else 0 for v in range(n)]
     for length in range(first, n + 1, 2):
         cycle, deeper = _induced_odd_cycle(masks, n, length, reach)
@@ -576,13 +585,9 @@ def verify_perfection_near_line(
     rng = random.Random(seed)
     ok = 0
     for _ in range(subgraph_samples):
-        size = rng.randint(1, g.n) if g.n >= 1 else 0
-        verts = sorted(rng.sample(range(g.n), size))
-        sub = g.induced(verts)
-        w = int(max_clique(sub, caps=caps)[0])
-        c = chromatic_number(sub, caps).num_colors
-        if w == c:
-            ok += 1
+        verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n) if g.n else 0))
+        cert, w = _colouring_and_bound(g.induced(verts), caps, True)
+        ok += cert.num_colors == w
     return PerfectionReport(
         near_line_certified=fit.certified,
         max_deviation=fit.max_deviation,
@@ -645,10 +650,7 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     # canonical processing order: sort along the frame so colour classes and
     # greedy bounds follow the line geometry
     order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
-    scale, ipts = subject.scaled
-    config = PointConfig._from_scaled(subject.norm, scale, [ipts[i] for i in order])
-    g = distance_graph(config)
-    cert, omega = _colouring_and_bound(g, caps, True)
+    cert, omega = _colouring_and_bound(distance_graph(subject).induced(order), caps, True)
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
@@ -661,6 +663,6 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
             )
     # each class lists its vertices in increasing order, hence increasing f
     return [
-        Block(tuple(config.points[v] for v in cls), tuple(raws[order[v]] for v in cls), frame)
+        Block(tuple(points[order[v]] for v in cls), tuple(raws[order[v]] for v in cls), frame)
         for cls in cert.classes
     ]

@@ -2,7 +2,7 @@
 
 The octagon's coordinates lie in Q(sqrt(2)) and the sharpness points' in
 Q(sqrt(3)). Such points go through the same "d < 1" kernel as rational ones
-(``geometry._near_pairs``): `QuadExt` supports the operations the kernel
+(``geometry._near_masks``): `QuadExt` supports the operations the kernel
 uses (``+``, ``-``, ``*``, ``**``, ``abs``, ``sum``, and ``<``, which is all
 ``bisect`` needs), and ``numerator``/``denominator`` scale a coordinate into
 Z[sqrt(m)] as they scale a Fraction into Z. Power sums of such coordinates

@@ -105,6 +105,35 @@ class TestBergeCheck:
         out = json.loads(result.output)
         assert out["berge"] is False and len(out["hole"]) == 5
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": 2.7, "edges": []}, "graph size must be a nonnegative int, got 2.7"),
+            ({"n": -3, "edges": []}, "graph size must be a nonnegative int, got -3"),
+            ({"n": True, "edges": []}, "graph size must be a nonnegative int, got True"),
+            ({"n": 3, "edges": [[True, 2]]}, "edge [True, 2] is not a pair of ints"),
+            ({"n": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2] is not a pair of ints"),
+        ],
+        ids=["fractional-n", "negative-n", "bool-n", "bool-endpoint", "triple-edge"],
+    )
+    def test_malformed_raw_graph_exits_2(self, runner, tmp_path, data, message):
+        path = write_json(tmp_path, "g.json", data)
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == f"input error: {message}\n"
+
+    def test_huge_raw_graph_hits_cap_before_masks(self, runner, tmp_path, monkeypatch):
+        from anticonc.perfect_graphs import DistGraph
+
+        def no_masks(g):
+            raise AssertionError("adjacency masks built")
+
+        monkeypatch.setattr(DistGraph, "masks", property(no_masks))
+        path = write_json(tmp_path, "g.json", {"n": 1000000000, "edges": []})
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == "resource cap: odd-hole search capped at 64 vertices\n"
+
 
 class TestDecompose:
     def test_uniform_measure(self, runner, tmp_path):

@@ -32,7 +32,7 @@ from anticonc.geometry import (
     lp,
     near_line_fit,
     _hull,
-    _near_pairs,
+    _near_masks,
     _scaled_integers,
     norm_float,
     norm_power,
@@ -41,6 +41,7 @@ from anticonc.geometry import (
     supporting_functional,
     symmetrize,
 )
+from anticonc.perfect_graphs import DistGraph
 from anticonc.quadfield import QuadExt
 from anticonc.geometry import _point_line_dist_float
 
@@ -700,6 +701,11 @@ def _kernel_configs(norm, rng):
         )
 
 
+def kernel_pairs(norm, s, ipts):
+    """The index pairs i < j of the kernel's adjacency masks."""
+    return DistGraph._from_masks(len(ipts), _near_masks(norm, s, ipts)).edges
+
+
 class TestNearPairsKernel:
     """The integer kernel decides every pair like the per-pair Fraction loop."""
 
@@ -709,7 +715,7 @@ class TestNearPairsKernel:
         for pts in _kernel_configs(norm, rng):
             cfg = PointConfig(norm, pts)
             want = ref_distance_edges(norm, cfg.points)
-            assert _near_pairs(norm, *cfg.scaled) == want
+            assert kernel_pairs(norm, *cfg.scaled) == want
             g = distance_graph(cfg)
             assert g.n == len(pts) and g.edges == want
 
@@ -736,7 +742,7 @@ class TestNearPairsKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            _near_pairs(l2(2), *_scaled_integers(((F(0), F(0)), (F(1),))))
+            kernel_pairs(l2(2), *_scaled_integers(((F(0), F(0)), (F(1),))))
 
     def test_block_rejects_close_pair(self):
         frame = supporting_functional(l2(2), (F(1), F(0)))
@@ -884,7 +890,7 @@ class TestQuadKernel:
 # scan and one generic per-pair test in every dimension ---
 
 
-def ref_near_pairs(norm, points):
+def refkernel_pairs(norm, points):
     scale, ipts = _scaled_integers(points)
     order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
     e = norm.exponent
@@ -955,8 +961,8 @@ class TestPlanarSweep:
     def test_matches_previous_kernel(self, norm, m):
         rng = random.Random(1400 + PLANAR_CASES.index((norm, m)))
         for pts in _planar_configs(norm, m, rng):
-            want = ref_near_pairs(norm, pts)
-            assert _near_pairs(norm, *_scaled_integers(pts)) == want
+            want = refkernel_pairs(norm, pts)
+            assert kernel_pairs(norm, *_scaled_integers(pts)) == want
             if m is None:
                 assert want == ref_distance_edges(norm, pts)
 
@@ -965,14 +971,14 @@ class TestPlanarSweep:
         for norm in PLANAR_NORMS:
             pts = ((F(0), F(0)), (F(1), F(1, 2)), (F(1), F(0)), (F(2, 3), F(-1, 3)))
             want = {(1, 2), (2, 3)} | ({(0, 3), (1, 3)} if norm.kind != "l1" else set())
-            assert _near_pairs(norm, *_scaled_integers(pts)) == want
+            assert kernel_pairs(norm, *_scaled_integers(pts)) == want
 
     def test_exactly_one_off_axis(self):
         cases = {"l1": (F(1, 3), F(-2, 3)), "l2": (F(3, 5), F(-4, 5)), "linf": (F(1, 3), F(-1))}
         for norm in (l1(2), l2(2), linf(2)):
             x, y = cases[norm.kind]
-            assert _near_pairs(norm, *_scaled_integers(((F(0), F(0)), (x, y)))) == set()
-            assert _near_pairs(norm, *_scaled_integers(((F(0), F(0)), (x * F(96, 97), y * F(96, 97))))) == {(0, 1)}
+            assert kernel_pairs(norm, *_scaled_integers(((F(0), F(0)), (x, y)))) == set()
+            assert kernel_pairs(norm, *_scaled_integers(((F(0), F(0)), (x * F(96, 97), y * F(96, 97))))) == {(0, 1)}
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_other_dimensions_match_previous_kernel(self, d):
@@ -982,7 +988,7 @@ class TestPlanarSweep:
                 pts = [tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 4))) for _ in range(d))
                        for _ in range(rng.randint(0, 14))]
                 pts += rng.sample(pts, min(2, len(pts)))
-                assert _near_pairs(norm, *_scaled_integers(pts)) == ref_near_pairs(norm, pts)
+                assert kernel_pairs(norm, *_scaled_integers(pts)) == refkernel_pairs(norm, pts)
 
 
 def _block_frames():
@@ -1021,7 +1027,7 @@ class TestBlockNearCheck:
         for frame in _block_frames():
             for _ in range(40):
                 pts = _block_points(frame, rng)
-                near = ref_near_pairs(frame.norm, pts)
+                near = refkernel_pairs(frame.norm, pts)
                 if not near:
                     Block.from_points(pts, frame)
                     continue
@@ -1331,10 +1337,10 @@ class TestStoredIntegerForm:
             frame = near_line_fit(cfg).frame
             seen.clear()
             blocks = block_decomposition(cfg, frame)
+            # the subject itself is graphed: no re-sorted copy is built
             (config,) = seen
-            assert "scaled" in config.__dict__
+            assert config is cfg
             _assert_stored_form(config)
-            assert config.points == tuple(sorted(pts, key=lambda p: (frame.f_raw(p), p)))
             assert sorted(p for b in blocks for p in b.points) == sorted(pts)
 
 
@@ -1388,6 +1394,65 @@ class TestScaledOnce:
                 concentration_q(m)
             concentration_q(product_sum_measure(ms))
         assert len(scaled_calls) == built
+
+
+class TestGraphedOnce:
+    """Counts ``_near_masks`` sweeps: a config's distance graph is built once
+    and shared by every reader, and the block decomposition builds no
+    re-sorted config."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        from anticonc import geometry
+
+        calls = []
+        original = geometry._near_masks
+
+        def counted(norm, s, ipts):
+            calls.append(tuple(ipts))
+            return original(norm, s, ipts)
+
+        monkeypatch.setattr(geometry, "_near_masks", counted)
+        return calls
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_certify_sequence_sweeps_once(self, norm, sweeps, monkeypatch):
+        from anticonc.perfect_graphs import block_decomposition
+
+        built = []
+        original = PointConfig._from_scaled.__func__
+
+        def recorded(cls, *args):
+            built.append(args)
+            return original(cls, *args)
+
+        rng = random.Random(1280)
+        for distinct in (True, False):
+            for _ in range(6):
+                pts = [(F(rng.randint(0, 96), 32), F(rng.randint(-3, 3), 32))
+                       for _ in range(rng.randint(3, 20))]
+                pts = sorted(set(pts)) if distinct else pts + pts[:2]
+                cfg = PointConfig(norm, tuple(pts))
+                measure = VectorMeasure(cfg, (F(1, len(pts)),) * len(pts))
+                sweeps.clear()
+                fit = near_line_fit(cfg)
+                graph = distance_graph(cfg)
+                with monkeypatch.context() as mp:
+                    mp.setattr(PointConfig, "_from_scaled", classmethod(recorded))
+                    block_decomposition(cfg, fit.frame)
+                separation_check(fit.frame, cfg)
+                concentration_q(measure)
+                assert distance_graph(cfg) is graph and built == []
+                # a multiset's measure merges into a config of its own
+                assert sweeps == [cfg.scaled[1]] + ([] if distinct else [measure.config.scaled[1]])
+
+    def test_block_decomposition_sweeps_its_subject(self, sweeps):
+        from anticonc.perfect_graphs import block_decomposition
+
+        cfg = PointConfig(l2(2), tuple((F(k, 3), F(0)) for k in range(7))[::-1])
+        frame = supporting_functional(l2(2), (F(1), F(0)))
+        assert len(block_decomposition(cfg, frame)) == 3
+        assert sweeps == [cfg.scaled[1]] and "_graph" in cfg.__dict__
 
 
 class TestSymmetrizeProductSum:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from anticonc.caps import Caps
-from anticonc.errors import DomainError, ResourceCapExceeded
+from anticonc.errors import DomainError, InvariantViolation, ResourceCapExceeded
 from anticonc.geometry import (
     PointConfig,
     VectorMeasure,
@@ -14,11 +14,13 @@ from anticonc.geometry import (
     l1,
     l2,
     linf,
+    lp,
     product_sum_measure,
 )
 from anticonc.perfect_graphs import (
     ColoringCertificate,
     _classes_from_colors,
+    _colouring_and_bound,
     _dsatur_greedy,
     _greedy_color_bound,
     _strip_simplicial,
@@ -167,6 +169,71 @@ class TestDistGraph:
     def test_json_roundtrip(self):
         g = octagon_circulant()
         assert DistGraph.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize("n", [2.7, -3, True, "3", None])
+    def test_rejects_malformed_size(self, n):
+        with pytest.raises(DomainError, match="^graph size must be a nonnegative int"):
+            DistGraph(n, frozenset())
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0, 1, 2), (0,), (0.0, 1), 1, "01", [1, None]])
+    def test_rejects_malformed_edges(self, edge):
+        with pytest.raises(DomainError, match="is not a pair of ints$"):
+            DistGraph(3, [(0, 1), edge])
+
+    def test_edges_from_a_generator(self):
+        g = DistGraph(3, ((i + 1, i) for i in range(2)))
+        assert g.edges == {(0, 1), (1, 2)} and g.masks == (2, 5, 2)
+
+    def test_masks_built_on_first_use(self):
+        g = DistGraph(10**9, frozenset())
+        assert "masks" not in g.__dict__ and g.n == 10**9
+
+    @pytest.mark.parametrize("field", ["n", "edges", "masks"])
+    def test_immutable(self, field):
+        for g in (cycle_graph(5), DistGraph._from_masks(3, (2, 5, 2))):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(g, field, getattr(g, field))
+            with pytest.raises(AttributeError):
+                delattr(g, field)
+
+    def test_from_masks_equals_public_constructor(self):
+        rng = random.Random(1600)
+        for n in range(9):
+            g = random_graph(rng, n)
+            h = DistGraph._from_masks(n, g.masks)
+            assert "edges" not in h.__dict__
+            assert h == g and hash(h) == hash(g) and h.edges == g.edges
+            assert h.to_json() == g.to_json() and DistGraph.from_json(h.to_json()) == h
+            assert [h.degree(v) for v in range(n)] == [g.degree(v) for v in range(n)]
+        assert DistGraph(3, frozenset()) != DistGraph(4, frozenset())
+        assert cycle_graph(5) != "C5"
+
+    def test_mask_operations_match_pair_definitions(self):
+        rng = random.Random(1601)
+        for _ in range(30):
+            n = rng.randint(0, 9)
+            g = random_graph(rng, n, rng.random())
+            pairs = set(itertools.combinations(range(n), 2))
+            assert g.complement().edges == pairs - g.edges
+            for u, v in itertools.product(range(-1, n + 1), repeat=2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+            verts = rng.sample(range(n), rng.randint(0, n))
+            want = {(min(a, b), max(a, b)) for a, b in itertools.combinations(range(len(verts)), 2)
+                    if g.has_edge(verts[a], verts[b])}
+            assert g.induced(verts).edges == want
+
+    @pytest.mark.parametrize(
+        "verts, message",
+        [
+            ([0, 0, 1], "repeated vertex in induced subgraph"),
+            ([0, 7], "induced subgraph vertex out of range"),
+            ([-1, 0], "induced subgraph vertex out of range"),
+        ],
+    )
+    def test_induced_rejects_bad_vertices(self, verts, message):
+        triangle = DistGraph(3, frozenset([(0, 1), (0, 2), (1, 2)]))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            triangle.induced(verts)
 
 
 def ref_max_clique(g, weights):
@@ -730,6 +797,41 @@ class TestPerfectionNearLine:
         report = verify_perfection_near_line(PointConfig(l2(2), pts), seed=3)
         assert report.ok and report.berge
 
+    def test_one_clique_search_per_subgraph(self, monkeypatch):
+        # two searches for the whole graph (omega, then chi's bound), one per sample
+        from anticonc import perfect_graphs
+
+        rng = random.Random(5)
+        cfg = PointConfig(l2(2), tuple(
+            (F(rng.randint(0, 256), 32), F(rng.randint(-12, 12), 32)) for _ in range(30)
+        ))
+        calls = []
+        original = perfect_graphs.max_clique
+
+        def counted(g, weights=None, caps=None):
+            calls.append(g.n)
+            return original(g, weights, caps)
+
+        monkeypatch.setattr(perfect_graphs, "max_clique", counted)
+        report = verify_perfection_near_line(cfg, seed=1)
+        assert len(calls) == 22 and calls[:2] == [30, 30]
+        # the samples as drawn before, each checked by two separate searches
+        g = distance_graph(cfg)
+        sample_rng, ok = random.Random(1), 0
+        for _ in range(20):
+            sub = g.induced(sorted(sample_rng.sample(range(30), sample_rng.randint(1, 30))))
+            ok += int(original(sub)[0]) == chromatic_number(sub).num_colors
+        assert (report.subgraphs_checked, report.subgraphs_ok) == (20, ok)
+        assert (report.omega, report.chi) == (int(original(g)[0]), chromatic_number(g).num_colors)
+        assert report.ok and report.berge and report.hole is None
+
+    def test_clique_cap_reported_first(self):
+        pts = tuple((F(i, 3), F(0)) for i in range(12))
+        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 10 vertices$"):
+            verify_perfection_near_line(
+                PointConfig(l2(2), pts), caps=Caps(odd_hole=100, clique=10, coloring=10)
+            )
+
 
 class TestBlockDecomposition:
     def test_multiset_with_duplicate(self):
@@ -894,6 +996,68 @@ class TestBlockDecomposition:
             blocks = block_decomposition(cfg, fit.frame, alpha=alpha)
             assert len(blocks) <= alpha * n
             assert sum(len(b.points) for b in blocks) == n
+
+
+def ref_block_decomposition(subject, frame):
+    """The decomposition before the subject's own graph was relabelled: the
+    points re-sorted along the frame into a new config, whose distance graph
+    is swept again. Returns each block's points and functional values."""
+    points = subject.points
+    raws = [frame.f_raw(p) for p in points]
+    order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
+    scale, ipts = subject.scaled
+    config = PointConfig._from_scaled(subject.norm, scale, [ipts[i] for i in order])
+    cert, omega = _colouring_and_bound(distance_graph(config), Caps(), True)
+    if cert.num_colors != omega:
+        raise InvariantViolation(
+            f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
+        )
+    return [
+        (tuple(config.points[v] for v in cls), tuple(raws[order[v]] for v in cls))
+        for cls in cert.classes
+    ]
+
+
+REF_BLOCK_CASES = [(l1(2), None), (l2(2), None), (linf(2), None), (lp(3, 2), None), (l2(2), 2)]
+
+
+class TestBlockDecompositionReference:
+    """Relabelling the subject's graph gives the blocks of the re-sorted,
+    re-swept copy, in order, on multisets with duplicates and ties in f."""
+
+    @pytest.mark.parametrize(
+        "norm, m", REF_BLOCK_CASES, ids=[f"{n.kind}{n.p or ''}-{m or 'Q'}" for n, m in REF_BLOCK_CASES]
+    )
+    def test_matches_resorted_resweep(self, norm, m):
+        from anticonc.geometry import supporting_functional
+        from anticonc.quadfield import QuadExt
+
+        rng = random.Random(1610 + REF_BLOCK_CASES.index((norm, m)))
+        wide = 6 if norm.is_hilbert else 2  # |y| within the near-line radius
+
+        def coord(a, b):
+            return a if m is None else QuadExt.of(a, b, m)
+
+        frames = [supporting_functional(norm, v) for v in ((1, 0), (8, 1), (3, -1))]
+        for _ in range(12):
+            pts = [
+                (coord(F(rng.randint(0, 96), 16), F(rng.randint(-4, 4), 16)),
+                 coord(F(rng.randint(-wide, wide), 32), F(rng.randint(-1, 1), 64)))
+                for _ in range(rng.randint(1, 14))
+            ]
+            pts += rng.sample(pts, rng.randint(0, min(4, len(pts))))
+            rng.shuffle(pts)
+            for frame in frames:
+                cfg = PointConfig(norm, tuple(pts))
+                try:
+                    want = ref_block_decomposition(cfg, frame)
+                except InvariantViolation as exc:
+                    with pytest.raises(InvariantViolation) as got:
+                        block_decomposition(cfg, frame)
+                    assert str(got.value) == str(exc)
+                    continue
+                blocks = block_decomposition(cfg, frame)
+                assert [(b.points, b.f_raw) for b in blocks] == want
 
 
 class TestCertificates:
