@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .caps import Caps, resolve
@@ -203,21 +204,23 @@ def iterated_decompose(
 
 def middle_layer_count(ks: Sequence[int]) -> int:
     """Number of tuples in the box prod {0..k_i - 1} with coordinate sum
-    ceil(N/2), N = sum (k_i - 1). Exact integer dynamic programming."""
+    ceil(N/2), N = sum (k_i - 1). Exact integer dynamic programming.
+
+    counts[s] is the number of tuples with coordinate sum s, kept for s up
+    to the target only, as no factor lowers a sum. A factor k is a box
+    filter of width k: with k zeros in front, the prefix sums pre give
+    counts'[s] = pre[s + k] - pre[s]. Nothing here reads ``lattice``, so
+    ``jones_bound`` compares two independent computations.
+    """
     if not ks:
         raise DomainError("need at least one factor")
     if any(k < 1 for k in ks):
         raise DomainError("factors must be >= 1")
-    n_total = sum(k - 1 for k in ks)
-    target = (n_total + 1) // 2
-    counts = [1]  # counts[s] = number of tuples with coordinate sum s
+    target = (sum(k - 1 for k in ks) + 1) // 2
+    counts = [1]
     for k in ks:
-        new = [0] * (len(counts) + k - 1)
-        for s, c in enumerate(counts):
-            if c:
-                for x in range(k):
-                    new[s + x] += c
-        counts = new
+        pre = list(accumulate([0] * k + counts + [0] * (k - 1)))
+        counts = list(map(operator.sub, pre[k:k + target + 1], pre))
     return counts[target]
 
 

@@ -8,15 +8,19 @@ even when factors living on integers and on half-integers mix.
 Everything in this module is pure and exact: weights cross the API as
 Fractions and no comparison ever goes through floating point. Internally,
 t-values and convolutions run on integer numerators over one common
-denominator and build their Fractions once, at the end. A t-value reads
-only slots 0 and 1/2 of a symmetric sum, so it keeps one half of the
-centre window those slots can still be reached from. Equal alphas form a
-run, and a run is one polynomial power, taken by an exact integer
-recurrence: the first run seeds the window, the last closes it with two
-dot products, and factors in between are folded one at a time. The last
-few results are memoised by their (alpha, count) runs. ``_alpha_runs`` is
-the one place an alpha list is checked and counted into those runs; a
-``VarianceProfile`` holds such runs and derives its sums from them.
+denominator and build their Fractions once, at the end. An extremal
+factor's weights, its variance and its third absolute moment are integer
+closed forms in alpha = a/b, each O(1); ``ExtremalSpec`` keeps the Fraction
+form as their reference. A t-value reads only slots 0 and 1/2 of a
+symmetric sum, so it keeps one half of the centre window those slots can
+still be reached from. Equal alphas form a run, and a run is one
+polynomial power, taken by an exact integer recurrence: the first run
+seeds the window, the last closes it with two dot products, and factors in
+between are folded one at a time. The last few results are memoised by
+their (alpha, count) runs. ``_alpha_runs`` is the one place an alpha list
+is checked and counted into those runs, ``_alpha_ratio`` the one place a
+single alpha is; a ``VarianceProfile`` holds such runs and derives its sums
+from them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, repeat
-from math import lcm
 from operator import attrgetter, mul
 from typing import Sequence
 
@@ -36,6 +39,7 @@ from .exact import _numerators, as_fraction, fraction_str
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _RATIO = attrgetter("numerator", "denominator")
+_BOOL_ALPHA = "alpha must be a rational in (0, 1], not a bool"
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,28 @@ def delta(position: Fraction | int | str = 0) -> LatticeMeasure:
     return LatticeMeasure(int(idx), (ONE,))
 
 
+def _alpha_ratio(alpha) -> tuple[int, int]:
+    """``alpha`` as (a, b) with a/b in lowest terms, checked to lie in (0, 1].
+
+    The one check of a single alpha. A bool is refused: Python counts it an
+    int, but True is no alpha.
+    """
+    if type(alpha) is bool:
+        raise DomainError(_BOOL_ALPHA)
+    a, b = _RATIO(as_fraction(alpha))
+    if not 0 < a <= b:
+        raise DomainError(f"alpha must lie in (0, 1], got {Fraction(a, b)}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class ExtremalSpec:
     """Parameters of the two-uniform mixture with concentration alpha.
 
     ``k`` is floor(1/alpha) and ``p`` the unique mixture weight with
     p/k + (1-p)/(k+1) = alpha; for alpha = 1/k the second component vanishes.
+    The kernels read the integer closed form of ``_extremal_weights``; this
+    Fraction form is the reference it is tested against.
     """
 
     alpha: Fraction
@@ -137,9 +157,7 @@ class ExtremalSpec:
 
     @classmethod
     def from_alpha(cls, alpha) -> "ExtremalSpec":
-        a = as_fraction(alpha)
-        if not (0 < a <= 1):
-            raise DomainError(f"alpha must lie in (0, 1], got {a}")
+        a = Fraction(*_alpha_ratio(alpha))
         k = int(1 / a)  # floor since a in (0, 1]
         p = k * (a * (k + 1) - 1)
         spec = cls(a, k, p)
@@ -153,19 +171,14 @@ def _extremal_weights(alpha) -> tuple[int, int, int, int]:
 
     The measure puts inner/den on each of the k half-integer slots
     -(k-1), ..., k-1 and outer/den on each of the k+1 slots -k, ..., k (both
-    in steps of 2, so the two sets interleave). ``outer`` is 0 when alpha is
-    1/k.
+    in steps of 2, so the two sets interleave). With alpha = a/b in lowest
+    terms and k = b // a, inner = a(k+1) - b and outer = b - ak over den = b:
+    p/k = alpha(k+1) - 1 and (1-p)/(k+1) = 1 - alpha k. No common factor is
+    left, as one would divide b and a. ``outer`` is 0 when alpha is 1/k.
     """
-    spec = ExtremalSpec.from_alpha(alpha)
-    inner = spec.p / spec.k
-    outer = (1 - spec.p) / (spec.k + 1)
-    den = lcm(inner.denominator, outer.denominator)
-    return (
-        spec.k,
-        inner.numerator * (den // inner.denominator),
-        outer.numerator * (den // outer.denominator),
-        den,
-    )
+    a, b = _alpha_ratio(alpha)
+    k = b // a
+    return k, a * (k + 1) - b, b - a * k, b
 
 
 def mixture(terms: Sequence[tuple[Fraction, LatticeMeasure]]) -> LatticeMeasure:
@@ -198,23 +211,29 @@ def extremal_measure(alpha) -> LatticeMeasure:
 def extremal_variance(alpha) -> Fraction:
     """Second moment of ``extremal_measure(alpha)``, in closed form.
 
-    Piecewise linear in alpha; agrees with (alpha**-2 - 1)/12 whenever
-    1/alpha is an integer.
+    Piecewise linear in alpha: k(k+1)(3 - alpha - 2 alpha k)/12, over the
+    integers of ``_extremal_weights``. Agrees with (alpha**-2 - 1)/12
+    whenever 1/alpha is an integer.
     """
-    a = as_fraction(alpha)
-    if not (0 < a <= 1):
-        raise DomainError(f"alpha must lie in (0, 1], got {a}")
-    k = int(1 / a)
-    return Fraction(k * (1 + k), 12) * (3 - a - 2 * a * k)
+    a, b = _alpha_ratio(alpha)
+    k = b // a
+    return Fraction(k * (k + 1) * (3 * b - a - 2 * a * k), 12 * b)
+
+
+def _cubes_by_twos(t: int) -> int:
+    """t^3 + (t - 2)^3 + ... down to 1 or 2, in closed form: the even cubes
+    (2j)^3, j <= m, sum to 2m^2(m + 1)^2 and the odd ones to m^2(2m^2 - 1)."""
+    m = (t + 1) // 2
+    return m * m * (2 * m * m - 1) if t % 2 else 2 * m * m * (m + 1) ** 2
 
 
 def third_abs_moment(alpha) -> Fraction:
-    """Exact E|Y|^3 for Y distributed by ``extremal_measure(alpha)``: the slots
-    2Y = -t, -t + 2, ..., t have |2Y|^3 summing to C(t) = 2 (t^3 + (t - 2)^3 +
-    ...), with t = k for the outer weight and k - 1 for the inner."""
+    """Exact E|Y|^3 for Y distributed by ``extremal_measure(alpha)``, in O(1):
+    the slots 2Y = -t, -t + 2, ..., t have |2Y|^3 summing to twice
+    ``_cubes_by_twos(t)``, with t = k for the outer weight and k - 1 for the
+    inner."""
     k, inner, outer, den = _extremal_weights(alpha)
-    cubes = [2 * sum(i ** 3 for i in range(t, 0, -2)) for t in (k, k - 1)]
-    return Fraction(outer * cubes[0] + inner * cubes[1], 8 * den)
+    return Fraction(outer * _cubes_by_twos(k) + inner * _cubes_by_twos(k - 1), 4 * den)
 
 
 def _convolve_ints(a: list[int], b: list[int]) -> list[int]:
@@ -331,12 +350,15 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
 def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
     """Check ``alphas`` and count them into (alpha, count) runs, alphas increasing.
 
-    An empty list, or an alpha outside (0, 1], is a DomainError naming the
-    first bad value. Counting (numerator, denominator) pairs hashes in C.
+    An empty list, a bool, or an alpha outside (0, 1], is a DomainError; the
+    latter names the first bad value. Counting (numerator, denominator)
+    pairs hashes in C.
     """
     counts = Counter(map(_RATIO, map(as_fraction, alphas)))
     if not counts:
         raise DomainError("need at least one alpha")
+    if bool in map(type, alphas):
+        raise DomainError(_BOOL_ALPHA)
     for num, den in counts:
         if not 0 < num <= den:
             raise DomainError(f"alpha must lie in (0, 1], got {Fraction(num, den)}")

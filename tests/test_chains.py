@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from anticonc import chains, lattice
 from anticonc.chains import (
     Block,
     btk_decompose,
@@ -167,7 +169,45 @@ class TestIteratedDecompose:
             assert d.total_points() == math.prod(ks)
 
 
+def ref_middle_layer_count(ks):
+    """The nested-loop DP: each factor k adds every x < k to every sum."""
+    target = (sum(k - 1 for k in ks) + 1) // 2
+    counts = [1]  # counts[s] = number of tuples with coordinate sum s
+    for k in ks:
+        new = [0] * (len(counts) + k - 1)
+        for s, c in enumerate(counts):
+            if c:
+                for x in range(k):
+                    new[s + x] += c
+        counts = new
+    return counts[target]
+
+
+# factor lists with k = 1 factors and single factors among them
+factor_lists = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=1),
+    st.lists(st.integers(1, 12), min_size=1, max_size=14),
+    st.lists(st.sampled_from([1, 1, 2, 40]), min_size=1, max_size=10),
+)
+
+
 class TestMiddleLayer:
+    @given(factor_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nested_loop_dp(self, ks):
+        assert middle_layer_count(ks) == ref_middle_layer_count(ks)
+
+    def test_independent_of_lattice(self, monkeypatch):
+        cases = [[2] * 9, [3, 5, 7], [1, 4, 4, 1], [6], list(range(1, 9))]
+        want = [middle_layer_count(ks) for ks in cases]
+
+        def refuse(*args):
+            raise AssertionError("the middle layer must not read lattice")
+
+        monkeypatch.setattr(lattice, "_power_low", refuse)
+        assert [middle_layer_count(ks) for ks in cases] == want
+        assert want == [ref_middle_layer_count(ks) for ks in cases]
+
     def test_examples(self):
         assert middle_layer_count([2, 2, 2, 2]) == 6
         assert middle_layer_count([7]) == 1
@@ -224,6 +264,14 @@ class TestJonesBound:
         res = jones_bound([a, b])
         assert res.bound == F(1, 2)
         assert res.q_exact is not None and res.q_exact <= res.bound
+
+    @pytest.mark.parametrize("side", ["t_value", "middle_layer_count"])
+    def test_disagreeing_sides_raise(self, monkeypatch, side):
+        real = getattr(chains, side)
+        monkeypatch.setattr(chains, side, lambda arg: real(arg) + 1)
+        b = line_block([0, 1, 2])
+        with pytest.raises(InvariantViolation, match="differs from the lattice t-value"):
+            jones_bound([b, b])
 
 
 def near_line_set(rng, norm):

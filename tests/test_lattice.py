@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticonc.bounds import clt_window, main_bound, make_main_bound_params, minimal_delta_prime
-from anticonc.chains import middle_layer_count
+from anticonc.chains import Block, jones_bound, middle_layer_count
 from anticonc.errors import DomainError
+from anticonc.geometry import l2, supporting_functional
 from anticonc.lattice import (
     ExtremalSpec,
     LatticeMeasure,
     VarianceProfile,
     _centre_t_value,
+    _cubes_by_twos,
     _extremal_weights,
     _power_low,
     check_unimodal_logconcave,
@@ -176,6 +178,91 @@ class TestExtremalVariance:
                 assert extremal_variance(mid) <= lam * extremal_variance(
                     a
                 ) + (1 - lam) * extremal_variance(b)
+
+
+# a/b in (0, 1] with b up to 10^12: alpha = 1, alpha = 1/k, and general
+# ratios, small and near 1 alike
+wide_alphas = st.one_of(
+    st.just(F(1)),
+    st.integers(1, 10**12).map(lambda k: F(1, k)),
+    st.integers(1, 10**12).flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b))),
+)
+
+
+class TestClosedForm:
+    """The integer closed forms against ``ExtremalSpec``'s Fraction form."""
+
+    @given(wide_alphas)
+    @settings(max_examples=300, deadline=None)
+    def test_weights_match_spec(self, alpha):
+        spec = ExtremalSpec.from_alpha(alpha)
+        k, inner, outer, den = _extremal_weights(alpha)
+        assert k == spec.k
+        assert F(inner, den) == spec.p / spec.k
+        assert F(outer, den) == (1 - spec.p) / (spec.k + 1)
+        assert den == alpha.denominator and math.gcd(inner, outer, den) == 1
+
+    @given(wide_alphas)
+    @settings(max_examples=200, deadline=None)
+    def test_variance_matches_spec(self, alpha):
+        spec = ExtremalSpec.from_alpha(alpha)
+        k, p = spec.k, spec.p
+        # p times the variance of the uniform law on k slots, plus 1 - p
+        # times that on k + 1 slots
+        assert extremal_variance(alpha) == p * F(k * k - 1, 12) + (1 - p) * F(k * (k + 2), 12)
+
+    def test_cube_sums_match_loop(self):
+        for t in range(500):
+            assert _cubes_by_twos(t) == sum(i**3 for i in range(t, 0, -2))
+
+    def test_third_moment_of_tiny_alpha(self):
+        # 1/alpha = 2m slots 2Y = +-1, +-3, ..., +-(2m - 1), each of mass
+        # alpha, and 1^3 + 3^3 + ... + (2m - 1)^3 = m^2 (2m^2 - 1)
+        k = 10**12
+        m = k // 2
+        assert third_abs_moment(F(1, k)) == F(2 * m * m * (2 * m * m - 1), 8 * k)
+
+    def test_kernels_never_build_a_spec(self, monkeypatch):
+        def refuse(cls, alpha):
+            raise AssertionError("ExtremalSpec is the reference, not a kernel")
+
+        monkeypatch.setattr(ExtremalSpec, "from_alpha", classmethod(refuse))
+        _centre_t_value.cache_clear()
+        alphas = [F(3, 8)] * 20 + [F(1, 2)] * 10 + [F(2, 7)] * 5
+        t = t_value(alphas)
+        assert t == ref_t_value(alphas)
+        assert clt_window(alphas, F(1, 4), minimal_delta_prime(alphas)).exact_t == t
+        assert make_main_bound_params(alphas, d=2, C=0.01, c=F(1, 4)).t.fraction == t
+        frame = supporting_functional(l2(1), (F(1),))
+        block = Block.from_points([(F(x),) for x in range(3)], frame)
+        # 3 of the 9 pairs in {0, 1, 2}^2 sum to 2
+        assert jones_bound([block, block]).bound == F(1, 3)
+
+
+class TestBoolAlpha:
+    """bool is an int subclass, but True is no alpha."""
+
+    @pytest.mark.parametrize("alphas", [[True], [F(1, 2), True], [False]])
+    def test_t_value(self, alphas):
+        with pytest.raises(DomainError, match="bool"):
+            t_value(alphas)
+
+    @pytest.mark.parametrize("fn", [extremal_variance, third_abs_moment, extremal_measure])
+    def test_single_alpha(self, fn):
+        with pytest.raises(DomainError, match="bool"):
+            fn(True)
+
+    def test_variance_profile(self):
+        with pytest.raises(DomainError, match="bool"):
+            VarianceProfile(((True, 1),))
+
+    def test_clt_window(self):
+        with pytest.raises(DomainError, match="bool"):
+            clt_window([F(1, 2), True], F(1, 4), 0.5)
+
+    def test_one_is_still_an_alpha(self):
+        assert t_value([1, F(1, 2)]) == F(1, 2)
+        assert VarianceProfile(((1, 1),)).total == 0
 
 
 class TestConvolve:
