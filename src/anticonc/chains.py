@@ -9,7 +9,9 @@ product, and the number of chains equals the size of the middle layer of the
 corresponding box of integer tuples.
 
 Every separation check is an exact comparison, so the decomposition is
-certified, not assumed.
+certified, not assumed. The checks run on integers: a block holds its points
+scaled once to integers and their functional numerators, chains add those
+integers, and no block built from them scales its points again.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from .errors import DomainError, InvariantViolation, ResourceCapExceeded
 from .exact import as_fraction, vector_str
 from .geometry import (
     LineFrame,
+    PointConfig,
     VectorMeasure,
     concentration_q,
+    _check_dims,
     _near_masks,
     _near_in_row,
     _scaled_integers,
+    _unscaled,
     product_sum_measure,
 )
 from .lattice import t_value
@@ -43,11 +48,16 @@ class Block:
     ``f_raw`` stores the exact numerators <coeffs, x> of the frame's
     functional; dividing by the frame scale (often irrational) is never
     needed because every gap is compared exactly, raised to the frame's
-    scale_root. Chains and block decompositions pass values they already
-    know; construction checks each against the frame, then their order and
-    gaps, and then the point distances, all on the points and coefficients
-    scaled once to integers. When the functional is bounded by the norm,
-    only consecutive points are tested.
+    scale_root. A block holds its points scaled to integers, X = s x, and
+    their integer numerators <C, X> = st f_raw(x) with C = t coeffs the
+    frame's integer form, and runs every check on them: each value against
+    the frame, then their order and gaps, then the point distances (only
+    consecutive points when the functional is bounded by the norm).
+
+    ``Block(points, f_raw, frame)`` scales the points and checks the values
+    it is given. Chains and block decompositions hold the integers already
+    and build blocks through ``_from_scaled``; ``points`` and ``f_raw`` of
+    those are derived on first read.
     """
 
     points: tuple[tuple[Fraction, ...], ...]
@@ -55,63 +65,91 @@ class Block:
     frame: LineFrame
 
     def __post_init__(self):
-        if not self.points:
-            raise DomainError("a block needs at least one point")
-        if len(self.f_raw) != len(self.points):
-            raise InvariantViolation(
-                f"{len(self.f_raw)} functional values for {len(self.points)} points"
-            )
-        # with X = s p and C = t coeffs integers, f_raw(p) = <C, X> / st, and a
-        # gap D / st is at least 1/2 when (2D)^r * den(scale_pow) >= st^r * num
+        _check_dims(self.frame.norm, *self.points)
         s, ipts = _scaled_integers(self.points)
-        t, (icoeffs,) = _scaled_integers([self.frame.coeffs])
-        st = s * t
-        dots = [sum(map(operator.mul, icoeffs, x)) for x in ipts]
-        for p, d, f in zip(self.points, dots, self.f_raw):
-            if f.numerator * st != d * f.denominator:
-                raise InvariantViolation(f"functional value {f} is wrong at point {p}")
-        r, scale_pow = self.frame.scale_root, self.frame.scale_pow
-        num, den = scale_pow.numerator, scale_pow.denominator
-        gap_min = st ** r * num
+        st = s * self.frame._scaled[0]
+        self._certify(s, ipts, tuple(f * st for f in self.f_raw))
+
+    @classmethod
+    def _from_scaled(cls, frame: LineFrame, s: int, ipts: Sequence[tuple], dots: Sequence) -> "Block":
+        """The block of the points ``ipts / s`` of the frame's dimension, with
+        numerators ``dots`` (f_raw times st), checked like a public block."""
+        block = object.__new__(cls)
+        block.__dict__["frame"] = frame
+        block._certify(s, tuple(ipts), tuple(dots))
+        return block
+
+    def __getattr__(self, name):
+        # points and values of a block from _from_scaled, derived on first read
+        if name == "points":
+            value = _unscaled(self._s, self._ipts)
+        elif name == "f_raw":
+            (value,) = _unscaled(self._s * self.frame._scaled[0], (self._dots,))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def _certify(self, s: int, ipts: tuple, dots: tuple) -> None:
+        """Store the integer form and check it: each numerator against the
+        frame's, then their order and gaps of at least 1/2 in f, then no two
+        points at distance below 1."""
+        if not ipts:
+            raise DomainError("a block needs at least one point")
+        if len(dots) != len(ipts):
+            raise InvariantViolation(f"{len(dots)} functional values for {len(ipts)} points")
+        frame = self.frame
+        self.__dict__.update(_s=s, _ipts=ipts, _dots=dots)  # so an error names the value given
+        ints = tuple(frame._dots(ipts))
+        for i, (d, e) in enumerate(zip(dots, ints)):
+            if d != e:
+                raise InvariantViolation(f"functional value {self.f_raw[i]} is wrong at point {self.points[i]}")
+        self.__dict__["_dots"] = dots = ints  # equal; ints where a public block gave Fractions
+        half_apart = frame._half_apart(s * frame._scaled[0])
         for lo, hi in zip(dots, dots[1:]):
             if lo > hi:
                 raise InvariantViolation("block points must be sorted by functional value")
-            if (2 * (hi - lo)) ** r * den < gap_min:
+            if not half_apart(hi - lo):
                 raise InvariantViolation("consecutive functional values closer than 1/2")
-        # if ||C / t||_dual <= scale, |f| <= ||.||: points two apart differ by
-        # at least 1 in f, hence in norm, and only consecutive pairs can be near
-        norm, k, dual = self.frame.norm, 1, None
-        if norm.kind == "linf":
-            dual = sum(map(abs, icoeffs))
-        elif norm.exponent == 1:
-            dual = max(map(abs, icoeffs))
-        elif norm.exponent == 2:
-            dual, k = sum(c * c for c in icoeffs), 2  # the dual norm squared
-        if dual is not None and num > 0 and dual**r * den**k <= num**k * t ** (k * r):
-            near_in_row = _near_in_row(norm, s)
+        if frame._consecutive_only:
+            near_in_row = _near_in_row(frame.norm, s)
             near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
         else:
             near = [(i, (m & -m).bit_length() - 1)
-                    for i, row in enumerate(_near_masks(norm, s, ipts)) if (m := row & -(2 << i))]
+                    for i, row in enumerate(_near_masks(frame.norm, s, ipts)) if (m := row & -(2 << i))]
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._ipts)
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence], frame: LineFrame) -> "Block":
         pts = [tuple(as_fraction(c) for c in p) for p in points]
-        keyed = sorted(((frame.f_raw(p), p) for p in pts), key=lambda t: (t[0], t[1]))
-        return cls(
-            tuple(p for _, p in keyed),
-            tuple(f for f, _ in keyed),
-            frame,
-        )
+        _check_dims(frame.norm, *pts)
+        s, ipts = _scaled_integers(pts)
+        keyed = sorted(zip(frame._dots(ipts), ipts))  # the (f_raw, point) order: st > 0
+        return cls._from_scaled(frame, s, [x for _, x in keyed], [d for d, _ in keyed])
 
     def to_json(self) -> list:
         return [vector_str(p) for p in self.points]
+
+
+def _one_frame(blocks: Sequence[Block]) -> LineFrame:
+    frame = blocks[0].frame
+    if any(b.frame is not frame and b.frame != frame for b in blocks[1:]):
+        raise DomainError("blocks must share one line frame")
+    return frame
+
+
+def _at_scale(block: Block, s: int) -> tuple[Sequence[tuple], Sequence]:
+    """A block's integer points and numerators at the scale s, a multiple of
+    its own."""
+    k = s // block._s
+    if k == 1:
+        return block._ipts, block._dots
+    return [tuple(c * k for c in p) for p in block._ipts], [d * k for d in block._dots]
 
 
 @dataclass(frozen=True)
@@ -141,22 +179,22 @@ def btk_decompose(a: Block, b: Block) -> ChainDecomposition:
     functional gap of at least 1/2 from the blocks, which forces pairwise
     distances of at least 1 along each chain; both facts are re-checked
     exactly during Block construction, which takes f(x + y) = f(x) + f(y)
-    from the two blocks.
+    from the two blocks. Points and values are added as integers, both
+    blocks taken to the lcm of their scales.
     """
-    if a.frame is not b.frame and a.frame != b.frame:
-        raise DomainError("blocks must share one line frame")
+    _one_frame((a, b))
     big, small = (a, b) if len(a) >= len(b) else (b, a)
-    xs = big.points
-    ys = small.points
+    s = math.lcm(big._s, small._s)
+    (xs, fx), (ys, fy) = _at_scale(big, s), _at_scale(small, s)
     m, n = len(xs), len(ys)
     chains = []
     for k in range(n):
         # row with the (k+1)-th smallest functional value of the small block,
         # then the remaining column above it: increasing in f
         cells = [(j, k) for j in range(m - k)] + [(m - k - 1, i) for i in range(k + 1, n)]
-        points = tuple(tuple(map(operator.add, xs[j], ys[i])) for j, i in cells)
-        values = tuple(big.f_raw[j] + small.f_raw[i] for j, i in cells)
-        chains.append(Block(points, values, a.frame))
+        points = [tuple(map(operator.add, xs[j], ys[i])) for j, i in cells]
+        dots = [fx[j] + fy[i] for j, i in cells]
+        chains.append(Block._from_scaled(a.frame, s, points, dots))
     decomp = ChainDecomposition(tuple(chains))
     expected = sorted(range(m - n + 1, m + n, 2))
     if sorted(decomp.sizes) != expected:
@@ -249,6 +287,7 @@ def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBound
     caps = resolve(caps)
     if not blocks:
         raise DomainError("need at least one block")
+    norm = _one_frame(blocks).norm
     ks = [len(b) for b in blocks]
     bound = Fraction(middle_layer_count(ks), math.prod(ks))
     t = t_value([Fraction(1, k) for k in ks])
@@ -259,8 +298,11 @@ def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBound
     q_exact = None
     witness = None
     if math.prod(ks) <= caps.product_support:
-        norm = blocks[0].frame.norm
-        measures = [VectorMeasure.uniform(norm, b.points) for b in blocks]
+        # a block's points are distinct, so sorted they need no merge
+        measures = [
+            VectorMeasure(PointConfig._from_scaled(norm, b._s, sorted(b._ipts)), (Fraction(1, k),) * k)
+            for b, k in zip(blocks, ks)
+        ]
         total = product_sum_measure(measures, caps)
         if len(total.points) <= caps.clique:
             result = concentration_q(total, caps)

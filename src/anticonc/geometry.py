@@ -22,7 +22,9 @@ Each `PointConfig` holds one such integer form, ``PointConfig.scaled``.
 per config and on first use. Code that already holds the integers (the
 product sum, a measure's merge) supplies them through ``_from_scaled``.
 ``_near_masks``, the measure order check, near-line fitting and product sums
-read the stored form.
+read the stored form. A `LineFrame` likewise scales its coefficients once
+(``LineFrame._scaled``); support checks, separation checks and blocks take
+functional values as integer numerators on the two forms.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -250,13 +252,9 @@ class PointConfig:
 
         The callers hold integer forms of checked configs of this norm, so
         the points need no second check."""
-        coord = {
-            c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
-            for c in {c for p in ipts for c in p}
-        }
         config = object.__new__(cls)
         object.__setattr__(config, "norm", norm)
-        object.__setattr__(config, "points", tuple(tuple(coord[c] for c in p) for p in ipts))
+        object.__setattr__(config, "points", _unscaled(scale, ipts))
         config.__dict__["scaled"] = (scale, tuple(ipts))
         return config
 
@@ -348,6 +346,16 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...
     or elements of Z[sqrt(m)] for `QuadExt` coordinates."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
     return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points)
+
+
+def _unscaled(scale: int, ipts: Sequence[tuple]) -> tuple[Point, ...]:
+    """The points ``ipts / scale``: Fractions, or `QuadExt` values for
+    Z[sqrt(m)] coordinates, through one dict per distinct coordinate."""
+    coord = {
+        c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
+        for c in {c for p in ipts for c in p}
+    }
+    return tuple(tuple(coord[c] for c in p) for p in ipts)
 
 
 def _near_in_row(norm: NormSpec, scale: int):
@@ -453,6 +461,43 @@ class LineFrame:
             self.norm, self.direction
         )
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(t, C)``: a positive int t and the integer coefficients
+        C = t * coeffs, so that f_raw(X / s) = <C, X> / st."""
+        t, (icoeffs,) = _scaled_integers([self.coeffs])
+        return t, icoeffs
+
+    def _dots(self, ipts: Iterable[tuple]) -> list:
+        """The numerators <C, X> of f_raw at the integer points ``ipts``."""
+        icoeffs = self._scaled[1]
+        return [sum(map(operator.mul, icoeffs, x)) for x in ipts]
+
+    def _half_apart(self, st: int):
+        """The test "a gap D / st of f_raw is at least 1/2 in units of the
+        scale" on the integer numerator D: (2|D|) ** r * den >= st ** r * num
+        with r = scale_root and num / den = scale_pow."""
+        r, num, den = self.scale_root, self.scale_pow.numerator, self.scale_pow.denominator
+        gap_min = st**r * num
+        return lambda d: (2 * abs(d)) ** r * den >= gap_min
+
+    @cached_property
+    def _consecutive_only(self) -> bool:
+        """Whether ||C / t||_dual <= scale, so |f| <= ||.||: points of a block
+        two apart then differ by at least 1 in f, hence in norm, and only
+        consecutive points can be near. Decided on the integers for l1, l2,
+        linf, lp(1) and lp(2); False for a zero scale, where every gap passes."""
+        t, icoeffs = self._scaled
+        r, num, den = self.scale_root, self.scale_pow.numerator, self.scale_pow.denominator
+        k, dual = 1, None
+        if self.norm.kind == "linf":
+            dual = sum(map(abs, icoeffs))
+        elif self.norm.exponent == 1:
+            dual = max(map(abs, icoeffs))
+        elif self.norm.exponent == 2:
+            dual, k = sum(c * c for c in icoeffs), 2  # the dual norm squared
+        return dual is not None and num > 0 and dual**r * den**k <= num**k * t ** (k * r)
+
     def verify_supporting(self, points: Iterable[Sequence[Fraction]] | PointConfig) -> None:
         """``supports`` at every point, on X = s x and C = t coeffs scaled to
         integers: |<C, X>| ** r * s ** e <= scale_pow * (st) ** r * ||X|| ** e,
@@ -463,13 +508,12 @@ class LineFrame:
         else:
             points = list(points)
             s, ipts = _scaled_integers(points)
-        t, (icoeffs,) = _scaled_integers([self.coeffs])
+        t = self._scaled[0]
         r, e = self.scale_root, self.norm.exponent
         lhs_mul = self.scale_pow.denominator * s**e
         rhs_mul = self.scale_pow.numerator * (s * t) ** r
         agg = max if self.norm.kind == "linf" else sum
-        for p, x in zip(points, ipts):
-            dot = sum(map(operator.mul, icoeffs, x))
+        for p, x, dot in zip(points, ipts, self._dots(ipts)):
             if abs(dot) ** r * lhs_mul > rhs_mul * agg([abs(u) ** e for u in x]):
                 raise InvariantViolation(f"functional exceeds the norm at point {p}")
 
@@ -733,12 +777,12 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     Violations are returned as data; for configurations within the norm's
     near-line radius of the frame's line the list is empty.
     """
-    half = Fraction(1, 2)
-    pts = config.points
-    raws = [frame.f_raw(p) for p in pts]
+    s, ipts = config.scaled
+    dots = frame._dots(ipts)
+    half_apart = frame._half_apart(s * frame._scaled[0])
     comp = distance_graph(config).complement().masks
     far = [(i, j) for i, m in enumerate(comp) for j in _iter_bits(m & -(2 << i))]
-    bad = tuple((i, j) for i, j in far if not frame.raw_gap_at_least(raws[i] - raws[j], half))
+    bad = tuple((i, j) for i, j in far if not half_apart(dots[i] - dots[j]))
     return SeparationReport(len(far), bad)
 
 

@@ -637,7 +637,7 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     ``to_uniform_multiset``.
     """
     from .chains import Block
-    from .geometry import PointConfig, distance_graph
+    from .geometry import PointConfig, _check_dims, distance_graph
 
     caps = resolve(caps)
     if not isinstance(subject, PointConfig):
@@ -645,24 +645,26 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
             "block decomposition needs a uniform multiset as a PointConfig; "
             "clear denominators with to_uniform_multiset first"
         )
-    points = subject.points
-    raws = [frame.f_raw(p) for p in points]
+    s, ipts = subject.scaled
+    _check_dims(frame.norm, *ipts[:1])  # a config's points share one dimension
+    dots = frame._dots(ipts)
     # canonical processing order: sort along the frame so colour classes and
-    # greedy bounds follow the line geometry
-    order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
+    # greedy bounds follow the line geometry; (f_raw, point) is the order of
+    # the integer (numerator, point), as both are scaled by positive ints
+    order = sorted(range(len(ipts)), key=lambda i: (dots[i], ipts[i]))
     cert, omega = _colouring_and_bound(distance_graph(subject).induced(order), caps, True)
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
         )
     if alpha is not None:
-        bound = as_fraction(alpha) * len(points)
+        bound = as_fraction(alpha) * len(ipts)
         if cert.num_colors > bound:
             raise InvariantViolation(
                 f"colouring uses {cert.num_colors} classes, above alpha*|S| = {bound}"
             )
     # each class lists its vertices in increasing order, hence increasing f
     return [
-        Block(tuple(points[order[v]] for v in cls), tuple(raws[order[v]] for v in cls), frame)
+        Block._from_scaled(frame, s, [ipts[order[v]] for v in cls], [dots[order[v]] for v in cls])
         for cls in cert.classes
     ]

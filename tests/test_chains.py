@@ -1,27 +1,32 @@
 import itertools
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticonc import chains, lattice
+from anticonc import chains, geometry, lattice
 from anticonc.chains import (
     Block,
+    ChainDecomposition,
     btk_decompose,
     iterated_decompose,
     jones_bound,
     middle_layer_count,
 )
-from anticonc.errors import DomainError, InvariantViolation
+from anticonc.errors import DimensionMismatch, DomainError, InvariantViolation
 from anticonc.geometry import (
     PointConfig,
     dist_vs_one,
+    distance_graph,
     l1,
     l2,
     linf,
+    lp,
     near_line_fit,
+    separation_check,
     supporting_functional,
 )
 from anticonc.perfect_graphs import block_decomposition
@@ -327,3 +332,226 @@ class TestKnownFunctionalValues:
             Block(pts, (F(0), F(2), F(4)), X_FRAME)
         with pytest.raises(InvariantViolation, match="wrong at point"):
             Block(pts, (F(0), F(1, 4)), X_FRAME)
+
+
+    def test_wrong_values_through_from_scaled(self):
+        # the same cases on integer points and numerators: X_FRAME has C = (1, 0)
+        with pytest.raises(InvariantViolation, match="sorted"):
+            Block._from_scaled(X_FRAME, 1, [(2, 0), (0, 0)], [2, 0])
+        with pytest.raises(InvariantViolation, match="closer than 1/2"):
+            Block._from_scaled(X_FRAME, 4, [(0, 0), (1, 4)], [0, 1])
+        with pytest.raises(InvariantViolation, match="distance below 1"):
+            Block._from_scaled(X_FRAME, 2, [(0, 0), (1, 0)], [0, 1])
+        y_frame = supporting_functional(l2(2), (0, 1))
+        with pytest.raises(InvariantViolation, match="wrong at point"):
+            Block._from_scaled(y_frame, 1, [(0, 0), (1, 0)], [0, 100])
+        with pytest.raises(InvariantViolation, match="1 functional values for 2"):
+            Block._from_scaled(X_FRAME, 1, [(0, 0), (2, 0)], [0])
+        with pytest.raises(InvariantViolation, match="3 functional values for 2"):
+            Block._from_scaled(X_FRAME, 1, [(0, 0), (2, 0)], [0, 2, 4])
+        with pytest.raises(DomainError, match="at least one point"):
+            Block._from_scaled(X_FRAME, 1, [], [])
+        # the message names the value and the point as the public one does
+        with pytest.raises(InvariantViolation) as public:
+            Block(((F(0), F(0)), (F(2), F(0))), (F(0), F(1, 4)), X_FRAME)
+        with pytest.raises(InvariantViolation) as scaled:
+            Block._from_scaled(X_FRAME, 4, [(0, 0), (8, 0)], [0, 1])
+        assert str(scaled.value) == str(public.value)
+
+
+# --- reference: the Fraction peeling the integer chains replaced -------------
+
+
+def ref_btk_decompose(a, b):
+    """Chains from Fraction sums of points and values, each chain built by
+    the public constructor, which scales and checks it afresh."""
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    xs, ys = big.points, small.points
+    m, n = len(xs), len(ys)
+    out = []
+    for k in range(n):
+        cells = [(j, k) for j in range(m - k)] + [(m - k - 1, i) for i in range(k + 1, n)]
+        points = tuple(tuple(u + v for u, v in zip(xs[j], ys[i])) for j, i in cells)
+        values = tuple(big.f_raw[j] + small.f_raw[i] for j, i in cells)
+        out.append(Block(points, values, a.frame))
+    return ChainDecomposition(tuple(out))
+
+
+def ref_iterated_decompose(blocks):
+    chains_ = [blocks[0]]
+    for nxt in blocks[1:]:
+        chains_ = [c for chain in chains_ for c in ref_btk_decompose(chain, nxt).chains]
+    return ChainDecomposition(tuple(chains_))
+
+
+CHAIN_FRAMES = [
+    supporting_functional(norm, d)
+    for norm in (l2(2), l1(2), linf(2), lp(3, 2))
+    for d in ((1, 0), (F(3, 2), F(1, 2)), (1, F(-2, 3)), (1, 1))
+]
+
+
+@st.composite
+def frame_blocks(draw, count):
+    """Blocks along one frame's direction, each on its own scale: steps of at
+    least 2 along the direction and jitter of at most 1/32 per coordinate
+    keep functional gaps and distances above 1. Some are rebuilt through the
+    public constructor."""
+    frame = draw(st.sampled_from(CHAIN_FRAMES))
+    dx, dy = frame.direction
+    blocks = []
+    for _ in range(count):
+        den = draw(st.sampled_from([1, 2, 3, 5, 8, 16]))
+        k = draw(st.integers(1, 5))
+        t, pts = F(draw(st.integers(-3, 3)), den), []
+        for _ in range(k):
+            u, v = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+            pts.append((t * dx + F(u, 32 * den), t * dy + F(v, 32 * den)))
+            t += 2 + F(draw(st.integers(0, 8)), den)
+        block = Block.from_points(draw(st.permutations(pts)), frame)
+        if draw(st.booleans()):
+            block = Block(block.points, block.f_raw, frame)
+        blocks.append(block)
+    return blocks
+
+
+def assert_same_chains(got, want):
+    assert [c.points for c in got.chains] == [c.points for c in want.chains]
+    assert [c.f_raw for c in got.chains] == [c.f_raw for c in want.chains]
+    assert got.sizes == want.sizes
+    assert got.to_json() == want.to_json()
+
+
+class TestIntegerChains:
+    """Chains peeled on integer points and numerators equal the Fraction
+    peeling's, on every scale and frame."""
+
+    @given(frame_blocks(2))
+    @settings(max_examples=150, deadline=None)
+    def test_btk_matches_fraction_reference(self, blocks):
+        a, b = blocks
+        assert_same_chains(btk_decompose(a, b), ref_btk_decompose(a, b))
+
+    @given(frame_blocks(3))
+    @settings(max_examples=60, deadline=None)
+    def test_iterated_matches_fraction_reference(self, blocks):
+        assert_same_chains(iterated_decompose(blocks), ref_iterated_decompose(blocks))
+
+    def test_mixed_scales_go_to_the_lcm(self):
+        a = Block.from_points([(F(0), F(0)), (F(7, 3), F(0))], X_FRAME)
+        b = Block.from_points([(F(0), F(1, 8)), (F(17, 8), F(0))], X_FRAME)
+        d = btk_decompose(a, b)
+        assert {c._s for c in d.chains} == {24}
+        assert_same_chains(d, ref_btk_decompose(a, b))
+
+
+class TestChainsScaleNothing:
+    """Counts ``_scaled_integers`` calls: a certify pass scales each config
+    and each frame's coefficients once, and no block or chain rescales."""
+
+    @pytest.fixture
+    def scaled_calls(self, monkeypatch):
+        calls, chain_calls = [], []
+        original = geometry._scaled_integers
+
+        def counted(into):
+            def scaled(points):
+                into.append(tuple(points))
+                return original(points)
+            return scaled
+
+        monkeypatch.setattr(geometry, "_scaled_integers", counted(calls))
+        monkeypatch.setattr(chains, "_scaled_integers", counted(chain_calls))
+        return calls, chain_calls
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_certify_pass(self, norm, scaled_calls):
+        calls, chain_calls = scaled_calls
+        rng = random.Random({"l2": 1800, "l1": 1801, "linf": 1802}[norm.kind])
+        for _ in range(8):
+            cfg = near_line_set(rng, norm)
+            calls.clear()
+            fit = near_line_fit(cfg)
+            distance_graph(cfg)
+            blocks = block_decomposition(cfg, fit.frame)
+            separation_check(fit.frame, cfg)
+            assert len(iterated_decompose(blocks[:3]).chains) == middle_layer_count(
+                [len(b) for b in blocks[:3]])
+            assert jones_bound(blocks[:3]).ok
+            assert sorted(calls, key=len) == [(fit.frame.coeffs,), cfg.points]
+            assert chain_calls == []
+
+
+class TestBlockIdentity:
+    """A block built from integers is the dataclass the public constructor
+    gives: same equality, hash, repr, length and frozenness."""
+
+    def test_matches_public_constructor(self):
+        rng = random.Random(1810)
+        for norm in (l2(2), l1(2), linf(2)):
+            for _ in range(5):
+                cfg = near_line_set(rng, norm)
+                frame = near_line_fit(cfg).frame
+                for b in block_decomposition(cfg, frame):
+                    h, r = hash(b), repr(b)  # before anything else is read
+                    public = Block(b.points, b.f_raw, frame)
+                    assert b == public and public == b
+                    assert h == hash(public) and r == repr(public)
+                    assert len(b) == len(public) == len(b.points)
+
+    def test_unequal_blocks(self):
+        a = Block.from_points([(F(0), F(0)), (F(2), F(0))], X_FRAME)
+        assert a != Block.from_points([(F(0), F(0)), (F(3), F(0))], X_FRAME)
+        assert a != Block.from_points([(F(0), F(0)), (F(2), F(0))], supporting_functional(l1(2), (1, 0)))
+        assert a == Block.from_points([(F(2), F(0)), (F(0), F(0))], supporting_functional(l2(2), (1, 0)))
+
+    def test_frozen(self):
+        scaled = Block._from_scaled(X_FRAME, 1, [(0, 0), (2, 0)], [0, 2])
+        public = Block(((F(0), F(0)), (F(2), F(0))), (F(0), F(2)), X_FRAME)
+        for b in (scaled, public):
+            for name in ("points", "f_raw", "frame", "_ipts"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(b, name, None)
+            with pytest.raises(FrozenInstanceError):
+                del b.points
+            with pytest.raises(AttributeError):
+                b.no_such_field
+        assert scaled == public
+
+
+class TestDimensions:
+    """Points of another dimension than the frame's are refused, not cut."""
+
+    def test_public_constructor(self):
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+            Block(((F(0), F(0), F(7)), (F(2), F(0))), (F(0), F(2)), X_FRAME)
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+            Block(((F(0),), (F(2),)), (F(0), F(2)), X_FRAME)
+
+    def test_from_points(self):
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+            Block.from_points([(0, 0, 7), (2, 0)], X_FRAME)
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+            Block.from_points([(0,), (2,)], X_FRAME)
+
+    def test_block_decomposition(self):
+        cfg = PointConfig(l2(2), ((F(0), F(0)), (F(2), F(0))))
+        with pytest.raises(DimensionMismatch, match="expected dimension 1, got 2"):
+            block_decomposition(cfg, LINE_FRAME)
+
+
+class TestOneFrame:
+    def test_jones_bound_refuses_mixed_frames(self):
+        pts = [(F(0), F(0)), (F(2), F(0))]
+        l2_block = Block.from_points(pts, X_FRAME)
+        l1_block = Block.from_points(pts, supporting_functional(l1(2), (1, 0)))
+        for blocks in ([l2_block, l1_block], [l1_block, l2_block, l2_block]):
+            with pytest.raises(DomainError, match="blocks must share one line frame"):
+                jones_bound(blocks)
+            with pytest.raises(DomainError, match="blocks must share one line frame"):
+                iterated_decompose(blocks)
+
+    def test_equal_frames_are_one_frame(self):
+        a = Block.from_points([(F(0), F(0)), (F(2), F(0))], X_FRAME)
+        b = Block.from_points([(F(0), F(0)), (F(2), F(0))], supporting_functional(l2(2), (1, 0)))
+        assert jones_bound([a, b]).bound == F(1, 2)

@@ -184,6 +184,16 @@ class TestChainsCommands:
         out = json.loads(result.output)
         assert out["bound"] == "1/2" and out["ok"] is True
 
+    @pytest.mark.parametrize("command", ["btk-chains", "jones-bound"])
+    @pytest.mark.parametrize("block, got", [([["0", "0", "7"], ["2", "0"]], 3), ([["0"], ["2"]], 1)])
+    def test_wrong_dimension_exits_2(self, runner, tmp_path, command, block, got):
+        # the extra or missing coordinate used to be dropped or chained on
+        data = {"norm": "l2", "dim": 2, "direction": ["1", "0"], "blocks": [block, [["0", "0"], ["3", "0"]]]}
+        path = write_json(tmp_path, "blocks.json", data)
+        result = runner.invoke(main, [command, "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == f"input error: expected dimension 2, got {got}\n"
+
 
 class TestBoundsCommands:
     def test_clt_window(self, runner):
