@@ -39,8 +39,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, cmp_to_key
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import Caps, resolve
 from .errors import (
@@ -502,11 +502,14 @@ class LineFrame:
         """``supports`` at every point, on X = s x and C = t coeffs scaled to
         integers: |<C, X>| ** r * s ** e <= scale_pow * (st) ** r * ||X|| ** e,
         with r = scale_root and e the norm exponent. A `PointConfig` is
-        checked on its stored integer form."""
+        checked on its stored integer form; points of another dimension than
+        the frame's raise `DimensionMismatch`."""
         if isinstance(points, PointConfig):
             (s, ipts), points = points.scaled, points.points
+            _check_dims(self.norm, *ipts[:1])  # a config's points share one dimension
         else:
             points = list(points)
+            _check_dims(self.norm, *points)
             s, ipts = _scaled_integers(points)
         t = self._scaled[0]
         r, e = self.scale_root, self.norm.exponent
@@ -585,29 +588,30 @@ class NearLineFit:
     exact: Optional[Fraction]  # deviation itself when rational (l1/linf, d=2)
 
 
-def _candidate_directions(
-    points: Sequence[tuple[int, ...]], d: int
-) -> list[tuple[int, ...]]:
-    """The axes, then the direction of every pairwise difference, first seen first.
+def _primitive(diff: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector along a nonzero integer vector: coprime
+    coordinates, first nonzero coordinate positive."""
+    g = math.gcd(*diff)
+    if next(c for c in diff if c) < 0:
+        g = -g
+    return tuple(c // g for c in diff)
 
-    Directions are primitive integer vectors (coprime coordinates, first
-    nonzero coordinate positive), so each line direction appears once.
-    """
-    out = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    seen = set(out)
+
+def _candidate_directions(points: Sequence[tuple[int, ...]], d: int) -> Iterator[tuple[int, ...]]:
+    """The axes, then the direction of every pairwise difference, first seen
+    first, each line direction once as a primitive vector; lazily, so a scan
+    that stops early pays only for the pairs it reached."""
+    seen = set()
+    for i in range(d):
+        seen.add(axis := tuple(int(j == i) for j in range(d)))
+        yield axis
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
-            diff = [a - b for a, b in zip(p, q)]
-            g = math.gcd(*diff)
-            if g == 0:
-                continue
-            if next(c for c in diff if c) < 0:
-                g = -g
-            cand = tuple(c // g for c in diff)
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
+            if p != q:
+                cand = _primitive([a - b for a, b in zip(p, q)])
+                if cand not in seen:
+                    seen.add(cand)
+                    yield cand
 
 
 def _hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -628,6 +632,96 @@ def _hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
             hull.append((x, y))
         hull.pop()
     return hull
+
+
+_PLANE_AXES = ((1, 0), (0, 1))
+
+
+def _planar_key(norm: NormSpec, hull: Sequence[tuple[int, int]], v: tuple[int, int]) -> tuple:
+    """``(num, den, lo, hi)``: the extremes lo, hi of det(v, x) over the hull
+    and the key num / den that orders directions as their deviations do: the
+    spread hi - lo squared over ||v||_2 ** 2 for l2, the spread over the dual
+    norm of v for l1 (||v||_inf) and linf (||v||_1)."""
+    v0, v1 = v
+    dets = [v0 * y - v1 * x for x, y in hull]
+    lo, hi = min(dets), max(dets)
+    spread = hi - lo
+    if norm.is_hilbert:
+        return spread * spread, v0 * v0 + v1 * v1, lo, hi
+    if norm.kind == "l1":
+        return spread, max(abs(v0), abs(v1)), lo, hi
+    return spread, abs(v0) + abs(v1), lo, hi
+
+
+def _planar_fit(norm: NormSpec, scale: int, v: tuple[int, int], key: tuple) -> tuple:
+    """``((v, base), (max_deviation, certified, exact_sq, exact))`` for the
+    `_planar_key` of v on points scaled by ``scale``: the line
+    det(v, x) = (lo + hi) / 2, through its point nearest 0."""
+    (v0, v1), (num, den, lo, hi) = v, key
+    base_den = 2 * scale * (v0 * v0 + v1 * v1)
+    base = (Fraction(-v1 * (lo + hi), base_den), Fraction(v0 * (lo + hi), base_den))
+    if norm.is_hilbert:
+        sq = Fraction(num, 4 * den * scale * scale)
+        return (v, base), (math.sqrt(float(sq)), sq < norm.near_line_radius_sq, sq, None)
+    dev = Fraction(num, 2 * den * scale)
+    return (v, base), (float(dev), dev * dev < norm.near_line_radius_sq, None, dev)
+
+
+def _first_pair(points: Sequence[tuple[int, int]], v: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), i < j, of the all-pairs scan whose difference is
+    a nonzero multiple of v. Two points differ by a multiple of v exactly when
+    det(v, .) agrees, so the first point of each value is all it needs."""
+    v0, v1 = v
+    first: dict[int, tuple] = {}
+    found = None
+    for j, p in enumerate(points):
+        i, q = first.setdefault(v0 * p[1] - v1 * p[0], (j, p))
+        if q != p and (found is None or (i, j) < found):
+            found = (i, j)
+    return found
+
+
+def _planar_direction(
+    norm: NormSpec, points: Sequence[tuple[int, int]], hull: Sequence[tuple[int, int]]
+) -> Optional[tuple[int, int]]:
+    """The direction the all-pairs scan of `near_line_fit` settles on in the
+    plane, found among the axes and the hull-edge directions, or None where
+    only that scan can tell.
+
+    Between two adjacent breakpoints (the hull-edge directions, where the
+    extremes of det(v, .) change, and where the dual norm bends: the
+    diagonals for l1, the axes for linf) the spread of det(v, x) and the
+    dual norm are both linear in v. The l2 key is then |a - b| sin of the
+    angle from v to a - b, larger inside the arc than at one of its ends;
+    the l1 and linf keys are a ratio of linear maps, monotone or constant
+    on the arc. No l1 minimum sits next to a diagonal: for |v1| <= |v0| the
+    key of v = (1, m) is the spread W(m) of y - mx, convex in m. If W does
+    not rise toward m = 1, the right end m2 of its minimum set is a hull
+    edge with m2 >= 1, and for m2 > 1 its key W(m2) / m2 is below W on the
+    last piece before m = 1 (likewise at m = -1 and for |v0| <= |v1|).
+
+    So a direction of least key is an axis or a hull edge, except inside an
+    arc where the key is constant at its least, which shows as two adjacent
+    breakpoints of least key: then None. Among tied directions the scan
+    meets the axes first, then the direction of its first pair (i, j).
+    """
+    edges = {
+        _primitive((b[0] - a[0], b[1] - a[1])) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
+    }
+    cands = [*_PLANE_AXES, *edges]
+    bends = {"l1": ((1, 1), (1, -1)), "linf": _PLANE_AXES}.get(norm.kind, ())
+    keys = {v: _planar_key(norm, hull, v) for v in (*cands, *bends)}
+    least = min((keys[v] for v in cands), key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    tied = {v for v, k in keys.items() if k[0] * least[1] == least[0] * k[1]}
+    if bends and len(hull) > 1:
+        # canonical directions lie at angles in (-90, 90]: det orders them
+        ring = sorted(edges.union(bends), key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
+        if any(a in tied and b in tied for a, b in zip(ring, ring[1:] + ring[:1])):
+            return None
+    return min(
+        tied.intersection(cands),
+        key=lambda v: (0, _PLANE_AXES.index(v)) if v in _PLANE_AXES else (1, *_first_pair(points, v)),
+    )
 
 
 def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> float:
@@ -666,23 +760,31 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
 
     The points are scaled once to integers over the lcm of their
     denominators. Candidate directions are the coordinate axes plus all
-    pairwise point differences, as primitive integer vectors. In the plane
-    (l2, l1, linf) the deviation for a direction v has a closed form: half
-    the spread of the determinants det(v, x) divided by ||v||_2 for l2, and
-    by the dual norm of v for l1 (||v||_inf) and linf (||v||_1), taken over
-    the convex hull's vertices since det(v, .) is linear. The keys are
-    compared exactly by integer cross-multiplication, and the base point,
-    centered exactly, is built in Fractions only when the best key improves.
+    pairwise point differences, as primitive integer vectors, in that order
+    (pairs (i, j) by i, then j); a direction replaces the best one only when
+    its key is strictly smaller, so the fit is that of the earliest
+    direction of least key.
+
+    In the plane (l2, l1, linf) the deviation for a direction v has a closed
+    form: half the spread of the determinants det(v, x) divided by ||v||_2
+    for l2, and by the dual norm of v for l1 (||v||_inf) and linf
+    (||v||_1), taken over the convex hull's vertices since det(v, .) is
+    linear. Keys are compared exactly on integers, and the base point,
+    centred exactly, is built in Fractions only for a best key. Without
+    ``early_stop`` the planar fit is found without the O(n^2) scan: the
+    least key lies at an axis or a hull-edge direction (`_planar_direction`),
+    and among ties the scan's first is an axis, else the direction of the
+    earliest pair (i, j), ranked in O(n) by one dict over det(v, x). Only
+    when two adjacent l1 or linf breakpoints (hull edges and the diagonals
+    or axes) share the least key, so the key is constant between them, does
+    the full scan run.
+
     For l2 in any dimension the deviation comes from squared projections.
     Remaining cases fall back to per-point ternary search with a small
-    certification margin.
-
-    A direction replaces the best one only when its key is strictly
-    smaller, so ties keep the earliest direction. With ``early_stop`` the
-    scan returns the first such improvement whose deviation is certified
-    below the norm's near-line radius. Only that fit's frame is built; it is
-    checked once to be norm-bounded at every point. Q(sqrt(m)) coordinates
-    raise `DomainError`.
+    certification margin. With ``early_stop`` the scan returns the first
+    improvement whose deviation is certified below the norm's near-line
+    radius. Only the returned fit's frame is built; it is checked once to be
+    norm-bounded at every point. Q(sqrt(m)) coordinates raise `DomainError`.
     """
     norm = config.norm
     if len(config.points) == 0:
@@ -693,46 +795,26 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     scale, ipts = config.scaled
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best = None  # ((v, base), the other NearLineFit fields) of the best key
-    best_key = None  # Fraction or float; planar keys as (num, den) of num / den
+    best_key = None  # Fraction or float; planar keys as `_planar_key` tuples
     hull = _hull(ipts) if planar else ()
+    if planar and not early_stop:
+        v = _planar_direction(norm, ipts, hull)
+        if v is not None:
+            best = _planar_fit(norm, scale, v, _planar_key(norm, hull, v))
     # off the plane every line passes through the centre of the bounding box
     mid = () if planar else tuple((min(c) + max(c)) / 2 for c in zip(*config.points))
 
-    for v in _candidate_directions(ipts, d):
-        exact_sq: Optional[Fraction] = None
-        exact_dev: Optional[Fraction] = None
+    for v in _candidate_directions(ipts, d) if best is None else ():  # the scan
         if planar:
-            v0, v1 = v
-            dets = [v0 * y - v1 * x for x, y in hull]
-            lo, hi = min(dets), max(dets)
-            spread = hi - lo  # scale * (spread of det(v, x))
-            s = v0 * v0 + v1 * v1
-            if norm.is_hilbert:
-                num, den = spread * spread, s
-            elif norm.kind == "l1":
-                num, den = spread, max(abs(v0), abs(v1))
-            else:
-                num, den = spread, abs(v0) + abs(v1)
-            if best is not None and num * best_key[1] >= best_key[0] * den:
+            key = _planar_key(norm, hull, v)
+            if best is not None and key[0] * best_key[1] >= best_key[0] * key[1]:
                 continue
-            best_key = (num, den)
-            # the line det(v, x) = (lo + hi) / 2, through its point nearest 0
-            base_den = 2 * scale * s
-            base = (Fraction(-v1 * (lo + hi), base_den), Fraction(v0 * (lo + hi), base_den))
-            if norm.is_hilbert:
-                exact_sq = Fraction(num, 4 * den * scale * scale)
-                dev_float = math.sqrt(float(exact_sq))
-                certified = exact_sq < norm.near_line_radius_sq
-            else:
-                exact_dev = Fraction(num, 2 * den * scale)
-                dev_float = float(exact_dev)
-                certified = exact_dev * exact_dev < norm.near_line_radius_sq
+            best_key, best = key, _planar_fit(norm, scale, v, key)
         elif norm.is_hilbert:
-            base = mid
             vv = sum(c * c for c in v)
             worst = Fraction(0)
             for p in config.points:
-                r = tuple(a - b for a, b in zip(p, base))
+                r = tuple(a - b for a, b in zip(p, mid))
                 rr = sum(c * c for c in r)
                 rv = sum(a * b for a, b in zip(r, v))
                 dist_sq = rr - rv * rv / vv
@@ -740,21 +822,16 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
                     worst = dist_sq
             if best is not None and worst >= best_key:
                 continue
-            best_key = exact_sq = worst
-            dev_float = math.sqrt(float(worst))
-            certified = worst < norm.near_line_radius_sq
+            best_key = worst
+            best = (v, mid), (math.sqrt(float(worst)), worst < norm.near_line_radius_sq, worst, None)
         else:
-            base = mid
-            dev_float = max(
-                _point_line_dist_float(norm, p, base, v) for p in config.points
-            )
+            dev_float = max(_point_line_dist_float(norm, p, mid, v) for p in config.points)
             if best is not None and dev_float >= best_key:
                 continue
             best_key = dev_float
             certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
-
-        best = (v, base), (dev_float, certified, exact_sq, exact_dev)
-        if early_stop and certified:
+            best = (v, mid), (dev_float, certified, None, None)
+        if early_stop and best[1][1]:
             break
     fit = NearLineFit(supporting_functional(norm, *best[0]), *best[1])
     fit.frame.verify_supporting(config)
@@ -775,9 +852,11 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
     """Functional gap >= 1/2 for every pair at distance >= 1.
 
     Violations are returned as data; for configurations within the norm's
-    near-line radius of the frame's line the list is empty.
+    near-line radius of the frame's line the list is empty. A frame of
+    another dimension than the config raises `DimensionMismatch`.
     """
     s, ipts = config.scaled
+    _check_dims(frame.norm, *ipts[:1])  # a config's points share one dimension
     dots = frame._dots(ipts)
     half_apart = frame._half_apart(s * frame._scaled[0])
     comp = distance_graph(config).complement().masks

@@ -1,8 +1,12 @@
+import importlib.util
+import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticonc.caps import Caps
 from anticonc.chains import Block
@@ -367,6 +371,34 @@ def ref_near_line_fit(config, early_stop=False):
     return best
 
 
+def _over(den, pts):
+    return tuple((F(x, den), F(y, den)) for x, y in pts)
+
+
+# Sets whose key is constant, at its least value, over an arc of directions
+# between two adjacent breakpoints of the norm: only the all-pairs scan knows
+# which pair direction inside the arc it meets first.
+CONSTANT_ARC_SETS = {
+    "linf": (
+        ((-1, 1), (-1, 0), (1, -1), (0, 1)),
+        ((1, 1), (-1, -1), (-1, 0), (0, -1)),
+        ((0, 0), (-1, 1), (0, -1), (1, 0)),
+    ),
+    "l1": (
+        ((1, -1), (2, -2), (2, -1), (-2, 0)),
+        ((1, 1), (2, 1), (-2, 0), (2, 2)),
+        ((1, -1), (1, -2), (2, -2), (0, 2)),
+    ),
+}
+# l1 sets whose fit is a pair direction next to a diagonal that is neither an
+# axis nor a hull edge, (4, -3) and (4, 3): that happens only where the key is
+# constant over the arc from a hull edge to the next breakpoint
+DIAGONAL_NEIGHBOUR_SETS = (
+    ((2, -1), (-2, 2), (0, 1), (0, 0)),
+    ((-2, -2), (2, 1), (0, -1), (0, 1)),
+)
+
+
 def _parity_configs(norm, rng):
     """Point sets that stress ties, duplicates and degenerate spreads."""
     yield ((F(3, 7), F(-2, 5)),)
@@ -389,6 +421,23 @@ def _parity_configs(norm, rng):
     for _ in range(15):
         yield tuple(rational_point(rng, 2, rng.choice((3, 8, 12))) for _ in range(rng.randint(2, 9)))
     yield from _hull_configs(norm, rng)
+    for den in (1, 3):
+        for pts in CONSTANT_ARC_SETS["linf"] + CONSTANT_ARC_SETS["l1"] + DIAGONAL_NEIGHBOUR_SETS:
+            yield _over(den, pts)
+    # strips along a diagonal, where pair directions crowd round the l1
+    # breakpoint
+    for sign, width in ((1, 1), (-1, 2), (1, 3)):
+        yield _over(4, [(t + rng.randint(-width, width), sign * t + rng.randint(-width, width))
+                        for t in (rng.randint(0, 40) for _ in range(9))])
+    # two hull edges tie on the key (for l2 and linf); which one the scan
+    # meets first depends on the order of the points
+    for tri in itertools.permutations(((1, 1), (-1, 1), (0, -1))):
+        yield _over(2, tri)
+    # tied directions where the scan's first pair along the one it keeps is
+    # not the first such pair to close (for l2, linf and l1)
+    yield _over(3, ((-1, -1), (-1, 0), (0, 0), (2, -1), (1, 1), (1, -2)))
+    yield _over(3, ((-2, -1), (0, 2), (1, -1), (-1, -1), (0, 1), (-1, 2)))
+    yield _over(3, ((2, -1), (2, -2), (0, -1), (-2, 2), (-1, -1), (1, 2), (-2, 0)))
 
 
 def _hull_configs(norm, rng):
@@ -437,6 +486,86 @@ class TestNearLineParity:
             cfg = PointConfig(norm, pts)
             for early_stop in (False, True):
                 assert near_line_fit(cfg, early_stop) == ref_near_line_fit(cfg, early_stop)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        norm=st.sampled_from([l2(2), l1(2), linf(2)]),
+        pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12),
+        den=st.sampled_from([1, 2, 3, 32]),
+    )
+    def test_random_planar_sets(self, norm, pts, den):
+        cfg = PointConfig(norm, _over(den, pts))
+        assert near_line_fit(cfg) == ref_near_line_fit(cfg)
+
+    def test_benchmark_certify_block(self):
+        # the configurations of the first block of the seed-0 certify job list
+        path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
+        spec = importlib.util.spec_from_file_location("bench_mixes", path)
+        mixes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mixes)
+        jobs = mixes.generate("certify", 0, mixes.BLOCK["certify"])
+        configs = [PointConfig(NormSpec(job[1], 2), _over(mixes.CERTIFY_DEN, job[2]))
+                   for job in jobs if job[0] == "certify"]
+        assert len(configs) == 63
+        for cfg in configs:
+            assert near_line_fit(cfg) == ref_near_line_fit(cfg)
+
+
+class TestPlanarDirections:
+    """The planar fit scans all pairs only where the key is constant over an
+    arc of directions at its least value."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        import anticonc.geometry as geometry
+
+        scans = []
+        original = geometry._candidate_directions
+
+        def counted(points, d):
+            scans.append(len(points))
+            return original(points, d)
+
+        monkeypatch.setattr(geometry, "_candidate_directions", counted)
+        return scans
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_strip_sets_skip_the_pair_scan(self, norm, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        rng = random.Random(45)
+        for pts in list(_hull_configs(norm, rng))[:4]:
+            cfg = PointConfig(norm, pts)
+            fit = near_line_fit(cfg)
+            assert scans == []
+            assert fit == ref_near_line_fit(cfg)
+            near_line_fit(cfg, early_stop=True)
+            assert scans == [len(pts)]
+            scans.clear()
+
+    @pytest.mark.parametrize("kind", ["l1", "linf"])
+    def test_constant_arc_sets_scan_all_pairs(self, kind, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        for pts in CONSTANT_ARC_SETS[kind]:
+            cfg = PointConfig(NormSpec(kind, 2), _over(3, pts))
+            fit = near_line_fit(cfg)
+            assert scans == [len(pts)]
+            assert fit == ref_near_line_fit(cfg)
+            scans.clear()
+
+    def test_l1_fit_next_to_a_diagonal(self, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        for pts, direction in zip(DIAGONAL_NEIGHBOUR_SETS, ((4, -3), (4, 3))):
+            cfg = PointConfig(l1(2), _over(5, pts))
+            scans.clear()
+            fit = near_line_fit(cfg)
+            assert scans == [len(pts)]
+            assert fit.frame.direction == direction
+            assert fit == ref_near_line_fit(cfg)
+            hull = _hull(cfg.scaled[1])
+            edges = {_ref_canonical_direction((F(b[0] - a[0]), F(b[1] - a[1])))
+                     for a, b in zip(hull, hull[1:] + hull[:1])}
+            assert direction not in edges
+
 
 class TestHull:
     @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
@@ -580,6 +709,17 @@ class TestVerifySupporting:
         frame = _hand_frame(l2(2), (F(3, 5), F(4, 5)), 1)
         frame.verify_supporting([(F(6, 7), F(8, 7))])
 
+    def test_points_of_another_dimension(self):
+        pts = ((F(0), F(0)), (F(0), F(5)), (F(3), F(0)))
+        line = supporting_functional(l2(1), (1,))
+        for points in (pts, PointConfig(l2(2), pts)):
+            with pytest.raises(DimensionMismatch, match="expected dimension 1, got 2"):
+                line.verify_supporting(points)
+            with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+                supporting_functional(linf(3), (0, 1, 1)).verify_supporting(points)
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+            supporting_functional(l2(2), (1, 0)).verify_supporting([(F(1), F(0)), (F(2),)])
+
 
 class TestSeparationCheck:
     def test_unit_interval(self):
@@ -601,6 +741,13 @@ class TestSeparationCheck:
         cfg = PointConfig(l1(2), ((F(0), F(1, 8)), (F(17, 16), F(-1, 8))))
         rep = separation_check(frame, cfg)
         assert rep.ok
+
+    def test_frame_of_another_dimension(self):
+        cfg = PointConfig(l2(2), ((F(0), F(0)), (F(0), F(5)), (F(3), F(0))))
+        with pytest.raises(DimensionMismatch, match="expected dimension 1, got 2"):
+            separation_check(supporting_functional(l2(1), (1,)), cfg)
+        with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+            separation_check(supporting_functional(l1(3), (1, 0, 2)), cfg)
 
     def test_violation_is_data(self):
         # two far points orthogonal to the frame: separation fails, reported
