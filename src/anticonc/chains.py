@@ -300,11 +300,11 @@ def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBound
     if math.prod(ks) <= caps.product_support:
         # a block's points are distinct, so sorted they need no merge
         measures = [
-            VectorMeasure(PointConfig._from_scaled(norm, b._s, sorted(b._ipts)), (Fraction(1, k),) * k)
+            VectorMeasure._from_ints(PointConfig._from_scaled(norm, b._s, sorted(b._ipts)), (1,) * k, k)
             for b, k in zip(blocks, ks)
         ]
         total = product_sum_measure(measures, caps)
-        if len(total.points) <= caps.clique:
+        if len(total.config) <= caps.clique:
             result = concentration_q(total, caps)
             q_exact = result.value
             witness = result.witness

@@ -20,9 +20,11 @@ one pair.
 Each `PointConfig` holds one such integer form, ``PointConfig.scaled``.
 ``_scaled_integers`` is the only code that computes it from Fractions, once
 per config and on first use. Code that already holds the integers (the
-product sum, a measure's merge) supplies them through ``_from_scaled``.
-``_near_masks``, the measure order check, near-line fitting and product sums
-read the stored form. A `LineFrame` likewise scales its coefficients once
+product sum, a measure's merge, a uniform multiset) supplies them through
+``_from_scaled``; Fraction points are derived only when read, as are the
+weights a `VectorMeasure` holds as integers (``_ints``). ``_near_masks``,
+the measure order check, near-line fitting, product sums and concentrations
+read the stored forms. A `LineFrame` likewise scales its coefficients once
 (``LineFrame._scaled``); support checks, separation checks and blocks take
 functional values as integer numerators on the two forms.
 
@@ -213,7 +215,7 @@ class PointConfig:
     Coordinates are all rational or all `QuadExt` values with one m.
     ``scaled`` is the integer form every exact decision on the points reads:
     computed by ``_scaled_integers`` on first use, or supplied by
-    ``_from_scaled`` when the caller built the points from integers.
+    ``_from_scaled``, whose configs derive ``points`` on first read.
     """
 
     norm: NormSpec
@@ -233,7 +235,14 @@ class PointConfig:
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.scaled[1])
+
+    def __getattr__(self, name):
+        # points of a config from _from_scaled, derived on first read
+        if name != "points":
+            raise AttributeError(name)
+        value = self.__dict__["points"] = _unscaled(*self.scaled)
+        return value
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple, ...]]:
@@ -244,7 +253,7 @@ class PointConfig:
     @cached_property
     def _graph(self) -> DistGraph:
         """The strict distance graph, swept once on first use."""
-        return DistGraph._from_masks(len(self.points), _near_masks(self.norm, *self.scaled))
+        return DistGraph._from_masks(len(self), _near_masks(self.norm, *self.scaled))
 
     @classmethod
     def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> "PointConfig":
@@ -253,9 +262,7 @@ class PointConfig:
         The callers hold integer forms of checked configs of this norm, so
         the points need no second check."""
         config = object.__new__(cls)
-        object.__setattr__(config, "norm", norm)
-        object.__setattr__(config, "points", _unscaled(scale, ipts))
-        config.__dict__["scaled"] = (scale, tuple(ipts))
+        config.__dict__.update(norm=norm, scaled=(scale, tuple(ipts)))
         return config
 
     def to_json(self) -> dict:
@@ -273,33 +280,63 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class VectorMeasure:
-    """Finitely supported probability measure; equal atoms are merged."""
+    """Finitely supported probability measure; equal atoms are merged.
+    ``_ints`` holds the weights as integer numerators over their lcm."""
 
     config: PointConfig
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         ws = tuple(as_fraction(w) for w in self.weights)
-        pts = self.config.points
-        if len(ws) != len(pts):
+        if len(ws) != len(self.config):
             raise DomainError("weights do not align with points")
         nums, den = _numerators(ws)
         if any(u < 0 for u in nums):
             raise DomainError("negative weight")
-        if sum(nums) != den:
-            raise DomainError("weights must sum to exactly 1")
         # a positive scale keeps the lexicographic order: decide it on integers
         scale, ipts = self.config.scaled
-        if all(ws) and all(p < q for p, q in zip(ipts, ipts[1:])):
+        if all(nums) and all(p < q for p, q in zip(ipts, ipts[1:])):
             object.__setattr__(self, "weights", ws)  # already merged and sorted
+            self._store(self.config, nums, den)
             return
-        merged: dict[tuple, Fraction] = {}
-        for p, w in zip(ipts, ws):
-            if w:
-                merged[p] = merged.get(p, 0) + w
+        merged: dict[tuple, int] = {}
+        for p, u in zip(ipts, nums):
+            if u:
+                merged[p] = merged.get(p, 0) + u
         keys = sorted(merged)
-        object.__setattr__(self, "config", PointConfig._from_scaled(self.norm, scale, keys))
-        object.__setattr__(self, "weights", tuple(merged[p] for p in keys))
+        del self.__dict__["weights"]
+        self._store(PointConfig._from_scaled(self.norm, scale, keys), [merged[p] for p in keys], den)
+
+    @classmethod
+    def _from_ints(cls, config: PointConfig, nums: Sequence[int], den: int) -> "VectorMeasure":
+        """Weights ``nums / den`` on the strictly increasing points of ``config``."""
+        ipts = config.scaled[1]
+        if not all(p < q for p, q in zip(ipts, ipts[1:])):
+            raise InvariantViolation("the points of a measure must be strictly increasing")
+        measure = object.__new__(cls)
+        measure._store(config, nums, den)
+        return measure
+
+    def _store(self, config: PointConfig, nums: Sequence[int], den: int) -> None:
+        """Check ``nums / den`` as weights on the sorted points of ``config``
+        and store them over their lcm."""
+        g = math.gcd(den, *nums)
+        nums, den = tuple(u // g for u in nums), den // g
+        if len(nums) != len(config):
+            raise DomainError("weights do not align with points")
+        if not all(u > 0 for u in nums):
+            raise DomainError("weights must be positive")
+        if sum(nums) != den:
+            raise DomainError("weights must sum to exactly 1")
+        self.__dict__.update(config=config, _ints=(nums, den))
+
+    def __getattr__(self, name):
+        # weights held only as integers, derived on first read
+        if name != "weights":
+            raise AttributeError(name)
+        nums, den = self._ints
+        value = self.__dict__["weights"] = tuple(Fraction(u, den) for u in nums)
+        return value
 
     @property
     def norm(self) -> NormSpec:
@@ -884,11 +921,11 @@ def product_sum_measure(
     scale = math.lcm(*(m.config.scaled[0] for m in measures))
     acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators
     for i, m in enumerate(measures):
-        if i and len(acc) * len(m.points) > caps.product_support:
+        if i and len(acc) * len(m.config) > caps.product_support:
             raise ResourceCapExceeded(
                 f"product support would exceed {caps.product_support}"
             )
-        nums, wden = _numerators(m.weights)
+        nums, wden = m._ints
         s, ipts = m.config.scaled
         if s != scale:
             ipts = [tuple(c * (scale // s) for c in p) for p in ipts]
@@ -901,9 +938,8 @@ def product_sum_measure(
         acc = nxt
         den *= wden
     keys = sorted(acc)
-    return VectorMeasure(
-        PointConfig._from_scaled(norm, scale, keys),
-        tuple(Fraction(acc[p], den) for p in keys),
+    return VectorMeasure._from_ints(
+        PointConfig._from_scaled(norm, scale, keys), [acc[p] for p in keys], den
     )
 
 
@@ -922,14 +958,15 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
     strict distance graph, solved here by exact weighted branch and bound.
     """
     caps = resolve(caps)
-    n = len(measure.points)
+    n = len(measure.config)
     if n > caps.clique:
         raise ResourceCapExceeded(f"support size {n} above the clique cap {caps.clique}")
     g = distance_graph(measure.config)
-    nums, den = _numerators(measure.weights)  # validated by the measure
+    nums, den = measure._ints  # validated by the measure
     best, witness = _clique_search(g, nums)
+    s, ipts = measure.config.scaled
     return ConcentrationResult(
-        Fraction(best, den), witness, tuple(measure.points[i] for i in witness)
+        Fraction(best, den), witness, _unscaled(s, [ipts[i] for i in witness])
     )
 
 

@@ -13,18 +13,20 @@ factor's weights, its variance and its third absolute moment are integer
 closed forms in alpha = a/b, each O(1); ``ExtremalSpec`` keeps the Fraction
 form as their reference. A t-value reads only slots 0 and 1/2 of a
 symmetric sum, so it keeps one half of the centre window those slots can
-still be reached from. Equal alphas form a run, and a run is one
-polynomial power, taken by an exact integer recurrence: the first run
-seeds the window, the last closes it with two dot products, and factors in
-between are folded one at a time. The last few results are memoised by
-their (alpha, count) runs. ``_alpha_runs`` is the one place an alpha list
-is checked and counted into those runs, ``_alpha_ratio`` the one place a
-single alpha is; a ``VarianceProfile`` holds such runs and derives its sums
-from them.
+still be reached from. Equal alphas form a run, a power taken by one exact
+integer recurrence for products of powers: the last run closes the window
+with two dot products, and the runs before it are one product or, where a
+count of steps says folding is cheaper, the first run's power with the
+factors in between folded one at a time. The last few results are
+memoised by their (alpha, count) runs. ``_alpha_runs`` is the one place an
+alpha list is checked and counted into those runs, ``_alpha_ratio`` the one
+place a single alpha is; a ``VarianceProfile`` holds such runs and derives
+its sums from them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,43 +266,85 @@ def convolve_many(measures: Sequence[LatticeMeasure]) -> LatticeMeasure:
     return LatticeMeasure(offset, tuple(Fraction(w, den) for w in nums))
 
 
-def _power_low(g: list[int], c: int, n: int) -> list[int]:
-    """Coefficients 0 ... n of the polynomial ``g`` (g[0] != 0) to the power c.
+def _power_low(runs: Sequence[tuple[list[int], int]], n: int) -> list[int]:
+    """Coefficients 0 ... n of the product of g^c over the (g, c) ``runs``, g[0] != 0.
 
-    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): F = G^c obeys
-    g0·m·f_m = sum over j >= 1 of ((c + 1)j - m)·g_j·f_(m-j), so a
-    coefficient costs O(deg g) and every division is exact on integers.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), for a product of
+    powers: F = prod G_i^c_i obeys F'·Q = F·R with Q = prod G_i and R = sum
+    c_i G_i' prod_(j != i) G_j, so q0·m·f_m = sum over j >= 1 of (u_j -
+    m·q_j)·f_(m-j), u_j = r_(j-1) + j·q_j. A coefficient costs O(deg Q), and
+    every division is exact. With one run, u_j = (c + 1)·j·g_j is Miller's.
     """
-    if c == 1:
-        return (g + [0] * n)[:n + 1]
-    g0, tail = g[0], g[1:]
-    jtail = [j * x for j, x in enumerate(tail, 1)]
-    f = [g0 ** c]
+    if len(runs) == 1 and runs[0][1] == 1:
+        return (runs[0][0] + [0] * n)[:n + 1]
+    (q, c), *more = runs
+    r, f0 = [c * j * x for j, x in enumerate(q)][1:], q[0] ** c
+    for g, c in more:
+        f0 *= g[0] ** c
+        dg = [j * x for j, x in enumerate(g)][1:]
+        r = [x + c * y for x, y in zip(_convolve_ints(r, g), _convolve_ints(dg, q))]
+        q = _convolve_ints(q, g)
+    q0, tail = q[0], q[1:]
+    u = [x + j * y for j, (x, y) in enumerate(zip(r, tail), 1)]
+    f = [f0]
     for m in range(1, n + 1):
-        back = f[:-len(g):-1]  # f_(m-1), f_(m-2), ... down to f_(m - deg g)
-        acc = (c + 1) * sum(map(mul, jtail, back)) - m * sum(map(mul, tail, back))
-        q, r = divmod(acc, m * g0)
-        if r:
-            raise InvariantViolation(f"power recurrence left remainder {r} at m={m}")
-        f.append(q)
+        back = f[:-len(q):-1]  # f_(m-1), f_(m-2), ... down to f_(m - deg Q)
+        acc = sum(map(mul, u, back)) - m * sum(map(mul, tail, back))
+        quo, rem = divmod(acc, m * q0)
+        if rem:
+            raise InvariantViolation(f"power recurrence left remainder {rem} at m={m}")
+        f.append(quo)
     return f
 
 
-def _centre_power(k: int, inner: int, outer: int, c: int) -> list[int]:
-    """Slots 0 ... kc of the sum of c extremal factors, numerators over den^c.
-
-    One factor is G(x) = outer·(1 + x^2 + ... + x^2k) + inner·x·(1 + ... +
-    x^(2k-2)) with slot 0 at x^k. When alpha is 1/k, ``outer`` is 0 and G is
-    x·H(x^2), so the power is taken of H. The sum is symmetric, so slot x
-    is the coefficient of x^(kc - x) and only the low half is computed.
-    """
-    n = k * c
-    if outer:
-        low = _power_low([outer, inner] * k + [outer], c, n)
-    else:
+def _centre_power(factors) -> list[int]:
+    """Slots 0 ... S of the sum of the (k, inner, outer, den, c) runs, S the
+    sum of k·c, numerators over the product of den^c; the sum is symmetric,
+    so slot x is the coefficient of x^(S - x) and only the low half is
+    computed. A factor is G(x) = outer·(1 + x^2 + ... + x^2k) + inner·x·(1 +
+    ... + x^(2k-2)), slot 0 at x^k. For alpha = 1/k, outer is 0 and G =
+    x·H(x^2): x is taken out, and if every run is such, H is taken in x^2."""
+    n = e = count = 0
+    for k, _, outer, _, c in factors:
+        n += k * c
+        count += c
+        e += 0 if outer else c
+    if e == count:
         low = [0] * (n + 1)
-        low[c::2] = _power_low([inner] * k, c, (n - c) // 2)
-    return low[::-1]
+        low[e::2] = _power_low([([inner] * k, c) for k, inner, _, _, c in factors], (n - e) // 2)
+        return low[::-1]
+    runs = [([outer, inner] * k + [outer] if outer else [inner, 0] * (k - 1) + [inner], c)
+            for k, inner, outer, _, c in factors]
+    return _power_low(runs, n - e)[::-1] + [0] * e
+
+
+def _product_first(head, rest: int) -> bool:
+    """Whether the runs ``head`` before the last (of half-width ``rest``) are
+    cheaper as one product of powers, N'·deg Q steps for N' coefficients,
+    than as the first run's power and a fold of the factors after it, each
+    min(R + 1, S) + k steps (S the half-width so far, R the one to come).
+    N' and deg Q are counted from the runs ``_centre_power`` would build."""
+    n = e = count = degree = 0
+    for k, _, outer, _, c in head:
+        n += k * c
+        count += c
+        degree += 2 * k
+        if not outer:
+            e += c
+            degree -= 2
+    step = 2 if e == count else 1
+    product = ((n - e) // step + 1) * (degree // step)
+    half = head[0][0] * head[0][-1]
+    rest += n - half
+    if product >= (count - head[0][-1]) * (rest + 1):
+        return False  # a folded factor costs at most R + 1 + k, no more than this R + 1
+    fold = 0
+    for k, _, _, _, c in head[1:]:
+        for _ in range(c):
+            rest -= k
+            half += k
+            fold += (rest + 1 if rest < half else half) + k
+    return product < fold
 
 
 @lru_cache(maxsize=8)
@@ -309,42 +353,44 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
 
     h[x] is the numerator of slot x of the partial sum for x = 0 ... min(S,
     R + 1), S the half-width summed so far and R that of the factors still
-    to come; slot -x holds h[x]. The first run (largest k) seeds h with its
-    power, the last closes it: slots 0 and 1/2 of the whole sum are dot
-    products of h against the last run's power. Factors of the runs in
-    between are folded one at a time: with s the stride-2 prefix sums, a
-    factor's outer weight sums k + 1 slots two apart and its inner weight
-    the k between them, so a step costs O(min(S, R) + k) whatever k is.
+    to come; slot -x holds h[x]. The runs before the last make h as one
+    product of powers or, where ``_product_first`` counts that dearer, as
+    the first run's power with the factors after it folded one at a time:
+    with s the stride-2 prefix sums, a factor's outer weight sums k + 1
+    slots two apart and its inner weight the k between them, so a step
+    costs O(min(S, R) + k) whatever k is. Slots 0 and 1/2 of the whole sum
+    are dot products of h against the last run's power.
     """
     factors = [(*_extremal_weights(a), c) for a, c in runs]
-    rest = sum(k * c for k, _, _, _, c in factors)
-    k, inner, outer, d, c = factors[0]
-    half = k * c
-    rest -= half
-    h = _centre_power(k, inner, outer, c)[:min(rest + 1, half) + 1]
-    den = d ** c
-    if len(factors) == 1:
-        return Fraction(h[0] + h[1], den)
-    for k, inner, outer, d, c in factors[1:-1]:
-        for _ in range(c):
-            rest -= k
-            half += k
-            top = min(rest + 1, half)
-            m = min(k, len(h) - 1)
-            # slots -k ... top + k: the mirror, the window, zeros past it
-            g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
-            s = [0] * len(g)
-            s[0::2] = accumulate(g[0::2])
-            s[1::2] = accumulate(g[1::2])
-            lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
-            h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
-                 in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
-        den *= d ** c
-    k, inner, outer, d, c = factors[-1]
-    p = _centre_power(k, inner, outer, c)
+    den = math.prod([d ** c for _, _, _, d, c in factors])
+    *head, last = factors
+    p = _centre_power([last])
+    if not head:
+        return Fraction(p[0] + p[1], den)
+    rest = last[0] * last[-1]
+    if len(head) == 1 or _product_first(head, rest):
+        h = _centre_power(head)[:rest + 2]
+    else:
+        half = head[0][0] * head[0][-1]
+        rest += sum(k * c for k, _, _, _, c in head[1:])
+        h = _centre_power(head[:1])[:rest + 2]
+        for k, inner, outer, _, c in head[1:]:
+            for _ in range(c):
+                rest -= k
+                half += k
+                top = min(rest + 1, half)
+                m = min(k, len(h) - 1)
+                # slots -k ... top + k: the mirror, the window, zeros past it
+                g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
+                s = [0] * len(g)
+                s[0::2] = accumulate(g[0::2])
+                s[1::2] = accumulate(g[1::2])
+                lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
+                h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
+                     in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
     at_zero = 2 * sum(map(mul, h, p)) - h[0] * p[0]
     at_half = sum(map(mul, h[1:], p)) + sum(map(mul, h, p[1:]))
-    return Fraction(at_zero + at_half, den * d ** c)
+    return Fraction(at_zero + at_half, den)
 
 
 def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
@@ -371,11 +417,12 @@ def t_value(alphas: Sequence) -> Fraction:
     Exact; when all factor supports share a parity only one of the two
     points carries mass, otherwise both contributions are summed. Equal
     alphas are counted into runs and each distinct value is checked once.
-    A run of c equal factors is one polynomial power, computed by an
-    integer recurrence in time linear in c; factors of middle runs are
-    folded one at a time, keeping only slots 0 ... R + 1, all that the
-    factors still to come (half-width R) can carry onto 0 and 1/2. The
-    order of ``alphas`` does not matter: the last few run lists are
+    Runs of equal factors are polynomial powers, and a product of them is
+    one integer recurrence, linear in the counts. The runs before the last
+    are one such product or the first run's power with the factors of middle
+    runs folded one at a time, whichever takes fewer steps; both keep only
+    slots 0 ... R + 1, all that the last run (half-width R) can carry onto 0
+    and 1/2. The order of ``alphas`` does not matter: the last few run lists are
     memoised, so the normal window and the master bound on the same
     factors compute the sum once.
     """

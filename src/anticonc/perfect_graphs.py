@@ -22,7 +22,6 @@ first use. n stays in the low hundreds by design.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -606,22 +605,21 @@ def to_uniform_multiset(measure, caps: Caps | None = None):
 
     Each atom is replicated weight * lcm(denominators) times, at most
     ``caps.replicas`` points in all; the uniform distribution on the returned
-    configuration (duplicates preserved) equals the original measure.
+    configuration (duplicates preserved) equals the original measure. The
+    counts are the measure's integer weights, and the multiset keeps the
+    integer form of its points.
     """
     from .geometry import PointConfig
 
     caps_val = resolve(caps).replicas
-    denom = math.lcm(*(w.denominator for w in measure.weights))
-    counts = [int(w * denom) for w in measure.weights]
-    total = sum(counts)
+    counts, total = measure._ints
     if total > caps_val:
         raise ResourceCapExceeded(
             f"denominator clearing needs {total} replicas, cap is {caps_val}"
         )
-    points = []
-    for point, count in zip(measure.config.points, counts):
-        points.extend([point] * count)
-    return PointConfig(measure.config.norm, tuple(points))
+    s, ipts = measure.config.scaled
+    points = [p for p, count in zip(ipts, counts) for _ in range(count)]
+    return PointConfig._from_scaled(measure.config.norm, s, points)
 
 
 def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):

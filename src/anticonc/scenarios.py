@@ -191,6 +191,8 @@ def run_sharpness_scenario(
     eps = as_fraction(epsilon)
     if not (0 <= eps < Fraction(1, 100)):
         raise DomainError("epsilon must lie in [0, 1/100)")
+    if isinstance(strip_samples, bool) or not isinstance(strip_samples, int) or strip_samples < 0:
+        raise DomainError(f"strip_samples must be an int >= 0, got {strip_samples!r}")
     pts = _sharpness_points(eps)
     g = distance_graph(PointConfig(l2(2), pts))
     hole = find_odd_hole(g, False, caps)
@@ -327,6 +329,14 @@ def run_verify_theorem22(
     gen = dict(_DEFAULT_GENERATOR)
     if generator:
         gen.update(generator)
+    # checked before any draw: a bad field would stop the run or pass it unrun
+    for field, least in (("count", 0), ("max_summands", 1), ("max_atoms", 1), ("x_span", 0),
+                         ("denominator", 1), ("extremal_cases", 0)):
+        if isinstance(gen[field], bool) or not isinstance(gen[field], int) or gen[field] < least:
+            raise DomainError(f"generator field {field!r} must be an int >= {least}, got {gen[field]!r}")
+    if not isinstance(gen["norms"], (list, tuple)) or not gen["norms"]:
+        raise DomainError(f"generator field 'norms' must be a non-empty list, got {gen['norms']!r}")
+    norms = [_norm_by_name(name) for name in gen["norms"]]
     if seed is None:
         seed = int(gen.get("seed", 0))
     rng = random.Random(seed)
@@ -334,7 +344,7 @@ def run_verify_theorem22(
     margins = []
     skipped = 0
     for idx in range(gen["count"]):
-        norm = _norm_by_name(gen["norms"][idx % len(gen["norms"])])
+        norm = norms[idx % len(norms)]
         n = rng.randint(1, gen["max_summands"])
         measures = [_random_near_line_measure(rng, norm, gen) for _ in range(n)]
         try:

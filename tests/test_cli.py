@@ -288,6 +288,22 @@ class TestScenarioCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["pass"] is True
 
+    @pytest.mark.parametrize("generator, field", [
+        ({"norms": []}, "norms"), ({"denominator": 0}, "denominator"),
+        ({"count": -3}, "count"), ({"count": True}, "count"),
+    ])
+    def test_bad_generator_exits_2(self, runner, tmp_path, generator, field):
+        path = write_json(tmp_path, "gen.json", generator)
+        result = runner.invoke(main, ["verify-theorem22", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"input error: generator field '{field}'")
+
+    @pytest.mark.parametrize("args", [["verify-theorem22", "--count", "-1"],
+                                      ["sharpness", "--strip-samples", "-1"]])
+    def test_negative_count_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stderr.startswith("input error: ")
+
     def test_reruns_byte_identical(self, runner):
         a = runner.invoke(main, ["verify-theorem22", "--count", "8", "--seed", "1"])
         b = runner.invoke(main, ["verify-theorem22", "--count", "8", "--seed", "1"])

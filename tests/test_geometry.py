@@ -45,6 +45,7 @@ from anticonc.geometry import (
     supporting_functional,
     symmetrize,
 )
+from anticonc.exact import _numerators
 from anticonc.perfect_graphs import DistGraph
 from anticonc.quadfield import QuadExt
 from anticonc.geometry import _point_line_dist_float
@@ -1541,6 +1542,96 @@ class TestScaledOnce:
                 concentration_q(m)
             concentration_q(product_sum_measure(ms))
         assert len(scaled_calls) == built
+
+
+def _quad_measures(rng, count):
+    """``count`` measures of 1-5 distinct Q(sqrt(2)) atoms with weights 1-5
+    over their sum."""
+    configs = _quad_configs(l2(2), 2, rng)
+    out = []
+    for _ in range(count):
+        pts = sorted(set(next(configs)))[:rng.randint(1, 5)]
+        raw = [rng.randint(1, 5) for _ in pts]
+        out.append(VectorMeasure(PointConfig(l2(2), tuple(pts)), tuple(F(r, sum(raw)) for r in raw)))
+    return out
+
+
+class TestIntegerWeights:
+    """A measure keeps its weights as integers over their lcm; one built
+    from integers equals the public one, and a product sum derives Fraction
+    points and weights only where they are read."""
+
+    def test_integer_weights_are_the_lcm_form(self):
+        rng = random.Random(1300)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                m = seeded_measure(rng, d, rng.randint(1, 8), zeros=rng.random() < 0.5)
+                nums, den = _numerators(m.weights)
+                assert m._ints == (tuple(nums), den)
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    def test_from_ints_equals_public(self, field):
+        rng = random.Random(1310 + (field != "Q"))
+        if field == "Q":
+            measures = [seeded_measure(rng, d, rng.randint(1, 8), zeros=True)
+                        for d in (1, 2, 3) for _ in range(8)]
+        else:
+            measures = _quad_measures(rng, 12)
+        for m in measures:
+            nums, den = m._ints
+            k = rng.randint(1, 6)  # a common factor, reduced away
+            built = VectorMeasure._from_ints(
+                PointConfig._from_scaled(m.norm, *m.config.scaled), [u * k for u in nums], den * k)
+            assert "weights" not in built.__dict__ and "points" not in built.config.__dict__
+            assert built._ints == m._ints
+            assert built == m and m == built and hash(built) == hash(m)
+            assert repr(built) == repr(m)
+            if field == "Q":  # Q(sqrt(m)) values have no wire format
+                assert built.to_json() == m.to_json()
+
+    def test_from_ints_checks_the_integers(self):
+        config = PointConfig._from_scaled(l2(1), 2, [(0,), (1,), (5,)])
+        assert VectorMeasure._from_ints(config, [1, 2, 3], 6).weights == (F(1, 6), F(1, 3), F(1, 2))
+        for nums, den, match in (([1, 2], 3, "align"), ([0, 3, 3], 6, "positive"),
+                                 ([-1, 4, 3], 6, "positive"), ([1, 2, 2], 6, "sum to exactly 1")):
+            with pytest.raises(DomainError, match=match):
+                VectorMeasure._from_ints(config, nums, den)
+        for ipts in ([(0,), (5,), (1,)], [(0,), (1,), (1,)]):
+            with pytest.raises(InvariantViolation, match="strictly increasing"):
+                VectorMeasure._from_ints(PointConfig._from_scaled(l2(1), 2, ipts), [1, 2, 3], 6)
+
+    def test_quadratic_product_sums_match_reference(self):
+        rng = random.Random(1320)
+        for _ in range(10):
+            ms = _quad_measures(rng, rng.randint(1, 3))
+            if rng.random() < 0.3:
+                ms.append(ms[0].dilate(-1))
+            s = product_sum_measure(ms)
+            assert (s.points, s.weights) == ref_product_sum(ms)
+
+    def test_sum_derives_only_the_witness_points(self, monkeypatch):
+        from anticonc import geometry
+        from anticonc.scenarios import _octagon_points
+
+        derived = []
+        original = geometry._unscaled
+
+        def counted(scale, ipts):
+            derived.extend(ipts)
+            return original(scale, ipts)
+
+        monkeypatch.setattr(geometry, "_unscaled", counted)
+        rng = random.Random(1330)
+        octagon = VectorMeasure(PointConfig(l2(2), _octagon_points()), (F(1, 8),) * 8)
+        groups = [[seeded_measure(rng, d, rng.randint(2, 6)) for _ in range(3)] for d in (1, 2, 3)]
+        groups += [[octagon, octagon], _quad_measures(rng, 3)]
+        for ms in groups:
+            derived.clear()
+            total = product_sum_measure(ms)
+            results = [concentration_q(m) for m in ms + [total]]
+            assert "points" not in total.config.__dict__ and "weights" not in total.__dict__
+            assert derived == [m.config.scaled[1][i] for m, r in zip(ms + [total], results) for i in r.witness]
+            assert results[-1].witness_points == tuple(total.points[i] for i in results[-1].witness)
 
 
 class TestGraphedOnce:

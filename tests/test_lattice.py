@@ -1,13 +1,16 @@
+import importlib.util
 import math
 from fractions import Fraction as F
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticonc.bounds import clt_window, main_bound, make_main_bound_params, minimal_delta_prime
 from anticonc.chains import Block, jones_bound, middle_layer_count
-from anticonc.errors import DomainError
+from anticonc import lattice
+from anticonc.errors import DomainError, InvariantViolation
 from anticonc.geometry import l2, supporting_functional
 from anticonc.lattice import (
     ExtremalSpec,
@@ -100,6 +103,16 @@ def ref_t_value(alphas):
         den *= d
         mid += k
     return F(acc[mid] + acc[mid + 1], den)
+
+
+def ref_product_of_powers(runs):
+    """The product of g^c over the (g, c) ``runs``, one multiplication at a time."""
+    power = [1]
+    for g, c in runs:
+        for _ in range(c):
+            power = [sum(power[i] * g[m - i] for i in range(len(power)) if 0 <= m - i < len(g))
+                     for m in range(len(power) + len(g) - 1)]
+    return power
 
 
 def weights_of(m: LatticeMeasure) -> list[F]:
@@ -419,12 +432,25 @@ class TestCentreWindow:
            st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_power_matches_repeated_product(self, g, c):
-        power = [1]
-        for _ in range(c):
-            power = [sum(power[i] * g[m - i] for i in range(len(power)) if 0 <= m - i < len(g))
-                     for m in range(len(power) + len(g) - 1)]
+        power = ref_product_of_powers([(g, c)])
         n = len(power) + 2
-        assert _power_low(g, c, n) == power + [0] * 3
+        assert _power_low([(g, c)], n) == power + [0] * 3
+
+    @given(st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda g: g[0]),
+                              st.integers(1, 8)), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_product_of_powers_matches_repeated_product(self, runs):
+        power = ref_product_of_powers(runs)
+        n = len(power) + 2
+        assert _power_low(runs, n) == power + [0] * 3
+
+    def test_remainder_is_an_invariant_violation(self, monkeypatch):
+        # an exact product never leaves one; a wrong Q or R does
+        convolve = lattice._convolve_ints
+        monkeypatch.setattr(lattice, "_convolve_ints", lambda a, b: [x + 1 for x in convolve(a, b)])
+        for runs in ([([2, 1], 3), ([1, 3], 2)], [([1, 1], 2), ([1, 2, 1], 1)]):
+            with pytest.raises(InvariantViolation, match="remainder"):
+                _power_low(runs, 6)
 
     def test_memo_ignores_order_and_input_type(self):
         _centre_t_value.cache_clear()
@@ -452,6 +478,99 @@ class TestCentreWindow:
         minimal_delta_prime(alphas[::-1])
         assert _centre_t_value.cache_info().misses == 1
         assert params.t.fraction == report.exact_t == ref_t_value(alphas)
+
+
+# 3-6 runs: alpha = 1, alpha = 1/k and mixtures j/d with k <= 4, counts up
+# to 300 while the half-width stays within 1200, so the reference is quick
+@st.composite
+def product_run_lists(draw):
+    values = draw(st.lists(st.one_of(
+        st.just(F(1)),
+        st.integers(2, 6).map(lambda k: F(1, k)),
+        st.integers(3, 8).flatmap(lambda d: st.integers(2, d - 1).map(lambda j: F(j, d))),
+    ), min_size=3, max_size=6, unique=True))
+    budget, alphas = 1200, []
+    for a in values:
+        k = a.denominator // a.numerator
+        c = draw(st.integers(1, max(1, min(300, budget // k))))
+        budget -= k * c
+        alphas += [a] * c
+    return alphas
+
+
+def _load_bench_mixes():
+    path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
+    spec = importlib.util.spec_from_file_location("bench_mixes", path)
+    mixes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mixes)
+    return mixes
+
+
+class TestProductOfPowersPath:
+    """The runs before the last are one product of powers or a seed and a
+    fold, as ``_product_first`` counts; both give the reference t-value."""
+
+    @given(product_run_lists())
+    @settings(max_examples=30, deadline=None)
+    def test_both_paths_match_reference(self, alphas):
+        want = ref_t_value(alphas)
+        for product in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "_product_first", lambda head, rest: product)
+                _centre_t_value.cache_clear()
+                assert t_value(alphas) == want
+        _centre_t_value.cache_clear()
+
+    @given(st.lists(st.tuples(run_alpha, st.integers(1, 60)), min_size=3, max_size=6,
+                    unique_by=lambda run: run[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_decision_counts_every_step(self, runs):
+        # the rule on costs counted one factor and one polynomial at a time,
+        # for last runs of every half-width up to 400, so the choice flips
+        head = [(*_extremal_weights(a), c) for a, c in sorted(runs)][:-1]
+        e = sum(c for _, _, outer, _, c in head if not outer)
+        step = 2 if e == sum(c for *_, c in head) else 1
+        polys = [[inner] * k if step == 2 else [outer, inner] * k + [outer] if outer
+                 else [inner, 0] * (k - 1) + [inner] for k, inner, outer, _, _ in head]
+        n = sum(k * c for k, *_, c in head)
+        product = ((n - e) // step + 1) * sum(len(g) - 1 for g in polys)
+        for last in range(0, 400, 3):
+            half, rest, fold = head[0][0] * head[0][-1], last + n - head[0][0] * head[0][-1], 0
+            for k, *_, c in head[1:]:
+                for _ in range(c):
+                    rest -= k
+                    half += k
+                    fold += min(rest + 1, half) + k
+            assert lattice._product_first(head, last) == (product < fold)
+
+    def test_seed_zero_benchmark_paths(self, monkeypatch):
+        # the three-run normal windows of the sums workload take the product;
+        # every tvalue list folds
+        mixes = _load_bench_mixes()
+        decide = lattice._product_first
+        taken = []
+
+        def spy(head, rest):
+            taken.append(decide(head, rest))
+            return taken[-1]
+
+        monkeypatch.setattr(lattice, "_product_first", spy)
+
+        def product_taken(pairs):
+            alphas = [F(n, d) for n, d in pairs]
+            taken.clear()
+            _centre_t_value.cache_clear()
+            t_value(alphas)
+            return any(taken)
+
+        sums = mixes.generate("sums", 0, mixes.job_count("sums", 20))
+        windows = [job[1] for job in sums if job[0] == "window"]
+        three_runs = [len(set(pairs)) == 3 for pairs in windows]
+        assert any(three_runs) and not all(three_runs)
+        assert [product_taken(pairs) for pairs in windows] == three_runs
+        lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
+        assert not any(product_taken(pairs) for pairs in lists)
+        _centre_t_value.cache_clear()
 
 
 class TestConcentration1d:

@@ -889,6 +889,32 @@ class TestBlockDecomposition:
         assert len(cfg.points) == 4
         assert cfg.points.count((F(2), F(0))) == 3
 
+    def test_uniform_multiset_matches_fraction_clearing(self):
+        # the clearing on Fraction weights it ran before reading the
+        # measure's integer weights; measures merged, summed and in Q(sqrt 2)
+        from anticonc.quadfield import QuadExt
+
+        def ref_uniform_multiset(measure):
+            denom = math.lcm(*(w.denominator for w in measure.weights))
+            points = []
+            for point, w in zip(measure.points, measure.weights):
+                points.extend([point] * int(w * denom))
+            return PointConfig(measure.norm, tuple(points))
+
+        rng = random.Random(905)
+        measures = []
+        for norm, coord in ((l2(2), F), (l1(2), lambda a: QuadExt.of(a, F(1, 3), 2))):
+            for _ in range(6):
+                n = rng.randint(1, 5)
+                pts = [(coord(F(rng.randint(0, 12), 4)), coord(F(rng.randint(-1, 1), 8))) for _ in range(n)]
+                pts += pts[:rng.randint(0, 2)]  # duplicates merge
+                raw = [rng.randint(0 if i else 1, 4) for i in range(len(pts))]
+                measures.append(VectorMeasure(PointConfig(norm, tuple(pts)), tuple(F(r, sum(raw)) for r in raw)))
+        measures += [product_sum_measure(measures[i:i + 2]) for i in (0, 3, 6, 9)]
+        for m in measures:
+            cfg, want = to_uniform_multiset(m), ref_uniform_multiset(m)
+            assert cfg == want and cfg.points == want.points and len(cfg) == len(want)
+
     def test_uniform_multiset_replicas_cap(self):
         vm = VectorMeasure(
             PointConfig(l2(2), ((F(0), F(0)), (F(2), F(0)))),

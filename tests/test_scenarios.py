@@ -92,6 +92,12 @@ class TestSharpness:
         with pytest.raises(DomainError):
             run_sharpness_scenario(F(1, 50))
 
+    @pytest.mark.parametrize("samples", [-1, True, 2.0])
+    def test_strip_samples_validation(self, samples):
+        # -1 used to run as 0 samples
+        with pytest.raises(DomainError, match="strip_samples"):
+            run_sharpness_scenario(F(1, 1000), strip_samples=samples)
+
     @pytest.mark.parametrize("eps", [F(0), F(1, 1000), F(99, 10000)], ids=str)
     def test_below_threshold_points(self, eps):
         # the five points of the former safe-strip helper, written out
@@ -187,6 +193,25 @@ class TestVerifyTheorem22:
             {"count": 12, "max_summands": 1}, seed=2
         )
         assert result.passed
+
+    @pytest.mark.parametrize("field, value", [
+        ("norms", []), ("norms", "l2"), ("denominator", 0), ("count", -3), ("count", True),
+        ("count", "5"), ("max_summands", 0), ("max_atoms", 0), ("x_span", -1),
+        ("extremal_cases", -1),
+    ])
+    def test_generator_checked_before_drawing(self, field, value):
+        # empty norms and a zero denominator used to divide by zero mid-run;
+        # a negative or bool count passed without drawing anything
+        with pytest.raises(DomainError, match=f"'{field}'"):
+            run_verify_theorem22({field: value})
+
+    def test_unknown_norm_name(self):
+        with pytest.raises(DomainError, match="unknown norm name 'l3'"):
+            run_verify_theorem22({"count": 0, "norms": ["l2", "l3"]})
+
+    def test_zero_count_draws_no_instance(self):
+        result = run_verify_theorem22({"count": 0, "extremal_cases": 0})
+        assert result.passed and result.details["instances"] == 0
 
     def test_deterministic(self):
         a = run_verify_theorem22({"count": 15}, seed=4)
