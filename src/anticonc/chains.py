@@ -9,8 +9,9 @@ product, and the number of chains equals the size of the middle layer of the
 corresponding box of integer tuples.
 
 Every separation check is an exact comparison, so the decomposition is
-certified, not assumed. The checks run on integers: a block holds its points
-scaled once to integers and their functional numerators, chains add those
+certified, not assumed. The checks run on integers: a block stores only its
+points scaled to integers and their functional numerators, and derives its
+Fraction points and values from them when they are read; chains add those
 integers, and no block built from them scales its points again.
 """
 
@@ -30,6 +31,7 @@ from .geometry import (
     LineFrame,
     PointConfig,
     VectorMeasure,
+    _IntForm,
     concentration_q,
     _check_dims,
     _near_masks,
@@ -42,55 +44,48 @@ from .lattice import t_value
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(_IntForm):
     """Points sorted by functional value; a certified k-block.
 
-    ``f_raw`` stores the exact numerators <coeffs, x> of the frame's
-    functional; dividing by the frame scale (often irrational) is never
-    needed because every gap is compared exactly, raised to the frame's
-    scale_root. A block holds its points scaled to integers, X = s x, and
-    their integer numerators <C, X> = st f_raw(x) with C = t coeffs the
-    frame's integer form, and runs every check on them: each value against
-    the frame, then their order and gaps, then the point distances (only
-    consecutive points when the functional is bounded by the norm).
+    A block stores only integers: its points scaled to integers, X = s x,
+    and their functional numerators <C, X> = st f_raw(x), with C = t coeffs
+    the frame's integer form. ``points`` and ``f_raw``, the exact values
+    <coeffs, x> of the frame's functional (dividing by the frame scale,
+    often irrational, is never needed: every gap is compared exactly,
+    raised to the frame's scale_root), are derived from them on first read.
 
-    ``Block(points, f_raw, frame)`` scales the points and checks the values
-    it is given. Chains and block decompositions hold the integers already
-    and build blocks through ``_from_scaled``; ``points`` and ``f_raw`` of
-    those are derived on first read.
+    ``Block(points, f_raw, frame)`` scales the points once; chains and block
+    decompositions hold the integers already and build through
+    ``_from_scaled``. Both end in ``_init``, which runs every check on the
+    integers: each value against the frame, then their order and gaps, then
+    the point distances (only consecutive points when the functional is
+    bounded by the norm).
     """
 
     points: tuple[tuple[Fraction, ...], ...]
     f_raw: tuple[Fraction, ...]
     frame: LineFrame
 
-    def __post_init__(self):
-        _check_dims(self.frame.norm, *self.points)
-        s, ipts = _scaled_integers(self.points)
-        st = s * self.frame._scaled[0]
-        self._certify(s, ipts, tuple(f * st for f in self.f_raw))
+    _derive = {
+        "points": lambda self: _unscaled(self._s, self._ipts),
+        "f_raw": lambda self: _unscaled(self._s * self.frame._scaled[0], (self._dots,))[0],
+    }
+
+    def __init__(self, points: Sequence[Sequence], f_raw: Sequence, frame: LineFrame):
+        _check_dims(frame.norm, *points)
+        s, ipts = _scaled_integers(points)
+        st = s * frame._scaled[0]
+        self._init(frame, s, ipts, tuple(f * st for f in f_raw))
 
     @classmethod
     def _from_scaled(cls, frame: LineFrame, s: int, ipts: Sequence[tuple], dots: Sequence) -> "Block":
         """The block of the points ``ipts / s`` of the frame's dimension, with
         numerators ``dots`` (f_raw times st), checked like a public block."""
         block = object.__new__(cls)
-        block.__dict__["frame"] = frame
-        block._certify(s, tuple(ipts), tuple(dots))
+        block._init(frame, s, tuple(ipts), tuple(dots))
         return block
 
-    def __getattr__(self, name):
-        # points and values of a block from _from_scaled, derived on first read
-        if name == "points":
-            value = _unscaled(self._s, self._ipts)
-        elif name == "f_raw":
-            (value,) = _unscaled(self._s * self.frame._scaled[0], (self._dots,))
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
-
-    def _certify(self, s: int, ipts: tuple, dots: tuple) -> None:
+    def _init(self, frame: LineFrame, s: int, ipts: tuple, dots: tuple) -> None:
         """Store the integer form and check it: each numerator against the
         frame's, then their order and gaps of at least 1/2 in f, then no two
         points at distance below 1."""
@@ -98,8 +93,7 @@ class Block:
             raise DomainError("a block needs at least one point")
         if len(dots) != len(ipts):
             raise InvariantViolation(f"{len(dots)} functional values for {len(ipts)} points")
-        frame = self.frame
-        self.__dict__.update(_s=s, _ipts=ipts, _dots=dots)  # so an error names the value given
+        self.__dict__.update(frame=frame, _s=s, _ipts=ipts, _dots=dots)  # so an error names the value given
         ints = tuple(frame._dots(ipts))
         for i, (d, e) in enumerate(zip(dots, ints)):
             if d != e:

@@ -30,7 +30,6 @@ _INPUT_ERRORS = (
     DomainError,
     DimensionMismatch,
     UnsupportedNorm,
-    KeyError,
     TypeError,
     ValueError,
     json.JSONDecodeError,
@@ -59,12 +58,18 @@ def _emit(data: dict, output: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise DomainError(f"input must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _parse_alphas(text: str) -> list[Fraction]:
-    """Comma-separated rationals; the library checks the list itself."""
-    return [as_fraction(s.strip()) for s in text.split(",") if s.strip()]
+    """Comma-separated rationals, each distinct string parsed once (in input
+    order, so an error names the first bad one); the library checks the list."""
+    strings = [s for s in map(str.strip, text.split(",")) if s]
+    parsed = {s: as_fraction(s) for s in dict.fromkeys(strings)}
+    return [parsed[s] for s in strings]
 
 
 def _scenario_exit(result: scenarios.ScenarioResult, output: str) -> None:
@@ -88,6 +93,8 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except ResourceCapExceeded as exc:
             click.echo(f"resource cap: {exc}", err=True)
+        except KeyError as exc:
+            click.echo(f"input error: missing field {exc}", err=True)
         except _INPUT_ERRORS as exc:
             click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
@@ -188,7 +195,7 @@ def decompose_cmd(input_path: str, alpha: str | None, output: str) -> None:
     result = {
         "near_line_certified": fit.certified,
         "max_deviation": fit.max_deviation,
-        "multiset_size": len(config.points),
+        "multiset_size": len(config),
         "num_blocks": len(blocks),
         "blocks": [b.to_json() for b in blocks],
     }
@@ -278,7 +285,7 @@ def main_bound_cmd(alphas, d, big_c, c_param, delta_prime, gamma, output) -> Non
 @click.option("--center-samples", type=int, default=256, show_default=True)
 @_output_option
 def halasz_cmd(input_path, direction_samples, center_samples, output) -> None:
-    """Direction/shift diagnostics for a JSON list of plane measures."""
+    """Direction/shift diagnostics for plane measures: {"measures": [...]}."""
     data = _load_json(input_path)
     measures = [geom.VectorMeasure.from_json(m) for m in data["measures"]]
     diag = geom.halasz_diagnostics(measures, direction_samples, center_samples)

@@ -17,16 +17,19 @@ outside the plane it applies the row test ``_near_in_row``, which blocks also
 use when only their consecutive points can be near; ``dist_vs_one`` checks
 one pair.
 
-Each `PointConfig` holds one such integer form, ``PointConfig.scaled``.
-``_scaled_integers`` is the only code that computes it from Fractions, once
-per config and on first use. Code that already holds the integers (the
-product sum, a measure's merge, a uniform multiset) supplies them through
-``_from_scaled``; Fraction points are derived only when read, as are the
-weights a `VectorMeasure` holds as integers (``_ints``). ``_near_masks``,
-the measure order check, near-line fitting, product sums and concentrations
-read the stored forms. A `LineFrame` likewise scales its coefficients once
-(``LineFrame._scaled``); support checks, separation checks and blocks take
-functional values as integer numerators on the two forms.
+The invariant of configs, measures and blocks (``chains.Block``): the
+integer form is stored and the Fraction values are derived. A config stores
+its points times one positive int (``PointConfig.scaled``), a measure its
+weights as integer numerators over their lcm (``VectorMeasure._ints``), a
+block its scaled points and functional numerators. Every constructor, public
+or private, ends in its class's one initialiser, which stores that form;
+``points``, ``weights`` and ``f_raw`` are derived on first read (`_IntForm`).
+``_scaled_integers`` is the only code that scales Fractions, once per public
+config or block; code that holds integers (product sums, merges, dilations,
+uniform multisets, chains) builds through ``_from_scaled`` or ``_from_ints``.
+A `LineFrame` likewise scales its coefficients once (``LineFrame._scaled``);
+support checks, separation checks and blocks take functional values as
+integer numerators on the two forms.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
@@ -42,6 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import Caps, resolve
@@ -208,21 +212,34 @@ def distance(norm: NormSpec, x, y) -> Distance:
 # --- configurations and measures ---------------------------------------------
 
 
+class _IntForm:
+    """Base of the classes that store only an integer form: each field named
+    in a class's ``_derive`` table is derived from that form on first read."""
+
+    def __getattr__(self, name):
+        if name not in type(self)._derive:
+            raise AttributeError(name)
+        value = self.__dict__[name] = type(self)._derive[name](self)
+        return value
+
+
 @dataclass(frozen=True)
-class PointConfig:
+class PointConfig(_IntForm):
     """Ordered point sequence; duplicates allowed and kept.
 
-    Coordinates are all rational or all `QuadExt` values with one m.
-    ``scaled`` is the integer form every exact decision on the points reads:
-    computed by ``_scaled_integers`` on first use, or supplied by
-    ``_from_scaled``, whose configs derive ``points`` on first read.
+    Coordinates are all rational or all `QuadExt` values with one m. A config
+    stores ``scaled = (s, s * points)``, with s a positive int that takes every
+    coordinate into Z (or Z[sqrt(m)]): the integer form every exact decision
+    on the points reads. ``points`` is derived from it on first read.
     """
 
     norm: NormSpec
     points: tuple[Point, ...]
 
-    def __post_init__(self):
-        pts = tuple(map(tuple, self.points))
+    _derive = {"points": lambda self: _unscaled(*self.scaled)}
+
+    def __init__(self, norm: NormSpec, points: Sequence[Sequence]):
+        pts = tuple(map(tuple, points))
         first = pts[0][0] if pts and pts[0] else None
         if isinstance(first, QuadExt):
             if any(not isinstance(c, QuadExt) or c.m != first.m for p in pts for c in p):
@@ -230,30 +247,9 @@ class PointConfig:
         else:
             pts = tuple(tuple(map(as_fraction, p)) for p in pts)
         for p in pts:
-            if len(p) != self.norm.dimension:
+            if len(p) != norm.dimension:
                 raise DimensionMismatch("point dimension does not match norm")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.scaled[1])
-
-    def __getattr__(self, name):
-        # points of a config from _from_scaled, derived on first read
-        if name != "points":
-            raise AttributeError(name)
-        value = self.__dict__["points"] = _unscaled(*self.scaled)
-        return value
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple, ...]]:
-        """``(s, s * points)``: a positive int s that takes every coordinate
-        into Z (or Z[sqrt(m)]), and the points times it."""
-        return _scaled_integers(self.points)
-
-    @cached_property
-    def _graph(self) -> DistGraph:
-        """The strict distance graph, swept once on first use."""
-        return DistGraph._from_masks(len(self), _near_masks(self.norm, *self.scaled))
+        self._init(norm, *_scaled_integers(pts))
 
     @classmethod
     def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> "PointConfig":
@@ -262,8 +258,19 @@ class PointConfig:
         The callers hold integer forms of checked configs of this norm, so
         the points need no second check."""
         config = object.__new__(cls)
-        config.__dict__.update(norm=norm, scaled=(scale, tuple(ipts)))
+        config._init(norm, scale, ipts)
         return config
+
+    def _init(self, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> None:
+        self.__dict__.update(norm=norm, scaled=(scale, tuple(ipts)))
+
+    def __len__(self) -> int:
+        return len(self.scaled[1])
+
+    @cached_property
+    def _graph(self) -> DistGraph:
+        """The strict distance graph, swept once on first use."""
+        return DistGraph._from_masks(len(self), _near_masks(self.norm, *self.scaled))
 
     def to_json(self) -> dict:
         return {
@@ -279,33 +286,33 @@ class PointConfig:
 
 
 @dataclass(frozen=True)
-class VectorMeasure:
-    """Finitely supported probability measure; equal atoms are merged.
-    ``_ints`` holds the weights as integer numerators over their lcm."""
+class VectorMeasure(_IntForm):
+    """Finitely supported probability measure; equal atoms are merged. It
+    stores its sorted config and ``_ints``, the weights as integer numerators
+    over their lcm; ``weights`` is derived from them on first read."""
 
     config: PointConfig
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        ws = tuple(as_fraction(w) for w in self.weights)
-        if len(ws) != len(self.config):
+    _derive = {"weights": lambda self: tuple(Fraction(u, self._ints[1]) for u in self._ints[0])}
+
+    def __init__(self, config: PointConfig, weights: Sequence):
+        ws = tuple(as_fraction(w) for w in weights)
+        if len(ws) != len(config):
             raise DomainError("weights do not align with points")
         nums, den = _numerators(ws)
         if any(u < 0 for u in nums):
             raise DomainError("negative weight")
-        # a positive scale keeps the lexicographic order: decide it on integers
-        scale, ipts = self.config.scaled
-        if all(nums) and all(p < q for p, q in zip(ipts, ipts[1:])):
-            object.__setattr__(self, "weights", ws)  # already merged and sorted
-            self._store(self.config, nums, den)
-            return
+        # a positive scale keeps the lexicographic order: merge on integers
+        scale, ipts = config.scaled
         merged: dict[tuple, int] = {}
         for p, u in zip(ipts, nums):
             if u:
                 merged[p] = merged.get(p, 0) + u
         keys = sorted(merged)
-        del self.__dict__["weights"]
-        self._store(PointConfig._from_scaled(self.norm, scale, keys), [merged[p] for p in keys], den)
+        if keys != list(ipts):  # a config already sorted and merged is kept, graph and all
+            config = PointConfig._from_scaled(config.norm, scale, keys)
+        self._init(config, [merged[p] for p in keys], den)
 
     @classmethod
     def _from_ints(cls, config: PointConfig, nums: Sequence[int], den: int) -> "VectorMeasure":
@@ -314,10 +321,10 @@ class VectorMeasure:
         if not all(p < q for p, q in zip(ipts, ipts[1:])):
             raise InvariantViolation("the points of a measure must be strictly increasing")
         measure = object.__new__(cls)
-        measure._store(config, nums, den)
+        measure._init(config, nums, den)
         return measure
 
-    def _store(self, config: PointConfig, nums: Sequence[int], den: int) -> None:
+    def _init(self, config: PointConfig, nums: Sequence[int], den: int) -> None:
         """Check ``nums / den`` as weights on the sorted points of ``config``
         and store them over their lcm."""
         g = math.gcd(den, *nums)
@@ -329,14 +336,6 @@ class VectorMeasure:
         if sum(nums) != den:
             raise DomainError("weights must sum to exactly 1")
         self.__dict__.update(config=config, _ints=(nums, den))
-
-    def __getattr__(self, name):
-        # weights held only as integers, derived on first read
-        if name != "weights":
-            raise AttributeError(name)
-        nums, den = self._ints
-        value = self.__dict__["weights"] = tuple(Fraction(u, den) for u in nums)
-        return value
 
     @property
     def norm(self) -> NormSpec:
@@ -350,9 +349,10 @@ class VectorMeasure:
         return zip(self.config.points, self.weights)
 
     def dilate(self, factor) -> "VectorMeasure":
-        f = as_fraction(factor)
-        pts = tuple(tuple(f * c for c in p) for p in self.config.points)
-        return VectorMeasure(PointConfig(self.norm, pts), self.weights)
+        f = as_fraction(factor)  # x -> f x on the integer form: (s, X) -> (s b, a X) for f = a / b
+        s, ipts = self.config.scaled
+        pts = [tuple(f.numerator * c for c in p) for p in ipts]
+        return VectorMeasure(PointConfig._from_scaled(self.norm, s * f.denominator, pts), self.weights)
 
     @classmethod
     def uniform(cls, norm: NormSpec, points: Sequence[Sequence]) -> "VectorMeasure":
@@ -542,7 +542,7 @@ class LineFrame:
         checked on its stored integer form; points of another dimension than
         the frame's raise `DimensionMismatch`."""
         if isinstance(points, PointConfig):
-            (s, ipts), points = points.scaled, points.points
+            s, ipts = points.scaled
             _check_dims(self.norm, *ipts[:1])  # a config's points share one dimension
         else:
             points = list(points)
@@ -553,8 +553,9 @@ class LineFrame:
         lhs_mul = self.scale_pow.denominator * s**e
         rhs_mul = self.scale_pow.numerator * (s * t) ** r
         agg = max if self.norm.kind == "linf" else sum
-        for p, x, dot in zip(points, ipts, self._dots(ipts)):
+        for i, (x, dot) in enumerate(zip(ipts, self._dots(ipts))):
             if abs(dot) ** r * lhs_mul > rhs_mul * agg([abs(u) ** e for u in x]):
+                p = (points.points if isinstance(points, PointConfig) else points)[i]
                 raise InvariantViolation(f"functional exceeds the norm at point {p}")
 
     def to_json(self) -> dict:
@@ -761,6 +762,20 @@ def _planar_direction(
     )
 
 
+def _ternary_min(f, lo: float, hi: float, steps: int, tol: float = 0.0) -> float:
+    """The midpoint left by up to ``steps`` ternary-search cuts of [lo, hi]
+    toward a minimum of the convex f, stopping at a width below ``tol``."""
+    for _ in range(steps):
+        if hi - lo < tol:
+            break
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return (lo + hi) / 2
+
+
 def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> float:
     """Ternary search on the convex map t -> ||x - b - t v||."""
     xf = [float(c) for c in x]
@@ -769,7 +784,6 @@ def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> floa
     vn2 = sum(c * c for c in vf)
     center = sum((a - c) * d for a, c, d in zip(xf, bf, vf)) / vn2
     span = norm_float(norm, tuple(a - c for a, c in zip(x, b))) / math.sqrt(vn2) + 1.0
-    lo, hi = center - span, center + span
 
     def val(t: float) -> float:
         diff = [a - c - t * d for a, c, d in zip(xf, bf, vf)]
@@ -780,16 +794,7 @@ def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> floa
         e = norm.exponent
         return sum(abs(z) ** e for z in diff) ** (1.0 / e)
 
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if val(m1) <= val(m2):
-            hi = m2
-        else:
-            lo = m1
-    return val((lo + hi) / 2)
+    return val(_ternary_min(val, center - span, center + span, 200, 1e-12))
 
 
 def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
@@ -823,13 +828,11 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     radius. Only the returned fit's frame is built; it is checked once to be
     norm-bounded at every point. Q(sqrt(m)) coordinates raise `DomainError`.
     """
-    norm = config.norm
-    if len(config.points) == 0:
+    norm, d, (scale, ipts) = config.norm, config.norm.dimension, config.scaled
+    if not ipts:
         raise DomainError("need at least one point")
-    if isinstance(config.points[0][0], QuadExt):
+    if isinstance(ipts[0][0], QuadExt):
         raise DomainError("near-line fitting needs rational coordinates")
-    d = norm.dimension
-    scale, ipts = config.scaled
     planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
     best = None  # ((v, base), the other NearLineFit fields) of the best key
     best_key = None  # Fraction or float; planar keys as `_planar_key` tuples
@@ -985,19 +988,13 @@ def empirical_measure(
     if delta <= 0:
         raise DomainError("delta must be positive")
     dilated = measure.dilate(1 + delta)
-    cumulative: list[Fraction] = []
-    acc = Fraction(0)
-    for w in dilated.weights:
-        acc += w
-        cumulative.append(acc)
+    nums, den = dilated._ints
+    cumulative = list(accumulate(nums))  # over den
     rng = random.Random(seed)
     pts = []
     for _ in range(n):
-        r = Fraction(rng.random())
-        idx = bisect_right(cumulative, r)
-        if idx >= len(cumulative):
-            idx = len(cumulative) - 1
-        pts.append(dilated.points[idx])
+        idx = bisect_right(cumulative, Fraction(rng.random()) * den)
+        pts.append(dilated.points[min(idx, len(cumulative) - 1)])
     w = Fraction(1, n)
     return VectorMeasure(PointConfig(measure.norm, tuple(pts)), tuple(w for _ in pts))
 
@@ -1033,6 +1030,11 @@ class HalaszDiagnostics:
             raise InvariantViolation("diagnostics must be nonnegative")
 
 
+def _float_over(c, scale: int) -> float:
+    """float(c / scale) for an int or Z[sqrt(m)] value c, as the Fraction's or `QuadExt`'s."""
+    return c / scale if isinstance(c, int) else c.a / scale + c.b / scale * math.sqrt(c.m)
+
+
 def _truncated_second_moment(atoms, e: tuple[float, float], shift: float = 0.0) -> float:
     total = 0.0
     for x, y, w in atoms:
@@ -1060,9 +1062,13 @@ def halasz_diagnostics(
         if m.norm.kind != "l2" or m.norm.dimension != 2:
             raise UnsupportedNorm("diagnostics need the Euclidean plane (l2, d=2)")
     sym = [symmetrize(m) for m in measures]
-    float_atoms = [
-        [(float(p[0]), float(p[1]), float(w)) for p, w in s.atoms()] for s in sym
-    ]
+    # the atoms' stored integers, over one common scale and weight denominator
+    scale = math.lcm(*(t.config.scaled[0] for t in sym))
+    wden = math.lcm(*(t._ints[1] for t in sym))
+    int_atoms = [[(tuple(c * (scale // s) for c in p), u * (wden // den)) for p, u in zip(ipts, nums)]
+                 for (s, ipts), (nums, den) in ((t.config.scaled, t._ints) for t in sym)]
+    float_atoms = [[(_float_over(x, scale), _float_over(y, scale), u / wden) for (x, y), u in atoms]
+                   for atoms in int_atoms]
 
     def d_of(theta: float) -> float:
         e = (math.cos(theta), math.sin(theta))
@@ -1077,38 +1083,25 @@ def halasz_diagnostics(
         if val < best_val:
             best_val, best_theta = val, theta
     # one local refinement pass around the winning grid angle
-    lo = best_theta - math.pi / samples
-    hi = best_theta + math.pi / samples
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if d_of(m1) <= d_of(m2):
-            hi = m2
-        else:
-            lo = m1
-    theta = (lo + hi) / 2
+    theta = _ternary_min(d_of, best_theta - math.pi / samples, best_theta + math.pi / samples, 80)
     if d_of(theta) < best_val:
         best_val, best_theta = d_of(theta), theta
     e = (math.cos(best_theta), math.sin(best_theta))
 
-    # mu over candidate centers: support points of the symmetrized measures
-    candidates: list[Point] = sorted({p for s in sym for p in s.points})
+    # mu over candidate centers: support points of the symmetrized measures,
+    # each ball test |p - y|^2 < 1 decided on the integer points
+    candidates = sorted({p for atoms in int_atoms for p, _ in atoms})
     if len(candidates) > center_samples:
         stride = len(candidates) / center_samples
         candidates = [candidates[int(i * stride)] for i in range(center_samples)]
-    # each ball test |p - y|^2 < 1 is decided on the scaled integer points
-    atoms = [a for s in sym for a in s.atoms()]
-    scale, ipts = _scaled_integers([p for p, _ in atoms] + candidates)
-    wnums, wden = _numerators([w for _, w in atoms])
+    flat = [a for atoms in int_atoms for a in atoms]
     limit = scale * scale
     mu_num, best_center = 0, None
-    for y, (cx, cy) in zip(candidates, ipts[len(atoms):]):
-        total = sum(w for (x, z), w in zip(ipts, wnums) if (x - cx) ** 2 + (z - cy) ** 2 < limit)
+    for cx, cy in candidates:  # each a support point, so its total is positive
+        total = sum(u for (x, y), u in flat if (x - cx) ** 2 + (y - cy) ** 2 < limit)
         if total > mu_num:
-            mu_num, best_center = total, y
-    mu_best = Fraction(mu_num, wden)
-    if best_center is None and candidates:
-        best_center = candidates[0]
+            mu_num, best_center = total, (cx, cy)
+    (best_center,) = _unscaled(scale, [best_center])
 
     # per-measure shifts realizing the 1-d truncated moment infimum along e
     shifts = []
@@ -1123,27 +1116,10 @@ def halasz_diagnostics(
             g = _truncated_second_moment(atoms, e, s)
             if g < best_g:
                 best_g, best_s = g, s
-        a, b2 = best_s - (hi_s - lo_s) / grid, best_s + (hi_s - lo_s) / grid
-        for _ in range(60):
-            m1 = a + (b2 - a) / 3
-            m2 = b2 - (b2 - a) / 3
-            if _truncated_second_moment(atoms, e, m1) <= _truncated_second_moment(
-                atoms, e, m2
-            ):
-                b2 = m2
-            else:
-                a = m1
-        s_star = (a + b2) / 2
+        step = (hi_s - lo_s) / grid
+        s_star = _ternary_min(lambda s: _truncated_second_moment(atoms, e, s), best_s - step, best_s + step, 60)
         if _truncated_second_moment(atoms, e, s_star) > best_g:
             s_star = best_s
         shifts.append((s_star * e[0], s_star * e[1]))
 
-    return HalaszDiagnostics(
-        D=best_val,
-        mu=float(mu_best),
-        best_direction=e,
-        shifts=tuple(shifts),
-        best_center=(float(best_center[0]), float(best_center[1]))
-        if best_center is not None
-        else None,
-    )
+    return HalaszDiagnostics(best_val, mu_num / wden, e, tuple(shifts), tuple(map(float, best_center)))

@@ -469,8 +469,8 @@ class TestChainsScaleNothing:
         calls, chain_calls = scaled_calls
         rng = random.Random({"l2": 1800, "l1": 1801, "linf": 1802}[norm.kind])
         for _ in range(8):
-            cfg = near_line_set(rng, norm)
             calls.clear()
+            cfg = near_line_set(rng, norm)
             fit = near_line_fit(cfg)
             distance_graph(cfg)
             blocks = block_decomposition(cfg, fit.frame)

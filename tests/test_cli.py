@@ -57,6 +57,29 @@ class TestTValue:
         want = F(math.comb(200, 100), 2 ** 200)
         assert data == {"t": str(want), "float": float(want), "exact": True}
 
+    def test_each_distinct_alpha_parsed_once(self, runner, monkeypatch):
+        from anticonc import cli
+
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return F(text)
+
+        monkeypatch.setattr(cli, "as_fraction", counted)
+        alphas = ["1/2", "1/3", "1/2", "1/3", "1/4", "1/2"]
+        result = runner.invoke(main, ["t-value", "--alphas", " ,".join(alphas)])
+        assert result.exit_code == 0 and parsed == ["1/2", "1/3", "1/4"]
+        assert json.loads(result.output)["t"] == str(lattice.t_value([F(a) for a in alphas]))
+
+    @pytest.mark.parametrize("alphas, bad, other", [("1/2,zebra,1/2,okapi,zebra", "zebra", "okapi"),
+                                                    ("okapi,1/3,zebra,okapi", "okapi", "zebra")])
+    def test_first_bad_alpha_named(self, runner, alphas, bad, other):
+        result = runner.invoke(main, ["t-value", "--alphas", alphas])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("input error: ") and result.stderr.count("\n") == 1
+        assert repr(bad) in result.stderr and other not in result.stderr
+
     @pytest.mark.parametrize("flag", ["--auto", "--exact"])
     def test_retired_path_flags_exit_2(self, runner, flag):
         result = runner.invoke(main, ["t-value", "--alphas", "1/2", flag])
@@ -332,6 +355,22 @@ class TestHalaszCommand:
         assert result.exit_code == 0
         out = json.loads(result.output)
         assert out["D"] < 1e-9 and out["mu"] == 1.5
+
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([{"measures": []}], "input must be a JSON object, not list"),
+            ({"measure": []}, "missing field 'measures'"),
+            ({"measures": [{"norm": "l2", "dim": 2}]}, "missing field 'atoms'"),
+        ],
+        ids=["list", "no-measures", "no-atoms"],
+    )
+    def test_names_the_bad_field(self, runner, tmp_path, data, message):
+        path = write_json(tmp_path, "ms.json", data)
+        result = runner.invoke(main, ["halasz", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == f"input error: {message}\n"
 
 
 class TestErrorContract:

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -1518,8 +1519,8 @@ class TestScaledOnce:
         for _ in range(6):
             pts = tuple((F(rng.randint(0, 96), 32), F(rng.randint(-3, 3), 32))
                         for _ in range(rng.randint(3, 20)))
-            cfg = PointConfig(norm, pts)
             scaled_calls.clear()
+            cfg = PointConfig(norm, pts)
             fit = near_line_fit(cfg)
             graph = distance_graph(cfg)
             block_decomposition(cfg, fit.frame)
@@ -1632,6 +1633,74 @@ class TestIntegerWeights:
             assert "points" not in total.config.__dict__ and "weights" not in total.__dict__
             assert derived == [m.config.scaled[1][i] for m, r in zip(ms + [total], results) for i in r.witness]
             assert results[-1].witness_points == tuple(total.points[i] for i in results[-1].witness)
+
+
+class TestConfigMeasureIdentity:
+    """Configs and measures built from integers are the dataclasses the
+    public constructors give: same equality, hash, repr, length, JSON and
+    frozenness."""
+
+    @staticmethod
+    def _configs(rng):
+        for d in (1, 2, 3):
+            for _ in range(8):
+                pts = [tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 8))) for _ in range(d))
+                       for _ in range(rng.randint(0, 7))]
+                yield PointConfig(l2(d), tuple(pts + pts[:rng.randint(0, 2)]))
+        for _ in range(4):
+            yield PointConfig(l2(2), next(_quad_configs(l2(2), 2, rng)))
+
+    @staticmethod
+    def assert_same(built, public, h, r):
+        assert built == public and public == built
+        assert h == hash(public) == hash(built) and r == repr(public) == repr(built)
+
+    def test_configs(self):
+        rng = random.Random(1340)
+        for cfg in self._configs(rng):
+            s, ipts = cfg.scaled
+            k = rng.randint(1, 4)  # a larger scale than the least is kept
+            for built in (PointConfig._from_scaled(cfg.norm, s, ipts),
+                          PointConfig._from_scaled(cfg.norm, k * s, [tuple(k * c for c in p) for p in ipts])):
+                h, r = hash(built), repr(built)  # before anything else is read
+                for public in (PointConfig(cfg.norm, cfg.points), PointConfig(norm=cfg.norm, points=cfg.points)):
+                    self.assert_same(built, public, h, r)
+                    assert len(built) == len(public) == len(cfg.points)
+                    if not (ipts and isinstance(ipts[0][0], QuadExt)):  # no wire format for Q(sqrt(m))
+                        assert built.to_json() == public.to_json()
+
+    def test_measures(self):
+        rng = random.Random(1350)
+        for cfg in self._configs(rng):
+            if not len(cfg):
+                continue
+            raw = [rng.randint(0, 4) for _ in cfg.points]
+            raw[0] += 1
+            ws = tuple(F(u, sum(raw)) for u in raw)
+            m = VectorMeasure(cfg, ws)
+            built = VectorMeasure._from_ints(PointConfig._from_scaled(cfg.norm, *m.config.scaled), *m._ints)
+            h, r = hash(built), repr(built)
+            for public in (VectorMeasure(cfg, ws), VectorMeasure(config=cfg, weights=ws)):
+                self.assert_same(built, public, h, r)
+                assert len(built.config) == len(public.config) == len(m.points)
+                if not isinstance(cfg.scaled[1][0][0], QuadExt):
+                    assert built.to_json() == public.to_json()
+
+    def test_frozen(self):
+        cfg = PointConfig(l2(2), ((F(1, 2), F(0)), (F(3), F(1, 3))))
+        scaled = PointConfig._from_scaled(l2(2), 6, [(3, 0), (18, 2)])
+        m = VectorMeasure(cfg, (F(1, 4), F(3, 4)))
+        from_ints = VectorMeasure._from_ints(scaled, [1, 3], 4)
+        for obj, names in ((cfg, ("points", "scaled", "norm")), (scaled, ("points", "scaled", "norm")),
+                           (m, ("weights", "_ints", "config")), (from_ints, ("weights", "_ints", "config"))):
+            for name in names:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(obj, name)
+            with pytest.raises(AttributeError):
+                obj.no_such_field
+        assert cfg == scaled and m == from_ints
 
 
 class TestGraphedOnce:
@@ -1885,6 +1954,27 @@ class TestHalasz:
         with pytest.raises(UnsupportedNorm):
             halasz_diagnostics([VectorMeasure.uniform(l1(2), [(0, 0)])])
 
+    def test_reads_the_stored_integers(self, monkeypatch):
+        from anticonc import geometry
+        from anticonc.scenarios import _octagon_points
+
+        calls = []
+        original = geometry._scaled_integers
+
+        def counted(points):
+            calls.append(tuple(points))
+            return original(points)
+
+        monkeypatch.setattr(geometry, "_scaled_integers", counted)
+        rng = random.Random(1360)
+        octagon = VectorMeasure(PointConfig(l2(2), _octagon_points()), (F(1, 8),) * 8)
+        families = [[seeded_measure(rng, 2, rng.randint(1, 6)) for _ in range(3)], [octagon, octagon]]
+        for ms in families:
+            calls.clear()
+            diag = halasz_diagnostics(ms, 20, 16)
+            assert calls == []  # no point set is scaled again
+            assert diag.mu > 0 and diag.best_center is not None
+
     def test_symmetrize(self):
         m = VectorMeasure.uniform(l2(2), [(0, 0), (1, 0)])
         s = symmetrize(m)
@@ -1915,6 +2005,25 @@ class TestVectorMeasure:
     def test_dilate(self):
         m = VectorMeasure.uniform(l2(2), [(1, 1)])
         assert m.dilate(F(3, 2)).points == ((F(3, 2), F(3, 2)),)
+
+    def test_dilate_on_the_integer_form(self, monkeypatch):
+        from anticonc import geometry
+
+        rng = random.Random(1370)
+        measures = [seeded_measure(rng, d, rng.randint(1, 6)) for d in (1, 2, 3) for _ in range(4)]
+        measures += _quad_measures(rng, 4)
+        expected = {}
+        for m in measures:  # the reference scales Fraction points afresh
+            for f in (F(3, 2), F(-2, 3), F(0), F(5), F(-1)):
+                pts = tuple(tuple(f * c for c in p) for p in m.points)
+                expected[id(m), f] = VectorMeasure(PointConfig(m.norm, pts), m.weights)
+        calls = []
+        original = geometry._scaled_integers
+        monkeypatch.setattr(geometry, "_scaled_integers", lambda pts: calls.append(pts) or original(pts))
+        for m in measures:
+            for f in (F(3, 2), F(-2, 3), F(0), F(5), F(-1)):
+                assert m.dilate(f) == expected[id(m), f]
+        assert calls == []
 
     def test_norm_float(self):
         assert norm_float(l2(2), (F(3), F(4))) == 5.0
