@@ -23,17 +23,12 @@ from . import geometry as geom
 from . import lattice as lat
 from . import perfect_graphs as pg
 from . import scenarios
-from .errors import DomainError, DimensionMismatch, ResourceCapExceeded, UnsupportedNorm
-from .exact import as_fraction, fraction_str
+from .errors import DomainError, ResourceCapExceeded
+from .exact import as_fraction, fraction_str, parse_vector
 
-_INPUT_ERRORS = (
-    DomainError,
-    DimensionMismatch,
-    UnsupportedNorm,
-    TypeError,
-    ValueError,
-    json.JSONDecodeError,
-)
+# every input error of the package (DomainError, DimensionMismatch,
+# UnsupportedNorm, InvariantViolation, json.JSONDecodeError) is a ValueError
+_INPUT_ERRORS = (TypeError, ValueError)
 
 
 def _emit(data: dict, output: str) -> None:
@@ -203,10 +198,10 @@ def decompose_cmd(input_path: str, alpha: str | None, output: str) -> None:
 
 
 def _blocks_from_json(data: dict) -> list:
-    norm = geom.NormSpec.from_json(data["norm"], int(data["dim"]))
+    norm = geom.NormSpec.from_json(data["norm"], data["dim"])
     frame = geom.supporting_functional(norm, data["direction"])
     return [
-        chains_mod.Block.from_points([tuple(p) for p in blk], frame)
+        chains_mod.Block.from_points([parse_vector(p) for p in blk], frame)
         for blk in data["blocks"]
     ]
 

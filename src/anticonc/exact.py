@@ -46,6 +46,10 @@ def fraction_str(q: Fraction) -> str:
 
 
 def parse_vector(items: Sequence) -> tuple[Fraction, ...]:
+    """A vector given as a list or tuple of rationals; anything else, such as
+    a string that would be read digit by digit, is refused."""
+    if not isinstance(items, (list, tuple)):
+        raise DomainError(f"a vector must be a list of rationals, got {items!r}")
     return tuple(as_fraction(x) for x in items)
 
 

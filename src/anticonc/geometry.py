@@ -74,8 +74,9 @@ class NormSpec:
     p: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("dimension must be >= 1")
+        # an int only: not a bool (an int subclass), not a float such as 2.7
+        if type(self.dimension) is not int or self.dimension < 1:
+            raise DomainError(f"dimension must be an int >= 1, got {self.dimension!r}")
         if self.kind not in ("l1", "l2", "linf", "lp"):
             raise UnsupportedNorm(f"unknown norm kind {self.kind!r}")
         if self.kind == "lp":
@@ -281,7 +282,7 @@ class PointConfig(_IntForm):
 
     @classmethod
     def from_json(cls, data: dict) -> "PointConfig":
-        norm = NormSpec.from_json(data["norm"], int(data["dim"]))
+        norm = NormSpec.from_json(data["norm"], data["dim"])
         return cls(norm, tuple(parse_vector(p) for p in data["points"]))
 
 
@@ -372,7 +373,7 @@ class VectorMeasure(_IntForm):
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorMeasure":
-        norm = NormSpec.from_json(data["norm"], int(data["dim"]))
+        norm = NormSpec.from_json(data["norm"], data["dim"])
         pts = tuple(parse_vector(a["point"]) for a in data["atoms"])
         ws = tuple(as_fraction(a["weight"]) for a in data["atoms"])
         return cls(PointConfig(norm, pts), ws)

@@ -52,6 +52,8 @@ class LatticeMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.offset_index) is not int:  # not a bool (an int subclass), not a float
+            raise DomainError(f"offset index must be an int, got {self.offset_index!r}")
         weights = tuple(as_fraction(w) for w in self.weights)
         if not weights:
             raise DomainError("lattice measure needs at least one atom")
@@ -117,7 +119,7 @@ class LatticeMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeMeasure":
-        return cls(int(data["offset_index"]), tuple(as_fraction(w) for w in data["weights"]))
+        return cls(data["offset_index"], tuple(as_fraction(w) for w in data["weights"]))
 
 
 def delta(position: Fraction | int | str = 0) -> LatticeMeasure:

@@ -3,21 +3,22 @@
 Strict distance graphs of near-line point sets are Berge, hence perfect; the
 solvers here certify that on concrete instances: maximum (weighted) clique by
 branch and bound with greedy colouring bounds (at the root, one colouring of
-the whole graph bounds every suffix of vertices; the witness is the greedy
-seed when optimal, else the first best leaf in branch order), chromatic number by
-backtracking with a clique lower bound, and shortest odd holes by an
-iterative-deepening search over induced paths. That search skips vertices
-that share no hole with the path (simplicial ones, Dirac 1961; in the
-complement, those beyond distance 2 in g, as odd antiholes have diameter 2,
-Nikolopoulos and Palios 2004), prunes each path by a breadth-first bound on
-the steps left to a vertex that could close it, and stops deepening once no
-path can grow into a longer hole. Each rule drops only branches without a
-hole of the length searched, so witnesses and None answers are exact.
-Everything is deterministic: vertices lowest index first, colours lowest first.
+the whole graph bounds every suffix of vertices; the witness is the greedy seed
+when optimal, else the first best leaf in branch order), chromatic number by
+backtracking below a DSATUR colouring on bitmasks, with the clique number as
+lower bound, and shortest odd holes by an iterative-deepening search over
+induced paths. That search skips vertices that share no hole with the path
+(simplicial ones, Dirac 1961; in the complement, those beyond distance 2 in g,
+as odd antiholes have diameter 2, Nikolopoulos and Palios 2004), prunes each
+path by a breadth-first bound on the steps left to a vertex that could close
+it, and stops deepening once no path can grow into a longer hole. Each rule
+drops only branches without a hole of the length searched, so witnesses and
+None answers are exact. Everything is deterministic: vertices lowest index
+first, colours lowest first.
 
 A graph is one adjacency bitmask per vertex, which the solvers read and
 mask operations relabel, complement and check; its edge set is derived on
-first use. n stays in the low hundreds by design.
+first use and its clique number searched once. n stays in the low hundreds.
 """
 
 from __future__ import annotations
@@ -108,9 +109,12 @@ class DistGraph:
         if not all(0 <= v < self.n for v in order):
             raise DomainError("induced subgraph vertex out of range")
         keep = sum(1 << v for v in order)
-        return DistGraph._from_masks(
+        sub = DistGraph._from_masks(
             len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order]
         )
+        if len(order) == self.n and "_omega" in self.__dict__:  # a permutation keeps it
+            sub.__dict__["_omega"] = self._omega
+        return sub
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
@@ -127,9 +131,7 @@ class ColoringCertificate:
 
     def verify(self, g: DistGraph) -> bool:
         seen = sorted(v for cls in self.classes for v in cls)
-        if seen != list(range(g.n)):
-            return False
-        if len(self.classes) != self.num_colors:
+        if seen != list(range(g.n)) or len(self.classes) != self.num_colors:
             return False
         masks = g.masks
         for cls in self.classes:
@@ -230,17 +232,24 @@ def max_clique(
     caps = resolve(caps)
     if g.n > caps.clique:
         raise ResourceCapExceeded(f"clique solver capped at {caps.clique} vertices")
-    if weights is None:
-        fw = [Fraction(1)] * g.n
-    else:
-        fw = [as_fraction(w) for w in weights]
-        if len(fw) != g.n:
-            raise DomainError("weight vector length mismatch")
-        if any(w < 0 for w in fw):
-            raise DomainError("negative clique weight")
+    fw = [Fraction(1)] * g.n if weights is None else [as_fraction(w) for w in weights]
+    if len(fw) != g.n:
+        raise DomainError("weight vector length mismatch")
+    if any(w < 0 for w in fw):
+        raise DomainError("negative clique weight")
     iw, denom = _numerators(fw)
     best_w, best_set = _clique_search(g, iw)
+    if weights is None:
+        g.__dict__["_omega"] = best_w
     return Fraction(best_w, denom), best_set
+
+
+def _clique_number(g: DistGraph, caps: Caps) -> int:
+    """The clique number, searched once per graph: a unit-weight ``max_clique`` keeps it
+    as ``_omega``, ``induced`` hands it to a full relabelling; over the clique cap it raises."""
+    if g.n > caps.clique or "_omega" not in g.__dict__:
+        max_clique(g, caps=caps)
+    return g._omega
 
 
 def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -289,22 +298,22 @@ def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...
 
 
 def _dsatur_greedy(g: DistGraph) -> list[int]:
-    masks = g.masks
-    colors = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    uncolored = set(range(g.n))
-    degree = [m.bit_count() for m in masks]
-    while uncolored:
-        # highest saturation, then highest degree, then lowest index
-        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degree[u], u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.remove(v)
+    """DSATUR: the uncoloured vertex of highest saturation, then highest
+    degree, then lowest index takes the lowest colour no neighbour has."""
+    masks, n = g.masks, g.n
+    # saturation * n + degree; max() returns the first, lowest-index, of equals
+    rank = [m.bit_count() for m in masks]
+    seen = [0] * n  # bit c of seen[v] set once a neighbour of v has colour c
+    colors, left = [-1] * n, list(range(n))
+    while left:
+        v = max(left, key=rank.__getitem__)
+        left.remove(v)
+        free = ~seen[v] & (seen[v] + 1)  # the lowest clear bit
+        colors[v] = free.bit_length() - 1
         for u in _iter_bits(masks[v]):
-            if colors[u] == -1:
-                neighbor_colors[u].add(c)
+            if not seen[u] & free:
+                seen[u] |= free
+                rank[u] += n
     return colors
 
 
@@ -318,28 +327,18 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     """Optimal colouring certificate by exact branch and bound.
 
     DSATUR greedy supplies the upper bound, the clique number the lower
-    bound; backtracking assigns vertices in index order trying colours in
-    ascending order, which makes the certificate deterministic.
+    bound (1 over the clique cap); backtracking assigns vertices in index
+    order trying colours in ascending order, which makes the certificate
+    deterministic.
     """
-    return _colouring_and_bound(g, resolve(caps), False)[0]
-
-
-def _colouring_and_bound(
-    g: DistGraph, caps: Caps, need_omega: bool
-) -> tuple[ColoringCertificate, int]:
-    """``chromatic_number``'s certificate and the clique lower bound its
-    search used: the clique number, or 1 over the clique cap. With
-    ``need_omega`` the clique number is required, and a graph over the
-    clique cap raises ``max_clique``'s error before the colouring search."""
+    caps = resolve(caps)
     if g.n > caps.coloring:
         raise ResourceCapExceeded(f"coloring solver capped at {caps.coloring} vertices")
-    if g.n == 0:
-        return ColoringCertificate(0, ()), 0
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    lb = int(max_clique(g, caps=caps)[0]) if need_omega or g.n <= caps.clique else 1
+    lb = _clique_number(g, caps) if g.n <= caps.clique else 1
     best_colors = _dsatur_greedy(g)
-    best_k = max(best_colors) + 1
+    best_k = max(best_colors, default=-1) + 1
     if lb < best_k:
         masks = g.masks
         colors = [-1] * g.n
@@ -350,9 +349,8 @@ def _colouring_and_bound(
         while v >= 0:
             if cand[v] < 0:
                 forbidden = 0
-                for u in _iter_bits(masks[v]):
-                    if colors[u] >= 0:
-                        forbidden |= 1 << colors[u]
+                for u in _iter_bits(masks[v] & ((1 << v) - 1)):  # those below v are coloured
+                    forbidden |= 1 << colors[u]
                 cand[v] = ((1 << min(used[v] + 1, best_k - 1)) - 1) & ~forbidden
             colors[v] = -1
             if not cand[v]:
@@ -375,7 +373,7 @@ def _colouring_and_bound(
     cert = ColoringCertificate(best_k, _classes_from_colors(best_colors))
     if not cert.verify(g):
         raise InvariantViolation("colouring certificate failed self-check")
-    return cert, lb
+    return cert
 
 
 # --- odd holes --------------------------------------------------------------
@@ -579,14 +577,13 @@ def verify_perfection_near_line(
     fit = near_line_fit(config, early_stop=True)
     g = distance_graph(config)
     berge, hole = is_berge(g, caps)
-    omega = int(max_clique(g, caps=caps)[0])
+    omega = _clique_number(g, caps)
     chi = chromatic_number(g, caps).num_colors
     rng = random.Random(seed)
     ok = 0
     for _ in range(subgraph_samples):
-        verts = sorted(rng.sample(range(g.n), rng.randint(1, g.n) if g.n else 0))
-        cert, w = _colouring_and_bound(g.induced(verts), caps, True)
-        ok += cert.num_colors == w
+        sub = g.induced(sorted(rng.sample(range(g.n), rng.randint(1, g.n) if g.n else 0)))
+        ok += chromatic_number(sub, caps).num_colors == _clique_number(sub, caps)
     return PerfectionReport(
         near_line_certified=fit.certified,
         max_deviation=fit.max_deviation,
@@ -650,7 +647,10 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     # greedy bounds follow the line geometry; (f_raw, point) is the order of
     # the integer (numerator, point), as both are scaled by positive ints
     order = sorted(range(len(ipts)), key=lambda i: (dots[i], ipts[i]))
-    cert, omega = _colouring_and_bound(distance_graph(subject).induced(order), caps, True)
+    g = distance_graph(subject).induced(order)
+    # nothing is coloured over the clique cap, and the colouring cap is still reported first
+    omega = _clique_number(g, caps) if g.n <= caps.coloring else None
+    cert = chromatic_number(g, caps)
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"

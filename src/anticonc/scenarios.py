@@ -328,17 +328,24 @@ def run_verify_theorem22(
     caps = resolve(caps)
     gen = dict(_DEFAULT_GENERATOR)
     if generator:
+        unknown = set(generator) - set(gen)
+        if unknown:  # a mistyped key would quietly leave its field at the default
+            raise DomainError(f"unknown generator fields: {sorted(unknown)}")
         gen.update(generator)
     # checked before any draw: a bad field would stop the run or pass it unrun
     for field, least in (("count", 0), ("max_summands", 1), ("max_atoms", 1), ("x_span", 0),
                          ("denominator", 1), ("extremal_cases", 0)):
         if isinstance(gen[field], bool) or not isinstance(gen[field], int) or gen[field] < least:
             raise DomainError(f"generator field {field!r} must be an int >= {least}, got {gen[field]!r}")
+    if isinstance(gen["seed"], bool) or not isinstance(gen["seed"], int):
+        raise DomainError(f"generator field 'seed' must be an int, got {gen['seed']!r}")
+    if not 0 < as_fraction(gen["strip_scale"]) <= 1:  # a share of the near-line radius
+        raise DomainError(f"generator field 'strip_scale' must be in (0, 1], got {gen['strip_scale']!r}")
     if not isinstance(gen["norms"], (list, tuple)) or not gen["norms"]:
         raise DomainError(f"generator field 'norms' must be a non-empty list, got {gen['norms']!r}")
     norms = [_norm_by_name(name) for name in gen["norms"]]
     if seed is None:
-        seed = int(gen.get("seed", 0))
+        seed = gen["seed"]
     rng = random.Random(seed)
     failures = []
     margins = []

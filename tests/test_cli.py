@@ -460,3 +460,84 @@ class TestErrorContract:
         result = runner.invoke(main, ["concentration", "--input", path])
         assert result.exit_code == 2
         assert result.stderr == "input error: zero denominator in '1/0'\n"
+
+
+def _measure_json(point=("0", "0"), **fields):
+    return {"norm": "l2", "dim": 2, "atoms": [{"point": point, "weight": "1/1"}], **fields}
+
+
+def _blocks_json(**fields):
+    return {"norm": "l2", "dim": 2, "direction": ["1", "0"],
+            "blocks": [[["0", "0"], ["1", "0"]], [["0", "0"]]], **fields}
+
+
+_MEASURE_COMMANDS = (["concentration"], ["decompose"], ["empirical", "--n", "4"], ["halasz"])
+_BLOCK_COMMANDS = (["btk-chains"], ["jones-bound"])
+_MEASURE_CASES = {
+    "point-string": (_measure_json(point="12"), "a vector must be a list of rationals, got '12'"),
+    "dim-float": (_measure_json(dim=2.7), "dimension must be an int >= 1, got 2.7"),
+    "dim-bool": (_measure_json(dim=True), "dimension must be an int >= 1, got True"),
+    "dim-string": (_measure_json(dim="2"), "dimension must be an int >= 1, got '2'"),
+    "zero-denominator": (_measure_json(point=("1/0", "0")), "zero denominator in '1/0'"),
+    "wrong-dimension": (_measure_json(point=("0", "0", "1")), "point dimension does not match norm"),
+    "no-dim": ({"norm": "l2", "atoms": []}, "missing field 'dim'"),
+}
+_BLOCK_CASES = {
+    "direction-string": (_blocks_json(direction="10"), "a vector must be a list of rationals, got '10'"),
+    "point-string": (_blocks_json(blocks=[["00"]]), "a vector must be a list of rationals, got '00'"),
+    "dim-float": (_blocks_json(dim=2.7), "dimension must be an int >= 1, got 2.7"),
+    "dim-bool": (_blocks_json(dim=True), "dimension must be an int >= 1, got True"),
+    "extra-coordinate": (_blocks_json(blocks=[[["0", "0", "7"], ["2", "0"]]]),
+                         "expected dimension 2, got 3"),
+    "missing-coordinate": (_blocks_json(blocks=[[["0"], ["2"]]]), "expected dimension 2, got 1"),
+}
+_OTHER_CASES = {
+    "points-string": (["berge-check"], {"norm": "l2", "dim": 2, "points": ["12"]},
+                      "a vector must be a list of rationals, got '12'"),
+    "points-dim-float": (["berge-check"], {"norm": "l2", "dim": 2.7, "points": [["0", "0"]]},
+                         "dimension must be an int >= 1, got 2.7"),
+    "points-dim-bool": (["berge-check"], {"norm": "l2", "dim": True, "points": [["0"]]},
+                        "dimension must be an int >= 1, got True"),
+    "graph-n-float": (["berge-check"], {"n": 2.7, "edges": []},
+                      "graph size must be a nonnegative int, got 2.7"),
+    "graph-bool-endpoint": (["berge-check"], {"n": 3, "edges": [[True, 2]]},
+                            "edge [True, 2] is not a pair of ints"),
+    "offset-float": (["concentration"], {"offset_index": 1.5, "weights": ["1/1"]},
+                     "offset index must be an int, got 1.5"),
+    "offset-bool": (["concentration"], {"offset_index": True, "weights": ["1/1"]},
+                    "offset index must be an int, got True"),
+    "generator-seed-float": (["verify-theorem22"], {"seed": 1.7},
+                             "generator field 'seed' must be an int, got 1.7"),
+    "generator-seed-bool": (["verify-theorem22"], {"seed": True},
+                            "generator field 'seed' must be an int, got True"),
+    "generator-unknown-key": (["verify-theorem22"], {"bogus": 1, "count": 1},
+                              "unknown generator fields: ['bogus']"),
+    "generator-strip-scale-5": (["verify-theorem22"], {"strip_scale": 5},
+                                "generator field 'strip_scale' must be in (0, 1], got 5"),
+    "generator-strip-scale-neg": (["verify-theorem22"], {"strip_scale": -1},
+                                  "generator field 'strip_scale' must be in (0, 1], got -1"),
+    "generator-strip-scale-0": (["verify-theorem22"], {"strip_scale": "0/1"},
+                                "generator field 'strip_scale' must be in (0, 1], got '0/1'"),
+    "generator-norms": (["verify-theorem22"], {"norms": []},
+                        "generator field 'norms' must be a non-empty list, got []"),
+    "generator-count-bool": (["verify-theorem22"], {"count": True},
+                             "generator field 'count' must be an int >= 0, got True"),
+}
+MALFORMED_INPUTS = (
+    [(f"{c[0]}-{k}", c, {"measures": [d]} if c == ["halasz"] else d, m)
+     for c in _MEASURE_COMMANDS for k, (d, m) in _MEASURE_CASES.items()]
+    + [(f"{c[0]}-{k}", c, d, m) for c in _BLOCK_COMMANDS for k, (d, m) in _BLOCK_CASES.items()]
+    + [(k, c, d, m) for k, (c, d, m) in _OTHER_CASES.items()]
+)
+
+
+@pytest.mark.parametrize("command, data, message", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_exits_2(runner, tmp_path, command, data, message):
+    # one "input error:" line naming what is wrong; never a traceback or a
+    # value read digit by digit or truncated into a run that exits 0
+    path = write_json(tmp_path, "input.json", data)
+    result = runner.invoke(main, [*command[:1], "--input", path, *command[1:]])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr == f"input error: {message}\n"
+    assert "Traceback" not in result.stderr + result.output

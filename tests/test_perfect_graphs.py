@@ -1,13 +1,16 @@
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from anticonc.caps import Caps
 from anticonc.errors import DomainError, InvariantViolation, ResourceCapExceeded
 from anticonc.geometry import (
+    NormSpec,
     PointConfig,
     VectorMeasure,
     distance_graph,
@@ -20,7 +23,6 @@ from anticonc.geometry import (
 from anticonc.perfect_graphs import (
     ColoringCertificate,
     _classes_from_colors,
-    _colouring_and_bound,
     _dsatur_greedy,
     _greedy_color_bound,
     _strip_simplicial,
@@ -73,9 +75,31 @@ def brute_is_colorable(g, k):
     return False
 
 
+def ref_dsatur_greedy(g):
+    """DSATUR on sets: neighbour colours as one set per vertex, the next
+    vertex by ``min`` over the uncoloured ones."""
+    masks = g.masks
+    colors = [-1] * g.n
+    neighbor_colors = [set() for _ in range(g.n)]
+    uncolored = set(range(g.n))
+    degree = [m.bit_count() for m in masks]
+    while uncolored:
+        # highest saturation, then highest degree, then lowest index
+        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -degree[u], u))
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored.remove(v)
+        for u in _iter_bits(masks[v]):
+            if colors[u] == -1:
+                neighbor_colors[u].add(c)
+    return colors
+
+
 def ref_coloring_classes(g, caps):
     """The recursive colouring backtrack, one call per vertex."""
-    greedy = _dsatur_greedy(g)
+    greedy = ref_dsatur_greedy(g)
     best_k = max(greedy) + 1
     best_colors = greedy[:]
     lb = int(max_clique(g, caps=caps)[0]) if g.n <= caps.clique else 1
@@ -433,6 +457,80 @@ class TestChromaticNumber:
         cert = chromatic_number(g, Caps(coloring=2000))
         assert cert.num_colors == n
         assert cert.classes == tuple((v,) for v in range(n))
+
+    def test_dsatur_matches_set_reference(self):
+        rng = random.Random(149)
+        graphs = [DistGraph(0, frozenset()), DistGraph(1, frozenset()), octagon_circulant()]
+        graphs += [random_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(400)]
+        graphs += [distance_graph(cfg) for cfg in bench_certify_configs()]
+        for g in graphs:
+            assert _dsatur_greedy(g) == ref_dsatur_greedy(g)
+
+
+def bench_certify_configs():
+    """The 126 configurations of the seed-0 certify job list of a 20 s run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
+    spec = importlib.util.spec_from_file_location("bench_mixes", path)
+    mixes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mixes)
+    jobs = mixes.generate("certify", 0, mixes.job_count("certify", 20))
+    return [
+        PointConfig(NormSpec(job[1], 2), tuple((F(x, mixes.CERTIFY_DEN), F(y, mixes.CERTIFY_DEN))
+                                               for x, y in job[2]))
+        for job in jobs if job[0] == "certify"
+    ]
+
+
+@pytest.fixture
+def clique_searches(monkeypatch):
+    """The vertex count of each graph ``_clique_search`` is run on."""
+    from anticonc import perfect_graphs
+
+    calls = []
+    original = perfect_graphs._clique_search
+
+    def counted(g, iw):
+        calls.append(g.n)
+        return original(g, iw)
+
+    monkeypatch.setattr(perfect_graphs, "_clique_search", counted)
+    return calls
+
+
+class TestOneCliqueSearchPerGraph:
+    """omega is searched once per graph and kept on it: max_clique, the
+    colouring's lower bound and the block decomposition's check on a
+    relabelling of the same graph share one search."""
+
+    def test_certify_sequence(self, clique_searches):
+        from anticonc.geometry import near_line_fit
+
+        configs = bench_certify_configs()
+        assert len(configs) == 126
+        for cfg in configs:
+            clique_searches.clear()
+            fit = near_line_fit(cfg)
+            graph = distance_graph(cfg)
+            is_berge(graph)
+            omega = int(max_clique(graph)[0])
+            chi = chromatic_number(graph).num_colors
+            blocks = block_decomposition(cfg, fit.frame)
+            assert clique_searches == [len(cfg)]
+            assert omega == chi == len(blocks)
+
+    def test_kept_for_unit_weights_and_full_relabellings(self, clique_searches):
+        rng = random.Random(150)
+        for _ in range(20):
+            g = random_graph(rng, 12, rng.random())
+            perm = rng.sample(range(12), 12)
+            clique_searches.clear()
+            max_clique(g, [F(k + 1) for k in range(12)])  # weighted: no clique number
+            chi = chromatic_number(g)  # searches once, then keeps omega
+            assert chromatic_number(g) == chi
+            assert chromatic_number(g.induced(perm)).num_colors == chi.num_colors
+            chromatic_number(g.induced(perm[:11]))  # a proper subgraph searches afresh
+            assert int(max_clique(g.induced(perm))[0]) == brute_max_clique_weight(g, [1] * 12)
+            assert clique_searches == [12, 12, 11, 12]
 
 
 class TestOddHoles:
@@ -797,32 +895,23 @@ class TestPerfectionNearLine:
         report = verify_perfection_near_line(PointConfig(l2(2), pts), seed=3)
         assert report.ok and report.berge
 
-    def test_one_clique_search_per_subgraph(self, monkeypatch):
-        # two searches for the whole graph (omega, then chi's bound), one per sample
-        from anticonc import perfect_graphs
-
+    def test_one_clique_search_per_subgraph(self, clique_searches):
+        # one search for the whole graph (omega, then chi's bound reads it),
+        # one per sample short of all 30 vertices (a full one inherits omega)
         rng = random.Random(5)
         cfg = PointConfig(l2(2), tuple(
             (F(rng.randint(0, 256), 32), F(rng.randint(-12, 12), 32)) for _ in range(30)
         ))
-        calls = []
-        original = perfect_graphs.max_clique
-
-        def counted(g, weights=None, caps=None):
-            calls.append(g.n)
-            return original(g, weights, caps)
-
-        monkeypatch.setattr(perfect_graphs, "max_clique", counted)
         report = verify_perfection_near_line(cfg, seed=1)
-        assert len(calls) == 22 and calls[:2] == [30, 30]
-        # the samples as drawn before, each checked by two separate searches
+        sample_rng = random.Random(1)
+        subsets = [sorted(sample_rng.sample(range(30), sample_rng.randint(1, 30))) for _ in range(20)]
+        assert clique_searches == [30] + [len(sub) for sub in subsets if len(sub) < 30]
+        # the samples as drawn before, each checked against max_clique
         g = distance_graph(cfg)
-        sample_rng, ok = random.Random(1), 0
-        for _ in range(20):
-            sub = g.induced(sorted(sample_rng.sample(range(30), sample_rng.randint(1, 30))))
-            ok += int(original(sub)[0]) == chromatic_number(sub).num_colors
+        subs = [g.induced(sub) for sub in subsets]
+        ok = sum(int(max_clique(sub)[0]) == chromatic_number(sub).num_colors for sub in subs)
         assert (report.subgraphs_checked, report.subgraphs_ok) == (20, ok)
-        assert (report.omega, report.chi) == (int(original(g)[0]), chromatic_number(g).num_colors)
+        assert (report.omega, report.chi) == (int(max_clique(g)[0]), chromatic_number(g).num_colors)
         assert report.ok and report.berge and report.hole is None
 
     def test_clique_cap_reported_first(self):
@@ -966,30 +1055,26 @@ class TestBlockDecomposition:
             ks = [len(b.points) for b in blocks]
             assert len(decomp.chains) == middle_layer_count(ks)
 
-    def test_one_clique_search(self, monkeypatch):
+    def test_one_clique_search(self, clique_searches):
         # the colouring's clique lower bound is the omega the perfection
-        # check compares against: one search per decomposition
-        from anticonc import perfect_graphs
+        # check compares against: one search per decomposition, none when
+        # the subject's graph already has its clique number
         from anticonc.geometry import near_line_fit
 
-        calls = []
-        original = perfect_graphs.max_clique
-
-        def counted(g, weights=None, caps=None):
-            calls.append(g.n)
-            return original(g, weights, caps)
-
-        monkeypatch.setattr(perfect_graphs, "max_clique", counted)
         rng = random.Random(79)
         for _ in range(8):
             n = rng.randint(1, 18)
             pts = tuple((F(rng.randint(0, 96), 16), F(rng.randint(-3, 3), 16)) for _ in range(n))
             cfg = PointConfig(l2(2), pts)
             fit = near_line_fit(cfg, early_stop=True)
-            calls.clear()
+            clique_searches.clear()
             blocks = block_decomposition(cfg, fit.frame)
-            assert calls == [n]
-            assert len(blocks) == int(original(distance_graph(cfg))[0])
+            assert clique_searches == [n]
+            assert len(blocks) == int(max_clique(distance_graph(cfg))[0])
+            # that search kept omega on the subject's graph, which the
+            # relabelling inherits
+            assert block_decomposition(cfg, fit.frame) == blocks
+            assert clique_searches == [n, n]
 
     def test_caps(self):
         from anticonc.geometry import supporting_functional
@@ -1003,6 +1088,21 @@ class TestBlockDecomposition:
         # the colouring cap is checked first
         with pytest.raises(ResourceCapExceeded, match="^coloring solver capped at 11 vertices$"):
             block_decomposition(cfg, frame, caps=Caps(clique=11, coloring=11))
+
+    def test_nothing_coloured_over_the_clique_cap(self, monkeypatch):
+        # a colouring below a lower bound of 1 may backtrack for long, and
+        # the decomposition would throw it away
+        from anticonc import perfect_graphs
+        from anticonc.geometry import supporting_functional
+
+        def no_colouring(g):
+            raise AssertionError("coloured a graph over the clique cap")
+
+        monkeypatch.setattr(perfect_graphs, "_dsatur_greedy", no_colouring)
+        cfg = PointConfig(l2(2), tuple((F(k, 3), F(0)) for k in range(12)))
+        frame = supporting_functional(l2(2), (F(1), F(0)))
+        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 11 vertices$"):
+            block_decomposition(cfg, frame, caps=Caps(clique=11))
 
     def test_class_count_bound(self):
         from anticonc.geometry import concentration_q, near_line_fit
@@ -1033,7 +1133,8 @@ def ref_block_decomposition(subject, frame):
     order = sorted(range(len(points)), key=lambda i: (raws[i], points[i]))
     scale, ipts = subject.scaled
     config = PointConfig._from_scaled(subject.norm, scale, [ipts[i] for i in order])
-    cert, omega = _colouring_and_bound(distance_graph(config), Caps(), True)
+    graph = distance_graph(config)
+    cert, omega = chromatic_number(graph, Caps()), int(max_clique(graph, caps=Caps())[0])
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
