@@ -24,7 +24,7 @@ from . import lattice as lat
 from . import perfect_graphs as pg
 from . import scenarios
 from .errors import DomainError, ResourceCapExceeded
-from .exact import as_fraction, fraction_str, parse_vector
+from .exact import as_fraction, fraction_str, parse_vector, vector_str
 
 # every input error of the package (DomainError, DimensionMismatch,
 # UnsupportedNorm, InvariantViolation, json.JSONDecodeError) is a ValueError
@@ -127,7 +127,10 @@ def t_value_cmd(alphas: str, output: str) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @_output_option
 def concentration_cmd(input_path: str, output: str) -> None:
-    """Exact concentration of a lattice or vector measure (JSON file)."""
+    """Exact concentration of a lattice or vector measure (JSON file).
+
+    A vector measure's `witness` indexes its merged atoms of positive weight
+    in sorted order, not the input list; `witness_points` gives their points."""
     data = _load_json(input_path)
     if "weights" in data and "offset_index" in data:
         m = lat.LatticeMeasure.from_json(data)
@@ -141,6 +144,7 @@ def concentration_cmd(input_path: str, output: str) -> None:
             "value": fraction_str(res.value),
             "float": float(res.value),
             "witness": list(res.witness),
+            "witness_points": [vector_str(p) for p in res.witness_points],
         }
     else:
         raise DomainError("input must contain 'weights'+'offset_index' or 'atoms'")

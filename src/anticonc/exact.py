@@ -17,9 +17,12 @@ Rational = Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to Fraction."""
+    """Coerce ints, Fractions and "num/den" strings to Fraction. A bool is
+    refused: Python counts it an int, but True is no rational."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise DomainError(f"a rational cannot be a bool, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -15,7 +15,9 @@ Every "d < 1" decision over a point set goes through one kernel,
 adjacency bitmasks the graph solvers read, once per config. For lp and
 outside the plane it applies the row test ``_near_in_row``, which blocks also
 use when only their consecutive points can be near; ``dist_vs_one`` checks
-one pair.
+one pair. Concentration in linf, in planar l1 and on the line decides no
+pairs and builds no graph: its cliques are the atom sets of half-open unit
+boxes, which ``_box_search`` sweeps on the same integer form.
 
 The invariant of configs, measures and blocks (``chains.Block``): the
 integer form is stored and the Fraction values are derived. A config stores
@@ -959,19 +961,70 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
 
     The optimum over open sets of diameter at most 1 is attained by sets of
     atoms at pairwise distance strictly below 1, i.e. by cliques of the
-    strict distance graph, solved here by exact weighted branch and bound.
+    strict distance graph: swept by ``_box_search`` in linf, in planar l1 and
+    on the line, else solved by exact weighted branch and bound on the graph.
     """
     caps = resolve(caps)
     n = len(measure.config)
     if n > caps.clique:
         raise ResourceCapExceeded(f"support size {n} above the clique cap {caps.clique}")
-    g = distance_graph(measure.config)
-    nums, den = measure._ints  # validated by the measure
-    best, witness = _clique_search(g, nums)
-    s, ipts = measure.config.scaled
+    norm, (s, ipts), (nums, den) = measure.norm, measure.config.scaled, measure._ints
+    if norm.kind == "linf" or norm.dimension == 1 or (norm.kind, norm.dimension) == ("l1", 2):
+        best, witness = _box_search(norm, s, ipts, nums)
+    else:
+        best, witness = _clique_search(distance_graph(measure.config), nums)
     return ConcentrationResult(
         Fraction(best, den), witness, _unscaled(s, [ipts[i] for i in witness])
     )
+
+
+def _box_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:
+    """``_clique_search``'s weight and witness for a linf, planar l1 or
+    one-dimensional measure, without the distance graph. In linf, points are
+    near when every coordinate differs by less than 1 (planar l1 is linf in
+    (x + y, x - y)); boxes have Helly number 2, so an optimal clique, which
+    is maximal (the weights are positive), fills the half-open unit box at
+    its coordinate minima. The sweep tries those anchors by +, - and < only,
+    so Z[sqrt(m)] coordinates work too. As in the clique search, the witness
+    is the greedy seed if optimal, else the least optimal sorted index tuple.
+    """
+    if (norm.kind, norm.dimension) == ("l1", 2):
+        ipts = [(x + y, x - y) for x, y in ipts]
+    last = norm.dimension - 1
+    idx = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
+    keys = [ipts[i][0] for i in idx]
+    # the greedy seed (descending weight, then index) from the points near the
+    # heaviest in x: one joins if each coordinate is in (hi - s, lo + s)
+    lo = hi = ipts[max(range(len(ipts)), key=nums.__getitem__)]
+    near = idx[bisect_right(keys, lo[0] - s):bisect_left(keys, lo[0] + s)]
+    seed = []
+    for i in sorted(near, key=lambda i: (-nums[i], i)):
+        p = ipts[i]
+        if all(h - s < c < l + s for c, l, h in zip(p, lo, hi)):
+            seed.append(i)
+            lo, hi = tuple(map(min, lo, p)), tuple(map(max, hi, p))
+    best, witness = sum(nums[i] for i in seed), None  # None while the seed is best
+
+    def sweep(idx: list[int], k: int) -> None:
+        nonlocal best, witness  # idx is sorted by coordinate k
+        keys, n = [ipts[i][k] for i in idx], len(idx)
+        j = total = 0
+        for a, c in enumerate(keys):
+            if a:
+                total -= nums[idx[a - 1]]
+            end = c + s
+            while j < n and keys[j] < end:
+                total += nums[idx[j]]
+                j += 1
+            if (a and not keys[a - 1] < c) or total < best + (witness is None):
+                continue  # a repeated anchor, or no box in [c, c + s) can improve
+            if k < last:
+                sweep(sorted(idx[a:j], key=lambda i: ipts[i][k + 1]), k + 1)
+            elif total > best or tuple(sorted(idx[a:j])) < witness:
+                best, witness = total, tuple(sorted(idx[a:j]))
+
+    sweep(idx, 0)
+    return best, witness or tuple(sorted(seed))
 
 
 def empirical_measure(

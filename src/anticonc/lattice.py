@@ -41,7 +41,6 @@ from .exact import _numerators, as_fraction, fraction_str
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _RATIO = attrgetter("numerator", "denominator")
-_BOOL_ALPHA = "alpha must be a rational in (0, 1], not a bool"
 
 
 @dataclass(frozen=True)
@@ -134,11 +133,8 @@ def delta(position: Fraction | int | str = 0) -> LatticeMeasure:
 def _alpha_ratio(alpha) -> tuple[int, int]:
     """``alpha`` as (a, b) with a/b in lowest terms, checked to lie in (0, 1].
 
-    The one check of a single alpha. A bool is refused: Python counts it an
-    int, but True is no alpha.
+    The one check of a single alpha; `as_fraction` refuses a bool.
     """
-    if type(alpha) is bool:
-        raise DomainError(_BOOL_ALPHA)
     a, b = _RATIO(as_fraction(alpha))
     if not 0 < a <= b:
         raise DomainError(f"alpha must lie in (0, 1], got {Fraction(a, b)}")
@@ -405,8 +401,6 @@ def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
     counts = Counter(map(_RATIO, map(as_fraction, alphas)))
     if not counts:
         raise DomainError("need at least one alpha")
-    if bool in map(type, alphas):
-        raise DomainError(_BOOL_ALPHA)
     for num, den in counts:
         if not 0 < num <= den:
             raise DomainError(f"alpha must lie in (0, 1], got {Fraction(num, den)}")

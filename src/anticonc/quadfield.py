@@ -18,11 +18,12 @@ from fractions import Fraction
 from .exact import as_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadExt:
     """Field element a + b*sqrt(m) with rational a, b and squarefree m > 1.
 
-    The components are Fractions, or ints for an element of Z[sqrt(m)].
+    The components are Fractions, or ints for an element of Z[sqrt(m)]. The
+    class's own operations build their results by ``_quad``, unchecked.
     """
 
     a: Fraction
@@ -39,23 +40,23 @@ class QuadExt:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self.m)
+        return _quad(self.a + other.a, self.b + other.b, self.m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return QuadExt(self.a - other.a, self.b - other.b, self.m)
+        return _quad(self.a - other.a, self.b - other.b, self.m)
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
+        return _quad(-self.a, -self.b, self.m)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return QuadExt(
+        return _quad(
             self.a * other.a + self.m * self.b * other.b,
             self.a * other.b + self.b * other.a,
             self.m,
@@ -66,17 +67,17 @@ class QuadExt:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        out = QuadExt(1, 0, self.m)
+        out = _quad(1, 0, self.m)
         for _ in range(e):
             out = out * self
         return out
 
     def _coerce(self, other) -> "QuadExt":
-        if not isinstance(other, QuadExt):
-            return QuadExt(other if isinstance(other, int) else as_fraction(other), 0, self.m)
-        if other.m != self.m:
+        if type(other) is QuadExt and other.m == self.m:
+            return other
+        if isinstance(other, QuadExt):
             raise ValueError("mixing different quadratic fields")
-        return other
+        return _quad(other if isinstance(other, int) else as_fraction(other), 0, self.m)
 
     @property
     def denominator(self) -> int:
@@ -87,7 +88,7 @@ class QuadExt:
     def numerator(self) -> "QuadExt":
         """self * denominator, with int components."""
         d = self.denominator
-        return QuadExt(int(self.a * d), int(self.b * d), self.m)
+        return _quad(int(self.a * d), int(self.b * d), self.m)
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(m)."""
@@ -123,6 +124,18 @@ class QuadExt:
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.m)
+
+
+_set_a, _set_b, _set_m = (QuadExt.__dict__[f].__set__ for f in ("a", "b", "m"))
+
+
+def _quad(a, b, m: int) -> QuadExt:
+    """``QuadExt(a, b, m)`` without the check of m, for a checked m."""
+    q = object.__new__(QuadExt)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_m(q, m)
+    return q
 
 
 def _sign(x) -> int:

@@ -102,6 +102,17 @@ class TestConcentration:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == "1/3"
 
+    def test_witness_indexes_sorted_atoms(self, runner, tmp_path):
+        # the witness indexes the measure's sorted, merged atoms, so input
+        # atom 1, (0, 0) of weight 1/4, is not the witness; its points say so
+        atoms = [(("5", "0"), "1/2"), (("0", "0"), "1/4"), (("9", "0"), "1/4"), (("9", "0"), "0/1")]
+        data = {"norm": "l2", "dim": 2, "atoms": [{"point": p, "weight": w} for p, w in atoms]}
+        result = runner.invoke(main, ["concentration", "--input", write_json(tmp_path, "m.json", data)])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert (out["value"], out["witness"]) == ("1/2", [1])
+        assert out["witness_points"] == [["5/1", "0/1"]]
+
     def test_unknown_schema(self, runner, tmp_path):
         path = write_json(tmp_path, "x.json", {"foo": 1})
         result = runner.invoke(main, ["concentration", "--input", path])
@@ -481,6 +492,10 @@ _MEASURE_CASES = {
     "zero-denominator": (_measure_json(point=("1/0", "0")), "zero denominator in '1/0'"),
     "wrong-dimension": (_measure_json(point=("0", "0", "1")), "point dimension does not match norm"),
     "no-dim": ({"norm": "l2", "atoms": []}, "missing field 'dim'"),
+    "weight-bool": ({"norm": "l2", "dim": 2, "atoms": [{"point": ["0", "0"], "weight": True}]},
+                    "a rational cannot be a bool, got True"),
+    "point-bool": (_measure_json(point=[True, False]), "a rational cannot be a bool, got True"),
+    "lp-bool": (_measure_json(norm={"lp": True}), "a rational cannot be a bool, got True"),
 }
 _BLOCK_CASES = {
     "direction-string": (_blocks_json(direction="10"), "a vector must be a list of rationals, got '10'"),

@@ -1750,8 +1750,10 @@ class TestGraphedOnce:
                 separation_check(fit.frame, cfg)
                 concentration_q(measure)
                 assert distance_graph(cfg) is graph and built == []
-                # a multiset's measure merges into a config of its own
-                assert sweeps == [cfg.scaled[1]] + ([] if distinct else [measure.config.scaled[1]])
+                # a multiset's measure merges into a config of its own, which
+                # the clique search sweeps in l2; l1 and linf take the box path
+                own = [] if distinct or norm.kind != "l2" else [measure.config.scaled[1]]
+                assert sweeps == [cfg.scaled[1]] + own
 
     def test_block_decomposition_sweeps_its_subject(self, sweeps):
         from anticonc.perfect_graphs import block_decomposition
@@ -1810,9 +1812,67 @@ class TestConcentrationQ:
             assert qs <= min(qa, qb)
 
     def test_cap(self):
-        m = VectorMeasure.uniform(l2(1), [(F(i, 100),) for i in range(20)])
-        with pytest.raises(ResourceCapExceeded, match="support size 20 above the clique cap 10"):
-            concentration_q(m, Caps(clique=10))
+        # the box sweep and the clique search keep one cap and one message
+        for norm in (l2(1), l1(2), linf(2), linf(3), l2(2), lp(3, 2)):
+            m = VectorMeasure.uniform(norm, [(F(i, 100),) * norm.dimension for i in range(20)])
+            with pytest.raises(ResourceCapExceeded, match="support size 20 above the clique cap 10"):
+                concentration_q(m, Caps(clique=10))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_box_path_matches_clique_search(self, data):
+        # linf, planar l1 and the line take the box sweep; the clique search
+        # on the distance graph is the oracle for the value, the witness and
+        # its points. Small spans give dense grids, duplicates and ties.
+        from anticonc.perfect_graphs import max_clique
+
+        norm = data.draw(st.sampled_from([l1(2), linf(2), linf(3), l1(1), l2(1)]), label="norm")
+        den = data.draw(st.sampled_from([1, 2, 3, 4]), label="den")
+        ints = st.integers(0, data.draw(st.integers(0, 12), label="span"))
+        if data.draw(st.booleans(), label="sqrt2"):
+            coord = st.builds(lambda a, b: QuadExt.of(F(a, den), F(b, den), 2), ints, st.integers(-2, 2))
+        else:
+            coord = st.builds(lambda a: F(a, den), ints)
+        pts = data.draw(st.lists(st.tuples(*[coord] * norm.dimension), min_size=1, max_size=24))
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=len(pts), max_size=len(pts)))
+        raw[0] = raw[0] or 1
+        m = VectorMeasure(PointConfig(norm, pts), tuple(F(r, sum(raw)) for r in raw))
+        res = concentration_q(m)
+        value, witness = max_clique(distance_graph(m.config), weights=m.weights)
+        assert (res.value, res.witness) == (value, witness)
+        assert res.witness_points == tuple(m.points[i] for i in witness)
+
+    def test_box_witness_past_the_greedy_seed(self):
+        # the heaviest atom and its lowest-index neighbour make the greedy
+        # seed, weight 5; the box [0, 1) holds weight 7 and is the witness
+        m = VectorMeasure(PointConfig(l1(2), [(F(-9, 10), 0), (0, 0), (F(9, 10), 0), (F(19, 20), 0)]),
+                          (F(2, 9), F(3, 9), F(2, 9), F(2, 9)))
+        res = concentration_q(m)
+        assert (res.value, res.witness) == (F(7, 9), (1, 2, 3))
+        # two optimal boxes over a seed of weight 2: the sweep meets {1, 3}
+        # (lower in y) first, but the witness is the least tuple, (1, 2)
+        pts = [(0, F(3, 4)), (F(5, 4), F(3, 4)), (F(5, 4), F(5, 4)), (F(3, 2), F(1, 4))]
+        m = VectorMeasure(PointConfig(linf(2), pts), (F(2, 7), F(1, 7), F(2, 7), F(2, 7)))
+        res = concentration_q(m)
+        assert (res.value, res.witness) == (F(3, 7), (1, 2))
+
+    @pytest.mark.parametrize("norm", [l1(2), linf(2), linf(3), l2(1), l2(2), lp(3, 2)],
+                             ids=lambda n: f"{n.kind}-d{n.dimension}")
+    def test_box_path_builds_no_graph(self, norm, monkeypatch):
+        from anticonc import geometry
+
+        counts = {"_near_masks": 0, "_clique_search": 0}
+        for name, original in [(name, getattr(geometry, name)) for name in counts]:
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        rng = random.Random(1300)
+        pts = [tuple(F(rng.randint(-8, 8), 4) for _ in range(norm.dimension)) for _ in range(12)]
+        concentration_q(VectorMeasure.uniform(norm, pts))
+        boxed = norm.kind in ("l1", "linf") or norm.dimension == 1
+        assert counts == dict.fromkeys(counts, 0 if boxed else 1)
 
     def test_matches_max_clique(self):
         # the integer search on the measure's numerators gives max_clique's
