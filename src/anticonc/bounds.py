@@ -6,9 +6,12 @@ exactly where the quantities involved are rational (squaring removes the
 square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
 names the failing inequality. Each function that takes an alpha list
-counts it once with ``lattice._alpha_runs`` and passes the runs on to the
-t-value, the third moments and (reversed) the variance profile, which the
-bounds read only through its total and its head sums.
+opens it once in ``_counted``: ``lattice._alpha_runs`` counts it into runs,
+which go on to the t-value, the third moments and (reversed) the variance
+profile, which the bounds read only through its total and its head sums.
+The normal window and the master bound take the head-variance,
+third-moment and epsilon' conditions they share from one builder,
+``_side_conditions``, with their own head share and epsilon' limit.
 """
 
 from __future__ import annotations
@@ -113,15 +116,30 @@ def window_interval(eps: float, v_star: Fraction) -> tuple[float, float]:
     return (1.0 - eps) * center, (1.0 + eps) * center
 
 
-def _third_moment_condition(runs, delta: Fraction, v: Fraction) -> tuple[bool, float, float]:
-    third = _third_moment_sum(runs)
-    holds = third * third <= delta * delta * v ** 3
-    return holds, float(third), float(delta) * float(v) ** 1.5
+def _counted(alphas: Sequence) -> tuple[tuple, int, VarianceProfile, Fraction]:
+    """The (alpha, count) runs of ``alphas``, their number n of factors, the
+    variance profile in reversed (decreasing alpha) order and its total V*."""
+    runs = _alpha_runs(alphas)
+    profile = VarianceProfile(runs[::-1])
+    return runs, sum(c for _, c in runs), profile, profile.total
 
 
-def _eps_condition(delta: Fraction, c: Fraction, limit: Fraction) -> bool:
-    # 405 sqrt(delta) c^(-3/4) <= limit  <=>  405^4 delta^2 <= limit^4 c^3
-    return Fraction(405) ** 4 * delta ** 2 <= limit ** 4 * c ** 3
+def _side_conditions(profile, n, v, c, delta_prime, eps, head, share, limit) -> tuple:
+    """The three conditions the normal window and the master bound share:
+    the head-variance condition ``head``, V*_ceil(n(1-c)) >= share·V*; the
+    third-moment condition against delta'; and epsilon' <= limit, with the
+    reported epsilon' ``eps``. Each is decided exactly."""
+    head_v = profile.prefix(math.ceil(n * (1 - c)))
+    delta = Fraction(delta_prime)
+    third = _third_moment_sum(profile.runs)
+    return (
+        ConditionCheck(head, head_v >= share * v, float(head_v), float(share) * float(v)),
+        ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", third * third <= delta * delta * v ** 3,
+                       float(third), float(delta) * float(v) ** 1.5),
+        # 405 sqrt(delta) c^(-3/4) <= limit  <=>  405^4 delta^2 <= limit^4 c^3
+        ConditionCheck(f"epsilon' <= {limit}",
+                       Fraction(405) ** 4 * delta ** 2 <= limit ** 4 * c ** 3, eps, float(limit)),
+    )
 
 
 def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
@@ -138,35 +156,15 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
         raise DomainError("c must lie in (0, 1)")
     if not (0 < delta_prime < 1):
         raise DomainError("delta' must lie in (0, 1)")
-    runs = _alpha_runs(alphas)
-    n = sum(c for _, c in runs)
-    profile = VarianceProfile(runs[::-1])
-    v = profile.total
-    conditions = []
+    runs, n, profile, v = _counted(alphas)
     if v == 0:
-        conditions.append(ConditionCheck("V* > 0", False, 0.0, 0.0))
-        return BoundReport(None, tuple(conditions), None, {"n": n})
-    conditions.append(ConditionCheck("V* > 0", True, float(v), 0.0))
-
-    head_v = profile.prefix(math.ceil(n * (1 - cf)))
-    conditions.append(
-        ConditionCheck(
-            "V*_ceil(n(1-c)) >= V*/2",
-            head_v >= v / 2,
-            float(head_v),
-            float(v) / 2,
-        )
-    )
-    delta = Fraction(delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(runs, delta, v)
-    conditions.append(
-        ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
-    )
+        return BoundReport(None, (ConditionCheck("V* > 0", False, 0.0, 0.0),), None, {"n": n})
     eps = epsilon_prime(delta_prime, cf)
-    conditions.append(
-        ConditionCheck("epsilon' <= 1/2", _eps_condition(delta, cf, Fraction(1, 2)), eps, 0.5)
+    conditions = (
+        ConditionCheck("V* > 0", True, float(v), 0.0),
+        *_side_conditions(profile, n, v, cf, delta_prime, eps,
+                          "V*_ceil(n(1-c)) >= V*/2", Fraction(1, 2), Fraction(1, 2)),
     )
-
     lo, hi = window_interval(eps, v)
     t = _centre_t_value(runs)
     extras = {
@@ -181,7 +179,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
     }
     all_hold = all(cc.holds for cc in conditions)
     center = 1.0 / math.sqrt(2 * math.pi * float(v))
-    return BoundReport(center if all_hold else None, tuple(conditions), t, extras)
+    return BoundReport(center if all_hold else None, conditions, t, extras)
 
 
 def crude_bound(alpha_bar, n: int) -> float:
@@ -254,10 +252,7 @@ def make_main_bound_params(
     cf = as_fraction(c)
     if not (0 < cf < Fraction(1, 3)):
         raise DomainError("c must lie in (0, 1/3)")
-    runs = _alpha_runs(alphas)
-    n = sum(c for _, c in runs)
-    profile = VarianceProfile(runs[::-1])
-    v = profile.total
+    runs, n, profile, v = _counted(alphas)
     if v == 0:
         raise DomainError("total variance is zero")
     if delta_prime is None:
@@ -320,54 +315,22 @@ def main_bound(params: MainBoundParams) -> BoundReport:
     """
     v = params.profile.total
     n = params.n
-    conditions = [ConditionCheck("n >= 8", n >= 8, float(n), 8.0)]
-
-    head_v = params.profile.prefix(math.ceil((1 - params.c) * n))
-    conditions.append(
-        ConditionCheck(
-            "V*_ceil((1-c)n) >= (3/4) V*",
-            head_v >= Fraction(3, 4) * v,
-            float(head_v),
-            0.75 * float(v),
-        )
-    )
-    delta = Fraction(params.delta_prime)
-    ok3, lhs3, rhs3 = _third_moment_condition(params.profile.runs, delta, v)
-    conditions.append(
-        ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", ok3, lhs3, rhs3)
-    )
-    conditions.append(
-        ConditionCheck(
-            "epsilon' <= 3/16",
-            _eps_condition(delta, params.c, Fraction(3, 16)),
-            params.epsilon_prime,
-            3 / 16,
-        )
-    )
     gamma_f = Fraction(params.gamma)
     near_one_lhs = params.xi * params.alpha_bar ** 2 * n
-    conditions.append(
-        ConditionCheck(
-            "xi(abar) abar^2 n <= gamma V*^(3/2)",
-            near_one_lhs ** 2 <= gamma_f ** 2 * v ** 3,
-            float(near_one_lhs),
-            params.gamma * float(v) ** 1.5,
-        )
-    )
     c_big = Fraction(params.C)
-    conditions.append(
-        ConditionCheck(
-            "gamma <= (10C)^-2",
-            gamma_f <= Fraction(1) / (100 * c_big * c_big),
-            params.gamma,
-            float(Fraction(1) / (100 * c_big * c_big)),
-        )
-    )
+    gamma_max = Fraction(1) / (100 * c_big * c_big)
     # m < c n / 5, squared: m^2 = C^2 xi n / t exactly (t > 0 always)
     m_sq = c_big * c_big * params.xi * n / params.t.fraction
-    m_ok = m_sq < (params.c * n / 5) ** 2
-    conditions.append(
-        ConditionCheck("m < c n / 5", m_ok, params.m, float(params.c) * n / 5)
+    conditions = (
+        ConditionCheck("n >= 8", n >= 8, float(n), 8.0),
+        *_side_conditions(params.profile, n, v, params.c, params.delta_prime, params.epsilon_prime,
+                          "V*_ceil((1-c)n) >= (3/4) V*", Fraction(3, 4), Fraction(3, 16)),
+        ConditionCheck("xi(abar) abar^2 n <= gamma V*^(3/2)",
+                       near_one_lhs ** 2 <= gamma_f ** 2 * v ** 3,
+                       float(near_one_lhs), params.gamma * float(v) ** 1.5),
+        ConditionCheck("gamma <= (10C)^-2", gamma_f <= gamma_max, params.gamma, float(gamma_max)),
+        ConditionCheck("m < c n / 5", m_sq < (params.c * n / 5) ** 2,
+                       params.m, float(params.c) * n / 5),
     )
 
     all_hold = all(cc.holds for cc in conditions)
@@ -383,7 +346,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
         else None,
     }
     value = main_bound_rhs(params) if all_hold else None
-    return BoundReport(value, tuple(conditions), params.t.fraction, extras)
+    return BoundReport(value, conditions, params.t.fraction, extras)
 
 
 def kesten_bound(alphas: Sequence, n: int, C_kesten: float) -> float:
@@ -421,10 +384,7 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
     """
     if d < 2:
         raise DomainError("dimension must be at least 2")
-    runs = _alpha_runs(alphas)
-    n = sum(c for _, c in runs)
-    profile = VarianceProfile(runs[::-1])
-    v = profile.total
+    runs, n, profile, v = _counted(alphas)
     abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)
     reports = []

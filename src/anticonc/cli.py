@@ -27,8 +27,10 @@ from .errors import DomainError, ResourceCapExceeded
 from .exact import as_fraction, fraction_str, parse_vector, vector_str
 
 # every input error of the package (DomainError, DimensionMismatch,
-# UnsupportedNorm, InvariantViolation, json.JSONDecodeError) is a ValueError
-_INPUT_ERRORS = (TypeError, ValueError)
+# UnsupportedNorm, InvariantViolation, json.JSONDecodeError) is a ValueError;
+# an OverflowError is a value too large for a float, such as a coordinate
+# of 10^400 whose distance is reported as a float
+_INPUT_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 def _emit(data: dict, output: str) -> None:

@@ -15,13 +15,15 @@ form as their reference. A t-value reads only slots 0 and 1/2 of a
 symmetric sum, so it keeps one half of the centre window those slots can
 still be reached from. Equal alphas form a run, a power taken by one exact
 integer recurrence for products of powers: the last run closes the window
-with two dot products, and the runs before it are one product or, where a
-count of steps says folding is cheaper, the first run's power with the
-factors in between folded one at a time. The last few results are
-memoised by their (alpha, count) runs. ``_alpha_runs`` is the one place an
-alpha list is checked and counted into those runs, ``_alpha_ratio`` the one
-place a single alpha is; a ``VarianceProfile`` holds such runs and derives
-its sums from them.
+with two dot products, and the runs before it are one product or the
+first run's power with the factors in between folded one at a time,
+whichever takes fewer steps: one tally of the runs counts the product and
+sets up its recurrence, one fold schedule counts the fold and drives it.
+The last few results are memoised by their (alpha, count) runs.
+``_alpha_runs`` is the one place an alpha list is checked and counted into
+those runs (sorted on integers), ``_alpha_ratio`` the one place a single
+alpha is; a ``VarianceProfile`` holds such runs and derives its sums
+from them.
 """
 
 from __future__ import annotations
@@ -295,54 +297,35 @@ def _power_low(runs: Sequence[tuple[list[int], int]], n: int) -> list[int]:
     return f
 
 
-def _centre_power(factors) -> list[int]:
+def _tally(factors) -> tuple[int, int, int, int]:
+    """(n, e, step, degree) of the sum of the (k, inner, outer, den, c) runs:
+    its half-width n, the e factors with alpha = 1/k (each x taken out), the
+    stride, 2 when every factor is such, else 1, and the degree in x^step of
+    the product Q of one polynomial per run, without building any of them."""
+    n = e = count = degree = 0
+    for k, _, outer, _, c in factors:
+        n += k * c
+        count += c
+        degree += 2 * k if outer else 2 * k - 2
+        e += 0 if outer else c
+    step = 2 if e == count else 1
+    return n, e, step, degree // step
+
+
+def _centre_power(factors, tally=None) -> list[int]:
     """Slots 0 ... S of the sum of the (k, inner, outer, den, c) runs, S the
     sum of k·c, numerators over the product of den^c; the sum is symmetric,
     so slot x is the coefficient of x^(S - x) and only the low half is
     computed. A factor is G(x) = outer·(1 + x^2 + ... + x^2k) + inner·x·(1 +
     ... + x^(2k-2)), slot 0 at x^k. For alpha = 1/k, outer is 0 and G =
-    x·H(x^2): x is taken out, and if every run is such, H is taken in x^2."""
-    n = e = count = 0
-    for k, _, outer, _, c in factors:
-        n += k * c
-        count += c
-        e += 0 if outer else c
-    if e == count:
-        low = [0] * (n + 1)
-        low[e::2] = _power_low([([inner] * k, c) for k, inner, _, _, c in factors], (n - e) // 2)
-        return low[::-1]
-    runs = [([outer, inner] * k + [outer] if outer else [inner, 0] * (k - 1) + [inner], c)
+    x·H(x^2): x is taken out, and if every run is such, the stride is 2 and
+    H is taken in x^2. ``tally`` is the runs' `_tally`, if already made."""
+    n, e, step, _ = tally or _tally(factors)
+    runs = [(([outer, inner] * k + [outer] if outer else [inner, 0] * (k - 1) + [inner])[::step], c)
             for k, inner, outer, _, c in factors]
-    return _power_low(runs, n - e)[::-1] + [0] * e
-
-
-def _product_first(head, rest: int) -> bool:
-    """Whether the runs ``head`` before the last (of half-width ``rest``) are
-    cheaper as one product of powers, N'·deg Q steps for N' coefficients,
-    than as the first run's power and a fold of the factors after it, each
-    min(R + 1, S) + k steps (S the half-width so far, R the one to come).
-    N' and deg Q are counted from the runs ``_centre_power`` would build."""
-    n = e = count = degree = 0
-    for k, _, outer, _, c in head:
-        n += k * c
-        count += c
-        degree += 2 * k
-        if not outer:
-            e += c
-            degree -= 2
-    step = 2 if e == count else 1
-    product = ((n - e) // step + 1) * (degree // step)
-    half = head[0][0] * head[0][-1]
-    rest += n - half
-    if product >= (count - head[0][-1]) * (rest + 1):
-        return False  # a folded factor costs at most R + 1 + k, no more than this R + 1
-    fold = 0
-    for k, _, _, _, c in head[1:]:
-        for _ in range(c):
-            rest -= k
-            half += k
-            fold += (rest + 1 if rest < half else half) + k
-    return product < fold
+    low = [0] * (n + 1)
+    low[e::step] = _power_low(runs, (n - e) // step)
+    return low[::-1]
 
 
 @lru_cache(maxsize=8)
@@ -352,12 +335,15 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     h[x] is the numerator of slot x of the partial sum for x = 0 ... min(S,
     R + 1), S the half-width summed so far and R that of the factors still
     to come; slot -x holds h[x]. The runs before the last make h as one
-    product of powers or, where ``_product_first`` counts that dearer, as
-    the first run's power with the factors after it folded one at a time:
-    with s the stride-2 prefix sums, a factor's outer weight sums k + 1
-    slots two apart and its inner weight the k between them, so a step
-    costs O(min(S, R) + k) whatever k is. Slots 0 and 1/2 of the whole sum
-    are dot products of h against the last run's power.
+    product of powers, N'·deg Q steps for its N' coefficients, or as the
+    first run's power with the factors after it folded one at a time, a
+    fold of Σ(min(R + 1, S) + k) steps, whichever is fewer: one `_tally`
+    counts the product and one schedule of (k, inner, outer, top = min(R +
+    1, S)) per folded factor counts the fold and drives it. With s the
+    stride-2 prefix sums, a factor's outer weight sums k + 1 slots two
+    apart and its inner weight the k between them, so a fold step costs
+    O(min(S, R) + k) whatever k is. Slots 0 and 1/2 of the whole sum are
+    dot products of h against the last run's power.
     """
     factors = [(*_extremal_weights(a), c) for a, c in runs]
     den = math.prod([d ** c for _, _, _, d, c in factors])
@@ -365,27 +351,29 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     p = _centre_power([last])
     if not head:
         return Fraction(p[0] + p[1], den)
-    rest = last[0] * last[-1]
-    if len(head) == 1 or _product_first(head, rest):
-        h = _centre_power(head)[:rest + 2]
+    n, e, step, degree = tally = _tally(head)
+    half = head[0][0] * head[0][-1]
+    rest = n - half + last[0] * last[-1]  # R after the first run's power
+    seed_len, schedule = rest + 2, []
+    for k, inner, outer, _, c in head[1:]:
+        for _ in range(c):
+            rest -= k
+            half += k
+            schedule.append((k, inner, outer, min(rest + 1, half)))
+    if ((n - e) // step + 1) * degree < sum(top + k for k, _, _, top in schedule):
+        h = _centre_power(head, tally)[:rest + 2]  # R is now the last run's
     else:
-        half = head[0][0] * head[0][-1]
-        rest += sum(k * c for k, _, _, _, c in head[1:])
-        h = _centre_power(head[:1])[:rest + 2]
-        for k, inner, outer, _, c in head[1:]:
-            for _ in range(c):
-                rest -= k
-                half += k
-                top = min(rest + 1, half)
-                m = min(k, len(h) - 1)
-                # slots -k ... top + k: the mirror, the window, zeros past it
-                g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
-                s = [0] * len(g)
-                s[0::2] = accumulate(g[0::2])
-                s[1::2] = accumulate(g[1::2])
-                lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
-                h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
-                     in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
+        h = _centre_power(head[:1])[:seed_len]
+        for k, inner, outer, top in schedule:
+            m = min(k, len(h) - 1)
+            # slots -k ... top + k: the mirror, the window, zeros past it
+            g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
+            s = [0] * len(g)
+            s[0::2] = accumulate(g[0::2])
+            s[1::2] = accumulate(g[1::2])
+            lag = [0, 0] + s  # lag[i] is s[i - 2], 0 before slot -k
+            h = [outer * (hi - lo) + inner * (in_hi - in_lo) for hi, in_hi, lo, in_lo
+                 in zip(s[2 * k:2 * k + top + 1], s[2 * k - 1:], lag, lag[1:])]
     at_zero = 2 * sum(map(mul, h, p)) - h[0] * p[0]
     at_half = sum(map(mul, h[1:], p)) + sum(map(mul, h, p[1:]))
     return Fraction(at_zero + at_half, den)
@@ -396,7 +384,9 @@ def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
 
     An empty list, a bool, or an alpha outside (0, 1], is a DomainError; the
     latter names the first bad value. Counting (numerator, denominator)
-    pairs hashes in C.
+    pairs hashes in C, and they are sorted on integers: two distinct
+    fractions with denominators at most B differ by at least 1/B^2, so
+    num·B^2 // den orders them as they are ordered.
     """
     counts = Counter(map(_RATIO, map(as_fraction, alphas)))
     if not counts:
@@ -404,7 +394,9 @@ def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
     for num, den in counts:
         if not 0 < num <= den:
             raise DomainError(f"alpha must lie in (0, 1], got {Fraction(num, den)}")
-    return tuple(sorted((Fraction(num, den), c) for (num, den), c in counts.items()))
+    b2 = max(den for _, den in counts) ** 2
+    ordered = sorted(counts.items(), key=lambda run: run[0][0] * b2 // run[0][1])
+    return tuple((Fraction(num, den), c) for (num, den), c in ordered)
 
 
 def t_value(alphas: Sequence) -> Fraction:

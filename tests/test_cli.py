@@ -482,6 +482,14 @@ def _blocks_json(**fields):
             "blocks": [[["0", "0"], ["1", "0"]], [["0", "0"]]], **fields}
 
 
+def _huge_measure(norm, dim):
+    # 0, 10^400 e_1 and 10^400 e_2, each with weight 1/3
+    big = "1" + "0" * 400
+    points = [["0"] * dim, [big] + ["0"] * (dim - 1), ["0", big] + ["0"] * (dim - 2)]
+    return {"norm": norm, "dim": dim, "atoms": [{"point": p, "weight": "1/3"} for p in points]}
+
+
+_FLOAT_OVERFLOW = "integer division result too large for a float"
 _MEASURE_COMMANDS = (["concentration"], ["decompose"], ["empirical", "--n", "4"], ["halasz"])
 _BLOCK_COMMANDS = (["btk-chains"], ["jones-bound"])
 _MEASURE_CASES = {
@@ -537,6 +545,11 @@ _OTHER_CASES = {
                         "generator field 'norms' must be a non-empty list, got []"),
     "generator-count-bool": (["verify-theorem22"], {"count": True},
                              "generator field 'count' must be an int >= 0, got True"),
+    # coordinates too large for a float, which near-line fits and Halász's
+    # float diagnostics report in
+    "decompose-huge-l2": (["decompose"], _huge_measure("l2", 2), _FLOAT_OVERFLOW),
+    "decompose-huge-linf-3d": (["decompose"], _huge_measure("linf", 3), _FLOAT_OVERFLOW),
+    "halasz-huge-l2": (["halasz"], {"measures": [_huge_measure("l2", 2)]}, _FLOAT_OVERFLOW),
 }
 MALFORMED_INPUTS = (
     [(f"{c[0]}-{k}", c, {"measures": [d]} if c == ["halasz"] else d, m)

@@ -307,12 +307,14 @@ def _ref_kappa_exact_2d(norm, v):
     return best
 
 
-def ref_near_line_fit(config, early_stop=False):
+def ref_near_line_fit(config, early_stop=False, extra=()):
+    """The scan over the axes and the pair directions, then the directions
+    ``extra``, each replacing the best fit only with a strictly smaller key."""
     norm = config.norm
     d = norm.dimension
     best = None
     best_key = None
-    for v in _ref_candidate_directions(config):
+    for v in _ref_candidate_directions(config) + list(extra):
         exact_sq = None
         exact_dev = None
         if d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf")):
@@ -567,6 +569,37 @@ class TestPlanarDirections:
             edges = {_ref_canonical_direction((F(b[0] - a[0]), F(b[1] - a[1])))
                      for a, b in zip(hull, hull[1:] + hull[:1])}
             assert direction not in edges
+
+
+class TestBendDirections:
+    """Where the dual norm bends (the diagonals for l1, the axes for linf) no
+    direction has a smaller key than the axes and the pair directions: a
+    reference scan that also tries the bends, after every pair, keeps the
+    fit of `near_line_fit`."""
+
+    BENDS = {"l1": ((F(1), F(1)), (F(1), F(-1))), "linf": ((F(1), F(0)), (F(0), F(1)))}
+
+    @pytest.mark.parametrize("kind", ["l1", "linf"])
+    def test_scanning_the_bends_moves_no_fit(self, kind):
+        norm = NormSpec(kind, 2)
+        sets = [*_parity_configs(norm, random.Random(31)), *_hull_configs(norm, random.Random(45)),
+                *(_over(3, pts) for pts in CONSTANT_ARC_SETS["l1"] + CONSTANT_ARC_SETS["linf"]),
+                *(_over(5, pts) for pts in DIAGONAL_NEIGHBOUR_SETS)]
+        for pts in sets:
+            cfg = PointConfig(norm, pts)
+            assert near_line_fit(cfg) == ref_near_line_fit(cfg, extra=self.BENDS[kind])
+
+    def test_a_diagonal_ties_the_fit(self):
+        # so the bends must come after the pairs: on these l1 sets a diagonal
+        # has the fit's deviation, and a scan meeting it first would keep it
+        for pts in DIAGONAL_NEIGHBOUR_SETS:
+            cfg = PointConfig(l1(2), _over(5, pts))
+            devs = []
+            for v in self.BENDS["l1"]:
+                dets = [v[0] * y - v[1] * x for x, y in cfg.points]
+                devs.append((max(dets) - min(dets)) / 2 * _ref_kappa_exact_2d(cfg.norm, v))
+            fit = near_line_fit(cfg)
+            assert fit.exact in devs and fit.frame.direction not in ((1, 1), (1, -1))
 
 
 class TestHull:

@@ -506,62 +506,86 @@ def _load_bench_mixes():
     return mixes
 
 
+class _PathTaken(Exception):
+    pass
+
+
+def _spy_powers(mp, stop=False):
+    """The run count of every `_centre_power` call `_centre_t_value` makes:
+    the last run's first, then the head's, more than one run on the product
+    path and one, the seed, on the fold. With ``stop``, the head's call
+    raises `_PathTaken` instead of computing."""
+    power, calls = lattice._centre_power, []
+
+    def spy(factors, tally=None):
+        calls.append(len(factors))
+        if stop and len(calls) == 2:
+            raise _PathTaken
+        return power(factors, tally)
+
+    mp.setattr(lattice, "_centre_power", spy)
+    return calls
+
+
 class TestProductOfPowersPath:
     """The runs before the last are one product of powers or a seed and a
-    fold, as ``_product_first`` counts; both give the reference t-value."""
+    fold, whichever counts fewer steps; both give the reference t-value."""
 
     @given(product_run_lists())
     @settings(max_examples=30, deadline=None)
     def test_both_paths_match_reference(self, alphas):
+        # a tally of degree 0 makes the product free, one of infinite degree
+        # makes it dearer than any fold
         want = ref_t_value(alphas)
-        for product in (True, False):
+        tally = lattice._tally
+        for degree, product in ((0, True), (math.inf, False)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lattice, "_product_first", lambda head, rest: product)
-                _centre_t_value.cache_clear()
-                assert t_value(alphas) == want
-        _centre_t_value.cache_clear()
+                mp.setattr(lattice, "_tally", lambda head: tally(head)[:3] + (degree,))
+                calls = _spy_powers(mp)
+                assert _centre_t_value.__wrapped__(lattice._alpha_runs(alphas)) == want
+                assert (calls[1] > 1) is product
 
     @given(st.lists(st.tuples(run_alpha, st.integers(1, 60)), min_size=3, max_size=6,
                     unique_by=lambda run: run[0]))
     @settings(max_examples=60, deadline=None)
     def test_decision_counts_every_step(self, runs):
         # the rule on costs counted one factor and one polynomial at a time,
-        # for last runs of every half-width up to 400, so the choice flips
-        head = [(*_extremal_weights(a), c) for a, c in sorted(runs)][:-1]
+        # for last runs of every half-width up to 400 (alpha = 1, k = 1, so
+        # the half-width is the count), so the choice flips
+        head_runs = sorted(runs)[:-1]
+        head = [(*_extremal_weights(a), c) for a, c in head_runs]
         e = sum(c for _, _, outer, _, c in head if not outer)
         step = 2 if e == sum(c for *_, c in head) else 1
         polys = [[inner] * k if step == 2 else [outer, inner] * k + [outer] if outer
                  else [inner, 0] * (k - 1) + [inner] for k, inner, outer, _, _ in head]
         n = sum(k * c for k, *_, c in head)
         product = ((n - e) // step + 1) * sum(len(g) - 1 for g in polys)
-        for last in range(0, 400, 3):
+        for last in range(1, 400, 3):
             half, rest, fold = head[0][0] * head[0][-1], last + n - head[0][0] * head[0][-1], 0
             for k, *_, c in head[1:]:
                 for _ in range(c):
                     rest -= k
                     half += k
                     fold += min(rest + 1, half) + k
-            assert lattice._product_first(head, last) == (product < fold)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _spy_powers(mp, stop=True)
+                with pytest.raises(_PathTaken):
+                    _centre_t_value.__wrapped__((*head_runs, (F(1), last)))
+            assert calls == [1, len(head) if product < fold else 1]
 
-    def test_seed_zero_benchmark_paths(self, monkeypatch):
+    def test_seed_zero_benchmark_paths(self):
         # the three-run normal windows of the sums workload take the product;
         # every tvalue list folds
         mixes = _load_bench_mixes()
-        decide = lattice._product_first
-        taken = []
-
-        def spy(head, rest):
-            taken.append(decide(head, rest))
-            return taken[-1]
-
-        monkeypatch.setattr(lattice, "_product_first", spy)
 
         def product_taken(pairs):
-            alphas = [F(n, d) for n, d in pairs]
-            taken.clear()
-            _centre_t_value.cache_clear()
-            t_value(alphas)
-            return any(taken)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _spy_powers(mp, stop=True)
+                try:
+                    _centre_t_value.__wrapped__(lattice._alpha_runs([F(n, d) for n, d in pairs]))
+                except _PathTaken:
+                    pass
+            return len(calls) > 1 and calls[1] > 1
 
         sums = mixes.generate("sums", 0, mixes.job_count("sums", 20))
         windows = [job[1] for job in sums if job[0] == "window"]
@@ -570,7 +594,41 @@ class TestProductOfPowersPath:
         assert [product_taken(pairs) for pairs in windows] == three_runs
         lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
         assert not any(product_taken(pairs) for pairs in lists)
-        _centre_t_value.cache_clear()
+
+
+# near-equal alphas: Farey neighbours j/d, (j + 1)/(d + 1) and their
+# mediants, 1/d against 1/(d + 1), d up to 10^4
+@st.composite
+def near_equal_alphas(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(2, 9_999))
+        j = draw(st.integers(1, d - 1))
+        out += [F(j, d), F(j + 1, d + 1), F(2 * j + 1, 2 * d + 1), F(1, d), F(1, d + 1)]
+    out += draw(st.lists(st.integers(1, 10_000).flatmap(
+        lambda d: st.integers(1, d).map(lambda j: F(j, d))), max_size=20))
+    return draw(st.permutations(out))
+
+
+class TestAlphaRuns:
+    """Runs are sorted on integers, in the order of their Fractions."""
+
+    @pytest.mark.parametrize("alphas", [
+        [F(1, 1000), F(1, 1001)], [F(999, 1000), F(1000, 1001)],
+        [F(1000, 1001), F(1, 1001), F(999, 1000), F(1, 1000), F(1, 1000)],
+        [F(9_999, 10_000), F(9_998, 9_999), F(1), F(1, 9_999), F(1, 10_000), F(2, 19_999)],
+    ])
+    def test_near_equal_order(self, alphas):
+        runs = lattice._alpha_runs(alphas)
+        assert [a for a, _ in runs] == sorted(set(alphas))
+        assert dict(runs) == {a: alphas.count(a) for a in alphas}
+
+    @given(near_equal_alphas())
+    @settings(max_examples=200, deadline=None)
+    def test_order_matches_fraction_sort(self, alphas):
+        runs = lattice._alpha_runs(alphas)
+        assert [a for a, _ in runs] == sorted(set(alphas))
+        assert [c for _, c in runs] == [alphas.count(a) for a in sorted(set(alphas))]
 
 
 class TestConcentration1d:
