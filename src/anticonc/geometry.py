@@ -12,7 +12,7 @@ inside the coordinate field whenever p is an integer.
 
 Every "d < 1" decision over a point set goes through one kernel,
 ``_near_masks``, on coordinates scaled to Z or Z[sqrt(m)]; it emits the
-adjacency bitmasks the graph solvers read, once per config. For lp and
+adjacency bitmasks the graph solvers read, once per config. For p >= 3 and
 outside the plane it applies the row test ``_near_in_row``, which blocks also
 use when only their consecutive points can be near; ``dist_vs_one`` checks
 one pair. Concentration in linf, in planar l1 and on the line decides no
@@ -35,7 +35,8 @@ integer numerators on the two forms.
 
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
-decisions and is rejected.
+decisions and is rejected. Paths follow the exponent, never the name, so
+lp(1) and lp(2) run as l1 and l2 everywhere.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class NormSpec:
         if self.kind not in ("l1", "l2", "linf", "lp"):
             raise UnsupportedNorm(f"unknown norm kind {self.kind!r}")
         if self.kind == "lp":
+            if self.p is None:
+                raise UnsupportedNorm("lp norm needs p, got none")
             p = as_fraction(self.p)
             if p < 1:
                 raise UnsupportedNorm("lp norm needs p >= 1")
@@ -96,7 +99,8 @@ class NormSpec:
 
     @property
     def exponent(self) -> int:
-        """The integer power applied coordinatewise before summing."""
+        """The integer power applied coordinatewise before summing; 1 for
+        linf, whose power sum is the maximum, the norm itself."""
         if self.kind == "l2":
             return 2
         if self.kind == "lp":
@@ -126,7 +130,7 @@ class NormSpec:
     def from_json(cls, data, dimension: int) -> "NormSpec":
         if isinstance(data, str):
             return cls(data, dimension)
-        if isinstance(data, dict) and "lp" in data:
+        if isinstance(data, dict) and data.keys() == {"lp"}:
             return cls("lp", dimension, as_fraction(data["lp"]))
         raise DomainError(f"bad norm spec {data!r}")
 
@@ -161,12 +165,10 @@ def _check_dims(norm: NormSpec, *vecs: Point) -> None:
 def norm_power(norm: NormSpec, vec: Sequence[Fraction]) -> Fraction:
     """Exact rational ||vec||^e with e = norm.exponent.
 
-    For l1 and linf this is the norm itself; for l2 and lp it is the sum of
-    coordinate powers, which compares against 1 the same way the distance
-    does.
+    For linf this is the norm itself; otherwise it is the sum of coordinate
+    powers (the norm itself for e = 1), which compares against 1 the same
+    way the distance does.
     """
-    if norm.kind == "l1":
-        return sum((abs(x) for x in vec), Fraction(0))
     if norm.kind == "linf":
         return max((abs(x) for x in vec), default=Fraction(0))
     e = norm.exponent
@@ -174,9 +176,7 @@ def norm_power(norm: NormSpec, vec: Sequence[Fraction]) -> Fraction:
 
 
 def norm_float(norm: NormSpec, vec: Sequence[Fraction]) -> float:
-    if norm.kind in ("l1", "linf"):
-        return float(norm_power(norm, vec))
-    return float(norm_power(norm, vec)) ** (1.0 / norm.exponent)
+    return float(norm_power(norm, vec)) ** (1.0 / norm.exponent)  # x ** 1.0 is x
 
 
 def _sign_vs_one(power: Fraction) -> int:
@@ -206,10 +206,8 @@ def distance(norm: NormSpec, x, y) -> Distance:
     _check_dims(norm, x, y)
     diff = tuple(a - b for a, b in zip(x, y))
     power = norm_power(norm, diff)
-    cmp_one = _sign_vs_one(power)
-    if norm.kind in ("l1", "linf"):
-        return Distance(float(power), cmp_one, power, power)
-    return Distance(float(power) ** (1.0 / norm.exponent), cmp_one, None, power)
+    e = norm.exponent
+    return Distance(float(power) ** (1.0 / e), _sign_vs_one(power), power if e == 1 else None, power)
 
 
 # --- configurations and measures ---------------------------------------------
@@ -413,24 +411,24 @@ def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> list[int]:
     Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
     operations decide the same comparisons exactly. The points are swept in
     order of x; bisection ends a row at the first x-gap of at least 1, exact
-    because |dx_1| <= ||dx||. In the plane l1, l2 and linf have one inlined
-    test each on dx in [0, 1) and dy (l2 by products: ``QuadExt.__pow__``
-    loops); lp and other dimensions use ``_near_in_row``.
+    because |dx_1| <= ||dx||. In the plane linf and exponents 1 and 2 have one
+    inlined test each on dx in [0, 1) and dy (exponent 2 by products:
+    ``QuadExt.__pow__`` loops); the rest use ``_near_in_row``.
     """
     _check_dims(norm, *ipts)
     order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
     spts = [ipts[i] for i in order]
     xs = [q[0] for q in spts]
-    ys = [q[1] for q in spts] if norm.dimension == 2 and norm.kind != "lp" else None
-    kind, near_in_row, ss = norm.kind, _near_in_row(norm, s), s * s
+    linf, e, near_in_row, ss = norm.kind == "linf", norm.exponent, _near_in_row(norm, s), s * s
+    ys = [q[1] for q in spts] if norm.dimension == 2 and (linf or e <= 2) else None
     masks = [0] * len(ipts)
     for a, x in enumerate(xs):
         row = range(a + 1, bisect_left(xs, x + s, a + 1))
         if ys is None:
             hits = near_in_row(spts[a], spts, row)
-        elif kind == "linf":
+        elif linf:
             hits = [b for b in row if abs(ys[b] - ys[a]) < s]
-        elif kind == "l1":
+        elif e == 1:
             hits = [b for b in row if xs[b] - x + abs(ys[b] - ys[a]) < s]
         else:
             hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < ss]
@@ -486,8 +484,8 @@ class LineFrame:
         """Exactly decide |f(x)| <= ||x||.
 
         Both sides raised to scale_root are rational: ||x|| ** scale_root is
-        the coordinate power sum for l2/lp (scale_root equals the norm
-        exponent there) and the norm itself for l1/linf (scale_root 1).
+        the coordinate power sum (scale_root equals the norm exponent), and
+        for linf the norm itself (scale_root 1).
         """
         g = abs(self.f_raw(x))
         return g ** self.scale_root <= self.scale_pow * norm_power(self.norm, x)
@@ -576,9 +574,9 @@ def supporting_functional(
 ) -> LineFrame:
     """Norm-bounded linear functional equal to 1 on the unit direction.
 
-    l2: normalized inner product with the direction. l1: sign vector of the
-    direction. linf: sign-carrying coordinate functional at a maximal
-    coordinate. lp: dual-exponent coefficients sign(d_i)|d_i|^(p-1).
+    linf: sign-carrying coordinate functional at a maximal coordinate. Any
+    other norm, of exponent e: coefficients sign(d_i)|d_i|^(e-1) over the
+    scale ||d||_e^(e-1) (l1: the sign vector; l2: the inner product).
     """
     d = parse_vector(direction)
     _check_dims(norm, d)
@@ -588,28 +586,22 @@ def supporting_functional(
         Fraction(0) for _ in range(norm.dimension)
     )
     _check_dims(norm, b)
-    if norm.kind in ("l2", "lp"):
-        e = norm.exponent
-        coeffs = tuple(
-            (1 if c > 0 else -1) * abs(c) ** (e - 1) if c != 0 else Fraction(0)
-            for c in d
-        )
-        power_sum = norm_power(norm, d)  # = ||d||_p ** p
-        # scale = ||d||_p ** (p-1), so scale ** p = power_sum ** (p-1)
-        frame = LineFrame(norm, d, b, coeffs, power_sum ** (e - 1), e)
-    elif norm.kind == "l1":
-        coeffs = tuple(
-            Fraction(1) if c > 0 else (Fraction(-1) if c < 0 else Fraction(0))
-            for c in d
-        )
-        frame = LineFrame(norm, d, b, coeffs, Fraction(1), 1)
-    else:  # linf
+    if norm.kind == "linf":
         j = max(range(len(d)), key=lambda i: (abs(d[i]), -i))
         coeffs = tuple(
             (Fraction(1) if d[j] > 0 else Fraction(-1)) if i == j else Fraction(0)
             for i in range(len(d))
         )
         frame = LineFrame(norm, d, b, coeffs, Fraction(1), 1)
+    else:
+        e = norm.exponent
+        coeffs = tuple(
+            (1 if c > 0 else -1) * abs(c) ** (e - 1) if c != 0 else Fraction(0)
+            for c in d
+        )
+        power_sum = norm_power(norm, d)  # = ||d||_e ** e
+        # scale = ||d||_e ** (e-1), so scale ** e = power_sum ** (e-1)
+        frame = LineFrame(norm, d, b, coeffs, power_sum ** (e - 1), e)
     if not frame.attains_one_on_direction():
         raise InvariantViolation("functional does not attain 1 on its direction")
     return frame
@@ -625,8 +617,8 @@ class NearLineFit:
     frame: LineFrame
     max_deviation: float
     certified: bool  # max_deviation < near-line radius, decided exactly
-    exact_sq: Optional[Fraction]  # squared deviation when the norm is l2
-    exact: Optional[Fraction]  # deviation itself when rational (l1/linf, d=2)
+    exact_sq: Optional[Fraction]  # squared deviation when the norm is Hilbert
+    exact: Optional[Fraction]  # deviation itself when rational (exponent 1 or linf, d=2)
 
 
 def _primitive(diff: Sequence[int]) -> tuple[int, ...]:
@@ -681,17 +673,17 @@ _PLANE_AXES = ((1, 0), (0, 1))
 def _planar_key(norm: NormSpec, hull: Sequence[tuple[int, int]], v: tuple[int, int]) -> tuple:
     """``(num, den, lo, hi)``: the extremes lo, hi of det(v, x) over the hull
     and the key num / den that orders directions as their deviations do: the
-    spread hi - lo squared over ||v||_2 ** 2 for l2, the spread over the dual
-    norm of v for l1 (||v||_inf) and linf (||v||_1)."""
+    spread hi - lo squared over ||v||_2 ** 2 for exponent 2, the spread over
+    the dual norm of v for linf (||v||_1) and exponent 1 (||v||_inf)."""
     v0, v1 = v
     dets = [v0 * y - v1 * x for x, y in hull]
     lo, hi = min(dets), max(dets)
     spread = hi - lo
     if norm.is_hilbert:
         return spread * spread, v0 * v0 + v1 * v1, lo, hi
-    if norm.kind == "l1":
-        return spread, max(abs(v0), abs(v1)), lo, hi
-    return spread, abs(v0) + abs(v1), lo, hi
+    if norm.kind == "linf":
+        return spread, abs(v0) + abs(v1), lo, hi
+    return spread, max(abs(v0), abs(v1)), lo, hi
 
 
 def _planar_fit(norm: NormSpec, scale: int, v: tuple[int, int], key: tuple) -> tuple:
@@ -750,7 +742,7 @@ def _planar_direction(
         _primitive((b[0] - a[0], b[1] - a[1])) for a, b in zip(hull, hull[1:] + hull[:1]) if a != b
     }
     cands = [*_PLANE_AXES, *edges]
-    bends = {"l1": ((1, 1), (1, -1)), "linf": _PLANE_AXES}.get(norm.kind, ())
+    bends = _PLANE_AXES if norm.kind == "linf" else ((1, 1), (1, -1)) if norm.exponent == 1 else ()
     keys = {v: _planar_key(norm, hull, v) for v in (*cands, *bends)}
     least = min((keys[v] for v in cands), key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
     tied = {v for v, k in keys.items() if k[0] * least[1] == least[0] * k[1]}
@@ -790,11 +782,11 @@ def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> floa
 
     def val(t: float) -> float:
         diff = [a - c - t * d for a, c, d in zip(xf, bf, vf)]
-        if norm.kind == "l1":
-            return sum(abs(z) for z in diff)
         if norm.kind == "linf":
             return max(abs(z) for z in diff)
         e = norm.exponent
+        if e == 1:
+            return sum(abs(z) for z in diff)
         return sum(abs(z) ** e for z in diff) ** (1.0 / e)
 
     return val(_ternary_min(val, center - span, center + span, 200, 1e-12))
@@ -810,9 +802,9 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     its key is strictly smaller, so the fit is that of the earliest
     direction of least key.
 
-    In the plane (l2, l1, linf) the deviation for a direction v has a closed
-    form: half the spread of the determinants det(v, x) divided by ||v||_2
-    for l2, and by the dual norm of v for l1 (||v||_inf) and linf
+    In the plane (exponent 1 or 2, linf) the deviation for a direction v has
+    a closed form: half the spread of det(v, x) over ||v||_2 for exponent 2,
+    and over the dual norm of v for exponent 1 (||v||_inf) and linf
     (||v||_1), taken over the convex hull's vertices since det(v, .) is
     linear. Keys are compared exactly on integers, and the base point,
     centred exactly, is built in Fractions only for a best key. Without
@@ -820,11 +812,11 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     least key lies at an axis or a hull-edge direction (`_planar_direction`),
     and among ties the scan's first is an axis, else the direction of the
     earliest pair (i, j), ranked in O(n) by one dict over det(v, x). Only
-    when two adjacent l1 or linf breakpoints (hull edges and the diagonals
-    or axes) share the least key, so the key is constant between them, does
-    the full scan run.
+    when two adjacent exponent-1 or linf breakpoints (hull edges and the
+    diagonals or axes) share the least key, so the key is constant between
+    them, does the full scan run.
 
-    For l2 in any dimension the deviation comes from squared projections.
+    For exponent 2 in any dimension squared projections give the deviation.
     Remaining cases fall back to per-point ternary search with a small
     certification margin. With ``early_stop`` the scan returns the first
     improvement whose deviation is certified below the norm's near-line
@@ -836,7 +828,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
         raise DomainError("need at least one point")
     if isinstance(ipts[0][0], QuadExt):
         raise DomainError("near-line fitting needs rational coordinates")
-    planar = d == 2 and (norm.is_hilbert or norm.kind in ("l1", "linf"))
+    planar = d == 2 and (norm.kind == "linf" or norm.exponent <= 2)
     best = None  # ((v, base), the other NearLineFit fields) of the best key
     best_key = None  # Fraction or float; planar keys as `_planar_key` tuples
     hull = _hull(ipts) if planar else ()
@@ -961,15 +953,15 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
 
     The optimum over open sets of diameter at most 1 is attained by sets of
     atoms at pairwise distance strictly below 1, i.e. by cliques of the
-    strict distance graph: swept by ``_box_search`` in linf, in planar l1 and
-    on the line, else solved by exact weighted branch and bound on the graph.
+    strict distance graph: swept by ``_box_search`` in linf, in the plane for
+    exponent 1 and on the line, else solved by weighted branch and bound.
     """
     caps = resolve(caps)
     n = len(measure.config)
     if n > caps.clique:
         raise ResourceCapExceeded(f"support size {n} above the clique cap {caps.clique}")
     norm, (s, ipts), (nums, den) = measure.norm, measure.config.scaled, measure._ints
-    if norm.kind == "linf" or norm.dimension == 1 or (norm.kind, norm.dimension) == ("l1", 2):
+    if norm.kind == "linf" or norm.dimension == 1 or (norm.dimension, norm.exponent) == (2, 1):
         best, witness = _box_search(norm, s, ipts, nums)
     else:
         best, witness = _clique_search(distance_graph(measure.config), nums)
@@ -979,8 +971,8 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
 
 
 def _box_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:
-    """``_clique_search``'s weight and witness for a linf, planar l1 or
-    one-dimensional measure, without the distance graph. In linf, points are
+    """``_clique_search``'s weight and witness for a linf, planar l1 or lp(1),
+    or one-dimensional measure, without the distance graph. In linf, points are
     near when every coordinate differs by less than 1 (planar l1 is linf in
     (x + y, x - y)); boxes have Helly number 2, so an optimal clique, which
     is maximal (the weights are positive), fills the half-open unit box at
@@ -988,7 +980,7 @@ def _box_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...
     so Z[sqrt(m)] coordinates work too. As in the clique search, the witness
     is the greedy seed if optimal, else the least optimal sorted index tuple.
     """
-    if (norm.kind, norm.dimension) == ("l1", 2):
+    if norm.kind != "linf" and (norm.dimension, norm.exponent) == (2, 1):
         ipts = [(x + y, x - y) for x, y in ipts]
     last = norm.dimension - 1
     idx = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
@@ -1113,7 +1105,7 @@ def halasz_diagnostics(
     if center_samples < 1:
         raise DomainError("center_samples must be at least 1")
     for m in measures:
-        if m.norm.kind != "l2" or m.norm.dimension != 2:
+        if not m.norm.is_hilbert or m.norm.dimension != 2:
             raise UnsupportedNorm("diagnostics need the Euclidean plane (l2, d=2)")
     sym = [symmetrize(m) for m in measures]
     # the atoms' stored integers, over one common scale and weight denominator

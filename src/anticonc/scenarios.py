@@ -31,9 +31,7 @@ from .geometry import (
     VectorMeasure,
     concentration_q,
     distance_graph,
-    l1,
     l2,
-    linf,
     product_sum_measure,
 )
 from .lattice import t_value
@@ -269,26 +267,15 @@ _DEFAULT_GENERATOR = {
 
 
 def _strip_bound(norm: NormSpec, scale: Fraction, den: int) -> int:
-    """Largest integer b with (b/den) within scale * near-line radius, exactly."""
-    if norm.is_hilbert:
-        # (b/den)^2 <= scale^2 * 3/16
-        target = scale * scale * Fraction(3, 16) * den * den
-        return math.isqrt(math.floor(target))
-    target = scale * Fraction(1, 8) * den
-    b = math.floor(target)
-    if Fraction(b, den) == scale * Fraction(1, 8):
-        b -= 1  # keep strictly inside
-    return max(b, 0)
+    """Largest integer b with b/den strictly below scale * near-line radius,
+    for a scale in (0, 1]: b^2 < scale^2 r^2 den^2, decided exactly."""
+    return math.isqrt(math.ceil(scale * scale * norm.near_line_radius_sq * den * den) - 1)
 
 
 def _norm_by_name(name: str) -> NormSpec:
-    if name == "l2":
-        return l2(2)
-    if name == "l1":
-        return l1(2)
-    if name == "linf":
-        return linf(2)
-    raise DomainError(f"unknown norm name {name!r}")
+    if name not in ("l2", "l1", "linf"):
+        raise DomainError(f"unknown norm name {name!r}")
+    return NormSpec(name, 2)
 
 
 def _random_near_line_measure(

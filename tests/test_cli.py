@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from anticonc import lattice
 from anticonc.cli import main
 from anticonc.errors import InvariantViolation
-from anticonc.geometry import PointConfig, VectorMeasure, l2
+from anticonc.geometry import NormSpec, PointConfig, VectorMeasure, l2
 
 
 @pytest.fixture
@@ -384,6 +385,43 @@ class TestHalaszCommand:
         assert result.stderr == f"input error: {message}\n"
 
 
+def _strip_points():
+    # 30 points drawn by random.Random(1): x in 0..200/32, y in -3..3/32
+    rng = random.Random(1)
+    return [[f"{rng.randint(0, 200)}/32", f"{rng.randint(-3, 3)}/32"] for _ in range(30)]
+
+
+class TestOneNormOneOutput:
+    """Measures in lp(1) and lp(2) print the output of the same measures in
+    l1 and l2."""
+
+    def _outputs(self, runner, tmp_path, command, make, norms):
+        outs = []
+        for norm in norms:
+            result = runner.invoke(main, [command, "--input", write_json(tmp_path, "in.json", make(norm))])
+            assert result.exit_code == 0
+            outs.append(result.output)
+        return outs
+
+    def test_decompose_lp1_as_l1(self, runner, tmp_path):
+        atoms = [{"point": p, "weight": "1/30"} for p in _strip_points()]
+        l1_out, lp1_out = self._outputs(runner, tmp_path, "decompose",
+                                        lambda norm: {"norm": norm, "dim": 2, "atoms": atoms},
+                                        ("l1", {"lp": "1"}))
+        assert lp1_out == l1_out
+        assert json.loads(l1_out)["max_deviation"] == 0.09375
+
+    def test_halasz_lp2_as_l2(self, runner, tmp_path):
+        pts = _strip_points()
+        parts = [pts[:3], pts[3:7], pts[7:8]]
+        l2_out, lp2_out = self._outputs(
+            runner, tmp_path, "halasz",
+            lambda norm: {"measures": [VectorMeasure.uniform(NormSpec.from_json(norm, 2), part).to_json()
+                                       for part in parts]},
+            ("l2", {"lp": "2"}))
+        assert lp2_out == l2_out
+
+
 class TestErrorContract:
     """Every subcommand exits 2, without a traceback, on a cap or bad input."""
 
@@ -504,6 +542,8 @@ _MEASURE_CASES = {
                     "a rational cannot be a bool, got True"),
     "point-bool": (_measure_json(point=[True, False]), "a rational cannot be a bool, got True"),
     "lp-bool": (_measure_json(norm={"lp": True}), "a rational cannot be a bool, got True"),
+    "lp-extra-key": (_measure_json(norm={"lp": "1/1", "p": "3"}), "bad norm spec {'lp': '1/1', 'p': '3'}"),
+    "lp-no-p": (_measure_json(norm="lp"), "lp norm needs p, got none"),
 }
 _BLOCK_CASES = {
     "direction-string": (_blocks_json(direction="10"), "a vector must be a list of rationals, got '10'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticonc.caps import Caps
-from anticonc.chains import Block
+from anticonc.chains import Block, iterated_decompose
 from anticonc.errors import (
     DimensionMismatch,
     DomainError,
@@ -47,7 +48,7 @@ from anticonc.geometry import (
     symmetrize,
 )
 from anticonc.exact import _numerators
-from anticonc.perfect_graphs import DistGraph
+from anticonc.perfect_graphs import DistGraph, block_decomposition
 from anticonc.quadfield import QuadExt
 from anticonc.geometry import _point_line_dist_float
 
@@ -2122,3 +2123,94 @@ class TestVectorMeasure:
         assert norm_float(l2(2), (F(3), F(4))) == 5.0
         assert norm_float(l1(2), (F(3), F(4))) == 7.0
         assert norm_float(linf(2), (F(3), F(4))) == 4.0
+
+
+# lp(1) is the l1 norm and lp(2) the l2 norm: each pair must give one answer
+ONE_NORM_PAIRS = [(lambda d: lp(1, d), l1), (lambda d: lp(2, d), l2)]
+
+
+def _fields(obj, skip=()):
+    """The dataclass fields of obj except those named in ``skip``."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (InvariantViolation, ResourceCapExceeded) as e:
+        return type(e), str(e)
+
+
+def _one_norm_configs(rng, d):
+    """Rational point sets in a strip or a wide cloud, with duplicates."""
+    for k in range(8 if d < 3 else 3):
+        n = rng.randint(1, 12 if d < 3 else 6)
+        den = rng.choice((1, 4, 8, 32))
+        half = den // 8 if k % 2 else 2 * den
+        pts = [(F(rng.randint(0, 6 * den), den), *(F(rng.randint(-half, half), den) for _ in range(d - 1)))
+               for _ in range(n)]
+        pts += rng.sample(pts, rng.randint(0, min(2, n)))
+        rng.shuffle(pts)
+        yield pts
+
+
+class TestOneNormOneAnswer:
+    """lp(1) gives l1's results and lp(2) gives l2's on every path; where a
+    result holds its norm, every other field is compared."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("pair", ONE_NORM_PAIRS, ids=["lp1-l1", "lp2-l2"])
+    def test_rational_configs(self, pair, d):
+        a, b = pair[0](d), pair[1](d)
+        rng = random.Random(2500 + 10 * d + ONE_NORM_PAIRS.index(pair))
+        for pts in _one_norm_configs(rng, d):
+            ca, cb = PointConfig(a, pts), PointConfig(b, pts)
+            assert distance_graph(ca).masks == distance_graph(cb).masks
+            raw = [rng.randint(1, 5) for _ in pts]
+            ra, rb = (concentration_q(VectorMeasure(c, [F(r, sum(raw)) for r in raw])) for c in (ca, cb))
+            assert (ra.value, ra.witness, ra.witness_points) == (rb.value, rb.witness, rb.witness_points)
+            for early_stop in (False, True):
+                fa, fb = near_line_fit(ca, early_stop), near_line_fit(cb, early_stop)
+                assert _fields(fa, ("frame",)) == _fields(fb, ("frame",))
+                assert _fields(fa.frame, ("norm",)) == _fields(fb.frame, ("norm",))
+                sa, sb = separation_check(fa.frame, ca), separation_check(fb.frame, cb)
+                assert (sa.pairs_checked, sa.violations) == (sb.pairs_checked, sb.violations)
+                ba, bb = (_outcome(block_decomposition, c, f.frame) for c, f in ((ca, fa), (cb, fb)))
+                if isinstance(bb, tuple):
+                    assert ba == bb
+                    continue
+                assert [x.points for x in ba] == [x.points for x in bb]
+                da, db = (_outcome(iterated_decompose, blocks[:3]) for blocks in (ba, bb))
+                assert (da if isinstance(da, tuple) else da.sizes) == (db if isinstance(db, tuple) else db.sizes)
+            for _ in range(4):
+                x, y = rng.choice(pts), rng.choice(pts)
+                assert distance(a, x, y) == distance(b, x, y)
+                v = [F(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1) for _ in range(d)]
+                if any(v):
+                    fa, fb = supporting_functional(a, v, x), supporting_functional(b, v, x)
+                    assert _fields(fa, ("norm",)) == _fields(fb, ("norm",))
+
+    @pytest.mark.parametrize("pair", ONE_NORM_PAIRS, ids=["lp1-l1", "lp2-l2"])
+    def test_quadratic_points(self, pair):
+        a, b = pair[0](2), pair[1](2)
+        rng = random.Random(2600 + ONE_NORM_PAIRS.index(pair))
+        for pts in _quad_configs(b, 2, rng):
+            ca, cb = PointConfig(a, pts), PointConfig(b, pts)
+            assert distance_graph(ca).masks == distance_graph(cb).masks
+            raw = [rng.randint(1, 5) for _ in pts]
+            ra, rb = (concentration_q(VectorMeasure(c, [F(r, sum(raw)) for r in raw])) for c in (ca, cb))
+            assert (ra.value, ra.witness, ra.witness_points) == (rb.value, rb.witness, rb.witness_points)
+
+    def test_planar_lp1_fit_is_exact(self):
+        rng = random.Random(1)
+        pts = [(F(rng.randint(0, 200), 32), F(rng.randint(-3, 3), 32)) for _ in range(30)]
+        fit = near_line_fit(PointConfig(lp(1, 2), pts))
+        assert (fit.max_deviation, fit.exact) == (0.09375, F(3, 32))
+
+    def test_halasz_diagnostics(self):
+        rng = random.Random(2700)
+        for _ in range(3):
+            pts = [rational_point(rng, 2) for _ in range(rng.randint(1, 5))]
+            da, db = (halasz_diagnostics([VectorMeasure.uniform(n, pts)], 24, 16) for n in (lp(2, 2), l2(2)))
+            assert da == db

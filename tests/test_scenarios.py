@@ -1,14 +1,18 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from anticonc.errors import DomainError
+from anticonc.geometry import l1, l2, linf, lp
 from anticonc.lattice import t_value
 from anticonc.quadfield import QuadExt
 from anticonc.scenarios import (
+    _norm_by_name,
     _octagon_points,
     _sharpness_points,
+    _strip_bound,
     run_octagon_scenario,
     run_sharpness_scenario,
     run_verify_theorem22,
@@ -217,3 +221,34 @@ class TestVerifyTheorem22:
         a = run_verify_theorem22({"count": 15}, seed=4)
         b = run_verify_theorem22({"count": 15}, seed=4)
         assert a.to_json() == b.to_json()
+
+
+def _strip_bound_reference(norm, scale, den):
+    """The strip bound as first written: a non-strict bound on the square
+    for the Euclidean radius sqrt(3)/4, strict for the radius 1/8."""
+    if norm.is_hilbert:
+        return math.isqrt(math.floor(scale * scale * F(3, 16) * den * den))
+    b = math.floor(scale * F(1, 8) * den)
+    if F(b, den) == scale * F(1, 8):
+        b -= 1
+    return max(b, 0)
+
+
+class TestScenarioHelpers:
+    SCALES = sorted({F(a, b) for b in range(1, 65) for a in range(1, b + 1)})
+    DENS = (1, 2, 3, 5, 7, 8, 16, 24, 32, 64, 100, 127, 128, 512, 1000, 1024)
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2), lp(2, 2), lp(3, 2)],
+                             ids=["l2", "l1", "linf", "lp2", "lp3"])
+    def test_strip_bound_matches_reference(self, norm):
+        # every scale in (0, 1] with numerator and denominator up to 64
+        for scale in self.SCALES:
+            for den in self.DENS:
+                assert _strip_bound(norm, scale, den) == _strip_bound_reference(norm, scale, den)
+
+    def test_norm_names(self):
+        assert [_norm_by_name(n) for n in ("l2", "l1", "linf")] == [l2(2), l1(2), linf(2)]
+        for name in ("lp", "l3", ["l2"]):
+            with pytest.raises(DomainError) as err:
+                _norm_by_name(name)
+            assert str(err.value) == f"unknown norm name {name!r}"
