@@ -131,8 +131,9 @@ class Block(_IntForm):
 
 
 def _one_frame(blocks: Sequence[Block]) -> LineFrame:
-    frame = blocks[0].frame
-    if any(b.frame is not frame and b.frame != frame for b in blocks[1:]):
+    frame = blocks[0].frame  # frames in l1 and lp(1), or l2 and lp(2), may mix
+    key = lambda f: (f.norm._model, f.direction, f.base, f.coeffs, f.scale_pow, f.scale_root)
+    if any(b.frame is not frame and key(b.frame) != key(frame) for b in blocks[1:]):
         raise DomainError("blocks must share one line frame")
     return frame
 

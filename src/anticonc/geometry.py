@@ -8,7 +8,9 @@ comparison that feeds a combinatorial decision (is a pair an edge, is a pair
 a block pair, does a functional separate two points) is decided exactly,
 floats appear only in reported magnitudes. For the p-norms this is possible
 because ``d(x, y) < 1`` is equivalent to ``sum |dx_i|^p < 1``, a comparison
-inside the coordinate field whenever p is an integer.
+inside the coordinate field whenever p is an integer. Near-line fits are exact
+too in linf and exponents 1 and 2, in every dimension; only lp with p >= 3,
+whose distances to a line are irrational, certifies by a float search.
 
 Every "d < 1" decision over a point set goes through one kernel,
 ``_near_masks``, on coordinates scaled to Z or Z[sqrt(m)]; it emits the
@@ -110,6 +112,10 @@ class NormSpec:
     @property
     def is_hilbert(self) -> bool:
         return self.kind == "l2" or (self.kind == "lp" and self.p == 2)
+
+    @property
+    def _model(self) -> tuple[bool, int, int]:  # all that paths read: lp(1) is l1, lp(2) is l2
+        return self.kind == "linf", self.exponent, self.dimension
 
     @property
     def near_line_radius(self) -> float:
@@ -618,7 +624,7 @@ class NearLineFit:
     max_deviation: float
     certified: bool  # max_deviation < near-line radius, decided exactly
     exact_sq: Optional[Fraction]  # squared deviation when the norm is Hilbert
-    exact: Optional[Fraction]  # deviation itself when rational (exponent 1 or linf, d=2)
+    exact: Optional[Fraction]  # deviation itself for linf and exponent 1, in every dimension
 
 
 def _primitive(diff: Sequence[int]) -> tuple[int, ...]:
@@ -693,11 +699,28 @@ def _planar_fit(norm: NormSpec, scale: int, v: tuple[int, int], key: tuple) -> t
     (v0, v1), (num, den, lo, hi) = v, key
     base_den = 2 * scale * (v0 * v0 + v1 * v1)
     base = (Fraction(-v1 * (lo + hi), base_den), Fraction(v0 * (lo + hi), base_den))
+    return (v, base), _fit_fields(norm, scale, Fraction(num, den))
+
+
+def _fit_fields(norm: NormSpec, scale: int, key: Fraction) -> tuple:
+    """The other `NearLineFit` fields of an exact deviation of the points times 2s (squared if Hilbert)."""
+    dev = key / (4 * scale * scale if norm.is_hilbert else 2 * scale)
     if norm.is_hilbert:
-        sq = Fraction(num, 4 * den * scale * scale)
-        return (v, base), (math.sqrt(float(sq)), sq < norm.near_line_radius_sq, sq, None)
-    dev = Fraction(num, 2 * den * scale)
-    return (v, base), (float(dev), dev * dev < norm.near_line_radius_sq, None, dev)
+        return math.sqrt(float(dev)), dev < norm.near_line_radius_sq, dev, None
+    return float(dev), dev * dev < norm.near_line_radius_sq, None, dev
+
+
+def _line_deviation(norm: NormSpec, r: Sequence[int], v: Sequence[int]) -> Fraction:
+    """min over t of ||r - t v||, squared for exponent 2, for integer r and v != 0 in linf or
+    exponent 1 or 2: exact, from the 2x2 minors m_jk = r_j v_k - r_k v_j."""
+    idx = range(len(v))
+    m = [[r[j] * v[k] - r[k] * v[j] for k in idx] for j in idx]
+    if norm.kind == "linf":  # Helly on the line: the slabs |r_j - t v_j| <= c meet if every two do
+        pairs = ((j, k) for j in idx for k in idx[j + 1:] if v[j] or v[k])
+        return max((Fraction(abs(m[j][k]), abs(v[j]) + abs(v[k])) for j, k in pairs), default=Fraction(0))
+    if norm.exponent == 1:  # the minimum sits at a breakpoint t = r_j / v_j
+        return min(Fraction(sum(map(abs, m[j])), abs(v[j])) for j in idx if v[j])
+    return Fraction(sum(c * c for row in m for c in row), 2 * sum(c * c for c in v))  # Lagrange's identity
 
 
 def _first_pair(points: Sequence[tuple[int, int]], v: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -816,19 +839,22 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     diagonals or axes) share the least key, so the key is constant between
     them, does the full scan run.
 
-    For exponent 2 in any dimension squared projections give the deviation.
-    Remaining cases fall back to per-point ternary search with a small
-    certification margin. With ``early_stop`` the scan returns the first
-    improvement whose deviation is certified below the norm's near-line
-    radius. Only the returned fit's frame is built; it is checked once to be
-    norm-bounded at every point. Q(sqrt(m)) coordinates raise `DomainError`.
+    Off the plane every line passes through the centre of the bounding box,
+    and for linf and exponents 1 and 2 a key is the largest `_line_deviation`
+    of the integer points 2s (x - centre). lp with p >= 3 falls back to
+    per-point ternary search with a small certification margin. With
+    ``early_stop`` the scan returns the first improvement whose deviation is
+    certified below the norm's near-line radius. Only the returned fit's
+    frame is built; it is checked once to be norm-bounded at every point.
+    Q(sqrt(m)) coordinates raise `DomainError`.
     """
     norm, d, (scale, ipts) = config.norm, config.norm.dimension, config.scaled
     if not ipts:
         raise DomainError("need at least one point")
     if isinstance(ipts[0][0], QuadExt):
         raise DomainError("near-line fitting needs rational coordinates")
-    planar = d == 2 and (norm.kind == "linf" or norm.exponent <= 2)
+    exact = norm.kind == "linf" or norm.exponent <= 2
+    planar = d == 2 and exact
     best = None  # ((v, base), the other NearLineFit fields) of the best key
     best_key = None  # Fraction or float; planar keys as `_planar_key` tuples
     hull = _hull(ipts) if planar else ()
@@ -836,8 +862,10 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
         v = _planar_direction(norm, ipts, hull)
         if v is not None:
             best = _planar_fit(norm, scale, v, _planar_key(norm, hull, v))
-    # off the plane every line passes through the centre of the bounding box
-    mid = () if planar else tuple((min(c) + max(c)) / 2 for c in zip(*config.points))
+    if not planar:  # every line passes through the centre of the bounding box
+        ends = [min(c) + max(c) for c in zip(*ipts)]  # 2s * mid
+        mid = tuple(Fraction(e, 2 * scale) for e in ends)
+        rel = [[2 * c - e for c, e in zip(p, ends)] for p in ipts]  # 2s (x - mid)
 
     for v in _candidate_directions(ipts, d) if best is None else ():  # the scan
         if planar:
@@ -845,27 +873,13 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             if best is not None and key[0] * best_key[1] >= best_key[0] * key[1]:
                 continue
             best_key, best = key, _planar_fit(norm, scale, v, key)
-        elif norm.is_hilbert:
-            vv = sum(c * c for c in v)
-            worst = Fraction(0)
-            for p in config.points:
-                r = tuple(a - b for a, b in zip(p, mid))
-                rr = sum(c * c for c in r)
-                rv = sum(a * b for a, b in zip(r, v))
-                dist_sq = rr - rv * rv / vv
-                if dist_sq > worst:
-                    worst = dist_sq
-            if best is not None and worst >= best_key:
-                continue
-            best_key = worst
-            best = (v, mid), (math.sqrt(float(worst)), worst < norm.near_line_radius_sq, worst, None)
         else:
-            dev_float = max(_point_line_dist_float(norm, p, mid, v) for p in config.points)
-            if best is not None and dev_float >= best_key:
+            key = (max(_line_deviation(norm, r, v) for r in rel) if exact
+                   else max(_point_line_dist_float(norm, p, mid, v) for p in config.points))
+            if best is not None and key >= best_key:
                 continue
-            best_key = dev_float
-            certified = dev_float < norm.near_line_radius - _FLOAT_GUARD
-            best = (v, mid), (dev_float, certified, None, None)
+            best_key, best = key, ((v, mid), _fit_fields(norm, scale, key) if exact else
+                                   (key, key < norm.near_line_radius - _FLOAT_GUARD, None, None))
         if early_stop and best[1][1]:
             break
     fit = NearLineFit(supporting_functional(norm, *best[0]), *best[1])
@@ -914,7 +928,7 @@ def product_sum_measure(
         raise DomainError("need at least one measure")
     norm = measures[0].norm
     for m in measures[1:]:
-        if m.norm != norm:
+        if m.norm._model != norm._model:
             raise DomainError("summands must share the same norm and dimension")
     scale = math.lcm(*(m.config.scaled[0] for m in measures))
     acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators

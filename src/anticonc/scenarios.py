@@ -109,8 +109,8 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
     q_single = concentration_q(octagon, caps).value
     total = product_sum_measure([octagon, octagon], caps)
     q_sum = concentration_q(total, caps).value
-    zero = QuadExt.of(0, 0, 2)
-    center_weight = dict(total.atoms()).get((zero, zero), Fraction(0))
+    zero, (nums, den) = QuadExt.of(0, 0, 2), total._ints  # the centre is 0 on the integer form too
+    center_weight = Fraction(dict(zip(total.config.scaled[1], nums)).get((zero, zero), 0), den)
 
     alpha = Fraction(3, 8)
     t_both = t_value([alpha, alpha])
@@ -134,7 +134,7 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
             "circulant_steps_1_2": circulant_ok,
             "q_single": q_single,
             "q_sum": q_sum,
-            "sum_support_size": len(total.points),
+            "sum_support_size": len(total.config),
             "center_weight": center_weight,
             "t_value": t_both,
             "t_below_alpha": t_both < alpha,
@@ -240,14 +240,9 @@ def run_sharpness_scenario(
 def _random_strip_config(rng: random.Random) -> PointConfig:
     """5 to 10 points on a 1/32 grid with x in [0, 5], in the strip |y| <= 0.43."""
     den = 32
-    n = rng.randint(5, 10)
     bound_y = 13  # floor(0.43 * 32); keeps |y| <= 0.43 exactly
-    pts = []
-    for _ in range(n):
-        x = Fraction(rng.randint(0, 5 * den), den)
-        y = Fraction(rng.randint(-bound_y, bound_y), den)
-        pts.append((x, y))
-    return PointConfig(l2(2), tuple(pts))
+    pts = [(rng.randint(0, 5 * den), rng.randint(-bound_y, bound_y)) for _ in range(rng.randint(5, 10))]
+    return PointConfig._from_scaled(l2(2), den, pts)  # the points times 32
 
 
 # --- randomized near-line verification ---------------------------------------

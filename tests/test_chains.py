@@ -555,3 +555,23 @@ class TestOneFrame:
         a = Block.from_points([(F(0), F(0)), (F(2), F(0))], X_FRAME)
         b = Block.from_points([(F(0), F(0)), (F(2), F(0))], supporting_functional(l2(2), (1, 0)))
         assert jones_bound([a, b]).bound == F(1, 2)
+
+    @pytest.mark.parametrize("pair", [(l1(2), lp(1, 2)), (l2(2), lp(2, 2))], ids=["l1-lp1", "l2-lp2"])
+    def test_frames_in_one_norm_under_two_names_are_one_frame(self, pair):
+        pts = [(F(0), F(0)), (F(2), F(1, 16)), (F(4), F(0))]
+        a, b = (Block.from_points(pts, supporting_functional(n, (1, 0))) for n in pair)
+        want = btk_decompose(a, a)
+        for x, y in ((a, b), (b, a)):
+            assert [c.points for c in btk_decompose(x, y).chains] == [c.points for c in want.chains]
+        assert iterated_decompose([b, a, b]).sizes == iterated_decompose([a, a, a]).sizes
+        assert jones_bound([a, b]) == jones_bound([a, a])
+
+    def test_l1_and_linf_frames_with_equal_numbers_differ(self):
+        # the sign functional of l1 and the coordinate functional of linf
+        # along (1, 0) have the same coefficients and scale
+        pts = [(F(0), F(0)), (F(2), F(0))]
+        a, b = (Block.from_points(pts, supporting_functional(n, (1, 0))) for n in (l1(2), linf(2)))
+        assert (a.frame.coeffs, a.frame.scale_pow, a.frame.scale_root) == \
+            (b.frame.coeffs, b.frame.scale_pow, b.frame.scale_root)
+        with pytest.raises(DomainError, match="blocks must share one line frame"):
+            btk_decompose(a, b)

@@ -180,6 +180,20 @@ class TestDecompose:
         assert out["num_blocks"] == 2
         assert out["near_line_certified"] is True
 
+    @pytest.mark.parametrize("norm, deviation", [("l1", 0.0625), ("linf", 0.09375)])
+    def test_off_plane_near_line(self, runner, tmp_path, norm, deviation):
+        # 30 points of a 3-D strip along the x axis, |y|, |z| <= 3/32 (1/32 in l1)
+        rng = random.Random(3)
+        w = 1 if norm == "l1" else 3
+        points = [[f"{rng.randint(0, 200)}/32", f"{rng.randint(-w, w)}/32", f"{rng.randint(-w, w)}/32"]
+                  for _ in range(30)]
+        data = VectorMeasure.uniform(NormSpec(norm, 3), points).to_json()
+        result = runner.invoke(main, ["decompose", "--input", write_json(tmp_path, "vm.json", data)])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out["near_line_certified"] is True and out["max_deviation"] == deviation
+        assert out["multiset_size"] == 30
+
     def test_rational_weights_cleared(self, runner, tmp_path):
         vm = VectorMeasure(
             PointConfig(l2(2), ((F(0), F(0)), (F(2), F(0)))),

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,9 @@ from anticonc.geometry import (
     linf,
     lp,
     near_line_fit,
+    _candidate_directions,
     _hull,
+    _line_deviation,
     _near_masks,
     _scaled_integers,
     norm_float,
@@ -1273,6 +1276,20 @@ class TestProductSum:
         with pytest.raises(DomainError):
             product_sum_measure([a, b])
 
+    @pytest.mark.parametrize("pair", [(l1, lambda d: lp(1, d)), (l2, lambda d: lp(2, d))],
+                             ids=["l1-lp1", "l2-lp2"])
+    def test_one_norm_under_two_names(self, pair):
+        a, b = (VectorMeasure.uniform(make(2), [(0, 0), (1, F(1, 3))]) for make in pair)
+        c = VectorMeasure.uniform(pair[1](2), [(0, 0), (F(1, 2), 1), (2, 0)])
+        for ms in ([a, c], [b, c], [c, a, b]):
+            s = product_sum_measure(ms)
+            want = product_sum_measure([m if m.norm == ms[0].norm else VectorMeasure(
+                PointConfig(ms[0].norm, m.points), m.weights) for m in ms])
+            assert s == want and s.norm == ms[0].norm
+        for other in (linf(2), l2(2) if pair[0] is l1 else l1(2), pair[0](3)):
+            with pytest.raises(DomainError, match="summands must share the same norm and dimension"):
+                product_sum_measure([a, VectorMeasure.uniform(other, [(0,) * other.dimension])])
+
 
 def ref_normalise(points, weights):
     """The Fraction merge ``VectorMeasure`` always ran: drop zero weights,
@@ -2159,7 +2176,7 @@ class TestOneNormOneAnswer:
     """lp(1) gives l1's results and lp(2) gives l2's on every path; where a
     result holds its norm, every other field is compared."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("pair", ONE_NORM_PAIRS, ids=["lp1-l1", "lp2-l2"])
     def test_rational_configs(self, pair, d):
         a, b = pair[0](d), pair[1](d)
@@ -2214,3 +2231,101 @@ class TestOneNormOneAnswer:
             pts = [rational_point(rng, 2) for _ in range(rng.randint(1, 5))]
             da, db = (halasz_diagnostics([VectorMeasure.uniform(n, pts)], 24, 16) for n in (lp(2, 2), l2(2)))
             assert da == db
+
+
+def _ref_line_deviation(norm, r, v):
+    """min over t of ||r - t v||, squared for exponent 2, by brute force in
+    Fractions: the least power sum over the breakpoints r_j / v_j, the
+    crossings of |r_j - t v_j| with |r_k - t v_k| and the projection
+    <r, v> / <v, v>, as `_ref_kappa_exact_2d` does in the plane."""
+    d = len(v)
+    ts = {F(r[j], v[j]) for j in range(d) if v[j]} | {F(sum(map(mul, r, v)), sum(c * c for c in v))}
+    for j, k in itertools.combinations(range(d), 2):
+        for sign in (1, -1):
+            if v[j] != sign * v[k]:
+                ts.add(F(r[j] - sign * r[k], v[j] - sign * v[k]))
+    return min(norm_power(norm, [a - t * b for a, b in zip(r, v)]) for t in ts)
+
+
+def _off_plane_configs(rng, d, count):
+    """Near-line and random rational sets in dimension d, some with a zero
+    second coordinate throughout, some with a duplicate."""
+    for k in range(count):
+        den = rng.choice((1, 4, 8, 32))
+        half = max(1, den // 8) if k % 2 else 2 * den
+        pts = [(F(rng.randint(0, 6 * den), den), *(F(rng.randint(-half, half), den) for _ in range(d - 1)))
+               for _ in range(rng.randint(1, 7))]
+        if k % 3 == 0 and d > 2:
+            pts = [(p[0], F(0), *p[2:]) for p in pts]
+        yield pts + pts[:k % 2]
+
+
+EXACT_NORMS = [l1, linf, l2, lambda d: lp(1, d), lambda d: lp(2, d)]
+
+
+class TestOffPlaneFit:
+    """In every dimension, linf and exponents 1 and 2 fit by the exact
+    point-to-line rule `_line_deviation` on the 2x2 minors."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", EXACT_NORMS, ids=["l1", "linf", "l2", "lp1", "lp2"])
+    def test_kernel_matches_brute_force(self, make, d):
+        norm = make(d)
+        rng = random.Random(2800 + d)
+        for _ in range(150):
+            r = [rng.randint(-9, 9) for _ in range(d)]
+            v = [rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(d)]  # zeros in half the slots
+            if any(v):
+                assert _line_deviation(norm, r, v) == _ref_line_deviation(norm, r, v)
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    @pytest.mark.parametrize("norm", [l1, linf], ids=["l1", "linf"])
+    def test_exact_deviation_matches_ternary_oracle(self, norm, d):
+        rng = random.Random(2810 + d)
+        for pts in _off_plane_configs(rng, d, 12):
+            cfg = PointConfig(norm(d), pts)
+            for early_stop in (False, True):
+                fit = near_line_fit(cfg, early_stop)
+                frame = fit.frame
+                oracle = max(_point_line_dist_float(cfg.norm, p, frame.base, frame.direction) for p in pts)
+                assert fit.max_deviation == float(fit.exact) and fit.exact_sq is None
+                assert abs(fit.max_deviation - oracle) < 1e-9
+                assert fit.certified == (fit.exact < F(1, 8))
+
+    def test_no_float_search_and_no_fraction_points(self, monkeypatch):
+        import anticonc.geometry as geometry
+
+        floats, derived = [], []
+        original = geometry._point_line_dist_float
+        monkeypatch.setattr(geometry, "_point_line_dist_float",
+                            lambda *args: floats.append(args) or original(*args))
+        monkeypatch.setitem(PointConfig._derive, "points",
+                            lambda self: derived.append(self) or geometry._unscaled(*self.scaled))
+        rng = random.Random(2830)
+        for d in (1, 2, 3, 4):
+            for pts in _off_plane_configs(rng, d, 4):
+                for make in EXACT_NORMS:
+                    for early_stop in (False, True):
+                        near_line_fit(PointConfig(make(d), pts), early_stop)
+        assert floats == [] and derived == []
+        near_line_fit(PointConfig(lp(3, 3), [(1, 0, 0), (0, 1, 0)]))  # p >= 3 still searches in floats
+        assert floats and derived
+
+    @pytest.mark.parametrize("pts, tied", [
+        (((5, -1, -1), (9, 0, 0), (19, -1, 1), (16, -1, 0)), ((7, 0, 1), (11, 0, 1))),
+        (((13, -1, 1, 0), (16, -1, 0, 0), (24, 0, 1, -1), (2, 1, 0, 1), (24, 0, 0, -1)),
+         ((22, -1, 1, -2), (22, -1, 0, -2))),
+    ], ids=["3d", "4d"])
+    def test_exact_tie_keeps_the_earliest_direction(self, pts, tied):
+        # two directions share the least deviation exactly; the float search
+        # along the earlier one lands above the later one's
+        cfg = PointConfig(linf(len(pts[0])), [tuple(F(c, 8) for c in p) for p in pts])
+        fit = near_line_fit(cfg)
+        mid = fit.frame.base
+        dirs = list(_candidate_directions(cfg.scaled[1], cfg.norm.dimension))
+        keys = [max(_ref_line_deviation(cfg.norm, [a - b for a, b in zip(p, mid)], v) for p in cfg.points)
+                for v in dirs]
+        assert [keys[dirs.index(v)] for v in tied] == [min(keys)] * 2 == [fit.exact] * 2
+        assert fit.frame.direction == dirs[keys.index(min(keys))] == tied[0] and fit.certified
+        floats = [max(_point_line_dist_float(cfg.norm, p, mid, v) for p in cfg.points) for v in tied]
+        assert floats[0] > floats[1]
