@@ -38,7 +38,9 @@ integer numerators on the two forms.
 Supported norms: l1, l2, linf and lp with integer p >= 1. Rational
 non-integer p would require algebraic-number arithmetic for exact edge
 decisions and is rejected. Paths follow the exponent, never the name, so
-lp(1) and lp(2) run as l1 and l2 everywhere.
+lp(1) and lp(2) run as l1 and l2 everywhere. Two `NormSpec` kernels, on ints,
+Fractions, Z[sqrt(m)] values and floats alike, hold every norm formula:
+``_power`` (||x|| ** exponent) and ``_dual`` (the dual norm).
 """
 
 from __future__ import annotations
@@ -117,6 +119,22 @@ class NormSpec:
     def _model(self) -> tuple[bool, int, int]:  # all that paths read: lp(1) is l1, lp(2) is l2
         return self.kind == "linf", self.exponent, self.dimension
 
+    def _power(self, vec):
+        """||vec|| ** exponent: max |x_i| for linf, else sum |x_i| ** e. Exact on
+        ints, Fractions and Z[sqrt(m)] values, the float formula on floats."""
+        if self.kind == "linf":
+            return max(map(abs, vec))
+        e = self.exponent
+        return sum([abs(x) ** e for x in vec])
+
+    def _dual(self, v):
+        """The dual norm of v, squared for exponent 2; None for p >= 3, whose
+        dual exponent is not an integer."""
+        if self.kind == "linf":
+            return sum(map(abs, v))
+        e = self.exponent
+        return max(map(abs, v)) if e == 1 else sum([c * c for c in v]) if e == 2 else None
+
     @property
     def near_line_radius(self) -> float:
         """Strip half-width under which distance graphs are perfect."""
@@ -168,17 +186,7 @@ def _check_dims(norm: NormSpec, *vecs: Point) -> None:
             )
 
 
-def norm_power(norm: NormSpec, vec: Sequence[Fraction]) -> Fraction:
-    """Exact rational ||vec||^e with e = norm.exponent.
-
-    For linf this is the norm itself; otherwise it is the sum of coordinate
-    powers (the norm itself for e = 1), which compares against 1 the same
-    way the distance does.
-    """
-    if norm.kind == "linf":
-        return max((abs(x) for x in vec), default=Fraction(0))
-    e = norm.exponent
-    return sum((abs(x) ** e for x in vec), Fraction(0))
+norm_power = NormSpec._power  # norm_power(norm, vec): ||vec|| ** exponent, which compares to 1 as d does
 
 
 def norm_float(norm: NormSpec, vec: Sequence[Fraction]) -> float:
@@ -405,9 +413,8 @@ def _unscaled(scale: int, ipts: Sequence[tuple]) -> tuple[Point, ...]:
 def _near_in_row(norm: NormSpec, scale: int):
     """The test d(p, qs[b]) < 1 for each index b in a row, on points scaled by
     ``scale`` to integers: returns the indices that pass."""
-    e, limit = norm.exponent, scale**norm.exponent
-    agg = max if norm.kind == "linf" else sum
-    return lambda p, qs, row: [b for b in row if agg([abs(u - v) ** e for u, v in zip(p, qs[b])]) < limit]
+    power, limit = norm._power, scale**norm.exponent
+    return lambda p, qs, row: [b for b in row if power(map(operator.sub, p, qs[b])) < limit]
 
 
 def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> list[int]:
@@ -499,11 +506,7 @@ class LineFrame:
     def attains_one_on_direction(self) -> bool:
         """Exactly decide f(direction / ||direction||) == 1."""
         g = self.f_raw(self.direction)
-        if g <= 0:
-            return False
-        return g ** self.scale_root == self.scale_pow * norm_power(
-            self.norm, self.direction
-        )
+        return g > 0 and g ** self.scale_root == self.scale_pow * norm_power(self.norm, self.direction)
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[int, ...]]:
@@ -527,27 +530,20 @@ class LineFrame:
 
     @cached_property
     def _consecutive_only(self) -> bool:
-        """Whether ||C / t||_dual <= scale, so |f| <= ||.||: points of a block
-        two apart then differ by at least 1 in f, hence in norm, and only
-        consecutive points can be near. Decided on the integers for l1, l2,
-        linf, lp(1) and lp(2); False for a zero scale, where every gap passes."""
+        """Whether the functional's dual norm is at most its scale, so |f| <=
+        ||.||: points of a block two apart then differ by at least 1 in f,
+        hence in norm, and only consecutive points can be near. False where
+        ``NormSpec._dual`` is None, and for a zero scale, where every gap passes."""
         t, icoeffs = self._scaled
         r, num, den = self.scale_root, self.scale_pow.numerator, self.scale_pow.denominator
-        k, dual = 1, None
-        if self.norm.kind == "linf":
-            dual = sum(map(abs, icoeffs))
-        elif self.norm.exponent == 1:
-            dual = max(map(abs, icoeffs))
-        elif self.norm.exponent == 2:
-            dual, k = sum(c * c for c in icoeffs), 2  # the dual norm squared
+        dual, k = self.norm._dual(icoeffs), 1 + self.norm.is_hilbert  # k: the power of _dual
         return dual is not None and num > 0 and dual**r * den**k <= num**k * t ** (k * r)
 
     def verify_supporting(self, points: Iterable[Sequence[Fraction]] | PointConfig) -> None:
-        """``supports`` at every point, on X = s x and C = t coeffs scaled to
-        integers: |<C, X>| ** r * s ** e <= scale_pow * (st) ** r * ||X|| ** e,
-        with r = scale_root and e the norm exponent. A `PointConfig` is
-        checked on its stored integer form; points of another dimension than
-        the frame's raise `DimensionMismatch`."""
+        """``supports`` at every point, decided on the points and coefficients
+        scaled to integers. A `PointConfig` is checked on its stored integer
+        form; points of another dimension than the frame's raise
+        `DimensionMismatch`."""
         if isinstance(points, PointConfig):
             s, ipts = points.scaled
             _check_dims(self.norm, *ipts[:1])  # a config's points share one dimension
@@ -559,9 +555,8 @@ class LineFrame:
         r, e = self.scale_root, self.norm.exponent
         lhs_mul = self.scale_pow.denominator * s**e
         rhs_mul = self.scale_pow.numerator * (s * t) ** r
-        agg = max if self.norm.kind == "linf" else sum
         for i, (x, dot) in enumerate(zip(ipts, self._dots(ipts))):
-            if abs(dot) ** r * lhs_mul > rhs_mul * agg([abs(u) ** e for u in x]):
+            if abs(dot) ** r * lhs_mul > rhs_mul * self.norm._power(x):
                 p = (points.points if isinstance(points, PointConfig) else points)[i]
                 raise InvariantViolation(f"functional exceeds the norm at point {p}")
 
@@ -605,9 +600,8 @@ def supporting_functional(
             (1 if c > 0 else -1) * abs(c) ** (e - 1) if c != 0 else Fraction(0)
             for c in d
         )
-        power_sum = norm_power(norm, d)  # = ||d||_e ** e
-        # scale = ||d||_e ** (e-1), so scale ** e = power_sum ** (e-1)
-        frame = LineFrame(norm, d, b, coeffs, power_sum ** (e - 1), e)
+        # scale = ||d|| ** (e - 1), so scale ** e = (||d|| ** e) ** (e - 1)
+        frame = LineFrame(norm, d, b, coeffs, norm_power(norm, d) ** (e - 1), e)
     if not frame.attains_one_on_direction():
         raise InvariantViolation("functional does not attain 1 on its direction")
     return frame
@@ -679,17 +673,11 @@ _PLANE_AXES = ((1, 0), (0, 1))
 def _planar_key(norm: NormSpec, hull: Sequence[tuple[int, int]], v: tuple[int, int]) -> tuple:
     """``(num, den, lo, hi)``: the extremes lo, hi of det(v, x) over the hull
     and the key num / den that orders directions as their deviations do: the
-    spread hi - lo squared over ||v||_2 ** 2 for exponent 2, the spread over
-    the dual norm of v for linf (||v||_1) and exponent 1 (||v||_inf)."""
+    spread hi - lo over the dual norm of v, both squared for exponent 2."""
     v0, v1 = v
     dets = [v0 * y - v1 * x for x, y in hull]
     lo, hi = min(dets), max(dets)
-    spread = hi - lo
-    if norm.is_hilbert:
-        return spread * spread, v0 * v0 + v1 * v1, lo, hi
-    if norm.kind == "linf":
-        return spread, abs(v0) + abs(v1), lo, hi
-    return spread, max(abs(v0), abs(v1)), lo, hi
+    return (hi - lo) ** (1 + norm.is_hilbert), norm._dual(v), lo, hi
 
 
 def _planar_fit(norm: NormSpec, scale: int, v: tuple[int, int], key: tuple) -> tuple:
@@ -717,10 +705,10 @@ def _line_deviation(norm: NormSpec, r: Sequence[int], v: Sequence[int]) -> Fract
     m = [[r[j] * v[k] - r[k] * v[j] for k in idx] for j in idx]
     if norm.kind == "linf":  # Helly on the line: the slabs |r_j - t v_j| <= c meet if every two do
         pairs = ((j, k) for j in idx for k in idx[j + 1:] if v[j] or v[k])
-        return max((Fraction(abs(m[j][k]), abs(v[j]) + abs(v[k])) for j, k in pairs), default=Fraction(0))
+        return max((Fraction(abs(m[j][k]), norm._dual((v[j], v[k]))) for j, k in pairs), default=Fraction(0))
     if norm.exponent == 1:  # the minimum sits at a breakpoint t = r_j / v_j
-        return min(Fraction(sum(map(abs, m[j])), abs(v[j])) for j in idx if v[j])
-    return Fraction(sum(c * c for row in m for c in row), 2 * sum(c * c for c in v))  # Lagrange's identity
+        return min(Fraction(norm._power(m[j]), abs(v[j])) for j in idx if v[j])
+    return Fraction(sum(map(norm._power, m)), 2 * norm._dual(v))  # Lagrange's identity
 
 
 def _first_pair(points: Sequence[tuple[int, int]], v: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -804,13 +792,7 @@ def _point_line_dist_float(norm: NormSpec, x: Point, b: Point, v: Point) -> floa
     span = norm_float(norm, tuple(a - c for a, c in zip(x, b))) / math.sqrt(vn2) + 1.0
 
     def val(t: float) -> float:
-        diff = [a - c - t * d for a, c, d in zip(xf, bf, vf)]
-        if norm.kind == "linf":
-            return max(abs(z) for z in diff)
-        e = norm.exponent
-        if e == 1:
-            return sum(abs(z) for z in diff)
-        return sum(abs(z) ** e for z in diff) ** (1.0 / e)
+        return norm_float(norm, [a - c - t * d for a, c, d in zip(xf, bf, vf)])
 
     return val(_ternary_min(val, center - span, center + span, 200, 1e-12))
 
@@ -842,7 +824,8 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     Off the plane every line passes through the centre of the bounding box,
     and for linf and exponents 1 and 2 a key is the largest `_line_deviation`
     of the integer points 2s (x - centre). lp with p >= 3 falls back to
-    per-point ternary search with a small certification margin. With
+    per-point ternary search with a small certification margin. A direction
+    is dropped at the first point whose deviation reaches the best key. With
     ``early_stop`` the scan returns the first improvement whose deviation is
     certified below the norm's near-line radius. Only the returned fit's
     frame is built; it is checked once to be norm-bounded at every point.
@@ -873,13 +856,16 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
             if best is not None and key[0] * best_key[1] >= best_key[0] * key[1]:
                 continue
             best_key, best = key, _planar_fit(norm, scale, v, key)
-        else:
-            key = (max(_line_deviation(norm, r, v) for r in rel) if exact
-                   else max(_point_line_dist_float(norm, p, mid, v) for p in config.points))
-            if best is not None and key >= best_key:
-                continue
-            best_key, best = key, ((v, mid), _fit_fields(norm, scale, key) if exact else
-                                   (key, key < norm.near_line_radius - _FLOAT_GUARD, None, None))
+        else:  # the largest deviation, unless one reaches the best key
+            key = None
+            for r in rel if exact else config.points:
+                dev = _line_deviation(norm, r, v) if exact else _point_line_dist_float(norm, r, mid, v)
+                if best is not None and dev >= best_key:
+                    break
+                key = dev if key is None else max(key, dev)
+            else:
+                best_key, best = key, ((v, mid), _fit_fields(norm, scale, key) if exact else
+                                       (key, key < norm.near_line_radius - _FLOAT_GUARD, None, None))
         if early_stop and best[1][1]:
             break
     fit = NearLineFit(supporting_functional(norm, *best[0]), *best[1])

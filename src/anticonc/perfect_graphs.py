@@ -252,6 +252,19 @@ def _clique_number(g: DistGraph, caps: Caps) -> int:
     return g._omega
 
 
+def _greedy_clique_size(masks: Sequence[int]) -> int:
+    """The largest clique grown from each vertex by adding the lowest-index
+    vertex adjacent to all chosen: a lower bound on the clique number."""
+    best = 0
+    for cand in masks:
+        size = 1
+        while cand:
+            cand &= masks[(cand & -cand).bit_length() - 1]
+            size += 1
+        best = max(best, size)
+    return best
+
+
 def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """The search behind ``max_clique`` on nonnegative integer weights, one
     per vertex, already checked: the best weight and its witness."""
@@ -327,16 +340,16 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     """Optimal colouring certificate by exact branch and bound.
 
     DSATUR greedy supplies the upper bound, the clique number the lower
-    bound (1 over the clique cap); backtracking assigns vertices in index
-    order trying colours in ascending order, which makes the certificate
-    deterministic.
+    bound (a greedy clique over the clique cap); backtracking assigns vertices
+    in index order trying colours in ascending order, which makes the
+    certificate deterministic: the first optimal colouring, whatever the bound.
     """
     caps = resolve(caps)
     if g.n > caps.coloring:
         raise ResourceCapExceeded(f"coloring solver capped at {caps.coloring} vertices")
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    lb = _clique_number(g, caps) if g.n <= caps.clique else 1
+    lb = _clique_number(g, caps) if g.n <= caps.clique else _greedy_clique_size(g.masks)
     best_colors = _dsatur_greedy(g)
     best_k = max(best_colors, default=-1) + 1
     if lb < best_k:

@@ -77,6 +77,51 @@ class TestNormSpec:
         assert NormSpec.from_json(spec.to_json(), 2) == spec
         assert NormSpec.from_json("l1", 4) == l1(4)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [l1, l2, linf, lambda d: lp(1, d), lambda d: lp(2, d), lambda d: lp(3, d)],
+                             ids=["l1", "l2", "linf", "lp1", "lp2", "lp3"])
+    def test_power_and_dual_kernels(self, make, d):
+        # `_power` and `_dual` against the formulas each call site used to
+        # write out, on every value type, and `_dual` against the support
+        # function of the unit ball on integers
+        norm, e = make(d), make(d).exponent
+        rng = random.Random(90 + 10 * d + e)
+        kinds = {
+            "int": lambda m: rng.randint(-9, 9),
+            "fraction": lambda m: F(rng.randint(-9, 9), rng.randint(1, 5)),
+            "quad": lambda m: QuadExt.of(rng.randint(-6, 6), rng.randint(-4, 4), m),
+            "float": lambda m: rng.uniform(-3, 3),
+        }
+        for kind, draw in kinds.items():
+            for _ in range(40):
+                m = rng.choice((2, 3))  # one field per vector
+                vec = [draw(m) for _ in range(d)]
+                powers = [abs(x) ** e for x in vec]
+                want = max(powers) if norm.kind == "linf" else sum(powers, F(0) if kind == "fraction" else 0)
+                got = norm._power(vec)
+                assert got == want and type(got) is type(want)
+                if kind == "float":  # the float search's formula, bit for bit
+                    if norm.kind == "linf":
+                        val = max(abs(z) for z in vec)
+                    else:
+                        val = sum(abs(z) for z in vec) if e == 1 else sum(abs(z) ** e for z in vec) ** (1.0 / e)
+                    assert got ** (1.0 / e) == val
+                dual = (sum(map(abs, vec)) if norm.kind == "linf" else max(map(abs, vec)) if e == 1
+                        else sum(c * c for c in vec) if e == 2 else None)
+                assert norm._dual(vec) == dual and type(norm._dual(vec)) is type(dual)
+        for _ in range(40):
+            v = [rng.randint(-9, 9) for _ in range(d)]
+            if e > 2:
+                assert norm._dual(v) is None
+                continue
+            if norm.is_hilbert:  # Cauchy-Schwarz, tight at v itself
+                assert all(norm._dual(v) * norm._power(c) >= sum(map(mul, v, c)) ** 2
+                           for c in itertools.product(range(-2, 3), repeat=d))
+                assert norm._dual(v) == sum(map(mul, v, v))
+            else:  # the largest <v, c> over the unit ball's vertices, all in {-1, 0, 1}^d
+                ball = [c for c in itertools.product((-1, 0, 1), repeat=d) if norm._power(c) == 1]
+                assert norm._dual(v) == max(sum(map(mul, v, c)) for c in ball)
+
 
 class TestDistance:
     def test_zero(self):
@@ -151,6 +196,23 @@ class TestSupportingFunctional:
     def test_zero_direction_rejected(self):
         with pytest.raises(DomainError):
             supporting_functional(l2(2), (0, 0))
+
+    @pytest.mark.parametrize("make", [l1, l2, linf, lambda d: lp(1, d), lambda d: lp(2, d), lambda d: lp(3, d)],
+                             ids=["l1", "l2", "linf", "lp1", "lp2", "lp3"])
+    def test_consecutive_only_bounds_the_dual_norm(self, make):
+        # a supporting functional has dual norm 1, so only consecutive block
+        # points can be near; twice it has dual norm 2; lp(3) has no integer
+        # dual exponent, so its blocks check every pair
+        rng = random.Random(95)
+        for d in (1, 2, 3, 4):
+            norm = make(d)
+            for _ in range(20):
+                v = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+                if any(v):
+                    frame = supporting_functional(norm, v)
+                    doubled = dataclasses.replace(frame, coeffs=tuple(2 * c for c in frame.coeffs))
+                    assert frame._consecutive_only == (norm.exponent <= 2)
+                    assert not doubled._consecutive_only
 
     @pytest.mark.parametrize(
         "norm", [l2(2), l1(2), linf(2), lp(3, 2), l2(3), l1(3)]
@@ -1907,6 +1969,18 @@ class TestConcentrationQ:
         res = concentration_q(m)
         assert (res.value, res.witness) == (F(3, 7), (1, 2))
 
+    def test_witness_is_the_least_optimal_tuple(self):
+        # two cliques of weight 6/26: {1, 2, 4} and {2, 3}. A greedy seed grown
+        # inside the unit box anchored at {2, 3}'s minima would return (2, 3);
+        # the measure's greedy seed {0} is lighter, so the witness is the
+        # least optimal sorted tuple
+        t = F(1, 3)
+        pts = [(0, t, t), (t, 0, 4 * t), (t, t, 5 * t), (t, 2 * t, 5 * t), (2 * t, 0, 5 * t),
+               (2 * t, 4 * t, 4 * t), (1, t, 0), (1, 4 * t, 2 * t), (5 * t, 1, 4 * t)]
+        m = VectorMeasure(PointConfig(l1(3), pts), tuple(F(w, 26) for w in (5, 3, 2, 4, 1, 4, 2, 1, 4)))
+        res = concentration_q(m)
+        assert (res.value, res.witness) == (F(3, 13), (1, 2, 4))
+
     @pytest.mark.parametrize("norm", [l1(2), linf(2), linf(3), l2(1), l2(2), lp(3, 2)],
                              ids=lambda n: f"{n.kind}-d{n.dimension}")
     def test_box_path_builds_no_graph(self, norm, monkeypatch):
@@ -2291,6 +2365,34 @@ class TestOffPlaneFit:
                 assert fit.max_deviation == float(fit.exact) and fit.exact_sq is None
                 assert abs(fit.max_deviation - oracle) < 1e-9
                 assert fit.certified == (fit.exact < F(1, 8))
+
+    @pytest.mark.parametrize("make, n", [(l1, 24), (linf, 24), (l2, 24), (lambda d: lp(3, d), 8)],
+                             ids=["l1", "linf", "l2", "lp3"])
+    def test_direction_dropped_at_the_best_key(self, make, n, monkeypatch):
+        # a direction stops at the first point whose deviation reaches the best
+        # key so far, so far fewer than points x directions are scored, and the
+        # fit is still the earliest direction of least key
+        import anticonc.geometry as geometry
+
+        rng = random.Random(2840)
+        cfg = PointConfig(make(3), [(F(rng.randint(0, 32 * n), 32), *(F(rng.randint(-3, 3), 32) for _ in "yz"))
+                                    for _ in range(n)])
+        dirs = list(_candidate_directions(cfg.scaled[1], 3))
+        name = "_line_deviation" if cfg.norm.exponent <= 2 else "_point_line_dist_float"
+        scored, original = [], getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *args: scored.append(args) or original(*args))
+        fit = near_line_fit(cfg)
+        assert 0 < len(scored) < n * len(dirs) // 2
+        s, mid = cfg.scaled[0], fit.frame.base
+        if name == "_line_deviation":
+            rel = [[int(2 * s * (c - m)) for c, m in zip(p, mid)] for p in cfg.points]
+            keys = [max(original(cfg.norm, r, v) for r in rel) for v in dirs]
+            assert (fit.max_deviation, fit.certified, fit.exact_sq, fit.exact) == geometry._fit_fields(
+                cfg.norm, s, min(keys))
+        else:
+            keys = [max(original(cfg.norm, p, mid, v) for p in cfg.points) for v in dirs]
+            assert fit.max_deviation == min(keys)
+        assert fit.frame.direction == dirs[keys.index(min(keys))]
 
     def test_no_float_search_and_no_fraction_points(self, monkeypatch):
         import anticonc.geometry as geometry

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -450,13 +451,35 @@ class TestChromaticNumber:
             assert chromatic_number(g, caps).classes == ref_coloring_classes(g, caps)
 
     def test_complete_graph_past_recursion_limit(self):
-        # the clique cap stays 500, so the lower bound is 1 and the
-        # backtrack walks 1,100 vertices deep before it gives up
+        # the clique cap stays 500, so the lower bound is a greedy clique
         n = 1100
         g = DistGraph(n, frozenset(itertools.combinations(range(n), 2)))
         cert = chromatic_number(g, Caps(coloring=2000))
         assert cert.num_colors == n
         assert cert.classes == tuple((v,) for v in range(n))
+
+    def test_backtrack_past_recursion_limit(self):
+        # K_1100 joined to a 5-cycle: the greedy clique has 1,102 vertices,
+        # one below chi, so the backtrack walks 1,100 vertices deep before
+        # it gives up on 1,102 colours
+        n = 1100
+        cycle = [(n + i, n + (i + 1) % 5) for i in range(5)]
+        g = DistGraph(n + 5, frozenset([*itertools.combinations(range(n), 2), *cycle,
+                                        *((u, n + i) for u in range(n) for i in range(5))]))
+        cert = chromatic_number(g, Caps(coloring=2000))
+        assert cert.num_colors == n + 3 and cert.verify(g)
+
+    def test_greedy_lower_bound_over_the_clique_cap(self):
+        # a 27-point l2 strip with chi = omega = 8: with the lower bound 1 its
+        # backtrack took over 10 s under this cap; the greedy clique has 8
+        # vertices, and the certificate is the default caps' one
+        rng = random.Random(0)
+        g = distance_graph(PointConfig(l2(2), [(F(rng.randint(0, 144), 32), F(rng.randint(-12, 12), 32))
+                                               for _ in range(27)]))
+        start = time.perf_counter()
+        cert = chromatic_number(g, Caps(clique=10))
+        assert time.perf_counter() - start < 1
+        assert cert == chromatic_number(g) and cert.num_colors == 8
 
     def test_dsatur_matches_set_reference(self):
         rng = random.Random(149)
