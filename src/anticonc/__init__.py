@@ -38,6 +38,7 @@ from .perfect_graphs import (
     DistGraph,
     block_decomposition,
     chromatic_number,
+    cocomparability_order,
     find_odd_hole,
     is_berge,
     max_clique,

@@ -110,7 +110,7 @@ class Block(_IntForm):
             near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
         else:
             near = [(i, (m & -m).bit_length() - 1)
-                    for i, row in enumerate(_near_masks(frame.norm, s, ipts)) if (m := row & -(2 << i))]
+                    for i, row in enumerate(_near_masks(frame.norm, s, ipts)[0]) if (m := row & -(2 << i))]
         if near:
             i, j = min(near)
             raise InvariantViolation(f"points {i} and {j} are at distance below 1")

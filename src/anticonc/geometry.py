@@ -285,7 +285,7 @@ class PointConfig(_IntForm):
     @cached_property
     def _graph(self) -> DistGraph:
         """The strict distance graph, swept once on first use."""
-        return DistGraph._from_masks(len(self), _near_masks(self.norm, *self.scaled))
+        return DistGraph._from_masks(len(self), *_near_masks(self.norm, *self.scaled))
 
     def to_json(self) -> dict:
         return {
@@ -417,9 +417,10 @@ def _near_in_row(norm: NormSpec, scale: int):
     return lambda p, qs, row: [b for b in row if power(map(operator.sub, p, qs[b])) < limit]
 
 
-def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> list[int]:
+def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int], list[int]]:
     """Adjacency bitmasks of the pairs i != j with d(ipts[i] / s, ipts[j] / s)
-    < 1, decided on the integer form of the points (``PointConfig.scaled``).
+    < 1, decided on the integer form of the points (``PointConfig.scaled``),
+    and the order of the sweep, which the graph keeps for ``is_berge``.
 
     Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
     operations decide the same comparisons exactly. The points are swept in
@@ -449,7 +450,7 @@ def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> list[int]:
         for j in map(order.__getitem__, hits):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    return masks
+    return masks, order
 
 
 def distance_graph(config: PointConfig) -> DistGraph:
@@ -491,6 +492,7 @@ class LineFrame:
         return g ** self.scale_root >= (t ** self.scale_root) * self.scale_pow
 
     def gap_at_least(self, x, y, threshold) -> bool:
+        _check_dims(self.norm, x, y)
         return self.raw_gap_at_least(self.f_raw(x) - self.f_raw(y), threshold)
 
     def supports(self, x: Sequence[Fraction]) -> bool:
@@ -500,6 +502,7 @@ class LineFrame:
         the coordinate power sum (scale_root equals the norm exponent), and
         for linf the norm itself (scale_root 1).
         """
+        _check_dims(self.norm, x)
         g = abs(self.f_raw(x))
         return g ** self.scale_root <= self.scale_pow * norm_power(self.norm, x)
 

@@ -16,6 +16,12 @@ drops only branches without a hole of the length searched, so witnesses and
 None answers are exact. Everything is deterministic: vertices lowest index
 first, colours lowest first.
 
+``is_berge`` first tries the order a graph built from points keeps (its
+sweep along x): if no a < b < c in it has ac an edge and ab, bc non-edges
+(an umbrella), the complement oriented along it is transitive, so the graph
+is co-comparability, perfect by Dilworth's theorem and Lovasz's perfect
+graph theorem (1972), hence Berge, and no search runs.
+
 A graph is one adjacency bitmask per vertex, which the solvers read and
 mask operations relabel, complement and check; its edge set is derived on
 first use and its clique number searched once. n stays in the low hundreds.
@@ -61,10 +67,12 @@ class DistGraph:
         self.__dict__.update(n=n, edges=edges)
 
     @classmethod
-    def _from_masks(cls, n: int, masks: Sequence[int]) -> "DistGraph":
-        """The graph with these symmetric, loop-free adjacency masks."""
+    def _from_masks(cls, n: int, masks: Sequence[int], order=None) -> "DistGraph":
+        """The graph with these symmetric, loop-free masks, keeping ``order`` for ``is_berge``."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, masks=tuple(masks))
+        if order is not None:
+            g.__dict__["_order"] = tuple(order)
         return g
 
     def __setattr__(self, name, *value):
@@ -109,8 +117,10 @@ class DistGraph:
         if not all(0 <= v < self.n for v in order):
             raise DomainError("induced subgraph vertex out of range")
         keep = sum(1 << v for v in order)
+        hint = self.__dict__.get("_order")  # an order with no umbrella has none on a subset
         sub = DistGraph._from_masks(
-            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order]
+            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order],
+            None if hint is None else [pos[v] for v in hint if v in pos],
         )
         if len(order) == self.n and "_omega" in self.__dict__:  # a permutation keeps it
             sub.__dict__["_omega"] = self._omega
@@ -539,7 +549,33 @@ def find_odd_hole(
     return _shortest_odd_hole(g, check_complement, caps, 5)
 
 
+def cocomparability_order(
+    g: DistGraph, order: Sequence[int] | None = None
+) -> Optional[tuple[int, ...]]:
+    """``order`` (by default the one g keeps, if any) if it has no umbrella,
+    else None: for each b, no non-neighbour before b may be adjacent to one
+    after it; only those adjacent to some earlier vertex are tested."""
+    if order is None:
+        order = g.__dict__.get("_order")
+        if order is None:
+            return None
+    elif sorted(order := tuple(order)) != list(range(g.n)):
+        raise DomainError("order must list every vertex once")
+    masks, done, reach = g.masks, 0, 0
+    for b in order:
+        before = done & ~masks[b]
+        if any(masks[c] & before for c in _iter_bits(reach & ~(masks[b] | done))):
+            return None
+        done, reach = done | 1 << b, reach | masks[b]
+    return tuple(order)
+
+
 def is_berge(g: DistGraph, caps: Caps | None = None) -> tuple[bool, Optional[HoleWitness]]:
+    """(True, None), or (False, the shortest odd hole, else antihole). Within
+    the odd-hole cap, an order g keeps with no umbrella decides first (see
+    the module docstring); otherwise both ``find_odd_hole`` searches run."""
+    if g.n <= resolve(caps).odd_hole and cocomparability_order(g) is not None:
+        return True, None
     witness = _shortest_odd_hole(g, False, caps, 5)
     if witness is None:
         # C5 is self-complementary, so the complement has no C5 either
@@ -561,6 +597,8 @@ class PerfectionReport:
     chi: int
     subgraphs_checked: int
     subgraphs_ok: int
+    decided_by: str = "search"  # or "ordering", when ``ordering`` certifies Berge
+    ordering: Optional[tuple[int, ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -590,6 +628,7 @@ def verify_perfection_near_line(
     fit = near_line_fit(config, early_stop=True)
     g = distance_graph(config)
     berge, hole = is_berge(g, caps)
+    ordering = cocomparability_order(g) if berge else None
     omega = _clique_number(g, caps)
     chi = chromatic_number(g, caps).num_colors
     rng = random.Random(seed)
@@ -607,6 +646,8 @@ def verify_perfection_near_line(
         chi=chi,
         subgraphs_checked=subgraph_samples,
         subgraphs_ok=ok,
+        decided_by="search" if ordering is None else "ordering",
+        ordering=ordering,
     )
 
 

@@ -139,6 +139,28 @@ class TestBergeCheck:
         assert result.exit_code == 0
         out = json.loads(result.output)
         assert out["berge"] is False and len(out["hole"]) == 5
+        assert out["decided_by"] == "search" and "ordering" not in out
+
+    def test_near_line_points_decided_by_ordering(self, runner, tmp_path):
+        rng = random.Random(28)
+        points = [[f"{rng.randint(0, 160)}/32", f"{rng.randint(-12, 12)}/32"] for _ in range(20)]
+        path = write_json(tmp_path, "pts.json", {"norm": "l2", "dim": 2, "points": points})
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert out == {"berge": True, "hole": None, "in_complement": None,
+                       "decided_by": "ordering", "ordering": out["ordering"]}
+        assert sorted(out["ordering"]) == list(range(20))
+        xs = [F(p[0]) for p in points]
+        assert [xs[v] for v in out["ordering"]] == sorted(xs)
+
+    def test_raw_berge_graph_decided_by_search(self, runner, tmp_path):
+        # a path on four vertices is Berge, but a raw graph keeps no order
+        path = write_json(tmp_path, "g.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"berge": True, "hole": None, "in_complement": None,
+                                             "decided_by": "search"}
 
     @pytest.mark.parametrize(
         "data, message",

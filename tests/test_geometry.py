@@ -821,6 +821,23 @@ class TestVerifySupporting:
         with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
             supporting_functional(l2(2), (1, 0)).verify_supporting([(F(1), F(0)), (F(2),)])
 
+    @pytest.mark.parametrize("point, got", [((F(5),), 1), ((F(5), F(0), F(100)), 3)])
+    def test_supports_refuses_another_dimension(self, point, got):
+        frame = supporting_functional(l2(2), (1, 0))
+        with pytest.raises(DimensionMismatch, match=f"expected dimension 2, got {got}"):
+            frame.supports(point)
+        assert frame.supports((F(5), F(0)))
+
+    def test_gap_at_least_refuses_another_dimension(self):
+        frame = supporting_functional(l2(2), (1, 0))
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+            frame.gap_at_least((F(3),), (F(0), F(9)), F(1))
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+            frame.gap_at_least((F(3), F(0)), (F(0), F(0), F(9)), F(1))
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+            frame.gap_at_least((F(3),), (F(0), F(0), F(9)), F(1))
+        assert frame.gap_at_least((F(3), F(0)), (F(0), F(9)), F(1))
+
 
 class TestSeparationCheck:
     def test_unit_interval(self):
@@ -951,7 +968,7 @@ def _kernel_configs(norm, rng):
 
 def kernel_pairs(norm, s, ipts):
     """The index pairs i < j of the kernel's adjacency masks."""
-    return DistGraph._from_masks(len(ipts), _near_masks(norm, s, ipts)).edges
+    return DistGraph._from_masks(len(ipts), _near_masks(norm, s, ipts)[0]).edges
 
 
 class TestNearPairsKernel:

@@ -31,6 +31,7 @@ from anticonc.perfect_graphs import (
     DistGraph,
     block_decomposition,
     chromatic_number,
+    cocomparability_order,
     find_odd_hole,
     is_berge,
     max_clique,
@@ -490,12 +491,17 @@ class TestChromaticNumber:
             assert _dsatur_greedy(g) == ref_dsatur_greedy(g)
 
 
-def bench_certify_configs():
-    """The 126 configurations of the seed-0 certify job list of a 20 s run."""
+def load_bench_mixes():
     path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
     spec = importlib.util.spec_from_file_location("bench_mixes", path)
     mixes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mixes)
+    return mixes
+
+
+def bench_certify_configs():
+    """The 126 configurations of the seed-0 certify job list of a 20 s run."""
+    mixes = load_bench_mixes()
     jobs = mixes.generate("certify", 0, mixes.job_count("certify", 20))
     return [
         PointConfig(NormSpec(job[1], 2), tuple((F(x, mixes.CERTIFY_DEN), F(y, mixes.CERTIFY_DEN))
@@ -873,6 +879,154 @@ class TestStructuralPruning:
                 assert (None if found is None else found.cycle) == expected
 
 
+def ref_has_umbrella(g, order):
+    """Whether some a < b < c in order has ac an edge and ab, bc non-edges."""
+    return any(
+        g.has_edge(a, c) and not g.has_edge(a, b) and not g.has_edge(b, c)
+        for a, b, c in itertools.combinations(order, 3)
+    )
+
+
+def interval_graph(rng, n):
+    """A random interval graph and its vertices by left end: an order with no umbrella."""
+    spans = [(lo, lo + rng.randint(0, 6)) for lo in (rng.randint(0, 3 * n) for _ in range(n))]
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n)
+             if max(spans[i][0], spans[j][0]) <= min(spans[i][1], spans[j][1])}
+    return DistGraph(n, edges), sorted(range(n), key=lambda v: spans[v])
+
+
+def strip_configs(norm, half_width, count, seed):
+    """Seeded configs of 5-16 points on a 1/8 grid, |y| <= half_width, x
+    spread over about n/3: near-line for small widths, off the strip for wide."""
+    rng, y8 = random.Random(seed), int(8 * half_width)
+    for _ in range(count):
+        n = rng.randint(5, 16)
+        yield PointConfig(norm, tuple(
+            (F(rng.randint(0, 8 * n // 3), 8), F(rng.randint(-y8, y8), 8))
+            for _ in range(n)
+        ))
+
+
+def without_hint(g):
+    return DistGraph._from_masks(g.n, g.masks)
+
+
+class TestCocomparabilityOrder:
+    """An order with no umbrella certifies a graph Berge; the odd-hole
+    search stays the reference wherever the order fails."""
+
+    def test_against_brute_force_on_random_orders(self):
+        rng = random.Random(2028)
+        outcomes = set()
+        for n in range(1, 15):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for _ in range(6):
+                    g, lefts = interval_graph(rng, n) if rng.random() < 0.4 else (random_graph(rng, n, p), None)
+                    orders = [rng.sample(range(n), n)] + ([lefts] if lefts else [])
+                    for order in orders:
+                        want = None if ref_has_umbrella(g, order) else tuple(order)
+                        assert cocomparability_order(g, order) == want
+                        outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_every_order_of_small_graphs(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = DistGraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+                for order in itertools.permutations(range(n)):
+                    want = None if ref_has_umbrella(g, order) else order
+                    assert cocomparability_order(g, order) == want
+
+    def test_umbrella_refused(self):
+        g = DistGraph(3, [(0, 2)])
+        assert cocomparability_order(g, [0, 1, 2]) is None
+        assert cocomparability_order(g, [1, 0, 2]) == (1, 0, 2)
+        assert cocomparability_order(g, iter([1, 0, 2])) == (1, 0, 2)  # read once
+        assert cocomparability_order(g) is None  # no kept order
+        with pytest.raises(DomainError, match="order must list every vertex once"):
+            cocomparability_order(g, [0, 0, 2])
+        with pytest.raises(DomainError, match="order must list every vertex once"):
+            cocomparability_order(g, [0, 1])
+
+    @pytest.mark.parametrize("norm", [l2(2), l1(2), linf(2)], ids=lambda n: n.kind)
+    def test_same_verdict_with_or_without_the_order(self, norm):
+        decided, holes = 0, 0
+        for width in (F(1, 2), 1, 2):
+            for cfg in strip_configs(norm, width, 80, 7):
+                g = distance_graph(cfg)
+                assert "_order" in g.__dict__
+                order = cocomparability_order(g)
+                searched = is_berge(without_hint(g))
+                assert is_berge(g) == searched
+                assert order is None or searched == (True, None)
+                decided += order is not None
+                holes += not searched[0]
+        assert 0 < decided < 240 and holes > 0
+
+    def test_sharpness_hole_keeps_its_witness(self):
+        from anticonc.scenarios import _sharpness_points
+
+        g = distance_graph(PointConfig(l2(2), _sharpness_points(F(1, 1000))))
+        assert g.__dict__["_order"] == (0, 4, 1, 3, 2)
+        assert cocomparability_order(g) is None
+        assert is_berge(g) == is_berge(without_hint(g))
+        assert is_berge(g)[1].cycle == (0, 1, 2, 3, 4) and not is_berge(g)[1].in_complement
+        safe = distance_graph(PointConfig(l2(2), _sharpness_points(F(1, 1000), below_threshold=True)))
+        assert is_berge(safe) == (True, None) and cocomparability_order(safe) == (0, 4, 1, 3, 2)
+
+    def test_induced_keeps_the_order(self):
+        rng = random.Random(28)
+        for cfg in bench_certify_configs()[:30]:
+            g = distance_graph(cfg)
+            order = cocomparability_order(g)
+            assert order is not None
+            for _ in range(4):
+                keep = rng.sample(range(g.n), rng.randint(0, g.n))
+                pos = {v: i for i, v in enumerate(keep)}
+                sub = g.induced(keep)
+                want = tuple(pos[v] for v in order if v in pos)
+                assert sub.__dict__["_order"] == want
+                assert cocomparability_order(sub) == want
+        assert "_order" not in g.complement().__dict__
+        assert "_order" not in DistGraph.from_json(g.to_json()).__dict__
+
+    def test_equality_and_hash_ignore_the_order(self):
+        g = distance_graph(bench_certify_configs()[0])
+        bare = without_hint(g)
+        assert "_order" in g.__dict__ and "_order" not in bare.__dict__
+        assert g == bare and hash(g) == hash(bare) and len({g, bare}) == 1
+
+    def test_hole_cap_checked_before_the_order(self):
+        g = distance_graph(bench_certify_configs()[0])
+        assert cocomparability_order(g) is not None
+        with pytest.raises(ResourceCapExceeded, match="^odd-hole search capped at 5 vertices$"):
+            is_berge(g, Caps(odd_hole=5))
+
+    def test_seed_zero_benchmark_paths(self, monkeypatch):
+        # every seed-0 certify graph and sharpness strip is decided by its
+        # sweep order, so a change to that order that sends them back to the
+        # search fails here; the sharpness jobs run as bench/jobs.py runs them
+        from anticonc import scenarios
+
+        for cfg in bench_certify_configs():
+            g = distance_graph(cfg)
+            assert cocomparability_order(g) is not None and is_berge(g) == (True, None)
+        mixes = load_bench_mixes()
+        seeds = [job[1] for job in mixes.generate("certify", 0, mixes.job_count("certify", 20))
+                 if job[0] == "sharpness"]
+        decided = []
+
+        def spy(g, caps=None):
+            decided.append(cocomparability_order(g) is not None)
+            return is_berge(g, caps)
+
+        monkeypatch.setattr(scenarios, "is_berge", spy)
+        for seed in seeds:
+            assert scenarios.run_sharpness_scenario(F(1, 1000), strip_samples=20, seed=seed).passed
+        assert len(seeds) == 14 and decided == [True] * (14 * 21)
+
+
 class TestCliqueOracle:
     """Clique values agree with networkx ``max_weight_clique``."""
 
@@ -936,6 +1090,16 @@ class TestPerfectionNearLine:
         assert (report.subgraphs_checked, report.subgraphs_ok) == (20, ok)
         assert (report.omega, report.chi) == (int(max_clique(g)[0]), chromatic_number(g).num_colors)
         assert report.ok and report.berge and report.hole is None
+
+    def test_reports_which_path_decided(self):
+        configs = list(strip_configs(l2(2), 1, 80, 7))
+        ordered = next(cfg for cfg in configs if cocomparability_order(distance_graph(cfg)))
+        report = verify_perfection_near_line(ordered, subgraph_samples=0)
+        assert (report.berge, report.decided_by) == (True, "ordering")
+        assert report.ordering == cocomparability_order(distance_graph(ordered))
+        holed = next(cfg for cfg in configs if not is_berge(distance_graph(cfg))[0])
+        report = verify_perfection_near_line(holed, subgraph_samples=0)
+        assert (report.berge, report.decided_by, report.ordering) == (False, "search", None)
 
     def test_clique_cap_reported_first(self):
         pts = tuple((F(i, 3), F(0)) for i in range(12))
