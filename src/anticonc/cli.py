@@ -158,7 +158,7 @@ def concentration_cmd(input_path: str, output: str) -> None:
 @click.option("--complement", is_flag=True, help="search the complement graph only")
 @_output_option
 def berge_cmd(input_path: str, complement: bool, output: str) -> None:
-    """Berge check, or odd-antihole search, on a point configuration or a raw graph."""
+    """Odd-hole search on a point configuration or a raw graph."""
     data = _load_json(input_path)
     if "points" in data:
         g = geom.distance_graph(geom.PointConfig.from_json(data))
@@ -166,18 +166,21 @@ def berge_cmd(input_path: str, complement: bool, output: str) -> None:
         g = pg.DistGraph.from_json(data)
     if complement:
         witness = pg.find_odd_hole(g, True)
-        result = {"berge": None, "in_complement": True}
+        result = {
+            "berge": None,
+            "hole": None if witness is None else list(witness.cycle),
+            "in_complement": True,
+        }
     else:
         berge, witness = pg.is_berge(g)
-        order = pg.cocomparability_order(g) if berge else None
+        order = pg.cocomparability_order(g)
         result = {
             "berge": berge,
+            "hole": None if witness is None else list(witness.cycle),
             "in_complement": None if witness is None else witness.in_complement,
-            "decided_by": "search" if order is None else "ordering",
+            "decided_by": pg.berge_path(order),
+            **({} if order is None else {"ordering": list(order)}),
         }
-        if order is not None:
-            result["ordering"] = list(order)
-    result["hole"] = None if witness is None else list(witness.cycle)
     _emit(result, output)
 
 

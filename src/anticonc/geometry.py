@@ -417,20 +417,20 @@ def _near_in_row(norm: NormSpec, scale: int):
     return lambda p, qs, row: [b for b in row if power(map(operator.sub, p, qs[b])) < limit]
 
 
-def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int], list[int]]:
+def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int], tuple[int, ...]]:
     """Adjacency bitmasks of the pairs i != j with d(ipts[i] / s, ipts[j] / s)
-    < 1, decided on the integer form of the points (``PointConfig.scaled``),
-    and the order of the sweep, which the graph keeps for ``is_berge``.
+    < 1, decided on the integer form of the points (``PointConfig.scaled``).
 
     Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
     operations decide the same comparisons exactly. The points are swept in
-    order of x; bisection ends a row at the first x-gap of at least 1, exact
-    because |dx_1| <= ||dx||. In the plane linf and exponents 1 and 2 have one
-    inlined test each on dx in [0, 1) and dy (exponent 2 by products:
-    ``QuadExt.__pow__`` loops); the rest use ``_near_in_row``.
+    order of x, returned too (the graph keeps it for ``is_berge``); bisection
+    ends a row at the first x-gap of at least 1, exact because |dx_1| <=
+    ||dx||. In the plane linf and exponents 1 and 2 have one inlined test
+    each on dx in [0, 1) and dy (exponent 2 by products: ``QuadExt.__pow__``
+    loops); the rest use ``_near_in_row``.
     """
     _check_dims(norm, *ipts)
-    order = sorted(range(len(ipts)), key=lambda i: ipts[i][0])
+    order = tuple(sorted(range(len(ipts)), key=lambda i: ipts[i][0]))
     spts = [ipts[i] for i in order]
     xs = [q[0] for q in spts]
     linf, e, near_in_row, ss = norm.kind == "linf", norm.exponent, _near_in_row(norm, s), s * s

@@ -16,11 +16,10 @@ drops only branches without a hole of the length searched, so witnesses and
 None answers are exact. Everything is deterministic: vertices lowest index
 first, colours lowest first.
 
-``is_berge`` first tries the order a graph built from points keeps (its
-sweep along x): if no a < b < c in it has ac an edge and ab, bc non-edges
-(an umbrella), the complement oriented along it is transitive, so the graph
-is co-comparability, perfect by Dilworth's theorem and Lovasz's perfect
-graph theorem (1972), hence Berge, and no search runs.
+``is_berge`` first tries the order a graph built from points keeps (its x
+sweep): with no umbrella, a < b < c with ac an edge and ab, bc non-edges,
+the complement oriented along it is transitive, so the graph is perfect by
+Dilworth's and Lovasz's perfect graph theorems, hence Berge, unsearched.
 
 A graph is one adjacency bitmask per vertex, which the solvers read and
 mask operations relabel, complement and check; its edge set is derived on
@@ -68,11 +67,9 @@ class DistGraph:
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int], order=None) -> "DistGraph":
-        """The graph with these symmetric, loop-free masks, keeping ``order`` for ``is_berge``."""
+        """The graph with these symmetric, loop-free masks, keeping the tuple ``order`` for ``is_berge``."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, masks=tuple(masks))
-        if order is not None:
-            g.__dict__["_order"] = tuple(order)
+        g.__dict__.update(n=n, masks=tuple(masks), _order=order)
         return g
 
     def __setattr__(self, name, *value):
@@ -117,10 +114,8 @@ class DistGraph:
         if not all(0 <= v < self.n for v in order):
             raise DomainError("induced subgraph vertex out of range")
         keep = sum(1 << v for v in order)
-        hint = self.__dict__.get("_order")  # an order with no umbrella has none on a subset
         sub = DistGraph._from_masks(
-            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order],
-            None if hint is None else [pos[v] for v in hint if v in pos],
+            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order]
         )
         if len(order) == self.n and "_omega" in self.__dict__:  # a permutation keeps it
             sub.__dict__["_omega"] = self._omega
@@ -549,32 +544,28 @@ def find_odd_hole(
     return _shortest_odd_hole(g, check_complement, caps, 5)
 
 
-def cocomparability_order(
-    g: DistGraph, order: Sequence[int] | None = None
-) -> Optional[tuple[int, ...]]:
-    """``order`` (by default the one g keeps, if any) if it has no umbrella,
-    else None: for each b, no non-neighbour before b may be adjacent to one
+def cocomparability_order(g: DistGraph) -> Optional[tuple[int, ...]]:
+    """The order g keeps if it has no umbrella, else None (also if g keeps
+    none): for each b, no non-neighbour before b may be adjacent to one
     after it; only those adjacent to some earlier vertex are tested."""
-    if order is None:
-        order = g.__dict__.get("_order")
-        if order is None:
-            return None
-    elif sorted(order := tuple(order)) != list(range(g.n)):
-        raise DomainError("order must list every vertex once")
-    masks, done, reach = g.masks, 0, 0
-    for b in order:
+    order, masks, done, reach = g.__dict__.get("_order"), g.masks, 0, 0
+    for b in order or ():
         before = done & ~masks[b]
         if any(masks[c] & before for c in _iter_bits(reach & ~(masks[b] | done))):
             return None
         done, reach = done | 1 << b, reach | masks[b]
-    return tuple(order)
+    return order
+
+
+def berge_path(ordering: Optional[Sequence[int]]) -> str:
+    """Which path decided a Berge verdict: "ordering" when ``ordering`` certified it, else "search"."""
+    return "search" if ordering is None else "ordering"
 
 
 def is_berge(g: DistGraph, caps: Caps | None = None) -> tuple[bool, Optional[HoleWitness]]:
-    """(True, None), or (False, the shortest odd hole, else antihole). Within
-    the odd-hole cap, an order g keeps with no umbrella decides first (see
-    the module docstring); otherwise both ``find_odd_hole`` searches run."""
-    if g.n <= resolve(caps).odd_hole and cocomparability_order(g) is not None:
+    """(True, None), or (False, the shortest odd hole, else antihole). Within the odd-hole
+    cap an order g keeps with no umbrella decides (module docstring), else both searches run."""
+    if g.n <= (caps := resolve(caps)).odd_hole and cocomparability_order(g) is not None:
         return True, None
     witness = _shortest_odd_hole(g, False, caps, 5)
     if witness is None:
@@ -597,8 +588,11 @@ class PerfectionReport:
     chi: int
     subgraphs_checked: int
     subgraphs_ok: int
-    decided_by: str = "search"  # or "ordering", when ``ordering`` certifies Berge
-    ordering: Optional[tuple[int, ...]] = None
+    ordering: Optional[tuple[int, ...]] = None  # the order that certified Berge, if any
+
+    @property
+    def decided_by(self) -> str:
+        return berge_path(self.ordering)
 
     @property
     def ok(self) -> bool:
@@ -628,7 +622,6 @@ def verify_perfection_near_line(
     fit = near_line_fit(config, early_stop=True)
     g = distance_graph(config)
     berge, hole = is_berge(g, caps)
-    ordering = cocomparability_order(g) if berge else None
     omega = _clique_number(g, caps)
     chi = chromatic_number(g, caps).num_colors
     rng = random.Random(seed)
@@ -646,8 +639,7 @@ def verify_perfection_near_line(
         chi=chi,
         subgraphs_checked=subgraph_samples,
         subgraphs_ok=ok,
-        decided_by="search" if ordering is None else "ordering",
-        ordering=ordering,
+        ordering=cocomparability_order(g),  # only a Berge graph has one
     )
 
 
