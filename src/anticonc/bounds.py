@@ -7,7 +7,7 @@ square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
 names the failing inequality. Each function that takes an alpha list
 opens it once in ``_counted``: ``lattice._alpha_runs`` counts it into runs,
-which go on to the t-value, the third moments and (reversed) the variance
+which key the memoised t-value, third moments and (reversed) variance
 profile, which the bounds read only through its total and its head sums.
 The normal window and the master bound take the head-variance,
 third-moment and epsilon' conditions they share from one builder,
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
@@ -85,6 +86,7 @@ def epsilon_prime(delta_prime: float, c) -> float:
     return 405.0 * math.sqrt(delta_prime) * cf ** (-0.75)
 
 
+@lru_cache(maxsize=8)
 def _third_moment_sum(runs) -> Fraction:
     """Exact sum of E|Y|^3 over (alpha, count) runs, one moment per run."""
     return sum((third_abs_moment(a) * c for a, c in runs), ZERO)
@@ -92,8 +94,8 @@ def _third_moment_sum(runs) -> Fraction:
 
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
-    runs = _alpha_runs(alphas)
-    return _minimal_delta(_third_moment_sum(runs), VarianceProfile(runs).total)
+    runs, _, _, v = _counted(alphas)
+    return _minimal_delta(_third_moment_sum(runs), v)
 
 
 def _minimal_delta(third: Fraction, v: Fraction) -> float:
@@ -120,8 +122,13 @@ def _counted(alphas: Sequence) -> tuple[tuple, int, VarianceProfile, Fraction]:
     """The (alpha, count) runs of ``alphas``, their number n of factors, the
     variance profile in reversed (decreasing alpha) order and its total V*."""
     runs = _alpha_runs(alphas)
+    return runs, sum(c for _, c in runs), *_profile(runs)
+
+
+@lru_cache(maxsize=8)
+def _profile(runs: tuple) -> tuple[VarianceProfile, Fraction]:
     profile = VarianceProfile(runs[::-1])
-    return runs, sum(c for _, c in runs), profile, profile.total
+    return profile, profile.total
 
 
 def _side_conditions(profile, n, v, c, delta_prime, eps, head, share, limit) -> tuple:

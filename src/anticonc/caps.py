@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 ENV_VAR = "ANTICONC_CAPS"
 
@@ -33,23 +34,27 @@ class Caps:
 
     @classmethod
     def from_env(cls) -> "Caps":
-        raw = os.environ.get(ENV_VAR)
-        if not raw:
-            return cls()
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{ENV_VAR} is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{ENV_VAR} must be a JSON object, got {raw!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown cap names in {ENV_VAR}: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_VAR}: {exc}") from None
+        return _parse_env(os.environ.get(ENV_VAR))
+
+
+@lru_cache(maxsize=16)
+def _parse_env(raw: str | None) -> Caps:
+    """The caps of ENV_VAR set to ``raw``, shared per string; bad ones raise."""
+    if not raw:
+        return Caps()
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{ENV_VAR} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{ENV_VAR} must be a JSON object, got {raw!r}")
+    unknown = set(data) - {f.name for f in fields(Caps)}
+    if unknown:
+        raise ValueError(f"unknown cap names in {ENV_VAR}: {sorted(unknown)}")
+    try:
+        return Caps(**data)
+    except ValueError as exc:
+        raise ValueError(f"{ENV_VAR}: {exc}") from None
 
 
 def resolve(caps: Caps | None) -> Caps:

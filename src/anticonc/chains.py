@@ -35,7 +35,7 @@ from .geometry import (
     concentration_q,
     _check_dims,
     _near_masks,
-    _near_in_row,
+    _row_test,
     _scaled_integers,
     _unscaled,
     product_sum_measure,
@@ -106,8 +106,8 @@ class Block(_IntForm):
             if not half_apart(hi - lo):
                 raise InvariantViolation("consecutive functional values closer than 1/2")
         if frame._consecutive_only:
-            near_in_row = _near_in_row(frame.norm, s)
-            near = [(i, i + 1) for i in range(len(ipts) - 1) if near_in_row(ipts[i], ipts, (i + 1,))]
+            near_pair = _row_test(frame.norm, s, ipts)
+            near = [(i, i + 1) for i in range(len(ipts) - 1) if near_pair(i, (i + 1,))]
         else:
             near = [(i, (m & -m).bit_length() - 1)
                     for i, row in enumerate(_near_masks(frame.norm, s, ipts)[0]) if (m := row & -(2 << i))]

@@ -12,14 +12,15 @@ inside the coordinate field whenever p is an integer. Near-line fits are exact
 too in linf and exponents 1 and 2, in every dimension; only lp with p >= 3,
 whose distances to a line are irrational, certifies by a float search.
 
-Every "d < 1" decision over a point set goes through one kernel,
-``_near_masks``, on coordinates scaled to Z or Z[sqrt(m)]; it emits the
-adjacency bitmasks the graph solvers read, once per config. For p >= 3 and
-outside the plane it applies the row test ``_near_in_row``, which blocks also
-use when only their consecutive points can be near; ``dist_vs_one`` checks
-one pair. Concentration in linf, in planar l1 and on the line decides no
-pairs and builds no graph: its cliques are the atom sets of half-open unit
-boxes, which ``_box_search`` sweeps on the same integer form.
+Every "d < 1" decision over a point set goes through one row test per norm,
+``_row_test``, on coordinates scaled to Z or Z[sqrt(m)]; ``_near_masks``
+sweeps it into the adjacency bitmasks the graph solvers read, once per
+config, and blocks apply it where only consecutive points can be near;
+``dist_vs_one`` checks one pair. Concentration builds no graph: in linf, in
+planar l1 and on the line its cliques are the atom sets of half-open unit
+boxes, which ``_box_search`` sweeps; elsewhere ``_window_search`` runs the
+clique branch and bound on rows swept on demand, each root bounded by the
+weight of its unit x-window.
 
 The invariant of configs, measures and blocks (``chains.Block``): the
 integer form is stored and the Fraction values are derived. A config stores
@@ -64,7 +65,7 @@ from .errors import (
     UnsupportedNorm,
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
-from .perfect_graphs import DistGraph, _clique_search, _iter_bits
+from .perfect_graphs import DistGraph, _branch_and_bound, _iter_bits
 from .quadfield import QuadExt
 
 Point = tuple[Fraction, ...]
@@ -410,11 +411,20 @@ def _unscaled(scale: int, ipts: Sequence[tuple]) -> tuple[Point, ...]:
     return tuple(tuple(coord[c] for c in p) for p in ipts)
 
 
-def _near_in_row(norm: NormSpec, scale: int):
-    """The test d(p, qs[b]) < 1 for each index b in a row, on points scaled by
-    ``scale`` to integers: returns the indices that pass."""
-    power, limit = norm._power, scale**norm.exponent
-    return lambda p, qs, row: [b for b in row if power(map(operator.sub, p, qs[b])) < limit]
+def _row_test(norm: NormSpec, s: int, pts: Sequence[tuple]):
+    """The one near test, near(a, row): the b in ``row`` with d(pts[a], pts[b])
+    < s, on points scaled by s to Z or Z[sqrt(m)]. In the plane linf and
+    exponents 1 and 2 are inlined (2 by products: ``QuadExt.__pow__`` loops)."""
+    linf, e = norm.kind == "linf", norm.exponent
+    if norm.dimension != 2 or not (linf or e <= 2):
+        power, limit = norm._power, s**e
+        return lambda a, row: [b for b in row if power(map(operator.sub, pts[a], pts[b])) < limit]
+    xs, ys, ss = [q[0] for q in pts], [q[1] for q in pts], s * s
+    if linf:
+        return lambda a, row: [b for b in row if abs(xs[b] - xs[a]) < s and abs(ys[b] - ys[a]) < s]
+    if e == 1:
+        return lambda a, row: [b for b in row if abs(xs[b] - xs[a]) + abs(ys[b] - ys[a]) < s]
+    return lambda a, row: [b for b in row if (dx := xs[b] - xs[a]) * dx + (dy := ys[b] - ys[a]) * dy < ss]
 
 
 def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int], tuple[int, ...]]:
@@ -425,29 +435,16 @@ def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int
     operations decide the same comparisons exactly. The points are swept in
     order of x, returned too (the graph keeps it for ``is_berge``); bisection
     ends a row at the first x-gap of at least 1, exact because |dx_1| <=
-    ||dx||. In the plane linf and exponents 1 and 2 have one inlined test
-    each on dx in [0, 1) and dy (exponent 2 by products: ``QuadExt.__pow__``
-    loops); the rest use ``_near_in_row``.
+    ||dx||, and ``_row_test`` decides the pairs in it.
     """
     _check_dims(norm, *ipts)
     order = tuple(sorted(range(len(ipts)), key=lambda i: ipts[i][0]))
     spts = [ipts[i] for i in order]
-    xs = [q[0] for q in spts]
-    linf, e, near_in_row, ss = norm.kind == "linf", norm.exponent, _near_in_row(norm, s), s * s
-    ys = [q[1] for q in spts] if norm.dimension == 2 and (linf or e <= 2) else None
+    xs, near = [q[0] for q in spts], _row_test(norm, s, spts)
     masks = [0] * len(ipts)
     for a, x in enumerate(xs):
-        row = range(a + 1, bisect_left(xs, x + s, a + 1))
-        if ys is None:
-            hits = near_in_row(spts[a], spts, row)
-        elif linf:
-            hits = [b for b in row if abs(ys[b] - ys[a]) < s]
-        elif e == 1:
-            hits = [b for b in row if xs[b] - x + abs(ys[b] - ys[a]) < s]
-        else:
-            hits = [b for b in row if (dx := xs[b] - x) * dx + (dy := ys[b] - ys[a]) * dy < ss]
         i = order[a]
-        for j in map(order.__getitem__, hits):
+        for j in map(order.__getitem__, near(a, range(a + 1, bisect_left(xs, x + s, a + 1)))):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return masks, order
@@ -956,8 +953,8 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
 
     The optimum over open sets of diameter at most 1 is attained by sets of
     atoms at pairwise distance strictly below 1, i.e. by cliques of the
-    strict distance graph: swept by ``_box_search`` in linf, in the plane for
-    exponent 1 and on the line, else solved by weighted branch and bound.
+    strict distance graph, never built: boxes in linf, planar l1 and on the
+    line (``_box_search``), else a branch and bound (``_window_search``).
     """
     caps = resolve(caps)
     n = len(measure.config)
@@ -967,7 +964,7 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
     if norm.kind == "linf" or norm.dimension == 1 or (norm.dimension, norm.exponent) == (2, 1):
         best, witness = _box_search(norm, s, ipts, nums)
     else:
-        best, witness = _clique_search(distance_graph(measure.config), nums)
+        best, witness = _window_search(norm, s, ipts, nums)
     return ConcentrationResult(
         Fraction(best, den), witness, _unscaled(s, [ipts[i] for i in witness])
     )
@@ -1020,6 +1017,34 @@ def _box_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...
 
     sweep(idx, 0)
     return best, witness or tuple(sorted(seed))
+
+
+class _SweptRows(dict):
+    """Bitmask rows, each built by ``sweep(v)`` on first read."""
+
+    def __init__(self, sweep):
+        self.sweep = sweep
+
+    def __missing__(self, v):
+        row = self[v] = self.sweep(v)
+        return row
+
+
+def _window_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:
+    """``_clique_search``'s weight and witness for a measure (sorted by x)
+    without the graph. The window [x_v, x_v + 1) holds every clique rooted at
+    v and bounds it; rows of near atoms above are swept only for roots it
+    leaves and their candidates. Seed members are near the heaviest atom."""
+    xs, near = [p[0] for p in ipts], _row_test(norm, s, ipts)
+    ends = [bisect_left(xs, x + s, v + 1) for v, x in enumerate(xs)]
+    pre = [0, *accumulate(nums)]
+    x = xs[max(range(len(xs)), key=nums.__getitem__)]
+    seed: list[int] = []
+    for i in sorted(range(bisect_right(xs, x - s), bisect_left(xs, x + s)), key=lambda i: (-nums[i], i)):
+        if len(near(i, seed)) == len(seed):
+            seed.append(i)
+    rows = _SweptRows(lambda v: sum(1 << b for b in near(v, range(v + 1, ends[v]))))
+    return _branch_and_bound(rows, nums, [pre[e] - pre[v] for v, e in enumerate(ends)], seed)
 
 
 def empirical_measure(

@@ -273,35 +273,38 @@ def _greedy_clique_size(masks: Sequence[int]) -> int:
 def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """The search behind ``max_clique`` on nonnegative integer weights, one
     per vertex, already checked: the best weight and its witness."""
-    if g.n == 0:
-        return 0, ()
     masks = g.masks
-
-    # greedy seed: descending weight, then index
-    order = sorted(range(g.n), key=lambda v: (-iw[v], v))
-    seed: list[int] = []
-    for v in order:
+    seed: list[int] = []  # greedy: descending weight, then index
+    for v in sorted(range(g.n), key=lambda v: (-iw[v], v)):
         if all(masks[v] >> u & 1 for u in seed):
             seed.append(v)
+    return _branch_and_bound(masks, iw, _suffix_color_bounds(masks, iw), seed)
+
+
+def _branch_and_bound(rows, iw: Sequence[int], root_bound: Sequence[int], seed: Sequence[int]):
+    """Weighted clique branch and bound from a greedy ``seed``: the best weight
+    and its witness. ``rows[v]`` masks v's neighbours, read only above v.
+    ``root_bound[v]`` bounds the cliques with lowest vertex v; as it need not
+    fall with v, a root it refutes is skipped alone."""
     best_w, best_set = sum(iw[v] for v in seed), sorted(seed)
 
     # depth-first on an explicit stack, lowest vertex first; a node is
     # dropped once its colour bound cannot beat the best clique
-    suffix = _suffix_color_bounds(masks, iw)
     cur: list[int] = []  # the vertices branched on down to the top open node
-    stack = [[(1 << g.n) - 1, 0]]  # open nodes: [candidates left, clique weight]
+    stack = [[(1 << len(iw)) - 1, 0]]  # open nodes: [candidates left, clique weight]
     while stack:
         rest, cur_w = stack[-1]
-        low = rest & -rest
-        v = low.bit_length() - 1
-        bound = cur_w + _greedy_color_bound(rest, masks, iw) if cur else suffix[v]
-        if not rest or bound <= best_w:
+        if not rest or cur and cur_w + _greedy_color_bound(rest, rows, iw) <= best_w:
             stack.pop()
             if cur:
                 cur.pop()
             continue
+        low = rest & -rest
+        v = low.bit_length() - 1
         stack[-1][0] = rest ^ low
-        cand = (rest ^ low) & masks[v]
+        if not cur and root_bound[v] <= best_w:
+            continue
+        cand = (rest ^ low) & rows[v]
         if cand:
             cur.append(v)
             stack.append([cand, cur_w + iw[v]])

@@ -66,3 +66,27 @@ def test_bad_caps_in_code_rejected(kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"cap '{name}' must be a nonnegative integer"):
         Caps(**kwargs)
+
+
+def test_env_parsed_once_per_value(monkeypatch):
+    # the parsed caps are kept per string, but every call reads the variable:
+    # a change takes effect, a bad value raises each time, clearing restores
+    # the defaults
+    from anticonc.caps import resolve
+
+    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 3}))
+    first = resolve(None)
+    assert first.clique == 3 and resolve(None) is first
+    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 4}))
+    assert resolve(None).clique == 4
+    assert max_clique(DistGraph(4, frozenset()))[0] == 1
+    with pytest.raises(ResourceCapExceeded):
+        max_clique(DistGraph(5, frozenset()))
+    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": -1}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=ENV_VAR):
+            resolve(None)
+    monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 3}))
+    assert resolve(None) is first
+    monkeypatch.delenv(ENV_VAR)
+    assert resolve(None) == Caps() and max_clique(DistGraph(5, frozenset()))[0] == 1

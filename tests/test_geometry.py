@@ -61,6 +61,15 @@ def rational_point(rng, span=4, den=12):
             F(rng.randint(-span * den, span * den), den))
 
 
+def bench_mixes():
+    """The seeded job lists of ``bench/mixes.py``, which imports no library code."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
+    spec = importlib.util.spec_from_file_location("bench_mixes", path)
+    mixes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mixes)
+    return mixes
+
+
 class TestNormSpec:
     def test_radius_values(self):
         assert math.isclose(l2(2).near_line_radius, math.sqrt(3) / 4)
@@ -569,10 +578,7 @@ class TestNearLineParity:
 
     def test_benchmark_certify_block(self):
         # the configurations of the first block of the seed-0 certify job list
-        path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
-        spec = importlib.util.spec_from_file_location("bench_mixes", path)
-        mixes = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mixes)
+        mixes = bench_mixes()
         jobs = mixes.generate("certify", 0, mixes.BLOCK["certify"])
         configs = [PointConfig(NormSpec(job[1], 2), _over(mixes.CERTIFY_DEN, job[2]))
                    for job in jobs if job[0] == "certify"]
@@ -1880,10 +1886,10 @@ class TestGraphedOnce:
                 separation_check(fit.frame, cfg)
                 concentration_q(measure)
                 assert distance_graph(cfg) is graph and built == []
-                # a multiset's measure merges into a config of its own, which
-                # the clique search sweeps in l2; l1 and linf take the box path
-                own = [] if distinct or norm.kind != "l2" else [measure.config.scaled[1]]
-                assert sweeps == [cfg.scaled[1]] + own
+                # concentration sweeps no graph in any norm: a multiset's
+                # measure merges into a config of its own, left without one
+                assert sweeps == [cfg.scaled[1]]
+                assert distinct or "_graph" not in measure.config.__dict__
 
     def test_block_decomposition_sweeps_its_subject(self, sweeps):
         from anticonc.perfect_graphs import block_decomposition
@@ -1998,12 +2004,14 @@ class TestConcentrationQ:
         res = concentration_q(m)
         assert (res.value, res.witness) == (F(3, 13), (1, 2, 4))
 
-    @pytest.mark.parametrize("norm", [l1(2), linf(2), linf(3), l2(1), l2(2), lp(3, 2)],
+    @pytest.mark.parametrize("norm", [l1(2), linf(2), linf(3), l2(1), l2(2), lp(3, 2), l2(3), l1(3)],
                              ids=lambda n: f"{n.kind}-d{n.dimension}")
     def test_box_path_builds_no_graph(self, norm, monkeypatch):
+        # no norm builds a distance graph: the box sweep and the window search
+        # decide their own pairs and leave no graph on the config
         from anticonc import geometry
 
-        counts = {"_near_masks": 0, "_clique_search": 0}
+        counts = {"_near_masks": 0, "distance_graph": 0}
         for name, original in [(name, getattr(geometry, name)) for name in counts]:
             def counted(*args, name=name, original=original):
                 counts[name] += 1
@@ -2012,9 +2020,9 @@ class TestConcentrationQ:
             monkeypatch.setattr(geometry, name, counted)
         rng = random.Random(1300)
         pts = [tuple(F(rng.randint(-8, 8), 4) for _ in range(norm.dimension)) for _ in range(12)]
-        concentration_q(VectorMeasure.uniform(norm, pts))
-        boxed = norm.kind in ("l1", "linf") or norm.dimension == 1
-        assert counts == dict.fromkeys(counts, 0 if boxed else 1)
+        m = VectorMeasure.uniform(norm, pts)
+        concentration_q(m)
+        assert counts == dict.fromkeys(counts, 0) and "_graph" not in m.config.__dict__
 
     def test_matches_max_clique(self):
         # the integer search on the measure's numerators gives max_clique's
@@ -2037,6 +2045,107 @@ class TestConcentrationQ:
             value, witness = max_clique(distance_graph(m.config), weights=m.weights)
             assert (res.value, res.witness) == (value, witness)
             assert res.witness_points == tuple(m.points[i] for i in witness)
+
+
+def assert_matches_graph_search(m):
+    """``concentration_q`` gives the value, witness and witness points of the
+    clique search on the distance graph of the measure's config."""
+    from anticonc.perfect_graphs import max_clique
+
+    res = concentration_q(m)
+    value, witness = max_clique(distance_graph(m.config), weights=m.weights)
+    assert (res.value, res.witness) == (value, witness)
+    assert res.witness_points == tuple(m.points[i] for i in witness)
+
+
+def bench_l2_measures():
+    """The seed-0 ``sums`` l2 measures of a 20 s run, summands then sum per
+    job, and the seed-0 ``certify`` l2 products ``jones_bound`` concentrates."""
+    from anticonc import chains
+
+    mixes, sums, products = bench_mixes(), [], []
+    for job in mixes.generate("sums", 0, mixes.job_count("sums", 20)):
+        if job[0] == "vsum" and job[1] == "l2":
+            ms = [VectorMeasure(PointConfig(l2(2), _over(mixes.SUMS_DEN, pts)), tuple(F(w, sum(ws)) for w in ws))
+                  for pts, ws in job[2]]
+            sums += ms + [product_sum_measure(ms)]
+    original = chains.concentration_q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "concentration_q", lambda m, caps=None: products.append(m) or original(m, caps))
+        for job in mixes.generate("certify", 0, mixes.job_count("certify", 20)):
+            if job[0] == "certify" and job[1] == "l2":
+                cfg = PointConfig(l2(2), _over(mixes.CERTIFY_DEN, job[2]))
+                chains.jones_bound(block_decomposition(cfg, near_line_fit(cfg).frame)[:3])
+    return sums, products
+
+
+class TestWindowSearch:
+    """l2, lp with p >= 3 and l1 off the plane: the clique search bounded by
+    x-windows on rows swept on demand equals the search on the graph."""
+
+    @pytest.mark.parametrize("norm", [l2(2), l2(3), lp(3, 2), lp(3, 3), lp(4, 2), l1(3)],
+                             ids=lambda n: f"{n.kind}{n.p or ''}-d{n.dimension}")
+    def test_seeded_measures(self, norm):
+        rng = random.Random(2900 + norm.dimension + 10 * norm.exponent)
+        for _ in range(60):
+            span, den = rng.randint(1, 8), rng.choice((1, 2, 3, 4, 8))
+            pts = [tuple(F(rng.randint(0, span * den), den) for _ in range(norm.dimension))
+                   for _ in range(rng.randint(1, 30))]
+            pts += rng.sample(pts, rng.randint(0, min(4, len(pts))))  # a multiset: merged atoms
+            raw = [rng.randint(1, 4) for _ in pts]
+            assert_matches_graph_search(VectorMeasure(PointConfig(norm, pts), tuple(F(r, sum(raw)) for r in raw)))
+
+    def test_quadratic_measures(self):
+        from anticonc.scenarios import _contrast_octagon_points, _octagon_points
+
+        rng = random.Random(2901)
+        for pts in [_octagon_points(), _contrast_octagon_points(), *_quad_configs(l2(2), 2, rng)]:
+            raw = [rng.randint(1, 3) for _ in pts]
+            for ws in ((1,) * len(pts), raw):
+                assert_matches_graph_search(VectorMeasure(PointConfig(l2(2), pts), tuple(F(w, sum(ws)) for w in ws)))
+        octagon = VectorMeasure(PointConfig(l2(2), _octagon_points()), (F(1, 8),) * 8)
+        assert_matches_graph_search(product_sum_measure([octagon, octagon]))
+
+    @pytest.mark.parametrize("norm", [l2(2), lp(3, 2), l2(3)], ids=lambda n: f"{n.kind}{n.p or ''}-d{n.dimension}")
+    def test_ties_past_the_greedy_seed(self, norm):
+        # on x = -19/10 ... 19/10: the seed {-19/20, 0} weighs 5, and the
+        # cliques {-19/10, -3/2, -19/20} and {19/20, 3/2, 19/10} weigh 6 each;
+        # the least sorted tuple wins
+        xs = (F(-19, 10), F(-3, 2), F(-19, 20), F(0), F(19, 20), F(3, 2), F(19, 10))
+        pad = (F(1, 10),) * (norm.dimension - 1)
+        pts = [(x, *pad) for x in xs]
+        m = VectorMeasure(PointConfig(norm, pts), tuple(F(w, 15) for w in (2, 2, 2, 3, 2, 2, 2)))
+        res = concentration_q(m)
+        assert (res.value, res.witness) == (F(2, 5), (0, 1, 2))
+        assert_matches_graph_search(m)
+        # a lighter left wing: {0, 1, 2} ties with the seed {2, 3}, which
+        # stays the witness, as in the graph search
+        m = VectorMeasure(PointConfig(norm, pts[:5]), tuple(F(w, 10) for w in (2, 1, 2, 3, 2)))
+        assert concentration_q(m).witness == (2, 3)
+        assert_matches_graph_search(m)
+
+    def test_bench_measures(self):
+        sums, products = bench_l2_measures()
+        assert (len(sums), len(products)) == (98, 42)
+        for m in sums + products:
+            assert_matches_graph_search(m)
+
+    def test_prunes_the_largest_bench_sum(self, monkeypatch):
+        # the window bound drops most roots unswept: a search that swept
+        # every row of the largest seed-0 sums l2 sum would fail here
+        from anticonc import geometry
+
+        m = max(bench_l2_measures()[0], key=lambda m: len(m.config))
+        swept = []
+
+        class Counted(geometry._SweptRows):
+            def __missing__(self, v):
+                swept.append(v)
+                return super().__missing__(v)
+
+        monkeypatch.setattr(geometry, "_SweptRows", Counted)
+        concentration_q(m)
+        assert len(m.config) == 400 and 0 < len(swept) < 200
 
 
 class TestEmpiricalMeasure:
