@@ -1033,17 +1033,17 @@ class _SweptRows(dict):
 def _window_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:
     """``_clique_search``'s weight and witness for a measure (sorted by x)
     without the graph. The window [x_v, x_v + 1) holds every clique rooted at
-    v and bounds it; rows of near atoms above are swept only for roots it
-    leaves and their candidates. Seed members are near the heaviest atom."""
+    v and bounds it; rows of near atoms above are swept on first read, by the
+    greedy seed (near the heaviest atom) or for the roots the bound leaves."""
     xs, near = [p[0] for p in ipts], _row_test(norm, s, ipts)
     ends = [bisect_left(xs, x + s, v + 1) for v, x in enumerate(xs)]
     pre = [0, *accumulate(nums)]
     x = xs[max(range(len(xs)), key=nums.__getitem__)]
+    rows = _SweptRows(lambda v: sum(1 << b for b in near(v, range(v + 1, ends[v]))))
     seed: list[int] = []
     for i in sorted(range(bisect_right(xs, x - s), bisect_left(xs, x + s)), key=lambda i: (-nums[i], i)):
-        if len(near(i, seed)) == len(seed):
+        if all(rows[min(u, i)] >> max(u, i) & 1 for u in seed):
             seed.append(i)
-    rows = _SweptRows(lambda v: sum(1 << b for b in near(v, range(v + 1, ends[v]))))
     return _branch_and_bound(rows, nums, [pre[e] - pre[v] for v, e in enumerate(ends)], seed)
 
 
