@@ -1,9 +1,10 @@
 """Resource caps for the exact solvers.
 
-Every cap can be overridden through the ANTICONC_CAPS environment variable,
-a JSON object such as ``{"clique": 800, "odd_hole": 32}``. Unknown keys are
-rejected so typos do not silently leave a cap at its default, and every value
-must be a nonnegative JSON integer.
+The ANTICONC_CAPS environment variable is the one source of caps: a JSON
+object such as ``{"clique": 800, "odd_hole": 32}`` overrides the defaults.
+Unknown keys are rejected so typos do not silently leave a cap at its
+default, and every value must be a nonnegative JSON integer. ``check`` is
+the one place a cap stops a solver, and its error names the key to raise.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import os
 from dataclasses import dataclass, fields
 from functools import lru_cache
+
+from .errors import ResourceCapExceeded
 
 ENV_VAR = "ANTICONC_CAPS"
 
@@ -57,5 +60,11 @@ def _parse_env(raw: str | None) -> Caps:
         raise ValueError(f"{ENV_VAR}: {exc}") from None
 
 
-def resolve(caps: Caps | None) -> Caps:
-    return caps if caps is not None else Caps.from_env()
+def check(name: str, amount: int) -> Caps:
+    """The caps, if ``amount`` is within cap ``name``; above it, raise an error that
+    names the key and the amount."""
+    caps = Caps.from_env()
+    limit = getattr(caps, name)
+    if amount > limit:
+        raise ResourceCapExceeded(f"{name} needs {amount}, cap is {limit}")
+    return caps

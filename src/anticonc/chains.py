@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .caps import Caps, resolve
-from .errors import DomainError, InvariantViolation, ResourceCapExceeded
+from .caps import Caps, check
+from .errors import DomainError, InvariantViolation
 from .exact import as_fraction, vector_str
 from .geometry import (
     LineFrame,
@@ -201,23 +201,17 @@ def btk_decompose(a: Block, b: Block) -> ChainDecomposition:
     return decomp
 
 
-def iterated_decompose(
-    blocks: Sequence[Block], caps: Caps | None = None
-) -> ChainDecomposition:
+def iterated_decompose(blocks: Sequence[Block]) -> ChainDecomposition:
     """Decompose the product of all blocks by folding pairwise peels.
 
     Processes blocks in input order, always pairing each accumulated chain
     with the next block; the resulting chain count equals the middle-layer
     count of the block sizes, which is asserted.
     """
-    caps = resolve(caps)
     if not blocks:
         raise DomainError("need at least one block")
     total = math.prod(len(b) for b in blocks)
-    if total > caps.chain_tuples:
-        raise ResourceCapExceeded(
-            f"product of blocks has {total} tuples, cap is {caps.chain_tuples}"
-        )
+    check("chain_tuples", total)
     chains = [blocks[0]]
     for nxt in blocks[1:]:
         new_chains: list[Block] = []
@@ -271,7 +265,7 @@ class JonesBoundResult:
         )
 
 
-def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBoundResult:
+def jones_bound(blocks: Sequence[Block]) -> JonesBoundResult:
     """Middle-layer bound for the concentration of a uniform block sum.
 
     Returns middle_layer_count / prod(k_i), asserts it equals the exact
@@ -279,7 +273,6 @@ def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBound
     fits the solver caps, also computes the exact concentration of the sum
     of the uniform block measures and checks it does not exceed the bound.
     """
-    caps = resolve(caps)
     if not blocks:
         raise DomainError("need at least one block")
     norm = _one_frame(blocks).norm
@@ -292,15 +285,16 @@ def jones_bound(blocks: Sequence[Block], caps: Caps | None = None) -> JonesBound
         )
     q_exact = None
     witness = None
+    caps = Caps.from_env()
     if math.prod(ks) <= caps.product_support:
         # a block's points are distinct, so sorted they need no merge
         measures = [
             VectorMeasure._from_ints(PointConfig._from_scaled(norm, b._s, sorted(b._ipts)), (1,) * k, k)
             for b, k in zip(blocks, ks)
         ]
-        total = product_sum_measure(measures, caps)
+        total = product_sum_measure(measures)
         if len(total.config) <= caps.clique:
-            result = concentration_q(total, caps)
+            result = concentration_q(total)
             q_exact = result.value
             witness = result.witness
             if q_exact > bound:

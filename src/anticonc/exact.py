@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 
-Rational = Fraction
-
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to Fraction. A bool is

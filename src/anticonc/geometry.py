@@ -56,12 +56,11 @@ from functools import cached_property, cmp_to_key
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .caps import Caps, resolve
+from .caps import check
 from .errors import (
     DimensionMismatch,
     DomainError,
     InvariantViolation,
-    ResourceCapExceeded,
     UnsupportedNorm,
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
@@ -326,7 +325,7 @@ class VectorMeasure(_IntForm):
             if u:
                 merged[p] = merged.get(p, 0) + u
         keys = sorted(merged)
-        if keys != list(ipts):  # a config already sorted and merged is kept, graph and all
+        if keys != list(ipts):  # a config already sorted and merged is kept as it is
             config = PointConfig._from_scaled(config.norm, scale, keys)
         self._init(config, [merged[p] for p in keys], den)
 
@@ -903,13 +902,10 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
 # --- sums, concentration, sampling -------------------------------------------
 
 
-def product_sum_measure(
-    measures: Sequence[VectorMeasure], caps: Caps | None = None
-) -> VectorMeasure:
+def product_sum_measure(measures: Sequence[VectorMeasure]) -> VectorMeasure:
     """Exact distribution of the sum of independent vector measures, convolved
     on the summands' integer forms over one common scale and on integer
     weights; the sum keeps its sorted integer points as its own form."""
-    caps = resolve(caps)
     if not measures:
         raise DomainError("need at least one measure")
     norm = measures[0].norm
@@ -919,10 +915,8 @@ def product_sum_measure(
     scale = math.lcm(*(m.config.scaled[0] for m in measures))
     acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators
     for i, m in enumerate(measures):
-        if i and len(acc) * len(m.config) > caps.product_support:
-            raise ResourceCapExceeded(
-                f"product support would exceed {caps.product_support}"
-            )
+        if i:
+            check("product_support", len(acc) * len(m.config))
         nums, wden = m._ints
         s, ipts = m.config.scaled
         if s != scale:
@@ -948,7 +942,7 @@ class ConcentrationResult:
     witness_points: tuple[Point, ...]
 
 
-def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> ConcentrationResult:
+def concentration_q(measure: VectorMeasure) -> ConcentrationResult:
     """Exact concentration at scale 1: maximum weight of a strict clique.
 
     The optimum over open sets of diameter at most 1 is attained by sets of
@@ -956,10 +950,7 @@ def concentration_q(measure: VectorMeasure, caps: Caps | None = None) -> Concent
     strict distance graph, never built: boxes in linf, planar l1 and on the
     line (``_box_search``), else a branch and bound (``_window_search``).
     """
-    caps = resolve(caps)
-    n = len(measure.config)
-    if n > caps.clique:
-        raise ResourceCapExceeded(f"support size {n} above the clique cap {caps.clique}")
+    check("clique", len(measure.config))
     norm, (s, ipts), (nums, den) = measure.norm, measure.config.scaled, measure._ints
     if norm.kind == "linf" or norm.dimension == 1 or (norm.dimension, norm.exponent) == (2, 1):
         best, witness = _box_search(norm, s, ipts, nums)
@@ -1148,18 +1139,13 @@ def halasz_diagnostics(
         e = (math.cos(theta), math.sin(theta))
         return sum(_truncated_second_moment(atoms, e) for atoms in float_atoms)
 
+    # the first grid minimum, then one local refinement pass around it, kept
+    # only on a strict gain
     samples = max(4, direction_samples)
-    best_theta = 0.0
-    best_val = d_of(0.0)
-    for k in range(1, samples):
-        theta = math.pi * k / samples
-        val = d_of(theta)
-        if val < best_val:
-            best_val, best_theta = val, theta
-    # one local refinement pass around the winning grid angle
+    best_theta = min((math.pi * k / samples for k in range(samples)), key=d_of)
     theta = _ternary_min(d_of, best_theta - math.pi / samples, best_theta + math.pi / samples, 80)
-    if d_of(theta) < best_val:
-        best_val, best_theta = d_of(theta), theta
+    best_theta = min((best_theta, theta), key=d_of)
+    best_val = d_of(best_theta)
     e = (math.cos(best_theta), math.sin(best_theta))
 
     # mu over candidate centers: support points of the symmetrized measures,
@@ -1179,21 +1165,18 @@ def halasz_diagnostics(
 
     # per-measure shifts realizing the 1-d truncated moment infimum along e
     shifts = []
+    grid = 256
     for atoms in float_atoms:
         ts = [x * e[0] + y * e[1] for x, y, _ in atoms]
         lo_s, hi_s = min(ts) - 1.0, max(ts) + 1.0
-        grid = 256
-        best_s = lo_s
-        best_g = _truncated_second_moment(atoms, e, lo_s)
-        for k in range(1, grid + 1):
-            s = lo_s + (hi_s - lo_s) * k / grid
-            g = _truncated_second_moment(atoms, e, s)
-            if g < best_g:
-                best_g, best_s = g, s
         step = (hi_s - lo_s) / grid
-        s_star = _ternary_min(lambda s: _truncated_second_moment(atoms, e, s), best_s - step, best_s + step, 60)
-        if _truncated_second_moment(atoms, e, s_star) > best_g:
-            s_star = best_s
+
+        def moment(s: float) -> float:
+            return _truncated_second_moment(atoms, e, s)
+
+        # the first grid minimum; its refinement is kept unless strictly worse
+        best_s = min((lo_s + (hi_s - lo_s) * k / grid for k in range(grid + 1)), key=moment)
+        s_star = min((_ternary_min(moment, best_s - step, best_s + step, 60), best_s), key=moment)
         shifts.append((s_star * e[0], s_star * e[1]))
 
     return HalaszDiagnostics(best_val, mu_num / wden, e, tuple(shifts), tuple(map(float, best_center)))

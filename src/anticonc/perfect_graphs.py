@@ -35,8 +35,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .caps import Caps, resolve
-from .errors import DomainError, InvariantViolation, ResourceCapExceeded
+from .caps import Caps, check
+from .errors import DomainError, InvariantViolation
 from .exact import _numerators, as_fraction
 
 
@@ -222,9 +222,7 @@ def _suffix_color_bounds(masks: Sequence[int], iw: Sequence[int]) -> list[int]:
 
 
 def max_clique(
-    g: DistGraph,
-    weights: Optional[Sequence[Fraction]] = None,
-    caps: Caps | None = None,
+    g: DistGraph, weights: Optional[Sequence[Fraction]] = None
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact maximum weight clique; unit weights when none are given.
 
@@ -234,9 +232,7 @@ def max_clique(
     The best changes only on a strict gain, so the witness is the greedy seed
     when that is optimal, else the first maximum-weight leaf in branch order.
     """
-    caps = resolve(caps)
-    if g.n > caps.clique:
-        raise ResourceCapExceeded(f"clique solver capped at {caps.clique} vertices")
+    check("clique", g.n)
     fw = [Fraction(1)] * g.n if weights is None else [as_fraction(w) for w in weights]
     if len(fw) != g.n:
         raise DomainError("weight vector length mismatch")
@@ -249,11 +245,11 @@ def max_clique(
     return Fraction(best_w, denom), best_set
 
 
-def _clique_number(g: DistGraph, caps: Caps) -> int:
+def _clique_number(g: DistGraph) -> int:
     """The clique number, searched once per graph: a unit-weight ``max_clique`` keeps it
     as ``_omega``, ``induced`` hands it to a full relabelling; over the clique cap it raises."""
-    if g.n > caps.clique or "_omega" not in g.__dict__:
-        max_clique(g, caps=caps)
+    if "_omega" not in g.__dict__ or g.n > Caps.from_env().clique:
+        max_clique(g)
     return g._omega
 
 
@@ -344,7 +340,7 @@ def _classes_from_colors(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertificate:
+def chromatic_number(g: DistGraph) -> ColoringCertificate:
     """Optimal colouring certificate by exact branch and bound.
 
     DSATUR greedy supplies the upper bound, the clique number the lower
@@ -352,12 +348,10 @@ def chromatic_number(g: DistGraph, caps: Caps | None = None) -> ColoringCertific
     in index order trying colours in ascending order, which makes the
     certificate deterministic: the first optimal colouring, whatever the bound.
     """
-    caps = resolve(caps)
-    if g.n > caps.coloring:
-        raise ResourceCapExceeded(f"coloring solver capped at {caps.coloring} vertices")
+    caps = check("coloring", g.n)
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    lb = _clique_number(g, caps) if g.n <= caps.clique else _greedy_clique_size(g.masks)
+    lb = _clique_number(g) if g.n <= caps.clique else _greedy_clique_size(g.masks)
     best_colors = _dsatur_greedy(g)
     best_k = max(best_colors, default=-1) + 1
     if lb < best_k:
@@ -489,13 +483,9 @@ def _strip_simplicial(masks: Sequence[int], live: int) -> int:
     return live
 
 
-def _shortest_odd_hole(
-    g: DistGraph, check_complement: bool, caps: Caps | None, first: int
-) -> Optional[HoleWitness]:
+def _shortest_odd_hole(g: DistGraph, check_complement: bool, first: int) -> Optional[HoleWitness]:
     """Shortest odd hole of length >= first; see ``find_odd_hole``."""
-    caps = resolve(caps)
-    if g.n > caps.odd_hole:
-        raise ResourceCapExceeded(f"odd-hole search capped at {caps.odd_hole} vertices")
+    check("odd_hole", g.n)
     n, gm = g.n, g.masks
     if check_complement:
         masks = g.complement().masks
@@ -517,9 +507,7 @@ def _shortest_odd_hole(
     return None
 
 
-def find_odd_hole(
-    g: DistGraph, check_complement: bool = False, caps: Caps | None = None
-) -> Optional[HoleWitness]:
+def find_odd_hole(g: DistGraph, check_complement: bool = False) -> Optional[HoleWitness]:
     """Shortest odd induced cycle of length >= 5, or None.
 
     With ``check_complement`` the search runs in the complement graph. A
@@ -544,7 +532,7 @@ def find_odd_hole(
     its prefixes are never dropped as unreachable, and one of them would
     have been dropped for distance or reached length - 1 vertices.
     """
-    return _shortest_odd_hole(g, check_complement, caps, 5)
+    return _shortest_odd_hole(g, check_complement, 5)
 
 
 def cocomparability_order(g: DistGraph) -> Optional[tuple[int, ...]]:
@@ -565,15 +553,15 @@ def berge_path(ordering: Optional[Sequence[int]]) -> str:
     return "search" if ordering is None else "ordering"
 
 
-def is_berge(g: DistGraph, caps: Caps | None = None) -> tuple[bool, Optional[HoleWitness]]:
+def is_berge(g: DistGraph) -> tuple[bool, Optional[HoleWitness]]:
     """(True, None), or (False, the shortest odd hole, else antihole). Within the odd-hole
     cap an order g keeps with no umbrella decides (module docstring), else both searches run."""
-    if g.n <= (caps := resolve(caps)).odd_hole and cocomparability_order(g) is not None:
+    if g.n <= Caps.from_env().odd_hole and cocomparability_order(g) is not None:
         return True, None
-    witness = _shortest_odd_hole(g, False, caps, 5)
+    witness = _shortest_odd_hole(g, False, 5)
     if witness is None:
         # C5 is self-complementary, so the complement has no C5 either
-        witness = _shortest_odd_hole(g, True, caps, 7)
+        witness = _shortest_odd_hole(g, True, 7)
     return witness is None, witness
 
 
@@ -607,12 +595,7 @@ class PerfectionReport:
         )
 
 
-def verify_perfection_near_line(
-    config,
-    subgraph_samples: int = 20,
-    seed: int = 0,
-    caps: Caps | None = None,
-) -> PerfectionReport:
+def verify_perfection_near_line(config, subgraph_samples: int = 20, seed: int = 0) -> PerfectionReport:
     """Certify Berge plus omega == chi for a near-line point configuration.
 
     The near-line precondition is checked first and reported rather than
@@ -621,17 +604,16 @@ def verify_perfection_near_line(
     """
     from .geometry import distance_graph, near_line_fit
 
-    caps = resolve(caps)
     fit = near_line_fit(config, early_stop=True)
     g = distance_graph(config)
-    berge, hole = is_berge(g, caps)
-    omega = _clique_number(g, caps)
-    chi = chromatic_number(g, caps).num_colors
+    berge, hole = is_berge(g)
+    omega = _clique_number(g)
+    chi = chromatic_number(g).num_colors
     rng = random.Random(seed)
     ok = 0
     for _ in range(subgraph_samples):
         sub = g.induced(sorted(rng.sample(range(g.n), rng.randint(1, g.n) if g.n else 0)))
-        ok += chromatic_number(sub, caps).num_colors == _clique_number(sub, caps)
+        ok += chromatic_number(sub).num_colors == _clique_number(sub)
     return PerfectionReport(
         near_line_certified=fit.certified,
         max_deviation=fit.max_deviation,
@@ -646,29 +628,26 @@ def verify_perfection_near_line(
     )
 
 
-def to_uniform_multiset(measure, caps: Caps | None = None):
+def to_uniform_multiset(measure):
     """Clear denominators of a rational-weight measure into a point multiset.
 
-    Each atom is replicated weight * lcm(denominators) times, at most
-    ``caps.replicas`` points in all; the uniform distribution on the returned
-    configuration (duplicates preserved) equals the original measure. The
-    counts are the measure's integer weights, and the multiset keeps the
-    integer form of its points.
+    Each atom is replicated weight * lcm(denominators) times, so the
+    multiset has lcm(denominators) points; over the ``replicas`` cap it
+    raises. The uniform distribution on the returned configuration
+    (duplicates preserved) equals the original measure. The counts are the
+    measure's integer weights, and the multiset keeps the integer form of
+    its points.
     """
     from .geometry import PointConfig
 
-    caps_val = resolve(caps).replicas
     counts, total = measure._ints
-    if total > caps_val:
-        raise ResourceCapExceeded(
-            f"denominator clearing needs {total} replicas, cap is {caps_val}"
-        )
+    check("replicas", total)
     s, ipts = measure.config.scaled
     points = [p for p, count in zip(ipts, counts) for _ in range(count)]
     return PointConfig._from_scaled(measure.config.norm, s, points)
 
 
-def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
+def block_decomposition(subject, frame, alpha=None):
     """Split a uniform multiset into pairwise-separated blocks.
 
     Colour classes of an optimal colouring of the strict distance graph:
@@ -683,7 +662,6 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     from .chains import Block
     from .geometry import PointConfig, _check_dims, distance_graph
 
-    caps = resolve(caps)
     if not isinstance(subject, PointConfig):
         raise DomainError(
             "block decomposition needs a uniform multiset as a PointConfig; "
@@ -698,8 +676,8 @@ def block_decomposition(subject, frame, alpha=None, caps: Caps | None = None):
     order = sorted(range(len(ipts)), key=lambda i: (dots[i], ipts[i]))
     g = distance_graph(subject).induced(order)
     # nothing is coloured over the clique cap, and the colouring cap is still reported first
-    omega = _clique_number(g, caps) if g.n <= caps.coloring else None
-    cert = chromatic_number(g, caps)
+    omega = _clique_number(g) if g.n <= Caps.from_env().coloring else None
+    cert = chromatic_number(g)
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .caps import Caps, resolve
 from .errors import DomainError, ResourceCapExceeded
 from .exact import as_fraction, fraction_str
 from .geometry import (
@@ -84,7 +83,7 @@ def _contrast_octagon_points() -> list[QuadPoint]:
             (-half, zero), (-q, -q), (zero, -half), (q, -q)]
 
 
-def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
+def run_octagon_scenario() -> ScenarioResult:
     """Octagon counterexample, all comparisons exact in Q(sqrt(2)).
 
     The regular octagon 1 wide across its flats has its three-step chord
@@ -94,7 +93,6 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
     t-value of (3/8, 3/8). A contrast octagon of circumradius 1/2 grows a
     4-clique.
     """
-    caps = resolve(caps)
     norm = l2(2)
     config = PointConfig(norm, _octagon_points())
     weights = (Fraction(1, 8),) * 8
@@ -106,9 +104,9 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
     circulant_ok = g.edges == expected_edges
 
     octagon = VectorMeasure(config, weights)
-    q_single = concentration_q(octagon, caps).value
-    total = product_sum_measure([octagon, octagon], caps)
-    q_sum = concentration_q(total, caps).value
+    q_single = concentration_q(octagon).value
+    total = product_sum_measure([octagon, octagon])
+    q_sum = concentration_q(total).value
     zero, (nums, den) = QuadExt.of(0, 0, 2), total._ints  # the centre is 0 on the integer form too
     center_weight = Fraction(dict(zip(total.config.scaled[1], nums)).get((zero, zero), 0), den)
 
@@ -117,7 +115,7 @@ def run_octagon_scenario(caps: Caps | None = None) -> ScenarioResult:
 
     # contrast case: circumradius 1/2 pulls the three-step chord below 1
     contrast = VectorMeasure(PointConfig(norm, _contrast_octagon_points()), weights)
-    contrast_q = concentration_q(contrast, caps).value
+    contrast_q = concentration_q(contrast).value
 
     passed = (
         circulant_ok
@@ -170,12 +168,7 @@ def _sharpness_points(epsilon: Fraction, below_threshold: bool = False) -> list[
     return [(s * x, s * y + shift) for x, y in base]
 
 
-def run_sharpness_scenario(
-    epsilon,
-    strip_samples: int = 0,
-    seed: int = 0,
-    caps: Caps | None = None,
-) -> ScenarioResult:
+def run_sharpness_scenario(epsilon, strip_samples: int = 0, seed: int = 0) -> ScenarioResult:
     """Just above the Euclidean strip threshold an odd hole appears.
 
     For positive epsilon below 1/100 the perturbed five-point set deviates
@@ -185,7 +178,6 @@ def run_sharpness_scenario(
     points compressed to strictly below the threshold stay Berge, as do
     random configurations in a strip of half-width 0.43.
     """
-    caps = resolve(caps)
     eps = as_fraction(epsilon)
     if not (0 <= eps < Fraction(1, 100)):
         raise DomainError("epsilon must lie in [0, 1/100)")
@@ -193,7 +185,7 @@ def run_sharpness_scenario(
         raise DomainError(f"strip_samples must be an int >= 0, got {strip_samples!r}")
     pts = _sharpness_points(eps)
     g = distance_graph(PointConfig(l2(2), pts))
-    hole = find_odd_hole(g, False, caps)
+    hole = find_odd_hole(g)
 
     max_abs_y = max(abs(y) for _, y in pts)
     above_threshold = max_abs_y > QuadExt.of(0, Fraction(1, 4), 3)
@@ -217,7 +209,7 @@ def run_sharpness_scenario(
         # the unperturbed configuration, compressed strictly below the
         # threshold, must stay Berge
         safe = _sharpness_points(eps, below_threshold=True)
-        berge, _ = is_berge(distance_graph(PointConfig(l2(2), safe)), caps)
+        berge, _ = is_berge(distance_graph(PointConfig(l2(2), safe)))
         details["below_threshold_berge"] = berge
         passed = passed and berge
 
@@ -226,7 +218,7 @@ def run_sharpness_scenario(
         berge_all = True
         for _ in range(strip_samples):
             config = _random_strip_config(rng)
-            ok, _ = is_berge(distance_graph(config), caps)
+            ok, _ = is_berge(distance_graph(config))
             if not ok:
                 berge_all = False
                 break
@@ -291,9 +283,7 @@ def _random_near_line_measure(
 
 
 def run_verify_theorem22(
-    generator: Optional[dict] = None,
-    seed: Optional[int] = None,
-    caps: Caps | None = None,
+    generator: Optional[dict] = None, seed: Optional[int] = None
 ) -> ScenarioResult:
     """Exact concentration of near-line sums against the lattice t-value.
 
@@ -307,7 +297,6 @@ def run_verify_theorem22(
     The generator dict may carry its own "seed" so property runs are
     shareable as one JSON file; an explicit ``seed`` argument wins.
     """
-    caps = resolve(caps)
     gen = dict(_DEFAULT_GENERATOR)
     if generator:
         unknown = set(generator) - set(gen)
@@ -337,9 +326,9 @@ def run_verify_theorem22(
         n = rng.randint(1, gen["max_summands"])
         measures = [_random_near_line_measure(rng, norm, gen) for _ in range(n)]
         try:
-            alphas = [concentration_q(m, caps).value for m in measures]
-            total = product_sum_measure(measures, caps)
-            q_sum = concentration_q(total, caps).value
+            alphas = [concentration_q(m).value for m in measures]
+            total = product_sum_measure(measures)
+            q_sum = concentration_q(total).value
         except ResourceCapExceeded:
             skipped += 1
             continue
@@ -366,12 +355,12 @@ def run_verify_theorem22(
             VectorMeasure.uniform(norm, [(Fraction(j), Fraction(0)) for j in range(k)])
             for k in ks
         ]
-        alphas = [concentration_q(m, caps).value for m in measures]
+        alphas = [concentration_q(m).value for m in measures]
         if alphas != [Fraction(1, k) for k in ks]:
             equality_ok = False
             break
-        total = product_sum_measure(measures, caps)
-        q_sum = concentration_q(total, caps).value
+        total = product_sum_measure(measures)
+        q_sum = concentration_q(total).value
         if q_sum != t_value(alphas):
             equality_ok = False
             break

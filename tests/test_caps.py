@@ -1,10 +1,23 @@
 import json
+from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
+from conftest import caps_env
 
 from anticonc.caps import Caps, ENV_VAR
+from anticonc.chains import Block, iterated_decompose
+from anticonc.cli import main
 from anticonc.errors import ResourceCapExceeded
-from anticonc.perfect_graphs import DistGraph, max_clique
+from anticonc.geometry import (
+    PointConfig,
+    VectorMeasure,
+    concentration_q,
+    l2,
+    product_sum_measure,
+    supporting_functional,
+)
+from anticonc.perfect_graphs import DistGraph, max_clique, to_uniform_multiset
 
 
 def test_defaults():
@@ -72,21 +85,63 @@ def test_env_parsed_once_per_value(monkeypatch):
     # the parsed caps are kept per string, but every call reads the variable:
     # a change takes effect, a bad value raises each time, clearing restores
     # the defaults
-    from anticonc.caps import resolve
-
     monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 3}))
-    first = resolve(None)
-    assert first.clique == 3 and resolve(None) is first
+    first = Caps.from_env()
+    assert first.clique == 3 and Caps.from_env() is first
     monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 4}))
-    assert resolve(None).clique == 4
+    assert Caps.from_env().clique == 4
     assert max_clique(DistGraph(4, frozenset()))[0] == 1
     with pytest.raises(ResourceCapExceeded):
         max_clique(DistGraph(5, frozenset()))
     monkeypatch.setenv(ENV_VAR, json.dumps({"clique": -1}))
     for _ in range(2):
         with pytest.raises(ValueError, match=ENV_VAR):
-            resolve(None)
+            Caps.from_env()
     monkeypatch.setenv(ENV_VAR, json.dumps({"clique": 3}))
-    assert resolve(None) is first
+    assert Caps.from_env() is first
     monkeypatch.delenv(ENV_VAR)
-    assert resolve(None) == Caps() and max_clique(DistGraph(5, frozenset()))[0] == 1
+    assert Caps.from_env() == Caps() and max_clique(DistGraph(5, frozenset()))[0] == 1
+
+
+def _line_measure(n):
+    return VectorMeasure.uniform(l2(2), [(i, 0) for i in range(n)])
+
+
+_X_FRAME = supporting_functional(l2(2), (F(1), F(0)))
+_C5 = {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}
+
+# one case per cap check: the key, the amount asked for, and either a library
+# call or CLI arguments with the JSON input they read
+_CAP_CHECKS = [
+    pytest.param("product_support", 64, ["octagon"], None, id="product_support"),
+    pytest.param("clique", 7, lambda: concentration_q(_line_measure(7)), None, id="concentration_q"),
+    pytest.param("clique", 6, lambda: max_clique(DistGraph(6, frozenset())), None, id="max_clique"),
+    pytest.param("coloring", 5, ["decompose"], _line_measure(5).to_json(), id="coloring"),
+    pytest.param("odd_hole", 5, ["berge-check"], _C5, id="odd_hole"),
+    pytest.param("replicas", 8, lambda: to_uniform_multiset(
+        VectorMeasure(PointConfig(l2(2), [(0, 0), (2, 0)]), [F(1, 8), F(7, 8)])), None, id="replicas"),
+    pytest.param("chain_tuples", 12, lambda: iterated_decompose(
+        [Block.from_points([(i, 0) for i in range(k)], _X_FRAME) for k in (3, 4)]), None, id="chain_tuples"),
+]
+
+
+@pytest.mark.parametrize("key, amount, call, data", _CAP_CHECKS)
+def test_cap_check_boundary(tmp_path, key, amount, call, data):
+    # an amount equal to its cap passes; one above raises, naming the key
+    message = f"{key} needs {amount}, cap is {amount - 1}"
+    if callable(call):
+        with caps_env(**{key: amount}):
+            call()
+        with caps_env(**{key: amount - 1}), pytest.raises(ResourceCapExceeded, match=f"^{message}$"):
+            call()
+        return
+    args = call
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        args = [*call, "--input", str(path)]
+    runner = CliRunner()
+    ok = runner.invoke(main, args, env={ENV_VAR: json.dumps({key: amount})})
+    assert ok.exit_code == 0, ok.output
+    capped = runner.invoke(main, args, env={ENV_VAR: json.dumps({key: amount - 1})})
+    assert capped.exit_code == 2 and capped.stderr == f"resource cap: {message}\n"

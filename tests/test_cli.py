@@ -189,7 +189,7 @@ class TestBergeCheck:
         path = write_json(tmp_path, "g.json", {"n": 1000000000, "edges": []})
         result = runner.invoke(main, ["berge-check", "--input", path])
         assert result.exit_code == 2
-        assert result.stderr == "resource cap: odd-hole search capped at 64 vertices\n"
+        assert result.stderr == "resource cap: odd_hole needs 1000000000, cap is 64\n"
 
 
 class TestDecompose:
@@ -404,6 +404,33 @@ class TestHalaszCommand:
         out = json.loads(result.output)
         assert out["D"] < 1e-9 and out["mu"] == 1.5
 
+    def test_seeded_output_pinned(self, runner, tmp_path):
+        # the float grid scans and their refinements, bit for bit; on this
+        # input the second measure's refined shift ties its grid point
+        rng = random.Random(2)
+        ms = []
+        for _ in range(3):
+            n = rng.randint(3, 6)
+            pts = [(F(rng.randint(-40, 40), 16), F(rng.randint(-24, 24), 16)) for _ in range(n)]
+            ws = [rng.randint(1, 5) for _ in range(n)]
+            ms.append(VectorMeasure(PointConfig(l2(2), pts), [F(w, sum(ws)) for w in ws]).to_json())
+        path = write_json(tmp_path, "ms.json", {"measures": ms})
+        result = runner.invoke(
+            main, ["halasz", "--input", path, "--direction-samples", "90", "--center-samples", "12"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "D": 0.7843795681150447,
+            "best_center": [0.0, 0.0],
+            "best_direction": [-0.24583129526083392, 0.9693126297899871],
+            "mu": 1.1268902038132806,
+            "shifts": [
+                [-0.0, 0.0],
+                [4.365338280378771e-10, -1.7212525866518483e-09],
+                [0.07568998620538785, -0.29844556405915534],
+            ],
+        }
+
 
     @pytest.mark.parametrize(
         "data, message",
@@ -495,7 +522,7 @@ class TestErrorContract:
         env = {"ANTICONC_CAPS": json.dumps({"product_support": 63})}
         result = runner.invoke(main, ["octagon"], env=env)
         assert result.exit_code == 2
-        assert result.stderr == "resource cap: product support would exceed 63\n"
+        assert result.stderr == "resource cap: product_support needs 64, cap is 63\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -9,6 +9,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from conftest import caps_env
 from hypothesis import given, settings, strategies as st
 
 from anticonc.caps import Caps
@@ -1352,8 +1353,8 @@ class TestProductSum:
 
     def test_cap(self):
         a = VectorMeasure.uniform(l2(1), [(i,) for i in range(30)])
-        with pytest.raises(ResourceCapExceeded):
-            product_sum_measure([a, a], Caps(product_support=100))
+        with caps_env(product_support=100), pytest.raises(ResourceCapExceeded):
+            product_sum_measure([a, a])
 
     def test_norm_mismatch(self):
         a = VectorMeasure.uniform(l2(2), [(0, 0)])
@@ -1456,16 +1457,18 @@ class TestIntegerProductSum:
         # the cap applies to the merged support so far times the next size:
         # {0, 1} + {0, 1} has 3 atoms, so a third {0, 1} asks for 3 * 2 = 6
         a = VectorMeasure.uniform(l2(1), [(0,), (1,)])
-        s = product_sum_measure([a, a, a], Caps(product_support=6))
+        with caps_env(product_support=6):
+            s = product_sum_measure([a, a, a])
         assert (s.points, s.weights) == ref_product_sum([a, a, a], 6)
-        with pytest.raises(ResourceCapExceeded):
-            product_sum_measure([a, a, a], Caps(product_support=5))
+        with caps_env(product_support=5), pytest.raises(ResourceCapExceeded):
+            product_sum_measure([a, a, a])
         rng = random.Random(72)
         b, c = seeded_measure(rng, 2, 6), seeded_measure(rng, 2, 5)
         edge = len(b.points) * len(c.points)
-        product_sum_measure([b, c], Caps(product_support=edge))
-        with pytest.raises(ResourceCapExceeded):
-            product_sum_measure([b, c], Caps(product_support=edge - 1))
+        with caps_env(product_support=edge):
+            product_sum_measure([b, c])
+        with caps_env(product_support=edge - 1), pytest.raises(ResourceCapExceeded):
+            product_sum_measure([b, c])
 
 
 class TestVectorMeasureNormalisation:
@@ -1909,13 +1912,12 @@ class TestSymmetrizeProductSum:
                 s = symmetrize(m)
                 assert (s.points, s.weights) == ref_symmetrize(m)
 
-    def test_respects_product_support_cap(self, monkeypatch):
+    def test_respects_product_support_cap(self):
         m = VectorMeasure.uniform(l2(2), [(0, 0), (1, 0), (0, 1)])
-        monkeypatch.setenv("ANTICONC_CAPS", '{"product_support": 8}')
-        with pytest.raises(ResourceCapExceeded):
+        with caps_env(product_support=8), pytest.raises(ResourceCapExceeded):
             symmetrize(m)
-        monkeypatch.setenv("ANTICONC_CAPS", '{"product_support": 9}')
-        assert len(symmetrize(m).points) == 7
+        with caps_env(product_support=9):
+            assert len(symmetrize(m).points) == 7
 
 
 class TestConcentrationQ:
@@ -1951,8 +1953,8 @@ class TestConcentrationQ:
         # the box sweep and the clique search keep one cap and one message
         for norm in (l2(1), l1(2), linf(2), linf(3), l2(2), lp(3, 2)):
             m = VectorMeasure.uniform(norm, [(F(i, 100),) * norm.dimension for i in range(20)])
-            with pytest.raises(ResourceCapExceeded, match="support size 20 above the clique cap 10"):
-                concentration_q(m, Caps(clique=10))
+            with caps_env(clique=10), pytest.raises(ResourceCapExceeded, match="^clique needs 20, cap is 10$"):
+                concentration_q(m)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -2071,7 +2073,7 @@ def bench_l2_measures():
             sums += ms + [product_sum_measure(ms)]
     original = chains.concentration_q
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chains, "concentration_q", lambda m, caps=None: products.append(m) or original(m, caps))
+        mp.setattr(chains, "concentration_q", lambda m: products.append(m) or original(m))
         for job in mixes.generate("certify", 0, mixes.job_count("certify", 20)):
             if job[0] == "certify" and job[1] == "l2":
                 cfg = PointConfig(l2(2), _over(mixes.CERTIFY_DEN, job[2]))

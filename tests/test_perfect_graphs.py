@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import caps_env
 
 from anticonc.caps import Caps
 from anticonc.errors import DomainError, InvariantViolation, ResourceCapExceeded
@@ -99,12 +100,12 @@ def ref_dsatur_greedy(g):
     return colors
 
 
-def ref_coloring_classes(g, caps):
+def ref_coloring_classes(g):
     """The recursive colouring backtrack, one call per vertex."""
     greedy = ref_dsatur_greedy(g)
     best_k = max(greedy) + 1
     best_colors = greedy[:]
-    lb = int(max_clique(g, caps=caps)[0]) if g.n <= caps.clique else 1
+    lb = int(max_clique(g)[0]) if g.n <= Caps.from_env().clique else 1
     colors = [-1] * g.n
 
     def backtrack(v, used):
@@ -347,8 +348,8 @@ class TestMaxClique:
 
     def test_cap(self):
         g = DistGraph(6, frozenset())
-        with pytest.raises(ResourceCapExceeded):
-            max_clique(g, caps=Caps(clique=5))
+        with caps_env(clique=5), pytest.raises(ResourceCapExceeded):
+            max_clique(g)
 
     def test_against_brute_force(self):
         rng = random.Random(42)
@@ -404,7 +405,8 @@ class TestMaxClique:
         # walks the whole 1,100-clique one level per vertex
         n = 1100
         g = DistGraph(n + 1, frozenset(itertools.combinations(range(n), 2)))
-        value, witness = max_clique(g, weights=[F(1)] * n + [F(1000)], caps=Caps(clique=2000))
+        with caps_env(clique=2000):
+            value, witness = max_clique(g, weights=[F(1)] * n + [F(1000)])
         assert value == n
         assert witness == tuple(range(n))
 
@@ -443,19 +445,21 @@ class TestChromaticNumber:
         g = octagon_circulant()
         assert chromatic_number(g) == chromatic_number(g)
 
-    @pytest.mark.parametrize("caps", [Caps(), Caps(clique=0)], ids=["clique-lb", "lb-1"])
+    @pytest.mark.parametrize("caps", [{}, {"clique": 0}], ids=["clique-lb", "lb-1"])
     def test_matches_recursive_reference(self, caps):
         # about one graph in eight needs fewer colours than DSATUR finds
         rng = random.Random(148)
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(8, 22), 0.3 + 0.4 * rng.random())
-            assert chromatic_number(g, caps).classes == ref_coloring_classes(g, caps)
+        with caps_env(**caps):
+            for _ in range(80):
+                g = random_graph(rng, rng.randint(8, 22), 0.3 + 0.4 * rng.random())
+                assert chromatic_number(g).classes == ref_coloring_classes(g)
 
     def test_complete_graph_past_recursion_limit(self):
         # the clique cap stays 500, so the lower bound is a greedy clique
         n = 1100
         g = DistGraph(n, frozenset(itertools.combinations(range(n), 2)))
-        cert = chromatic_number(g, Caps(coloring=2000))
+        with caps_env(coloring=2000):
+            cert = chromatic_number(g)
         assert cert.num_colors == n
         assert cert.classes == tuple((v,) for v in range(n))
 
@@ -467,7 +471,8 @@ class TestChromaticNumber:
         cycle = [(n + i, n + (i + 1) % 5) for i in range(5)]
         g = DistGraph(n + 5, frozenset([*itertools.combinations(range(n), 2), *cycle,
                                         *((u, n + i) for u in range(n) for i in range(5))]))
-        cert = chromatic_number(g, Caps(coloring=2000))
+        with caps_env(coloring=2000):
+            cert = chromatic_number(g)
         assert cert.num_colors == n + 3 and cert.verify(g)
 
     def test_greedy_lower_bound_over_the_clique_cap(self):
@@ -478,7 +483,8 @@ class TestChromaticNumber:
         g = distance_graph(PointConfig(l2(2), [(F(rng.randint(0, 144), 32), F(rng.randint(-12, 12), 32))
                                                for _ in range(27)]))
         start = time.perf_counter()
-        cert = chromatic_number(g, Caps(clique=10))
+        with caps_env(clique=10):
+            cert = chromatic_number(g)
         assert time.perf_counter() - start < 1
         assert cert == chromatic_number(g) and cert.num_colors == 8
 
@@ -986,8 +992,8 @@ class TestCocomparabilityOrder:
     def test_hole_cap_checked_before_the_order(self):
         g = distance_graph(bench_certify_configs()[0])
         assert cocomparability_order(g) is not None
-        with pytest.raises(ResourceCapExceeded, match="^odd-hole search capped at 5 vertices$"):
-            is_berge(g, Caps(odd_hole=5))
+        with caps_env(odd_hole=5), pytest.raises(ResourceCapExceeded, match="^odd_hole needs 25, cap is 5$"):
+            is_berge(g)
 
     def test_seed_zero_benchmark_paths(self, monkeypatch):
         # every seed-0 certify graph and sharpness strip is decided by its
@@ -1003,9 +1009,9 @@ class TestCocomparabilityOrder:
                  if job[0] == "sharpness"]
         decided = []
 
-        def spy(g, caps=None):
+        def spy(g):
             decided.append(cocomparability_order(g) is not None)
-            return is_berge(g, caps)
+            return is_berge(g)
 
         monkeypatch.setattr(scenarios, "is_berge", spy)
         for seed in seeds:
@@ -1089,10 +1095,9 @@ class TestPerfectionNearLine:
 
     def test_clique_cap_reported_first(self):
         pts = tuple((F(i, 3), F(0)) for i in range(12))
-        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 10 vertices$"):
-            verify_perfection_near_line(
-                PointConfig(l2(2), pts), caps=Caps(odd_hole=100, clique=10, coloring=10)
-            )
+        with (caps_env(odd_hole=100, clique=10, coloring=10),
+              pytest.raises(ResourceCapExceeded, match="^clique needs 12, cap is 10$")):
+            verify_perfection_near_line(PointConfig(l2(2), pts))
 
 
 class TestBlockDecomposition:
@@ -1182,9 +1187,10 @@ class TestBlockDecomposition:
             PointConfig(l2(2), ((F(0), F(0)), (F(2), F(0)))),
             (F(1, 4), F(3, 4)),
         )
-        assert len(to_uniform_multiset(vm, Caps(replicas=4)).points) == 4
-        with pytest.raises(ResourceCapExceeded, match="needs 4 replicas, cap is 3"):
-            to_uniform_multiset(vm, Caps(replicas=3))
+        with caps_env(replicas=4):
+            assert len(to_uniform_multiset(vm).points) == 4
+        with caps_env(replicas=3), pytest.raises(ResourceCapExceeded, match="^replicas needs 4, cap is 3$"):
+            to_uniform_multiset(vm)
 
     def test_concentration_two_routes_agree(self):
         # Q of a uniform multiset: clique number over the multiset size must
@@ -1255,12 +1261,14 @@ class TestBlockDecomposition:
         pts = tuple((F(k, 3), F(0)) for k in range(12))
         cfg = PointConfig(l2(2), pts)
         frame = supporting_functional(l2(2), (F(1), F(0)))
-        assert len(block_decomposition(cfg, frame, caps=Caps(clique=12, coloring=12))) == 3
-        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 11 vertices$"):
-            block_decomposition(cfg, frame, caps=Caps(clique=11))
+        with caps_env(clique=12, coloring=12):
+            assert len(block_decomposition(cfg, frame)) == 3
+        with caps_env(clique=11), pytest.raises(ResourceCapExceeded, match="^clique needs 12, cap is 11$"):
+            block_decomposition(cfg, frame)
         # the colouring cap is checked first
-        with pytest.raises(ResourceCapExceeded, match="^coloring solver capped at 11 vertices$"):
-            block_decomposition(cfg, frame, caps=Caps(clique=11, coloring=11))
+        with (caps_env(clique=11, coloring=11),
+              pytest.raises(ResourceCapExceeded, match="^coloring needs 12, cap is 11$")):
+            block_decomposition(cfg, frame)
 
     def test_nothing_coloured_over_the_clique_cap(self, monkeypatch):
         # a colouring below a lower bound of 1 may backtrack for long, and
@@ -1274,8 +1282,8 @@ class TestBlockDecomposition:
         monkeypatch.setattr(perfect_graphs, "_dsatur_greedy", no_colouring)
         cfg = PointConfig(l2(2), tuple((F(k, 3), F(0)) for k in range(12)))
         frame = supporting_functional(l2(2), (F(1), F(0)))
-        with pytest.raises(ResourceCapExceeded, match="^clique solver capped at 11 vertices$"):
-            block_decomposition(cfg, frame, caps=Caps(clique=11))
+        with caps_env(clique=11), pytest.raises(ResourceCapExceeded, match="^clique needs 12, cap is 11$"):
+            block_decomposition(cfg, frame)
 
     def test_class_count_bound(self):
         from anticonc.geometry import concentration_q, near_line_fit
@@ -1307,7 +1315,7 @@ def ref_block_decomposition(subject, frame):
     scale, ipts = subject.scaled
     config = PointConfig._from_scaled(subject.norm, scale, [ipts[i] for i in order])
     graph = distance_graph(config)
-    cert, omega = chromatic_number(graph, Caps()), int(max_clique(graph, caps=Caps())[0])
+    cert, omega = chromatic_number(graph), int(max_clique(graph)[0])
     if cert.num_colors != omega:
         raise InvariantViolation(
             f"distance graph is not perfect here: chi={cert.num_colors}, omega={omega}"
