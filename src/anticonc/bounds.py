@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .errors import DomainError, InvariantViolation
-from .exact import as_fraction
+from .exact import as_fraction, fraction_str
 from .lattice import (
     ZERO,
     TValueResult,
@@ -68,9 +68,9 @@ class BoundReport:
         return {
             "value": self.value,
             "conditions": [c.to_json() for c in self.conditions],
-            "exact_t": None if self.exact_t is None else str(self.exact_t),
+            "exact_t": None if self.exact_t is None else fraction_str(self.exact_t),
             "extras": {
-                k: (str(v) if isinstance(v, Fraction) else v)
+                k: (fraction_str(v) if isinstance(v, Fraction) else v)
                 for k, v in self.extras.items()
             },
         }

@@ -298,7 +298,7 @@ def halasz_cmd(input_path, direction_samples, center_samples, output) -> None:
         "mu": diag.mu,
         "best_direction": list(diag.best_direction),
         "shifts": [list(s) for s in diag.shifts],
-        "best_center": None if diag.best_center is None else list(diag.best_center),
+        "best_center": list(diag.best_center),
     }
     _emit(result, output)
 

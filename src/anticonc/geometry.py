@@ -325,9 +325,7 @@ class VectorMeasure(_IntForm):
             if u:
                 merged[p] = merged.get(p, 0) + u
         keys = sorted(merged)
-        if keys != list(ipts):  # a config already sorted and merged is kept as it is
-            config = PointConfig._from_scaled(config.norm, scale, keys)
-        self._init(config, [merged[p] for p in keys], den)
+        self._init(PointConfig._from_scaled(config.norm, scale, keys), [merged[p] for p in keys], den)
 
     @classmethod
     def _from_ints(cls, config: PointConfig, nums: Sequence[int], den: int) -> "VectorMeasure":
@@ -558,15 +556,6 @@ class LineFrame:
             if abs(dot) ** r * lhs_mul > rhs_mul * self.norm._power(x):
                 p = (points.points if isinstance(points, PointConfig) else points)[i]
                 raise InvariantViolation(f"functional exceeds the norm at point {p}")
-
-    def to_json(self) -> dict:
-        return {
-            "direction": vector_str(self.direction),
-            "base": vector_str(self.base),
-            "coeffs": vector_str(self.coeffs),
-            "scale_pow": fraction_str(self.scale_pow),
-            "scale_root": self.scale_root,
-        }
 
 
 def supporting_functional(
@@ -1088,7 +1077,7 @@ class HalaszDiagnostics:
     mu: float
     best_direction: tuple[float, float]
     shifts: tuple[tuple[float, float], ...]
-    best_center: Optional[tuple[float, float]]
+    best_center: tuple[float, float]
 
     def __post_init__(self):
         if self.D < 0 or self.mu < 0:

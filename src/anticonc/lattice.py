@@ -74,16 +74,8 @@ class LatticeMeasure:
         object.__setattr__(self, "offset_index", self.offset_index + lo)
         object.__setattr__(self, "weights", trimmed)
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
     def point(self, i: int) -> Fraction:
         return Fraction(self.offset_index + i, 2)
-
-    def support(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (self.point(i), w) for i, w in enumerate(self.weights) if w != 0
-        ]
 
     def mass_at(self, position: Fraction) -> Fraction:
         idx = 2 * as_fraction(position) - self.offset_index
@@ -181,22 +173,6 @@ def _extremal_weights(alpha) -> tuple[int, int, int, int]:
     a, b = _alpha_ratio(alpha)
     k = b // a
     return k, a * (k + 1) - b, b - a * k, b
-
-
-def mixture(terms: Sequence[tuple[Fraction, LatticeMeasure]]) -> LatticeMeasure:
-    coeffs = [as_fraction(c) for c, _ in terms]
-    if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
-        raise DomainError("mixture coefficients must be nonnegative and sum to 1")
-    lo = min(m.offset_index for _, m in terms)
-    hi = max(m.offset_index + len(m.weights) for _, m in terms)
-    acc = [ZERO] * (hi - lo)
-    for c, m in zip(coeffs, (m for _, m in terms)):
-        if c == 0:
-            continue
-        base = m.offset_index - lo
-        for i, w in enumerate(m.weights):
-            acc[base + i] += c * w
-    return LatticeMeasure(lo, tuple(acc))
 
 
 def extremal_measure(alpha) -> LatticeMeasure:

@@ -49,21 +49,16 @@ class DistGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int or n < 0:
             raise DomainError(f"graph size must be a nonnegative int, got {n!r}")
-        canonical = isinstance(edges, frozenset)
-        edges = edges if canonical else tuple(edges)
+        edges = tuple(edges)
         for e in edges:
             if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(type(u) is int for u in e)):
                 raise DomainError(f"edge {e!r} is not a pair of ints")
             u, v = e
-            if not 0 <= u < v < n:
-                if u == v:
-                    raise DomainError("self-loop in graph")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise DomainError("edge endpoint out of range")
-                canonical = False
-        if not canonical:
-            edges = frozenset((min(e), max(e)) for e in edges)
-        self.__dict__.update(n=n, edges=edges)
+            if u == v:
+                raise DomainError("self-loop in graph")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DomainError("edge endpoint out of range")
+        self.__dict__.update(n=n, edges=frozenset((min(e), max(e)) for e in edges))
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int], order=None) -> "DistGraph":
@@ -144,9 +139,6 @@ class ColoringCertificate:
             if any(masks[v] & members for v in cls):
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {"colors": self.num_colors, "classes": [list(c) for c in self.classes]}
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from anticonc.bounds import (
+    BoundReport,
+    ConditionCheck,
     _third_moment_sum,
     clt_window,
     crude_bound,
@@ -18,7 +22,7 @@ from anticonc.bounds import (
     theorem_local_conditions,
     window_interval,
 )
-from anticonc.errors import DomainError
+from anticonc.errors import DomainError, InvariantViolation
 from anticonc.lattice import (
     _alpha_runs,
     extremal_variance,
@@ -316,7 +320,7 @@ _GOLDEN_JSON = {
         '"rhs": 5.0}, {"name": "sum E|Y|^3 <= delta\' V*^(3/2)", "holds": true, '
         '"lhs": 5.0, "rhs": 5.0}, {"name": "epsilon\' <= 1/2", "holds": false, '
         '"lhs": 455.4964734041827, "rhs": 0.5}], '
-        '"exact_t": "34461632205/274877906944", "extras": {"n": 40, "v_star": "10", '
+        '"exact_t": "34461632205/274877906944", "extras": {"n": 40, "v_star": "10/1", '
         '"epsilon_prime": 455.4964734041827, "window_lo": -57.337741659478205, '
         '"window_hi": 57.59005491168022, "t": 0.12537068761957926, '
         '"t_exact_path": true, "t_in_window": true}}',
@@ -331,7 +335,7 @@ _GOLDEN_JSON = {
         '"holds": false, "lhs": 12.630396777534443, "rhs": 2.0}], '
         '"exact_t": "34461632205/274877906944", "extras": {"m": 12.630396777534443, '
         '"epsilon_prime": 455.4964734041827, "gamma": 0.15811388300841897, '
-        '"v_star": "10", "t": 0.12537068761957926, "t_exact_path": true, '
+        '"v_star": "10/1", "t": 0.12537068761957926, "t_exact_path": true, '
         '"rhs_unconditional": 413.1381874987312}}',
         '[{"name": "xi(abar)^2 V* / n^2", "value": 0.0015625}, '
         '{"name": "V* / exp(C^2 sqrt(n) / 36)", "value": 8.388846288908171}, '
@@ -421,3 +425,42 @@ class TestGoldenJson:
         strings = [f"{a.numerator}/{a.denominator}" for a in shuffled]
         for variant in (alphas, shuffled, strings):
             assert _golden_strings(variant, d) == _GOLDEN_JSON[name]
+
+
+_HALVES = [F(1, 2)] * 16
+_PARAMS = make_main_bound_params(_HALVES, 2, 1.0, F(1, 4))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: epsilon_prime(0.0, F(1, 4)), DomainError, "delta' must be positive"),
+        (lambda: epsilon_prime(0.04, F(1)), DomainError, "c must lie in (0, 1)"),
+        (lambda: minimal_delta_prime([F(1)] * 3), DomainError, "total variance is zero"),
+        (lambda: make_main_bound_params(_HALVES, 1, 1.0, F(1, 4)), DomainError,
+         "dimension must be at least 2"),
+        (lambda: make_main_bound_params(_HALVES, 2, 0.0, F(1, 4)), DomainError, "C must be positive"),
+        (lambda: make_main_bound_params(_HALVES, 2, 1.0, F(1, 3)), DomainError,
+         "c must lie in (0, 1/3)"),
+        (lambda: make_main_bound_params([F(1)] * 3, 2, 1.0, F(1, 4)), DomainError,
+         "total variance is zero"),
+        # m = 100 sqrt(n / t) is far above n = 16
+        (lambda: main_bound_rhs(make_main_bound_params(_HALVES, 2, 100.0, F(1, 4))), DomainError,
+         "m is so large that no variance terms remain"),
+        (lambda: kesten_bound(_HALVES, 0, 1.0), DomainError, "n must be positive"),
+        (lambda: dataclasses.replace(_PARAMS, epsilon_prime=2 * _PARAMS.epsilon_prime),
+         InvariantViolation, "epsilon' is inconsistent with delta' and c"),
+        (lambda: dataclasses.replace(_PARAMS, xi=F(1)), InvariantViolation,
+         "xi rule broken: xi_2(x) = x, xi_d(x) = 1 for d > 2"),
+    ],
+    ids=["delta-prime", "epsilon-c", "delta-variance", "dimension", "big-c", "params-c",
+         "params-variance", "large-m", "kesten-n", "params-epsilon", "params-xi"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_first_failure_none_when_all_hold():
+    report = BoundReport(None, (ConditionCheck("a", True, 1.0, 0.0), ConditionCheck("b", True, 0.0, 0.0)), None)
+    assert report.all_hold and report.first_failure() is None

@@ -575,3 +575,9 @@ class TestOneFrame:
             (b.frame.coeffs, b.frame.scale_pow, b.frame.scale_root)
         with pytest.raises(DomainError, match="blocks must share one line frame"):
             btk_decompose(a, b)
+
+
+@pytest.mark.parametrize("call", [iterated_decompose, jones_bound], ids=["iterated", "jones"])
+def test_input_checks(call):
+    with pytest.raises(DomainError, match="^need at least one block$"):
+        call([])

@@ -179,6 +179,21 @@ class TestBergeCheck:
         assert result.exit_code == 2
         assert result.stderr == f"input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "edges, hole",
+        [
+            ([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]], [0, 2, 4, 1, 3]),
+            ([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], None),
+        ],
+        ids=["c5", "k4"],
+    )
+    def test_complement_search(self, runner, tmp_path, edges, hole):
+        # the 5-cycle is self-complementary; the complement of K4 has no edge
+        path = write_json(tmp_path, "g.json", {"n": len({u for e in edges for u in e}), "edges": edges})
+        result = runner.invoke(main, ["berge-check", "--input", path, "--complement"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"berge": None, "hole": hole, "in_complement": True}
+
     def test_huge_raw_graph_hits_cap_before_masks(self, runner, tmp_path, monkeypatch):
         from anticonc.perfect_graphs import DistGraph
 
@@ -227,6 +242,22 @@ class TestDecompose:
         out = json.loads(result.output)
         assert out["multiset_size"] == 3
 
+    def test_regular_pentagon_not_perfect_exits_2(self, runner, tmp_path):
+        # sides about 0.82 (edges), diagonals about 1.33: the graph is a 5-cycle
+        points = [("0", "7/10"), ("-2/3", "11/50"), ("-41/100", "-57/100"),
+                  ("41/100", "-57/100"), ("2/3", "11/50")]
+        data = {"norm": "l2", "dim": 2, "atoms": [{"point": p, "weight": "1/5"} for p in points]}
+        result = runner.invoke(main, ["decompose", "--input", write_json(tmp_path, "vm.json", data)])
+        assert result.exit_code == 2
+        assert result.stderr == "input error: distance graph is not perfect here: chi=3, omega=2\n"
+
+    def test_alpha_below_colour_count_exits_2(self, runner, tmp_path):
+        vm = VectorMeasure.uniform(l2(2), [(0, 0), (F(1, 3), 0), (F(2, 3), 0)])
+        path = write_json(tmp_path, "vm.json", vm.to_json())
+        result = runner.invoke(main, ["decompose", "--input", path, "--alpha", "1/2"])
+        assert result.exit_code == 2
+        assert result.stderr == "input error: colouring uses 3 classes, above alpha*|S| = 3/2\n"
+
 
 class TestChainsCommands:
     def test_btk_chains(self, runner, tmp_path):
@@ -274,6 +305,11 @@ class TestBoundsCommands:
         assert result.exit_code == 0
         out = json.loads(result.output)
         assert out["extras"]["t_in_window"] is True
+
+    def test_integral_rationals_keep_denominator(self, runner):
+        result = runner.invoke(main, ["clt-window", "--alphas", "1/2,1/2,1/2,1/2"])
+        out = json.loads(result.output)
+        assert (out["exact_t"], out["extras"]["v_star"]) == ("3/8", "1/1")
 
     def test_main_bound_reports_conditions(self, runner):
         result = runner.invoke(

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from operator import mul
@@ -23,6 +24,7 @@ from anticonc.errors import (
 )
 from anticonc.geometry import (
     _FLOAT_GUARD,
+    HalaszDiagnostics,
     LineFrame,
     NearLineFit,
     NormSpec,
@@ -1495,7 +1497,6 @@ class TestVectorMeasureNormalisation:
         m = seeded_measure(rng, 2, 12)
         again = VectorMeasure(m.config, m.weights)
         assert (again.points, again.weights) == (m.points, m.weights)
-        assert again.config is m.config  # strictly increasing, no zero: kept as is
 
     @pytest.mark.parametrize("eps", [F(1, 10**9), F(-1, 10**9)])
     def test_near_one_rejected(self, eps):
@@ -1508,9 +1509,8 @@ class TestVectorMeasureNormalisation:
 
     @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
     def test_integer_order_check_matches_fraction_order(self, field):
-        # the order test runs on the integer form; a config is kept as it is
-        # exactly when its Fraction points are strictly increasing and no
-        # weight is zero
+        # the sort and merge run on the integer form and must give the
+        # Fraction order
         rng = random.Random(1180 + (field != "Q"))
         norm = l2(2)
         cases = []
@@ -1533,16 +1533,10 @@ class TestVectorMeasureNormalisation:
         cases.append(([(F(1, 2), F(0)), (F(1, 3), F(5))], [F(1, 2)] * 2))
         cases.append(([(F(-1, 4), F(-1, 3)), (F(-1, 4), F(-1, 6))], [F(1, 2)] * 2))
         cases.append(([(F(-1, 4), F(-1, 6)), (F(-1, 4), F(-1, 3))], [F(1, 2)] * 2))
-        kept = 0
         for pts, ws in cases:
-            cfg = PointConfig(norm, tuple(pts))
-            m = VectorMeasure(cfg, tuple(ws))
-            sorted_merged = all(ws) and all(p < q for p, q in zip(cfg.points, cfg.points[1:]))
-            assert (m.config is cfg) == sorted_merged
-            kept += sorted_merged
+            m = VectorMeasure(PointConfig(norm, tuple(pts)), tuple(ws))
             assert (m.points, m.weights) == ref_normalise(tuple(pts), tuple(ws))
             _assert_stored_form(m.config)
-        assert 0 < kept < len(cases)
 
     @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
     def test_negative_weight_rejected(self, field):
@@ -2559,3 +2553,25 @@ class TestOffPlaneFit:
         assert fit.frame.direction == dirs[keys.index(min(keys))] == tied[0] and fit.certified
         floats = [max(_point_line_dist_float(cfg.norm, p, mid, v) for p in cfg.points) for v in tied]
         assert floats[0] > floats[1]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NormSpec("l3", 2), UnsupportedNorm, "unknown norm kind 'l3'"),
+        (lambda: lp(F(1, 2), 2), UnsupportedNorm, "lp norm needs p >= 1"),
+        (lambda: NormSpec("l2", 2, 3), DomainError, "p is only meaningful for lp norms"),
+        (lambda: VectorMeasure(PointConfig(l2(2), ((0, 0), (1, 0))), (F(1),)), DomainError,
+         "weights do not align with points"),
+        (lambda: near_line_fit(PointConfig(l2(2), ())), DomainError, "need at least one point"),
+        (lambda: product_sum_measure([]), DomainError, "need at least one measure"),
+        (lambda: halasz_diagnostics([]), DomainError, "need at least one measure"),
+        (lambda: HalaszDiagnostics(-1.0, 0.0, (1.0, 0.0), (), (0.0, 0.0)), InvariantViolation,
+         "diagnostics must be nonnegative"),
+    ],
+    ids=["norm-kind", "lp-below-1", "p-not-lp", "weights-misaligned", "empty-fit", "empty-sum",
+         "empty-halasz", "negative-d"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

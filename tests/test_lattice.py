@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from fractions import Fraction as F
 from itertools import accumulate
 from pathlib import Path
@@ -15,6 +16,7 @@ from anticonc.geometry import l2, supporting_functional
 from anticonc.lattice import (
     ExtremalSpec,
     LatticeMeasure,
+    ParityRestrictionReport,
     VarianceProfile,
     _centre_t_value,
     _cubes_by_twos,
@@ -27,7 +29,6 @@ from anticonc.lattice import (
     delta,
     extremal_measure,
     extremal_variance,
-    mixture,
     t_value,
     third_abs_moment,
     variance_profile,
@@ -745,10 +746,6 @@ class TestValidation:
         assert m.offset_index == -2
         assert len(m.weights) == 3
 
-    def test_mixture_coefficients(self):
-        with pytest.raises(DomainError):
-            mixture([(F(1, 2), delta(0)), (F(1, 4), delta(1))])
-
     def test_json_roundtrip(self):
         m = extremal_measure(F(3, 8))
         assert LatticeMeasure.from_json(m.to_json()) == m
@@ -760,3 +757,27 @@ class TestValidation:
         m = convolve_many([extremal_measure(a) for a in alphas])
         assert LatticeMeasure.from_json(m.to_json()) == m
 
+    def test_branches(self):
+        m = LatticeMeasure(0, (F(1, 2), F(1, 4), F(0), F(0), F(1, 4)))
+        assert m.mass_at(F(1, 3)) == 0  # off the half-integer lattice
+        assert not LatticeMeasure(1, (F(1),)).is_symmetric()  # off centre
+        # the half-integer slots hold 1/4, 0: the trailing zero is trimmed
+        assert check_unimodal_logconcave(m, "half-integer") == \
+            ParityRestrictionReport("half-integer", False, True, True, True)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LatticeMeasure(0, ()), "lattice measure needs at least one atom"),
+        (lambda: LatticeMeasure(0, (F(0), F(0))), "lattice measure has zero total mass"),
+        (lambda: delta(F(1, 3)), "1/3 is not on the half-integer lattice"),
+        (lambda: convolve_many([]), "need at least one measure"),
+        (lambda: check_unimodal_logconcave(delta(0), "odd"),
+         "parity must be 'integer' or 'half-integer'"),
+    ],
+    ids=["no-atom", "zero-mass", "off-lattice-delta", "no-measure", "parity"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

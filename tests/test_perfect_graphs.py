@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -30,6 +31,7 @@ from anticonc.perfect_graphs import (
     _strip_simplicial,
     _suffix_color_bounds,
     DistGraph,
+    HoleWitness,
     block_decomposition,
     chromatic_number,
     cocomparability_order,
@@ -160,10 +162,6 @@ class TestDistGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(DomainError):
             DistGraph(3, frozenset([(1, 1)]))
-
-    def test_canonical_edges_kept_as_given(self):
-        edges = frozenset([(0, 1), (1, 3), (0, 3)])
-        assert DistGraph(4, edges).edges is edges
 
     def test_reversed_and_duplicate_edges(self):
         assert DistGraph(4, frozenset([(3, 1), (1, 0)])).edges == {(1, 3), (0, 1)}
@@ -1373,10 +1371,12 @@ class TestCertificates:
         g = cycle_graph(5)
         bad = ColoringCertificate(2, ((0, 1, 2), (3, 4)))
         assert not bad.verify(g)
+        assert ColoringCertificate(3, ((0, 2), (1, 3), (4,))).verify(g)
+        # a colouring that misses vertex 4
+        assert not ColoringCertificate(3, ((0, 2), (1, 3), ())).verify(g)
+        assert not ColoringCertificate(2, ((0, 2), (1, 3))).verify(g)
 
     def test_hole_witness_checks_both_orientations(self):
-        from anticonc.perfect_graphs import HoleWitness
-
         c7 = cycle_graph(7)
         anti = c7.complement()
         cycle = tuple(range(7))
@@ -1388,3 +1388,20 @@ class TestCertificates:
         assert not HoleWitness((0, 1, 2, 3, 4, 5, 0), True).verify(anti)
         assert not HoleWitness((0, 1, 2, 3, 4, 5, 7), True).verify(anti)
         assert not HoleWitness((0, 1, 2, 3, 5), True).verify(anti)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: HoleWitness((0, 1, 2, 3), False), InvariantViolation,
+         "hole witness must be an odd cycle of length >= 5"),
+        (lambda: HoleWitness((0, 1, 2), True), InvariantViolation,
+         "hole witness must be an odd cycle of length >= 5"),
+        (lambda: max_clique(cycle_graph(5), [F(1)] * 4), DomainError, "weight vector length mismatch"),
+        (lambda: max_clique(cycle_graph(5), [F(1)] * 4 + [F(-1)]), DomainError, "negative clique weight"),
+    ],
+    ids=["even-hole", "short-hole", "weights-length", "negative-weight"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

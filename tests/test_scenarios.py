@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from conftest import caps_env
 
 from anticonc.errors import DomainError
 from anticonc.geometry import l1, l2, linf, lp
@@ -216,6 +217,15 @@ class TestVerifyTheorem22:
     def test_zero_count_draws_no_instance(self):
         result = run_verify_theorem22({"count": 0, "extremal_cases": 0})
         assert result.passed and result.details["instances"] == 0
+
+    def test_capped_instances_skipped(self):
+        # every instance is refused by the clique cap and counted, not
+        # checked; the run still passes, with no instance checked
+        with caps_env(clique=0):
+            result = run_verify_theorem22({"count": 4, "extremal_cases": 0})
+        assert result.passed
+        assert result.details["skipped"] == 4 and result.details["failures"] == []
+        assert result.details["min_margin"] is None
 
     def test_deterministic(self):
         a = run_verify_theorem22({"count": 15}, seed=4)
