@@ -27,6 +27,7 @@ class Caps:
     product_support: int = 200_000
     chain_tuples: int = 1_000_000
     replicas: int = 10_000
+    tvalue_work: int = 10_000_000
 
     def __post_init__(self):
         for f in fields(self):

@@ -13,7 +13,11 @@ too in linf and exponents 1 and 2, in every dimension; only lp with p >= 3,
 whose distances to a line are irrational, certifies by a float search.
 
 Every "d < 1" decision over a point set goes through one row test per norm,
-``_row_test``, on coordinates scaled to Z or Z[sqrt(m)]; ``_near_masks``
+``_row_test``, on coordinates scaled to Z or Z[sqrt(m)]; planar l2 decides
+Z[sqrt(m)] points on ints alone, through each point's flat int tuple
+(``PointConfig._pairs``), and sorts and row-end bisections compare exact int
+keys (``PointConfig._keys``), so `QuadExt` arithmetic is left to the other
+norms and the API edge. ``_near_masks``
 sweeps it into the adjacency bitmasks the graph solvers read, once per
 config, and blocks apply it where only consecutive points can be near;
 ``dist_vs_one`` checks one pair. Concentration builds no graph: in linf, in
@@ -65,7 +69,7 @@ from .errors import (
 )
 from .exact import _numerators, as_fraction, fraction_str, parse_vector, vector_str
 from .perfect_graphs import DistGraph, _branch_and_bound, _iter_bits
-from .quadfield import QuadExt
+from .quadfield import QuadExt, _floor_keys, _from_pairs, _over, _pairs, _scaled_points
 
 Point = tuple[Fraction, ...]
 
@@ -245,18 +249,25 @@ class PointConfig(_IntForm):
     Coordinates are all rational or all `QuadExt` values with one m. A config
     stores ``scaled = (s, s * points)``, with s a positive int that takes every
     coordinate into Z (or Z[sqrt(m)]): the integer form every exact decision
-    on the points reads. ``points`` is derived from it on first read.
+    on the points reads. Derived from it on first read: ``points``; ``_keys``,
+    the order form of ``_order_form`` that sorts and bisections read; and for
+    Z[sqrt(m)] ``_pairs``, each point's flat int tuple (a0, b0, a1, b1, ...)
+    that the planar l2 test and product sums read (None for rational points).
     """
 
     norm: NormSpec
     points: tuple[Point, ...]
 
-    _derive = {"points": lambda self: _unscaled(*self.scaled)}
+    _derive = {
+        "points": lambda self: _unscaled(*self.scaled),
+        "_keys": lambda self: _order_form(*self.scaled),
+        "_pairs": lambda self: _pairs(self.scaled[1]) if _is_quad(self.scaled[1]) else None,
+    }
 
     def __init__(self, norm: NormSpec, points: Sequence[Sequence]):
         pts = tuple(map(tuple, points))
-        first = pts[0][0] if pts and pts[0] else None
-        if isinstance(first, QuadExt):
+        if _is_quad(pts):
+            first = pts[0][0]
             if any(not isinstance(c, QuadExt) or c.m != first.m for p in pts for c in p):
                 raise DomainError("coordinates must be all rational or all in one Q(sqrt(m))")
         else:
@@ -267,13 +278,15 @@ class PointConfig(_IntForm):
         self._init(norm, *_scaled_integers(pts))
 
     @classmethod
-    def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> "PointConfig":
+    def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple], **derived) -> "PointConfig":
         """The config of the points ``ipts / scale``, storing this integer form.
 
         The callers hold integer forms of checked configs of this norm, so
-        the points need no second check."""
+        the points need no second check; a caller that holds derived fields
+        (``_keys``, ``_pairs``) of these points hands them over."""
         config = object.__new__(cls)
         config._init(norm, scale, ipts)
+        config.__dict__.update(derived)
         return config
 
     def _init(self, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> None:
@@ -324,14 +337,19 @@ class VectorMeasure(_IntForm):
         for p, u in zip(ipts, nums):
             if u:
                 merged[p] = merged.get(p, 0) + u
-        keys = sorted(merged)
-        self._init(PointConfig._from_scaled(config.norm, scale, keys), [merged[p] for p in keys], den)
+        pts = list(merged)
+        unit, keys = _order_form(scale, pts)
+        order = sorted(range(len(pts)), key=keys.__getitem__)
+        config = PointConfig._from_scaled(
+            config.norm, scale, [pts[i] for i in order], _keys=(unit, [keys[i] for i in order])
+        )
+        self._init(config, [merged[pts[i]] for i in order], den)
 
     @classmethod
     def _from_ints(cls, config: PointConfig, nums: Sequence[int], den: int) -> "VectorMeasure":
         """Weights ``nums / den`` on the strictly increasing points of ``config``."""
-        ipts = config.scaled[1]
-        if not all(p < q for p, q in zip(ipts, ipts[1:])):
+        keys = config._keys[1]
+        if not all(p < q for p, q in zip(keys, keys[1:])):
             raise InvariantViolation("the points of a measure must be strictly increasing")
         measure = object.__new__(cls)
         measure._init(config, nums, den)
@@ -394,6 +412,8 @@ class VectorMeasure(_IntForm):
 def _scaled_integers(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The lcm of all coordinate denominators, and the points times it: ints,
     or elements of Z[sqrt(m)] for `QuadExt` coordinates."""
+    if _is_quad(points):
+        return _scaled_points(points)
     scale = math.lcm(*(c.denominator for p in points for c in p))
     return scale, tuple(tuple(c.numerator * (scale // c.denominator) for c in p) for p in points)
 
@@ -402,21 +422,45 @@ def _unscaled(scale: int, ipts: Sequence[tuple]) -> tuple[Point, ...]:
     """The points ``ipts / scale``: Fractions, or `QuadExt` values for
     Z[sqrt(m)] coordinates, through one dict per distinct coordinate."""
     coord = {
-        c: Fraction(c, scale) if isinstance(c, int) else c * Fraction(1, scale)
+        c: _over(c, scale) if isinstance(c, QuadExt) else Fraction(c, scale)
         for c in {c for p in ipts for c in p}
     }
     return tuple(tuple(coord[c] for c in p) for p in ipts)
 
 
-def _row_test(norm: NormSpec, s: int, pts: Sequence[tuple]):
+def _row_test(norm: NormSpec, s: int, pts: Sequence[tuple], pairs=None):
     """The one near test, near(a, row): the b in ``row`` with d(pts[a], pts[b])
     < s, on points scaled by s to Z or Z[sqrt(m)]. In the plane linf and
-    exponents 1 and 2 are inlined (2 by products: ``QuadExt.__pow__`` loops)."""
+    exponents 1 and 2 are inlined, and exponent 2 decides Z[sqrt(m)] points
+    on their flat int tuples, ``pairs`` if the caller holds them."""
     linf, e = norm.kind == "linf", norm.exponent
     if norm.dimension != 2 or not (linf or e <= 2):
         power, limit = norm._power, s**e
         return lambda a, row: [b for b in row if power(map(operator.sub, pts[a], pts[b])) < limit]
     xs, ys, ss = [q[0] for q in pts], [q[1] for q in pts], s * s
+    if e == 2 and not linf and _is_quad(pts):
+        m, flat = xs[0].m, pairs or _pairs(pts)
+        m4 = 4 * m
+
+        def near(i, row):
+            # dx = a + b sqrt(m), dy = c + d sqrt(m): dx^2 + dy^2 < s^2 exactly
+            # when 2t sqrt(m) < r, with r = s^2 - (a^2 + m b^2 + c^2 + m d^2)
+            # and t = ab + cd, decided by the signs and by 4m t^2 against r^2
+            a0, b0, c0, d0 = flat[i]
+            out = []
+            for j in row:
+                a1, b1, c1, d1 = flat[j]
+                a = a1 - a0; b = b1 - b0; c = c1 - c0; d = d1 - d0
+                r = ss - a * a - c * c - m * (b * b + d * d)
+                t = a * b + c * d
+                if t < 0:
+                    if r >= 0 or m4 * t * t > r * r:
+                        out.append(j)
+                elif r > 0 and m4 * t * t < r * r:
+                    out.append(j)
+            return out
+
+        return near
     if linf:
         return lambda a, row: [b for b in row if abs(xs[b] - xs[a]) < s and abs(ys[b] - ys[a]) < s]
     if e == 1:
@@ -428,23 +472,41 @@ def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int
     """Adjacency bitmasks of the pairs i != j with d(ipts[i] / s, ipts[j] / s)
     < 1, decided on the integer form of the points (``PointConfig.scaled``).
 
-    Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points, whose
-    operations decide the same comparisons exactly. The points are swept in
-    order of x, returned too (the graph keeps it for ``is_berge``); bisection
-    ends a row at the first x-gap of at least 1, exact because |dx_1| <=
-    ||dx||, and ``_row_test`` decides the pairs in it.
+    Coordinates are ints, or Z[sqrt(m)] values for `QuadExt` points. The
+    points are swept in order of x, returned too (the graph keeps it for
+    ``is_berge``), on the exact int keys of ``_order_form``; bisection ends a
+    row at the first x-gap of at least 1, exact because |dx_1| <= ||dx||, and
+    ``_row_test`` decides the pairs in it.
     """
     _check_dims(norm, *ipts)
-    order = tuple(sorted(range(len(ipts)), key=lambda i: ipts[i][0]))
-    spts = [ipts[i] for i in order]
-    xs, near = [q[0] for q in spts], _row_test(norm, s, spts)
+    unit, keys = _order_form(s, ipts)
+    order = tuple(sorted(range(len(ipts)), key=lambda i: keys[i][0]))
+    xs, near = [keys[i][0] for i in order], _row_test(norm, s, ipts)
     masks = [0] * len(ipts)
     for a, x in enumerate(xs):
         i = order[a]
-        for j in map(order.__getitem__, near(a, range(a + 1, bisect_left(xs, x + s, a + 1)))):
+        for j in near(i, order[a + 1 : bisect_left(xs, x + unit, a + 1)]):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return masks, order
+
+
+def _is_quad(pts: Sequence[tuple]) -> bool:
+    """Whether the points' coordinates are `QuadExt` values (they are all or none)."""
+    return bool(pts) and bool(pts[0]) and isinstance(pts[0][0], QuadExt)
+
+
+def _order_form(s: int, ipts: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:
+    """``(unit, keys)`` for points scaled by s: int tuples ordered as the
+    points are, coordinate by coordinate, and the key of a step of 1, so that
+    sorts and row-end bisections run on ints. Rational points are their own
+    keys, with unit s. Z[sqrt(m)] points have the floor keys of
+    ``quadfield._floor_keys``, exact for steps up to 1, with unit s 2^K."""
+    if not _is_quad(ipts):
+        return s, ipts
+    k, keys = _floor_keys([c for p in ipts for c in p], s)
+    it = iter(keys)
+    return s << k, list(zip(*[it] * len(ipts[0])))
 
 
 def distance_graph(config: PointConfig) -> DistGraph:
@@ -822,7 +884,7 @@ def near_line_fit(config: PointConfig, early_stop: bool = False) -> NearLineFit:
     norm, d, (scale, ipts) = config.norm, config.norm.dimension, config.scaled
     if not ipts:
         raise DomainError("need at least one point")
-    if isinstance(ipts[0][0], QuadExt):
+    if _is_quad(ipts):
         raise DomainError("near-line fitting needs rational coordinates")
     exact = norm.kind == "linf" or norm.exponent <= 2
     planar = d == 2 and exact
@@ -894,20 +956,30 @@ def separation_check(frame: LineFrame, config: PointConfig) -> SeparationReport:
 def product_sum_measure(measures: Sequence[VectorMeasure]) -> VectorMeasure:
     """Exact distribution of the sum of independent vector measures, convolved
     on the summands' integer forms over one common scale and on integer
-    weights; the sum keeps its sorted integer points as its own form."""
+    weights; the sum keeps its sorted integer points as its own form.
+
+    Points in Z[sqrt(m)] are convolved as flat int tuples (a0, b0, a1, b1,
+    ...) and become `QuadExt` values only as the sum's points, sorted by
+    exact int keys; rational summands join them with every b_i zero."""
     if not measures:
         raise DomainError("need at least one measure")
     norm = measures[0].norm
     for m in measures[1:]:
         if m.norm._model != norm._model:
             raise DomainError("summands must share the same norm and dimension")
+    fields = {ipts[0][0].m for m in measures if _is_quad(ipts := m.config.scaled[1])}
+    if len(fields) > 1:
+        raise DomainError("summands must share one Q(sqrt(m))")
+    field = fields.pop() if fields else None
     scale = math.lcm(*(m.config.scaled[0] for m in measures))
-    acc, den = {(0,) * norm.dimension: 1}, 1  # integer points -> weight numerators
+    acc, den = {(0,) * (norm.dimension * (1 + bool(field))): 1}, 1  # integer points -> weight numerators
     for i, m in enumerate(measures):
         if i:
             check("product_support", len(acc) * len(m.config))
         nums, wden = m._ints
         s, ipts = m.config.scaled
+        if field is not None:
+            ipts = m.config._pairs or [tuple([x for c in p for x in (c, 0)]) for p in ipts]
         if s != scale:
             ipts = [tuple(c * (scale // s) for c in p) for p in ipts]
         atoms = list(zip(ipts, nums))
@@ -918,10 +990,16 @@ def product_sum_measure(measures: Sequence[VectorMeasure]) -> VectorMeasure:
                 nxt[key] = nxt.get(key, 0) + w * u
         acc = nxt
         den *= wden
-    keys = sorted(acc)
-    return VectorMeasure._from_ints(
-        PointConfig._from_scaled(norm, scale, keys), [acc[p] for p in keys], den
-    )
+    if field is None:
+        pts = sorted(acc)
+        return VectorMeasure._from_ints(PointConfig._from_scaled(norm, scale, pts), [acc[p] for p in pts], den)
+    flat = list(acc)
+    pts = _from_pairs(flat, field)
+    unit, keys = _order_form(scale, pts)
+    order = sorted(range(len(pts)), key=keys.__getitem__)
+    config = PointConfig._from_scaled(norm, scale, [pts[i] for i in order],
+                                      _keys=(unit, [keys[i] for i in order]), _pairs=[flat[i] for i in order])
+    return VectorMeasure._from_ints(config, [acc[flat[i]] for i in order], den)
 
 
 @dataclass(frozen=True)
@@ -944,7 +1022,7 @@ def concentration_q(measure: VectorMeasure) -> ConcentrationResult:
     if norm.kind == "linf" or norm.dimension == 1 or (norm.dimension, norm.exponent) == (2, 1):
         best, witness = _box_search(norm, s, ipts, nums)
     else:
-        best, witness = _window_search(norm, s, ipts, nums)
+        best, witness = _window_search(measure.config, nums)
     return ConcentrationResult(
         Fraction(best, den), witness, _unscaled(s, [ipts[i] for i in witness])
     )
@@ -1010,18 +1088,19 @@ class _SweptRows(dict):
         return row
 
 
-def _window_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:
+def _window_search(config: PointConfig, nums) -> tuple[int, tuple[int, ...]]:
     """``_clique_search``'s weight and witness for a measure (sorted by x)
     without the graph. The window [x_v, x_v + 1) holds every clique rooted at
     v and bounds it; rows of near atoms above are swept on first read, by the
     greedy seed (near the heaviest atom) or for the roots the bound leaves."""
-    xs, near = [p[0] for p in ipts], _row_test(norm, s, ipts)
-    ends = [bisect_left(xs, x + s, v + 1) for v, x in enumerate(xs)]
+    norm, (s, ipts), (unit, keys) = config.norm, config.scaled, config._keys
+    xs, near = [k[0] for k in keys], _row_test(norm, s, ipts, config._pairs)
+    ends = [bisect_left(xs, x + unit, v + 1) for v, x in enumerate(xs)]
     pre = [0, *accumulate(nums)]
     x = xs[max(range(len(xs)), key=nums.__getitem__)]
     rows = _SweptRows(lambda v: sum(1 << b for b in near(v, range(v + 1, ends[v]))))
     seed: list[int] = []
-    for i in sorted(range(bisect_right(xs, x - s), bisect_left(xs, x + s)), key=lambda i: (-nums[i], i)):
+    for i in sorted(range(bisect_right(xs, x - unit), bisect_left(xs, x + unit)), key=lambda i: (-nums[i], i)):
         if all(rows[min(u, i)] >> max(u, i) & 1 for u in seed):
             seed.append(i)
     return _branch_and_bound(rows, nums, [pre[e] - pre[v] for v, e in enumerate(ends)], seed)

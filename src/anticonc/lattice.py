@@ -37,6 +37,7 @@ from itertools import accumulate, chain, groupby, repeat
 from operator import attrgetter, mul
 from typing import Sequence
 
+from .caps import check
 from .errors import DomainError, InvariantViolation
 from .exact import _numerators, as_fraction, fraction_str
 
@@ -288,6 +289,13 @@ def _tally(factors) -> tuple[int, int, int, int]:
     return n, e, step, degree // step
 
 
+def _power_price(tally: tuple[int, int, int, int]) -> int:
+    """Steps of `_centre_power` for runs of this `_tally`: N'·deg Q for its N'
+    coefficients."""
+    n, e, step, degree = tally
+    return ((n - e) // step + 1) * degree
+
+
 def _centre_power(factors, tally=None) -> list[int]:
     """Slots 0 ... S of the sum of the (k, inner, outer, den, c) runs, S the
     sum of k·c, numerators over the product of den^c; the sum is symmetric,
@@ -320,23 +328,32 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     apart and its inner weight the k between them, so a fold step costs
     O(min(S, R) + k) whatever k is. Slots 0 and 1/2 of the whole sum are
     dot products of h against the last run's power.
+
+    The price of the work, the last run's power plus the head path taken
+    (the product, or the fold and its seed, the first run's power), is
+    checked against cap ``tvalue_work`` before any of it.
     """
     factors = [(*_extremal_weights(a), c) for a, c in runs]
     den = math.prod([d ** c for _, _, _, d, c in factors])
     *head, last = factors
+    work = _power_price(_tally([last]))
+    if head:
+        n, e, step, degree = tally = _tally(head)
+        half = head[0][0] * head[0][-1]
+        rest = n - half + last[0] * last[-1]  # R after the first run's power
+        seed_len, schedule = rest + 2, []
+        for k, inner, outer, _, c in head[1:]:
+            for _ in range(c):
+                rest -= k
+                half += k
+                schedule.append((k, inner, outer, min(rest + 1, half)))
+        product, fold = _power_price(tally), sum(top + k for k, _, _, top in schedule)
+        work += product if product < fold else _power_price(_tally(head[:1])) + fold
+    check("tvalue_work", work)
     p = _centre_power([last])
     if not head:
         return Fraction(p[0] + p[1], den)
-    n, e, step, degree = tally = _tally(head)
-    half = head[0][0] * head[0][-1]
-    rest = n - half + last[0] * last[-1]  # R after the first run's power
-    seed_len, schedule = rest + 2, []
-    for k, inner, outer, _, c in head[1:]:
-        for _ in range(c):
-            rest -= k
-            half += k
-            schedule.append((k, inner, outer, min(rest + 1, half)))
-    if ((n - e) // step + 1) * degree < sum(top + k for k, _, _, top in schedule):
+    if product < fold:
         h = _centre_power(head, tally)[:rest + 2]  # R is now the last run's
     else:
         h = _centre_power(head[:1])[:seed_len]

@@ -1,12 +1,16 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(m)).
 
 The octagon's coordinates lie in Q(sqrt(2)) and the sharpness points' in
-Q(sqrt(3)). Such points go through the same "d < 1" kernel as rational ones
-(``geometry._near_masks``): `QuadExt` supports the operations the kernel
-uses (``+``, ``-``, ``*``, ``**``, ``abs``, ``sum``, and ``<``, which is all
-``bisect`` needs), and ``numerator``/``denominator`` scale a coordinate into
-Z[sqrt(m)] as they scale a Fraction into Z. Power sums of such coordinates
-stay inside the field, so every comparison against 1 is decided exactly.
+Q(sqrt(3)). `QuadExt` is how such points enter and leave the library: a
+config scales them once into Z[sqrt(m)] and stores them as `QuadExt` values
+with int parts. The hot kernels do no `QuadExt` arithmetic. They read a point
+as the flat int tuple (a0, b0, a1, b1, ...) of its coordinates a_i + b_i
+sqrt(m) (``_pairs``): the planar l2 row test decides "dx^2 + dy^2 < s^2" on
+those ints, and product sums add them. Sorts and row-end bisections compare
+the exact int keys floor(c 2^K) of ``_floor_keys``. `QuadExt` keeps the
+operations the other norms' tests, the box sweep and the scenarios use
+(``+``, ``-``, ``*``, ``**``, ``abs``, ``sum``, the comparisons), so every
+decision stays exact.
 """
 
 from __future__ import annotations
@@ -79,17 +83,6 @@ class QuadExt:
             raise ValueError("mixing different quadratic fields")
         return _quad(other if isinstance(other, int) else as_fraction(other), 0, self.m)
 
-    @property
-    def denominator(self) -> int:
-        """Least positive int d with d * self in Z[sqrt(m)]."""
-        return math.lcm(self.a.denominator, self.b.denominator)
-
-    @property
-    def numerator(self) -> "QuadExt":
-        """self * denominator, with int components."""
-        d = self.denominator
-        return _quad(int(self.a * d), int(self.b * d), self.m)
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(m)."""
         sa, sb = _sign(self.a), _sign(self.b)
@@ -140,3 +133,49 @@ def _quad(a, b, m: int) -> QuadExt:
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _scaled_points(points) -> tuple[int, tuple[tuple[QuadExt, ...], ...]]:
+    """The lcm of the denominators of every coordinate's two parts, and the
+    points times it, in Z[sqrt(m)]."""
+    scale = math.lcm(*(f.denominator for p in points for c in p for f in (c.a, c.b)))
+    up = lambda f: f.numerator * (scale // f.denominator)
+    return scale, tuple(tuple(_quad(up(c.a), up(c.b), c.m) for c in p) for p in points)
+
+
+def _over(c: QuadExt, scale: int) -> QuadExt:
+    """c / scale for c in Z[sqrt(m)]."""
+    return _quad(Fraction(c.a, scale), Fraction(c.b, scale), c.m)
+
+
+def _pairs(points) -> list[tuple[int, ...]]:
+    """The flat int tuple (a0, b0, a1, b1, ...) of each point of Z[sqrt(m)],
+    with coordinates a_i + b_i sqrt(m)."""
+    return [tuple([x for c in p for x in (c.a, c.b)]) for p in points]
+
+
+def _from_pairs(flat, m: int) -> list[tuple[QuadExt, ...]]:
+    """The points of the flat int tuples that ``_pairs`` returns."""
+    return [tuple([_quad(f[i], f[i + 1], m) for i in range(0, len(f), 2)]) for f in flat]
+
+
+def _floor_keys(values, reach: int = 0) -> tuple[int, list[int]]:
+    """``(K, keys)``: the int floor(c 2^K) of each c in ``values``, elements
+    a + b sqrt(m) of Z[sqrt(m)], with K so large that for any two of them x,
+    y and any int |t| <= reach, x + t < y exactly when key(x) + t 2^K <
+    key(y), and x + t == y exactly when those are equal.
+
+    For a nonzero u + v sqrt(m) with ints u, v, |u^2 - m v^2| >= 1 as m is
+    not a square, so |u + v sqrt(m)| >= 1 / (|u| + |v| sqrt(m)). Here
+    |u| <= 2A + reach and |v| <= 2B for the largest |a| = A and |b| = B,
+    and 2^K exceeds 2A + reach + 2Bm, so distinct values of x + t and y lie
+    more than 2^-K apart and their floors differ the same way. ``values``
+    is not empty.
+    """
+    m, aa, bb = values[0].m, [c.a for c in values], [c.b for c in values]
+    k = (2 * max(map(abs, aa)) + reach + 2 * m * max(map(abs, bb))).bit_length()
+    mk, keys = m << 2 * k, []
+    for a, b in zip(aa, bb):
+        r = math.isqrt(mk * b * b)  # floor(|b| sqrt(m) 2^K), never exact for b != 0
+        keys.append((a << k) + (r if b >= 0 else -r - 1))
+    return k, keys

@@ -295,7 +295,10 @@ def run_verify_theorem22(
     the axis realize equality.
 
     The generator dict may carry its own "seed" so property runs are
-    shareable as one JSON file; an explicit ``seed`` argument wins.
+    shareable as one JSON file; an explicit ``seed`` argument wins. An
+    instance refused by a cap is counted in ``skipped``; when caps refuse
+    every one of at least one instance, nothing was checked and the run
+    raises `ResourceCapExceeded`, naming the cap of the last refusal.
     """
     gen = dict(_DEFAULT_GENERATOR)
     if generator:
@@ -329,8 +332,12 @@ def run_verify_theorem22(
             alphas = [concentration_q(m).value for m in measures]
             total = product_sum_measure(measures)
             q_sum = concentration_q(total).value
-        except ResourceCapExceeded:
+        except ResourceCapExceeded as exc:
             skipped += 1
+            if skipped == gen["count"]:
+                raise ResourceCapExceeded(
+                    f"no instance was checked: all {skipped} were refused, the last by {exc}"
+                ) from None
             continue
         t = t_value(alphas)
         if q_sum > t:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from anticonc.caps import Caps, ENV_VAR
 from anticonc.chains import Block, iterated_decompose
 from anticonc.cli import main
 from anticonc.errors import ResourceCapExceeded
+from anticonc.lattice import _centre_t_value, t_value
 from anticonc.geometry import (
     PointConfig,
     VectorMeasure,
@@ -120,6 +122,7 @@ _CAP_CHECKS = [
     pytest.param("odd_hole", 5, ["berge-check"], _C5, id="odd_hole"),
     pytest.param("replicas", 8, lambda: to_uniform_multiset(
         VectorMeasure(PointConfig(l2(2), [(0, 0), (2, 0)]), [F(1, 8), F(7, 8)])), None, id="replicas"),
+    pytest.param("tvalue_work", 7, ["t-value", "--alphas", "1/2,1/3,1/3"], None, id="tvalue_work"),
     pytest.param("chain_tuples", 12, lambda: iterated_decompose(
         [Block.from_points([(i, 0) for i in range(k)], _X_FRAME) for k in (3, 4)]), None, id="chain_tuples"),
 ]
@@ -135,6 +138,7 @@ def test_cap_check_boundary(tmp_path, key, amount, call, data):
         with caps_env(**{key: amount - 1}), pytest.raises(ResourceCapExceeded, match=f"^{message}$"):
             call()
         return
+    _centre_t_value.cache_clear()  # a memoised t-value is returned without a check
     args = call
     if data is not None:
         path = tmp_path / "input.json"
@@ -143,5 +147,42 @@ def test_cap_check_boundary(tmp_path, key, amount, call, data):
     runner = CliRunner()
     ok = runner.invoke(main, args, env={ENV_VAR: json.dumps({key: amount})})
     assert ok.exit_code == 0, ok.output
+    _centre_t_value.cache_clear()
     capped = runner.invoke(main, args, env={ENV_VAR: json.dumps({key: amount - 1})})
     assert capped.exit_code == 2 and capped.stderr == f"resource cap: {message}\n"
+
+
+class TestTValueBudget:
+    """``tvalue_work`` prices a t-value before any arithmetic: the last run's
+    power plus the head path taken, the fold's seed power included."""
+
+    @pytest.mark.parametrize("alphas, price", [
+        ([F(1, 1000)] * 90, 44_911_044),
+        ([F(1, 10000)] * 5, 249_955_002),
+        ([F(1, 10000)] * 5 + [F(1, 2)], 249_955_003),  # a one-run head folds from its seed power
+    ], ids=["1/1000x90", "1/10000x5", "seed-power"])
+    def test_refused_before_the_work(self, alphas, price):
+        _centre_t_value.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapExceeded, match=f"^tvalue_work needs {price}, cap is 10000000$"):
+            t_value(alphas)
+        assert time.perf_counter() - start < 0.1
+
+    def test_cli_exits_2(self):
+        _centre_t_value.cache_clear()
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["t-value", "--alphas", ",".join(["1/10000"] * 5)])
+        assert time.perf_counter() - start < 0.1
+        assert result.exit_code == 2
+        assert result.stderr == "resource cap: tvalue_work needs 249955002, cap is 10000000\n"
+
+    def test_memoised_answer_skips_the_check(self):
+        # the memo holds exact answers only, so one returned without a check
+        # is the answer the capped run would refuse to compute
+        _centre_t_value.cache_clear()
+        want = t_value([F(1, 3)] * 4 + [F(1, 2)])
+        with caps_env(tvalue_work=0):
+            assert t_value([F(1, 2)] + [F(1, 3)] * 4) == want
+            _centre_t_value.cache_clear()
+            with pytest.raises(ResourceCapExceeded, match="^tvalue_work needs "):
+                t_value([F(1, 3)] * 4 + [F(1, 2)])

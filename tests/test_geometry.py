@@ -1160,6 +1160,155 @@ class TestQuadKernel:
             m.to_json()
 
 
+# --- the integer-pair kernels against QuadExt arithmetic ---
+
+PAIR_FIELDS = (2, 3, 5, 6, 7)
+
+
+def ref_quad_row(s, pts):
+    """The planar l2 row test as it ran on `QuadExt` values: dx^2 + dy^2 < s^2."""
+    ss = s * s
+    return lambda a, row: [b for b in row if (pts[b][0] - pts[a][0]) ** 2 + (pts[b][1] - pts[a][1]) ** 2 < ss]
+
+
+def _pair_branch(m, s, p, q):
+    """Which case of the rule "2t sqrt(m) < r" decides the pair p, q."""
+    (a, b), (c, d) = [(v.a - u.a, v.b - u.b) for u, v in zip(p, q)]
+    r, t = s * s - a * a - c * c - m * (b * b + d * d), a * b + c * d
+    if t < 0:
+        return "t<0, r>=0" if r >= 0 else "t<0, m4t2>r2" if 4 * m * t * t > r * r else "t<0, m4t2<r2"
+    return "t>=0, r<=0" if r <= 0 else "t>=0, m4t2<r2" if 4 * m * t * t < r * r else "t>=0, m4t2>r2"
+
+
+def _pair_configs(m, rng):
+    """Random Q(sqrt(m)) point sets, dense enough that every sign case of the
+    pair rule occurs, with unit chords and near-unit chords added."""
+    r = QuadExt.of(0, 1, m)
+    for _ in range(30):
+        den = rng.choice((1, 2, 3, 4, 6))
+        pts = [(QuadExt.of(F(rng.randint(-5, 5), den), F(rng.randint(-3, 3), den), m),
+                QuadExt.of(F(rng.randint(-5, 5), den), F(rng.randint(-3, 3), den), m))
+               for _ in range(rng.randint(2, 12))]
+        p = rng.choice(pts)
+        # (1/2) (1, 1) scaled by sqrt(2) has length 1 in Q(sqrt(2)); in every
+        # field the axis and (3/5, 4/5) are unit chords with irrational anchors
+        units = [(QuadExt.of(1, 0, m), QuadExt.of(0, 0, m)), (QuadExt.of(F(3, 5), 0, m), QuadExt.of(F(-4, 5), 0, m))]
+        if m == 2:
+            units.append((r * F(1, 2), r * F(1, 2)))
+        for u in units:
+            for t in (F(1), F(96, 97), F(98, 97)):
+                pts.append((p[0] + u[0] * t, p[1] + u[1] * t))
+        yield tuple(pts)
+
+
+class TestPairKernel:
+    """The integer-pair l2 test, the floor keys and product sums on flat int
+    tuples decide as the `QuadExt` arithmetic they replace."""
+
+    @pytest.mark.parametrize("m", PAIR_FIELDS)
+    def test_row_test_matches_quadext(self, m):
+        from anticonc.geometry import _row_test
+
+        rng, branches = random.Random(3200 + m), set()
+        for pts in _pair_configs(m, rng):
+            s, ipts = _scaled_integers(pts)
+            near, want = _row_test(l2(2), s, ipts), ref_quad_row(s, ipts)
+            for a in range(len(ipts)):
+                row = [b for b in range(len(ipts)) if b != a]
+                assert near(a, row) == want(a, row)
+                branches.update(_pair_branch(m, s, ipts[a], ipts[b]) for b in row)
+            assert distance_graph(PointConfig(l2(2), pts)).edges == ref_quad_edges(l2(2), pts)
+        assert branches == {"t<0, r>=0", "t<0, m4t2>r2", "t<0, m4t2<r2",
+                            "t>=0, r<=0", "t>=0, m4t2<r2", "t>=0, m4t2>r2"}
+
+    def test_exact_unit_chords(self):
+        from anticonc.geometry import _row_test
+        from anticonc.scenarios import _octagon_points, _sharpness_points
+
+        # the octagon's three-step chord is exactly 1: t = r = 0, not near
+        s, ipts = _scaled_integers(_octagon_points())
+        near = _row_test(l2(2), s, ipts)
+        assert [(a, (a + 3) % 8) for a in range(8) if near(a, [(a + 3) % 8])] == []
+        assert _pair_branch(2, s, ipts[0], ipts[3]) == "t>=0, r<=0"
+        assert all(near(a, [(a + k) % 8]) for a in range(8) for k in (1, 2))
+        # at epsilon 0 every critical pair of the sharpness points is exactly 1
+        pts = _sharpness_points(F(0))
+        s, ipts = _scaled_integers(pts)
+        near, want = _row_test(l2(2), s, ipts), ref_quad_row(s, ipts)
+        critical = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (1, 4)]
+        for a, b in critical:
+            assert sum(((u - v) ** 2 for u, v in zip(pts[a], pts[b])), QuadExt.of(0, 0, 3)) == 1
+            assert near(a, [b]) == want(a, [b]) == []
+        assert distance_graph(PointConfig(l2(2), pts)).edges == set()
+
+    @pytest.mark.parametrize("m", PAIR_FIELDS)
+    def test_floor_keys_order_values_and_steps(self, m):
+        from anticonc.quadfield import _floor_keys
+
+        rng = random.Random(3300 + m)
+        for _ in range(20):
+            values = [QuadExt(rng.randint(-30, 30), rng.randint(-12, 12), m) for _ in range(12)]
+            values += rng.sample(values, 3)
+            reach = rng.randint(0, 9)
+            k, keys = _floor_keys(values, reach)
+            for (x, kx), (y, ky) in itertools.product(zip(values, keys), repeat=2):
+                for t in range(-reach, reach + 1):
+                    sign = (y - x - t).sign()
+                    assert (kx + (t << k) < ky, kx + (t << k) == ky) == (sign > 0, sign == 0)
+
+    @pytest.mark.parametrize("m", PAIR_FIELDS)
+    def test_product_sum_matches_quadext_convolution(self, m):
+        rng = random.Random(3400 + m)
+        for _ in range(4):
+            ms = []
+            for pts in itertools.islice(_pair_configs(m, rng), 2):
+                pts = pts[:4] + pts[-3:]  # a few random points and unit chords
+                raw = [rng.randint(1, 5) for _ in pts]
+                ms.append(VectorMeasure(PointConfig(l2(2), pts), tuple(F(u, sum(raw)) for u in raw)))
+            ms.append(VectorMeasure.uniform(l2(2), [(0, 0), (F(1, 3), 1)]))  # rational summands join
+            acc = {((QuadExt.of(0, 0, m),) * 2): F(1)}
+            for x in ms:
+                nxt = {}
+                for p, w in acc.items():
+                    for q, u in x.atoms():
+                        key = (p[0] + q[0], p[1] + q[1])
+                        nxt[key] = nxt.get(key, 0) + w * u
+                acc = nxt
+            total = product_sum_measure(ms)
+            assert list(total.atoms()) == sorted(acc.items())
+            assert_matches_graph_search(total)
+
+    def test_product_sum_refuses_two_fields(self):
+        a = VectorMeasure.uniform(l2(2), [(0, 0)])
+        two, three = (VectorMeasure(PointConfig(l2(2), ((QuadExt.of(0, 1, m),) * 2,)), (1,)) for m in (2, 3))
+        with pytest.raises(DomainError, match=r"one Q\(sqrt\(m\)\)"):
+            product_sum_measure([a, two, three])
+
+    @pytest.mark.parametrize("norm", [l1(2), linf(2), lp(3, 2), l2(3), l1(3), linf(3), l2(1)],
+                             ids=lambda n: f"{n.kind}{n.p or ''}-{n.dimension}d")
+    def test_other_norms_keep_their_answers(self, norm):
+        # the norms that still decide Q(sqrt(m)) points by `QuadExt`
+        # arithmetic: graphs, concentrations and product sums as before
+        from anticonc.perfect_graphs import max_clique
+
+        rng = random.Random(3500 + norm.dimension * 10 + norm.exponent)
+        for m in PAIR_FIELDS:
+            for _ in range(4):
+                pts = [tuple(QuadExt.of(F(rng.randint(-4, 4), 2), F(rng.randint(-2, 2), 2), m)
+                             for _ in range(norm.dimension)) for _ in range(rng.randint(1, 9))]
+                cfg = PointConfig(norm, pts)
+                ref = ref_quad_edges(norm, pts)
+                assert distance_graph(cfg).edges == ref
+                measure = VectorMeasure(cfg, [F(1, len(pts))] * len(pts))
+                res = concentration_q(measure)
+                sub = ref_quad_edges(norm, measure.points)
+                g = DistGraph(len(measure.points), sub)
+                assert (res.value, res.witness) == max_clique(g, measure.weights)
+                total = product_sum_measure([measure, measure])
+                assert concentration_q(total).value == max_clique(
+                    DistGraph(len(total.points), ref_quad_edges(norm, total.points)), total.weights)[0]
+
+
 # --- reference: the kernel before the planar sweep, rows cut by a linear
 # scan and one generic per-pair test in every dimension ---
 

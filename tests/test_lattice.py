@@ -535,13 +535,14 @@ class TestProductOfPowersPath:
     @given(product_run_lists())
     @settings(max_examples=30, deadline=None)
     def test_both_paths_match_reference(self, alphas):
-        # a tally of degree 0 makes the product free, one of infinite degree
-        # makes it dearer than any fold
+        # a head tally of degree 0 makes the product free, one of infinite
+        # degree makes it dearer than any fold; the last run's own tally (one
+        # run, a head has two or more here) prices its power and stays true
         want = ref_t_value(alphas)
         tally = lattice._tally
         for degree, product in ((0, True), (math.inf, False)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lattice, "_tally", lambda head: tally(head)[:3] + (degree,))
+                mp.setattr(lattice, "_tally", lambda runs: tally(runs)[:3] + (degree,) if len(runs) > 1 else tally(runs))
                 calls = _spy_powers(mp)
                 assert _centre_t_value.__wrapped__(lattice._alpha_runs(alphas)) == want
                 assert (calls[1] > 1) is product
@@ -595,6 +596,20 @@ class TestProductOfPowersPath:
         assert [product_taken(pairs) for pairs in windows] == three_runs
         lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
         assert not any(product_taken(pairs) for pairs in lists)
+
+    def test_default_budget_covers_benchmark_lists(self, monkeypatch):
+        # tvalue_work defaults to over 10x the price of every seed-0 tvalue
+        # list and sums window (the largest benchmark price, 7,814, is a window)
+        from anticonc.caps import Caps
+
+        mixes, prices = _load_bench_mixes(), []
+        check = lattice.check
+        monkeypatch.setattr(lattice, "check", lambda name, amount: prices.append(amount) or check(name, amount))
+        lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
+        lists += [job[1] for job in mixes.generate("sums", 0, mixes.job_count("sums", 20)) if job[0] == "window"]
+        for pairs in lists:
+            _centre_t_value.__wrapped__(lattice._alpha_runs([F(n, d) for n, d in pairs]))
+        assert len(prices) == len(lists) and 10 * max(prices) <= Caps().tvalue_work
 
 
 # near-equal alphas: Farey neighbours j/d, (j + 1)/(d + 1) and their

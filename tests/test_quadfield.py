@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticonc.quadfield import QuadExt
+from anticonc.quadfield import QuadExt, _scaled_points
 
 small_fracs = st.fractions(min_value=-5, max_value=5)
 
@@ -78,12 +78,12 @@ class TestKernelOperations:
             assert type(w.a) is int and type(w.b) is int
 
     def test_scaling_to_integers(self):
-        x = QuadExt.of(F(5, 6), F(-3, 4), 3)
-        assert x.denominator == 12
-        assert x.numerator == QuadExt(10, -9, 3)
-        assert type(x.numerator.a) is int and type(x.numerator.b) is int
-        assert QuadExt.of(2, 0, 2).denominator == 1
-        assert QuadExt(4, -1, 2).numerator == QuadExt(4, -1, 2)
+        # points scale by the lcm of the denominators of both parts
+        scale, ((y,),) = _scaled_points([(QuadExt.of(F(5, 6), F(-3, 4), 3),)])
+        assert scale == 12 and y == QuadExt(10, -9, 3)
+        assert type(y.a) is int and type(y.b) is int
+        assert _scaled_points([(QuadExt.of(2, 0, 2),)]) == (1, ((QuadExt(2, 0, 2),),))
+        assert _scaled_points([(QuadExt(4, -1, 2), q2(F(1, 2), 0))]) == (2, ((QuadExt(8, -2, 2), QuadExt(1, 0, 2)),))
 
     def test_hash_ignores_component_type(self):
         assert QuadExt(1, 2, 2) == q2(1, 2)
@@ -99,7 +99,8 @@ class TestKernelOperations:
         assert close(float(x**e), fx**e)
         assert close(float(0 + x), fx) and close(float(x + k), fx + k)
         assert close(float(x * k), fx * k) and close(float(k * x), k * fx)
-        assert float(x.numerator) == pytest.approx(fx * x.denominator, rel=1e-9, abs=1e-9)
+        scale, ((y,),) = _scaled_points([(x,)])
+        assert float(y) == pytest.approx(fx * scale, rel=1e-9, abs=1e-9)
         if abs(fx - k) > 1e-9:
             assert (x < k) == (fx < k) and (x >= k) == (fx >= k)
 

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 from conftest import caps_env
 
-from anticonc.errors import DomainError
+from anticonc.cli import main
+from anticonc.errors import DomainError, ResourceCapExceeded
 from anticonc.geometry import l1, l2, linf, lp
 from anticonc.lattice import t_value
 from anticonc.quadfield import QuadExt
@@ -170,6 +172,53 @@ _SHARPNESS_JSON = {
 }
 
 
+_SHARPNESS_ZERO_DEFAULT = (
+    '{"name": "sharpness", "pass": true, "details": {"epsilon": "0/1", "edge_count": 0, "hole_found": false, "deviation_above_threshold": false, "max_abs_y_float": 0.4330127018922193, "degenerate_no_edges": true}}'
+)
+
+_CLI_OUTPUT = {
+    ("octagon",): (
+        '{\n'
+        '  "details": {\n'
+        '    "center_weight": "1/8",\n'
+        '    "circulant_steps_1_2": true,\n'
+        '    "contrast_radius_half_q": "1/2",\n'
+        '    "q_single": "3/8",\n'
+        '    "q_sum": "3/8",\n'
+        '    "sum_support_size": 33,\n'
+        '    "t_below_alpha": true,\n'
+        '    "t_value": "11/32"\n'
+        '  },\n'
+        '  "name": "octagon",\n'
+        '  "pass": true\n'
+        '}\n'
+    ),
+    ("sharpness", "--strip-samples", "20", "--seed", "3"): (
+        '{\n'
+        '  "details": {\n'
+        '    "below_threshold_berge": true,\n'
+        '    "deviation_above_threshold": true,\n'
+        '    "edge_count": 5,\n'
+        '    "epsilon": "1/1000",\n'
+        '    "hole": [\n'
+        '      0,\n'
+        '      1,\n'
+        '      2,\n'
+        '      3,\n'
+        '      4\n'
+        '    ],\n'
+        '    "hole_found": true,\n'
+        '    "max_abs_y_float": 0.4350107018922193,\n'
+        '    "strip_all_berge": true,\n'
+        '    "strip_samples": 20\n'
+        '  },\n'
+        '  "name": "sharpness",\n'
+        '  "pass": true\n'
+        '}\n'
+    ),
+}
+
+
 class TestPinnedOutput:
     """Literal scenario output: key order, values and hole indices."""
 
@@ -181,6 +230,15 @@ class TestPinnedOutput:
     def test_sharpness_json(self, eps):
         out = run_sharpness_scenario(eps, strip_samples=20, seed=3).to_json()
         assert json.dumps(out) == json.dumps(_SHARPNESS_JSON[eps])
+
+    def test_sharpness_zero_default_json(self):
+        out = run_sharpness_scenario(0).to_json()
+        assert json.dumps(out) == _SHARPNESS_ZERO_DEFAULT
+
+    @pytest.mark.parametrize("args", sorted(_CLI_OUTPUT), ids=" ".join)
+    def test_cli_output(self, args):
+        result = CliRunner().invoke(main, list(args))
+        assert result.exit_code == 0 and result.stdout == _CLI_OUTPUT[args]
 
 
 class TestVerifyTheorem22:
@@ -218,20 +276,34 @@ class TestVerifyTheorem22:
         result = run_verify_theorem22({"count": 0, "extremal_cases": 0})
         assert result.passed and result.details["instances"] == 0
 
-    def test_capped_instances_skipped(self):
-        # every instance is refused by the clique cap and counted, not
-        # checked; the run still passes, with no instance checked
-        with caps_env(clique=0):
-            result = run_verify_theorem22({"count": 4, "extremal_cases": 0})
-        assert result.passed
-        assert result.details["skipped"] == 4 and result.details["failures"] == []
-        assert result.details["min_margin"] is None
+    def test_all_instances_capped_raises(self, tmp_path):
+        # every instance refused by a cap: nothing was checked, so no verdict;
+        # the CLI exits 2 with the cap of the last refusal
+        gen = {"count": 4, "extremal_cases": 0}
+        with caps_env(clique=0), pytest.raises(ResourceCapExceeded) as err:
+            run_verify_theorem22(gen)
+        assert str(err.value).startswith("no instance was checked: all 4 were refused, the last by clique needs ")
+        assert str(err.value).endswith(", cap is 0")
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(gen))
+        result = CliRunner().invoke(main, ["verify-theorem22", "--input", str(path)],
+                                    env={"ANTICONC_CAPS": json.dumps({"clique": 0})})
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stderr == f"resource cap: {err.value}\n"
+
+    def test_some_instances_capped_still_checked(self):
+        # sums over the clique cap are refused and counted; the smaller
+        # instances are checked and the run keeps its verdict
+        with caps_env(clique=8):
+            result = run_verify_theorem22({"count": 12, "extremal_cases": 0}, seed=2)
+        assert result.passed and result.details["failures"] == []
+        assert result.details["skipped"] == 3
+        assert result.details["min_margin"] is not None
 
     def test_deterministic(self):
         a = run_verify_theorem22({"count": 15}, seed=4)
         b = run_verify_theorem22({"count": 15}, seed=4)
         assert a.to_json() == b.to_json()
-
 
 def _strip_bound_reference(norm, scale, den):
     """The strip bound as first written: a non-strict bound on the square
