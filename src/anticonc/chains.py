@@ -95,16 +95,22 @@ class Block(_IntForm):
             raise InvariantViolation(f"{len(dots)} functional values for {len(ipts)} points")
         self.__dict__.update(frame=frame, _s=s, _ipts=ipts, _dots=dots)  # so an error names the value given
         ints = tuple(frame._dots(ipts))
-        for i, (d, e) in enumerate(zip(dots, ints)):
-            if d != e:
-                raise InvariantViolation(f"functional value {self.f_raw[i]} is wrong at point {self.points[i]}")
+        if dots != ints:
+            i = next(i for i, (d, e) in enumerate(zip(dots, ints)) if d != e)
+            raise InvariantViolation(f"functional value {self.f_raw[i]} is wrong at point {self.points[i]}")
         self.__dict__["_dots"] = dots = ints  # equal; ints where a public block gave Fractions
+        if len(ipts) == 1:
+            return
         half_apart = frame._half_apart(s * frame._scaled[0])
-        for lo, hi in zip(dots, dots[1:]):
-            if lo > hi:
-                raise InvariantViolation("block points must be sorted by functional value")
-            if not half_apart(hi - lo):
-                raise InvariantViolation("consecutive functional values closer than 1/2")
+        # the test is monotone in |gap|, so the least gap passes only if every
+        # one does; otherwise the scan in order finds the first fault
+        least = min(map(operator.sub, dots[1:], dots))
+        if least < 0 or not half_apart(least):
+            for lo, hi in zip(dots, dots[1:]):
+                if lo > hi:
+                    raise InvariantViolation("block points must be sorted by functional value")
+                if not half_apart(hi - lo):
+                    raise InvariantViolation("consecutive functional values closer than 1/2")
         if frame._consecutive_only:
             near_pair = _row_test(frame.norm, s, ipts)
             near = [(i, i + 1) for i in range(len(ipts) - 1) if near_pair(i, (i + 1,))]

@@ -480,8 +480,9 @@ def _near_masks(norm: NormSpec, s: int, ipts: Sequence[tuple]) -> tuple[list[int
     """
     _check_dims(norm, *ipts)
     unit, keys = _order_form(s, ipts)
-    order = tuple(sorted(range(len(ipts)), key=lambda i: keys[i][0]))
-    xs, near = [keys[i][0] for i in order], _row_test(norm, s, ipts)
+    xk = [k[0] for k in keys]
+    order = tuple(sorted(range(len(ipts)), key=xk.__getitem__))
+    xs, near = [xk[i] for i in order], _row_test(norm, s, ipts)
     masks = [0] * len(ipts)
     for a, x in enumerate(xs):
         i = order[a]
@@ -708,7 +709,7 @@ def _hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         start = len(hull)
         for x, y in seq:
             while len(hull) > start + 1:
-                (ax, ay), (bx, by) = hull[-2:]
+                (ax, ay), (bx, by) = hull[-2], hull[-1]
                 if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
                     break
                 hull.pop()

@@ -88,7 +88,14 @@ class DistGraph:
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, m in enumerate(self.masks) for v in _iter_bits(m & -(2 << u)))
+        pairs = []
+        for u, m in enumerate(self.masks):
+            m &= -(2 << u)
+            while m:
+                low = m & -m
+                pairs.append((u, low.bit_length() - 1))
+                m ^= low
+        return frozenset(pairs)
 
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
@@ -103,15 +110,23 @@ class DistGraph:
     def induced(self, vertices: Sequence[int]) -> "DistGraph":
         """The subgraph on these distinct vertices, vertices[i] relabelled i."""
         order = list(vertices)
-        pos = {v: i for i, v in enumerate(order)}
-        if len(pos) < len(order):
+        if len(set(order)) < len(order):
             raise DomainError("repeated vertex in induced subgraph")
         if not all(0 <= v < self.n for v in order):
             raise DomainError("induced subgraph vertex out of range")
-        keep = sum(1 << v for v in order)
-        sub = DistGraph._from_masks(
-            len(order), [sum(1 << pos[u] for u in _iter_bits(self.masks[v] & keep)) for v in order]
-        )
+        bit, keep = [0] * self.n, 0  # bit[v]: v's bit after relabelling
+        for i, v in enumerate(order):
+            bit[v] = 1 << i
+            keep |= 1 << v
+        rows = []
+        for v in order:
+            m, row = self.masks[v] & keep, 0
+            while m:
+                low = m & -m
+                row |= bit[low.bit_length() - 1]
+                m ^= low
+            rows.append(row)
+        sub = DistGraph._from_masks(len(order), rows)
         if len(order) == self.n and "_omega" in self.__dict__:  # a permutation keeps it
             sub.__dict__["_omega"] = self._omega
         return sub
@@ -262,10 +277,11 @@ def _clique_search(g: DistGraph, iw: Sequence[int]) -> tuple[int, tuple[int, ...
     """The search behind ``max_clique`` on nonnegative integer weights, one
     per vertex, already checked: the best weight and its witness."""
     masks = g.masks
-    seed: list[int] = []  # greedy: descending weight, then index
-    for v in sorted(range(g.n), key=lambda v: (-iw[v], v)):
-        if all(masks[v] >> u & 1 for u in seed):
+    seed, on = [], 0  # greedy: descending weight, then index (a stable sort)
+    for v in sorted(range(g.n), key=iw.__getitem__, reverse=True):
+        if masks[v] & on == on:
             seed.append(v)
+            on |= 1 << v
     return _branch_and_bound(masks, iw, _suffix_color_bounds(masks, iw), seed)
 
 
@@ -313,13 +329,18 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
     # saturation * n + degree; max() returns the first, lowest-index, of equals
     rank = [m.bit_count() for m in masks]
     seen = [0] * n  # bit c of seen[v] set once a neighbour of v has colour c
-    colors, left = [-1] * n, list(range(n))
+    colors, left, uncolored = [-1] * n, list(range(n)), (1 << n) - 1
     while left:
         v = max(left, key=rank.__getitem__)
         left.remove(v)
+        uncolored ^= 1 << v
         free = ~seen[v] & (seen[v] + 1)  # the lowest clear bit
         colors[v] = free.bit_length() - 1
-        for u in _iter_bits(masks[v]):
+        nb = masks[v] & uncolored  # a coloured vertex's rank is never read again
+        while nb:
+            low = nb & -nb
+            u = low.bit_length() - 1
+            nb ^= low
             if not seen[u] & free:
                 seen[u] |= free
                 rank[u] += n
@@ -327,9 +348,10 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
 
 
 def _classes_from_colors(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(v for v, c in enumerate(colors) if c == k) for k in range(max(colors, default=-1) + 1)
-    )
+    classes = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    return tuple(map(tuple, classes))
 
 
 def chromatic_number(g: DistGraph) -> ColoringCertificate:
@@ -355,9 +377,11 @@ def chromatic_number(g: DistGraph) -> ColoringCertificate:
         v = 0
         while v >= 0:
             if cand[v] < 0:
-                forbidden = 0
-                for u in _iter_bits(masks[v] & ((1 << v) - 1)):  # those below v are coloured
-                    forbidden |= 1 << colors[u]
+                forbidden, below = 0, masks[v] & ((1 << v) - 1)  # those below v are coloured
+                while below:
+                    low = below & -below
+                    forbidden |= 1 << colors[low.bit_length() - 1]
+                    below ^= low
                 cand[v] = ((1 << min(used[v] + 1, best_k - 1)) - 1) & ~forbidden
             colors[v] = -1
             if not cand[v]:
@@ -533,9 +557,12 @@ def cocomparability_order(g: DistGraph) -> Optional[tuple[int, ...]]:
     after it; only those adjacent to some earlier vertex are tested."""
     order, masks, done, reach = g.__dict__.get("_order"), g.masks, 0, 0
     for b in order or ():
-        before = done & ~masks[b]
-        if any(masks[c] & before for c in _iter_bits(reach & ~(masks[b] | done))):
-            return None
+        before, cand = done & ~masks[b], reach & ~(masks[b] | done)
+        while cand:
+            low = cand & -cand
+            if masks[low.bit_length() - 1] & before:
+                return None
+            cand ^= low
         done, reach = done | 1 << b, reach | masks[b]
     return order
 

@@ -67,6 +67,70 @@ class TestBlock:
             Block.from_points([(F(0), F(0)), (F(1, 8), F(2))], X_FRAME)
 
 
+CLOSE_THEN_UNSORTED = [(F(0), F(0)), (F(1, 4), F(2)), (F(-1), F(4))]
+UNSORTED_THEN_CLOSE = [(F(0), F(0)), (F(-1), F(2)), (F(-3, 4), F(4))]
+CLOSER = "consecutive functional values closer than 1/2"
+UNSORTED = "block points must be sorted by functional value"
+
+
+def unchecked_block(points, f_raw):
+    """A block that skipped every check, so that ``btk_decompose`` peels a
+    fault into a chain: its product with a one-point block at the origin is
+    one chain holding the same points and values."""
+    s, ipts = geometry._scaled_integers(points)
+    b = object.__new__(Block)
+    st = s * X_FRAME._scaled[0]
+    b.__dict__.update(frame=X_FRAME, _s=s, _ipts=tuple(ipts), _dots=tuple(f * st for f in f_raw))
+    return b
+
+
+ORIGIN = Block([(F(0), F(0))], [F(0)], X_FRAME)
+
+# each way a block is built: the points in the order given, with these values
+BUILDS = {
+    "init": lambda pts, fs: Block(pts, fs, X_FRAME),
+    "btk": lambda pts, fs: btk_decompose(unchecked_block(pts, fs), ORIGIN).chains[0],
+}
+
+
+class TestBlockCheckOrder:
+    """The first fault in point order decides the message, whichever way the block is built."""
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    @pytest.mark.parametrize("points, message", [(CLOSE_THEN_UNSORTED, CLOSER), (UNSORTED_THEN_CLOSE, UNSORTED)],
+                             ids=["close-first", "unsorted-first"])
+    def test_first_gap_fault_decides(self, build, points, message):
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            build(points, [p[0] for p in points])
+
+    def test_from_points_reports_a_close_pair(self):
+        # from_points sorts, so only the close pair is left to report
+        with pytest.raises(InvariantViolation, match=f"^{CLOSER}$"):
+            Block.from_points(CLOSE_THEN_UNSORTED, X_FRAME)
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_wrong_value_names_the_first_wrong_point(self, build):
+        points = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0)), (F(3), F(0))]
+        with pytest.raises(InvariantViolation) as got:
+            build(points, [F(0), F(1), F(5), F(7)])
+        assert str(got.value) == f"functional value {F(5)} is wrong at point {points[2]}"
+
+    @pytest.mark.parametrize("build", [*BUILDS.values(), lambda pts, fs: Block.from_points(pts, X_FRAME)],
+                             ids=[*BUILDS.keys(), "from_points"])
+    def test_half_gap_and_one_point_pass(self, build):
+        half = [(F(0), F(0)), (F(1, 2), F(2)), (F(1), F(0))]
+        for points in (half, half[:1], [(F(5, 3), F(-1, 7))]):
+            block = build(points, [p[0] for p in points])
+            assert block.points == tuple(points) and block.f_raw == tuple(p[0] for p in points)
+
+    def test_peeled_half_gaps_pass(self):
+        a = Block.from_points([(F(0), F(0)), (F(1, 2), F(2))], X_FRAME)
+        b = Block.from_points([(F(0), F(0)), (F(1, 2), F(-2))], X_FRAME)
+        chains = btk_decompose(a, b).chains
+        assert [c.points for c in chains] == [((F(0), F(0)), (F(1, 2), F(2)), (F(1), F(0))),
+                                              ((F(1, 2), F(-2)),)]
+
+
 class TestBtkDecompose:
     def test_pair_of_two_blocks(self):
         a = line_block([0, 1])

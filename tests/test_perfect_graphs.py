@@ -253,6 +253,12 @@ class TestDistGraph:
             ([0, 0, 1], "repeated vertex in induced subgraph"),
             ([0, 7], "induced subgraph vertex out of range"),
             ([-1, 0], "induced subgraph vertex out of range"),
+            # repeats are reported first; a negative vertex must not wrap
+            # around a list indexed by vertex
+            ([7, 7], "repeated vertex in induced subgraph"),
+            ([-1, -1], "repeated vertex in induced subgraph"),
+            ([-3], "induced subgraph vertex out of range"),
+            ([2, 0, -1], "induced subgraph vertex out of range"),
         ],
     )
     def test_induced_rejects_bad_vertices(self, verts, message):
@@ -1405,3 +1411,116 @@ class TestCertificates:
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# --- the graph kernels before their bit loops were inlined ------------------------
+# Verbatim copies (methods as functions of the graph g), kept as oracles: the
+# kernels must give the same colour lists, masks, edge sets and classes.
+
+
+def ref_mask_dsatur_greedy(g):
+    masks, n = g.masks, g.n
+    # saturation * n + degree; max() returns the first, lowest-index, of equals
+    rank = [m.bit_count() for m in masks]
+    seen = [0] * n  # bit c of seen[v] set once a neighbour of v has colour c
+    colors, left = [-1] * n, list(range(n))
+    while left:
+        v = max(left, key=rank.__getitem__)
+        left.remove(v)
+        free = ~seen[v] & (seen[v] + 1)  # the lowest clear bit
+        colors[v] = free.bit_length() - 1
+        for u in _iter_bits(masks[v]):
+            if not seen[u] & free:
+                seen[u] |= free
+                rank[u] += n
+    return colors
+
+
+def ref_induced(g, vertices):
+    order = list(vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) < len(order):
+        raise DomainError("repeated vertex in induced subgraph")
+    if not all(0 <= v < g.n for v in order):
+        raise DomainError("induced subgraph vertex out of range")
+    keep = sum(1 << v for v in order)
+    sub = DistGraph._from_masks(
+        len(order), [sum(1 << pos[u] for u in _iter_bits(g.masks[v] & keep)) for v in order]
+    )
+    if len(order) == g.n and "_omega" in g.__dict__:  # a permutation keeps it
+        sub.__dict__["_omega"] = g._omega
+    return sub
+
+
+def ref_edges(g):
+    return frozenset((u, v) for u, m in enumerate(g.masks) for v in _iter_bits(m & -(2 << u)))
+
+
+def ref_classes_from_colors(colors):
+    return tuple(
+        tuple(v for v, c in enumerate(colors) if c == k) for k in range(max(colors, default=-1) + 1)
+    )
+
+
+def kernel_graphs():
+    """Seeded random graphs of 0-80 vertices at densities 0.05-0.95, and the
+    empty and complete graphs of those sizes, each held as masks only."""
+    rng = random.Random(3301)
+    for n in range(81):
+        full = (1 << n) - 1
+        yield DistGraph._from_masks(n, [0] * n)
+        yield DistGraph._from_masks(n, [full ^ 1 << v for v in range(n)])
+        for p in (0.05, 0.25, 0.5, 0.75, 0.95):
+            g = random_graph(rng, n, p)
+            yield DistGraph._from_masks(n, g.masks)
+
+
+def certify_graphs():
+    """Each seed-0 certify graph and its relabelling in the frame order that
+    ``block_decomposition`` colours."""
+    from anticonc.geometry import near_line_fit
+
+    for cfg in bench_certify_configs():
+        g = distance_graph(cfg)
+        s, ipts = cfg.scaled
+        dots = near_line_fit(cfg).frame._dots(ipts)
+        order = sorted(range(len(ipts)), key=lambda i: (dots[i], ipts[i]))
+        yield g, order
+
+
+class TestKernelsMatchReference:
+    def assert_same_on(self, g, rng):
+        colors = _dsatur_greedy(g)
+        assert colors == ref_mask_dsatur_greedy(g)
+        assert _classes_from_colors(colors) == ref_classes_from_colors(colors)
+        assert DistGraph._from_masks(g.n, g.masks).edges == ref_edges(g)
+        for verts in (rng.sample(range(g.n), rng.randint(0, g.n)), rng.sample(range(g.n), g.n)):
+            got, want = g.induced(verts), ref_induced(g, verts)
+            assert got.masks == want.masks and got.edges == want.edges
+
+    def test_random_empty_and_complete_graphs(self):
+        rng = random.Random(3302)
+        for g in kernel_graphs():
+            self.assert_same_on(g, rng)
+            k = rng.randint(1, 6)
+            colors = [rng.randrange(k) for _ in range(g.n)]
+            assert _classes_from_colors(colors) == ref_classes_from_colors(colors)
+
+    def test_certify_graphs_and_frame_orders(self):
+        rng = random.Random(3303)
+        for g, order in certify_graphs():
+            self.assert_same_on(g, rng)
+            self.assert_same_on(g.induced(order), rng)
+            got, want = g.induced(order), ref_induced(g, order)
+            assert chromatic_number(got) == chromatic_number(want)
+
+    def test_full_permutation_carries_omega(self):
+        rng = random.Random(3304)
+        for n in range(1, 25, 3):
+            g = random_graph(rng, n, rng.random())
+            perm, part = rng.sample(range(n), n), rng.sample(range(n), n - 1)
+            max_clique(g)
+            got, want = g.induced(perm), ref_induced(g, perm)
+            assert got.__dict__["_omega"] == want.__dict__["_omega"] == g._omega
+            assert "_omega" not in g.induced(part).__dict__
+            assert "_omega" not in ref_induced(g, part).__dict__
