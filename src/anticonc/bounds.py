@@ -6,9 +6,10 @@ exactly where the quantities involved are rational (squaring removes the
 square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
 names the failing inequality. Each function that takes an alpha list
-opens it once in ``_counted``: ``lattice._alpha_runs`` counts it into runs,
-which key the memoised t-value, third moments and (reversed) variance
-profile, which the bounds read only through its total and its head sums.
+counts it once into runs with ``lattice._alpha_runs`` (most in
+``_counted``); the runs key the memoised t-value, third moments, minimal
+delta' and (reversed) variance profile, which the bounds read only through
+its total and its head sums.
 The normal window and the master bound take the head-variance,
 third-moment and epsilon' conditions they share from one builder,
 ``_side_conditions``, with their own head share and epsilon' limit.
@@ -94,11 +95,13 @@ def _third_moment_sum(runs) -> Fraction:
 
 def minimal_delta_prime(alphas: Sequence) -> float:
     """Smallest float delta' with sum E|Y|^3 <= delta' * V*^(3/2) exactly."""
-    runs, _, _, v = _counted(alphas)
-    return _minimal_delta(_third_moment_sum(runs), v)
+    return _delta_prime(_alpha_runs(alphas))
 
 
-def _minimal_delta(third: Fraction, v: Fraction) -> float:
+@lru_cache(maxsize=8)
+def _delta_prime(runs) -> float:
+    """``minimal_delta_prime`` of the (alpha, count) runs."""
+    v, third = _profile(runs)[1], _third_moment_sum(runs)
     if v == 0:
         raise DomainError("total variance is zero")
     return _round_up(math.sqrt(float(third * third / v ** 3)), third, v)
@@ -263,7 +266,7 @@ def make_main_bound_params(
     if v == 0:
         raise DomainError("total variance is zero")
     if delta_prime is None:
-        delta_prime = _minimal_delta(_third_moment_sum(runs), v)
+        delta_prime = _delta_prime(runs)
     eps = epsilon_prime(delta_prime, cf)
     abar = sum((a * c for a, c in runs), ZERO) / n
     xi = abar if d == 2 else Fraction(1)

@@ -19,7 +19,9 @@ with two dot products, and the runs before it are one product or the
 first run's power with the factors in between folded one at a time,
 whichever takes fewer steps: one tally of the runs counts the product and
 sets up its recurrence, one fold schedule counts the fold and drives it.
-The last few results are memoised by their (alpha, count) runs.
+A small sum skips both: its runs are packed into big integers, one b-bit
+slot per coefficient, and multiplied in C (Kronecker substitution). The
+last few results are memoised by their (alpha, count) runs.
 ``_alpha_runs`` is the one place an alpha list is checked and counted into
 those runs (sorted on integers), ``_alpha_ratio`` the one place a single
 alpha is; a ``VarianceProfile`` holds such runs and derives its sums
@@ -312,6 +314,43 @@ def _centre_power(factors, tally=None) -> list[int]:
     return low[::-1]
 
 
+# Largest packed product, in bits, that `_centre_t_value` builds. CPython
+# multiplies big ints by Karatsuba at best, so larger products lose to the
+# recurrences; on the benchmark's t-value lists (2-CPU Xeon) the total time
+# was least here, within 1% from 21,000 to 25,000.
+_PACKED_BITS = 23_000
+
+
+def _packed_centre(factors, tally, b: int) -> int:
+    """Slots 0 and 1/2 of the sum of the (k, inner, outer, den, c) runs,
+    added, from one product of big integers (Kronecker substitution).
+
+    Each run's polynomial of `_centre_power` is evaluated at X = 2^b, with
+    outer·(1 + X^2 + ... + X^2k) = outer·(X^(2k+2) - 1)/(X^2 - 1) and the inner
+    part likewise; at stride 2 it is H(x^2) with x taken out, and x^2 is
+    2^b. Each run is raised to its count and the runs are multiplied in a
+    balanced tree. Every coefficient of every partial product is a
+    non-negative integer at most the product of den^c, which is below 2^b,
+    so no b-bit slot carries into the next and the slots are read off by
+    shifting. ``tally`` is the runs' `_tally`.
+    """
+    n, e, step, _ = tally
+    w, shift = 2 * b // step, b if step == 1 else 0  # the bits of x^2 and of x
+
+    def repunit(m: int) -> int:  # 1 + x^2 + ... + x^(2m - 2)
+        return ((1 << m * w) - 1) // ((1 << w) - 1)
+
+    parts = [pow(outer * repunit(k + 1) + (inner * repunit(k) << shift), c)
+             for k, inner, outer, _, c in factors]
+    while len(parts) > 1:
+        parts = [math.prod(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    mask = (1 << b) - 1
+    if step == 2:  # x^e·Q(x^2) has one of x^n, x^(n-1) at y^((n - e) // 2)
+        return parts[0] >> (n - e) // 2 * b & mask
+    pair = parts[0] >> (n - 1) * b  # slot 1/2 at x^(n-1), slot 0 at x^n
+    return (pair & mask) + (pair >> b & mask)
+
+
 @lru_cache(maxsize=8)
 def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     """``t_value`` of the (alpha, count) ``runs``, alphas increasing.
@@ -331,7 +370,10 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
 
     The price of the work, the last run's power plus the head path taken
     (the product, or the fold and its seed, the first run's power), is
-    checked against cap ``tvalue_work`` before any of it.
+    checked against cap ``tvalue_work`` before any of it. Then a sum whose
+    packed product, (2S/stride + 1)·den.bit_length() bits for the whole
+    half-width S, is at most ``_PACKED_BITS`` takes `_packed_centre`
+    instead of either path; the price and the check are the same.
     """
     factors = [(*_extremal_weights(a), c) for a, c in runs]
     den = math.prod([d ** c for _, _, _, d, c in factors])
@@ -350,6 +392,9 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
         product, fold = _power_price(tally), sum(top + k for k, _, _, top in schedule)
         work += product if product < fold else _power_price(_tally(head[:1])) + fold
     check("tvalue_work", work)
+    whole, b = _tally(factors), den.bit_length()
+    if (2 * whole[0] // whole[2] + 1) * b <= _PACKED_BITS:
+        return Fraction(_packed_centre(factors, whole, b), den)
     p = _centre_power([last])
     if not head:
         return Fraction(p[0] + p[1], den)
@@ -403,9 +448,11 @@ def t_value(alphas: Sequence) -> Fraction:
     are one such product or the first run's power with the factors of middle
     runs folded one at a time, whichever takes fewer steps; both keep only
     slots 0 ... R + 1, all that the last run (half-width R) can carry onto 0
-    and 1/2. The order of ``alphas`` does not matter: the last few run lists are
-    memoised, so the normal window and the master bound on the same
-    factors compute the sum once.
+    and 1/2. A sum small enough is instead one product of big integers,
+    each run packed into one with a slot per coefficient. The order of
+    ``alphas`` does not matter: the last few run lists are memoised, so the
+    normal window and the master bound on the same factors compute the sum
+    once.
     """
     return _centre_t_value(_alpha_runs(alphas))
 

@@ -326,17 +326,18 @@ def _dsatur_greedy(g: DistGraph) -> list[int]:
     """DSATUR: the uncoloured vertex of highest saturation, then highest
     degree, then lowest index takes the lowest colour no neighbour has."""
     masks, n = g.masks, g.n
-    # saturation * n + degree; max() returns the first, lowest-index, of equals
+    # saturation * n + degree, -1 once coloured; index() finds the first,
+    # lowest-index, of equals
     rank = [m.bit_count() for m in masks]
     seen = [0] * n  # bit c of seen[v] set once a neighbour of v has colour c
-    colors, left, uncolored = [-1] * n, list(range(n)), (1 << n) - 1
-    while left:
-        v = max(left, key=rank.__getitem__)
-        left.remove(v)
+    colors, uncolored = [-1] * n, (1 << n) - 1
+    for _ in range(n):
+        v = rank.index(max(rank))
+        rank[v] = -1
         uncolored ^= 1 << v
         free = ~seen[v] & (seen[v] + 1)  # the lowest clear bit
         colors[v] = free.bit_length() - 1
-        nb = masks[v] & uncolored  # a coloured vertex's rank is never read again
+        nb = masks[v] & uncolored  # a coloured vertex keeps rank -1
         while nb:
             low = nb & -nb
             u = low.bit_length() - 1

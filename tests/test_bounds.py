@@ -10,6 +10,7 @@ import pytest
 from anticonc.bounds import (
     BoundReport,
     ConditionCheck,
+    _delta_prime,
     _third_moment_sum,
     clt_window,
     crude_bound,
@@ -52,6 +53,19 @@ class TestEpsilonPrime:
         below = math.nextafter(d, 0.0)
         assert not third * third <= F(below) ** 2 * v ** 3
 
+
+    def test_window_job_rounds_delta_prime_once(self):
+        # minimal_delta_prime and make_main_bound_params with delta' unset
+        # share one rounding per run list; a zero variance raises every call
+        alphas = [F(3, 8)] * 60 + [F(1, 2)] * 40
+        _delta_prime.cache_clear()
+        d = minimal_delta_prime(alphas)
+        params = make_main_bound_params(alphas[::-1], d=2, C=0.01, c=F(1, 4))
+        info = _delta_prime.cache_info()
+        assert (info.hits, info.misses, params.delta_prime) == (1, 1, d)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="total variance is zero"):
+                minimal_delta_prime([F(1)] * 3)
 
 class TestThirdMomentSum:
     def test_equals_per_factor_sum(self):

@@ -10,6 +10,7 @@ from anticonc.caps import Caps, ENV_VAR
 from anticonc.chains import Block, iterated_decompose
 from anticonc.cli import main
 from anticonc.errors import ResourceCapExceeded
+from anticonc import lattice
 from anticonc.lattice import _centre_t_value, t_value
 from anticonc.geometry import (
     PointConfig,
@@ -175,6 +176,22 @@ class TestTValueBudget:
         assert time.perf_counter() - start < 0.1
         assert result.exit_code == 2
         assert result.stderr == "resource cap: tvalue_work needs 249955002, cap is 10000000\n"
+
+    def test_packed_path_is_checked_first(self, monkeypatch):
+        # a list under the packed cutoff keeps its price: accepted at it,
+        # refused one below with the same message before any product is built
+        alphas, price = [F(2, 5)] * 6 + [F(1, 2)] * 3 + [F(1, 3)] * 2, 77
+        packed, built = lattice._packed_centre, []
+        monkeypatch.setattr(lattice, "_packed_centre", lambda *args: built.append(1) or packed(*args))
+        _centre_t_value.cache_clear()
+        with caps_env(tvalue_work=price):
+            assert t_value(alphas) == F(64433, 375000)
+        assert built == [1]
+        _centre_t_value.cache_clear()
+        with caps_env(tvalue_work=price - 1), pytest.raises(
+                ResourceCapExceeded, match=f"^tvalue_work needs {price}, cap is {price - 1}$"):
+            t_value(alphas)
+        assert built == [1]
 
     def test_memoised_answer_skips_the_check(self):
         # the memo holds exact answers only, so one returned without a check

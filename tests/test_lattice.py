@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import re
+from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate
 from pathlib import Path
@@ -528,21 +529,48 @@ def _spy_powers(mp, stop=False):
     return calls
 
 
+def _path_taken(pairs) -> str:
+    """Which path `_centre_t_value` takes on the (num, den) ``pairs``:
+    "packed", "product" or "fold" (a one-run list counts as a fold)."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_powers(mp, stop=True)
+
+        def packed(*args):
+            raise _PathTaken
+
+        mp.setattr(lattice, "_packed_centre", packed)
+        try:
+            _centre_t_value.__wrapped__(lattice._alpha_runs([F(n, d) for n, d in pairs]))
+        except _PathTaken:
+            pass
+    return "packed" if not calls else "product" if len(calls) > 1 and calls[1] > 1 else "fold"
+
+
+def _force_path(mp, path: str) -> None:
+    """Make `_centre_t_value` take ``path`` wherever it can: the packed
+    cutoff above or below every list, and for the product and the fold a
+    head tally of degree 0 (the product is free) or of infinite degree
+    (dearer than any fold). The last run's own tally prices its power and
+    stays true."""
+    mp.setattr(lattice, "_PACKED_BITS", math.inf if path == "packed" else 0)
+    if path != "packed":
+        tally, degree = lattice._tally, 0 if path == "product" else math.inf
+        mp.setattr(lattice, "_tally", lambda runs: tally(runs)[:3] + (degree,) if len(runs) > 1 else tally(runs))
+
+
 class TestProductOfPowersPath:
     """The runs before the last are one product of powers or a seed and a
-    fold, whichever counts fewer steps; both give the reference t-value."""
+    fold, whichever counts fewer steps; both give the reference t-value.
+    The packed cutoff is pinned below every list, so neither is skipped."""
 
     @given(product_run_lists())
     @settings(max_examples=30, deadline=None)
     def test_both_paths_match_reference(self, alphas):
-        # a head tally of degree 0 makes the product free, one of infinite
-        # degree makes it dearer than any fold; the last run's own tally (one
-        # run, a head has two or more here) prices its power and stays true
+        # a head has two or more runs here, so either path can be forced
         want = ref_t_value(alphas)
-        tally = lattice._tally
-        for degree, product in ((0, True), (math.inf, False)):
+        for path, product in (("product", True), ("fold", False)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lattice, "_tally", lambda runs: tally(runs)[:3] + (degree,) if len(runs) > 1 else tally(runs))
+                _force_path(mp, path)
                 calls = _spy_powers(mp)
                 assert _centre_t_value.__wrapped__(lattice._alpha_runs(alphas)) == want
                 assert (calls[1] > 1) is product
@@ -570,32 +598,26 @@ class TestProductOfPowersPath:
                     half += k
                     fold += min(rest + 1, half) + k
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "_PACKED_BITS", 0)
                 calls = _spy_powers(mp, stop=True)
                 with pytest.raises(_PathTaken):
                     _centre_t_value.__wrapped__((*head_runs, (F(1), last)))
             assert calls == [1, len(head) if product < fold else 1]
 
     def test_seed_zero_benchmark_paths(self):
-        # the three-run normal windows of the sums workload take the product;
-        # every tvalue list folds
+        # every sums window is over the packed cutoff and its three-run ones
+        # take the product; of the tvalue lists, all but one uniform list and
+        # 71 of the 128 random ones are packed, and the rest fold
         mixes = _load_bench_mixes()
-
-        def product_taken(pairs):
-            with pytest.MonkeyPatch.context() as mp:
-                calls = _spy_powers(mp, stop=True)
-                try:
-                    _centre_t_value.__wrapped__(lattice._alpha_runs([F(n, d) for n, d in pairs]))
-                except _PathTaken:
-                    pass
-            return len(calls) > 1 and calls[1] > 1
-
         sums = mixes.generate("sums", 0, mixes.job_count("sums", 20))
         windows = [job[1] for job in sums if job[0] == "window"]
         three_runs = [len(set(pairs)) == 3 for pairs in windows]
         assert any(three_runs) and not all(three_runs)
-        assert [product_taken(pairs) for pairs in windows] == three_runs
-        lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
-        assert not any(product_taken(pairs) for pairs in lists)
+        assert [_path_taken(pairs) for pairs in windows] == ["product" if t else "fold" for t in three_runs]
+        jobs = mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))
+        split = Counter((job[1], _path_taken(job[2])) for job in jobs)
+        assert split == {("uniform", "packed"): 127, ("uniform", "fold"): 1,
+                         ("random", "packed"): 71, ("random", "fold"): 57}
 
     def test_default_budget_covers_benchmark_lists(self, monkeypatch):
         # tvalue_work defaults to over 10x the price of every seed-0 tvalue
@@ -610,6 +632,67 @@ class TestProductOfPowersPath:
         for pairs in lists:
             _centre_t_value.__wrapped__(lattice._alpha_runs([F(n, d) for n, d in pairs]))
         assert len(prices) == len(lists) and 10 * max(prices) <= Caps().tvalue_work
+
+
+def _packed_bits(alphas) -> int:
+    """(2S/stride + 1)·b: the packed product's bits, S the sum of k = floor(1/alpha),
+    stride 2 when every alpha is 1/k, b the bit length of the denominator."""
+    ks = [a.denominator // a.numerator for a in alphas]
+    step = 2 if all(a.numerator == 1 for a in alphas) else 1
+    return (2 * sum(ks) // step + 1) * math.prod(a.denominator for a in alphas).bit_length()
+
+
+class TestPackedPath:
+    """A sum whose packed product has at most `_PACKED_BITS` bits is one
+    product of big integers, equal to the reference t-value."""
+
+    @given(st.one_of(t_value_lists(), run_lists()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, alphas):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_path(mp, "packed")
+            assert _centre_t_value.__wrapped__(lattice._alpha_runs(alphas)) == ref_t_value(alphas)
+
+    @pytest.mark.parametrize("alphas", [
+        [F(1)], [F(1)] * 7, [F(1)] * 3 + [F(2, 5)], [F(1)] * 2 + [F(1, 3)] * 2,
+        [F(1, 2)], [F(1, 2), F(1, 3)], [F(1, 3)], [F(1, 4)] * 3, [F(2, 5)], [F(99, 100)],
+        [F(1, 2)] * 64, [F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6)],
+    ], ids=["1", "1x7", "1s-then-mixture", "1s-then-1/3", "1/2", "1/2,1/3", "1/3",
+            "1/4x3", "2/5", "99/100", "1/2x64", "1/2..1/6"])
+    def test_edge_lists(self, alphas):
+        # runs of alpha = 1 (k = 1, a point mass); one alpha; all-1/k lists with
+        # an odd sum of k - 1, where only slot 1/2 has mass, and an even one
+        assert _packed_bits(alphas) <= lattice._PACKED_BITS
+        _centre_t_value.cache_clear()
+        assert _path_taken([(a.numerator, a.denominator) for a in alphas]) == "packed"
+        assert t_value(alphas) == ref_t_value(alphas)
+
+    @pytest.mark.parametrize("alphas", [
+        [F(3, 8)] * 5 + [F(1, 2)] * 3 + [F(1)], [F(1, 3)] * 6 + [F(1, 2)] * 4,
+    ], ids=["stride-1", "stride-2"])
+    def test_cutoff_boundary(self, alphas, monkeypatch):
+        # a product of exactly `_PACKED_BITS` bits is packed, one bit more is not
+        pairs, want = [(a.numerator, a.denominator) for a in alphas], ref_t_value(alphas)
+        for cutoff, path in ((_packed_bits(alphas), "packed"), (_packed_bits(alphas) - 1, "fold")):
+            monkeypatch.setattr(lattice, "_PACKED_BITS", cutoff)
+            assert _path_taken(pairs) == path
+            assert _centre_t_value.__wrapped__(lattice._alpha_runs(alphas)) == want
+
+    def test_three_paths_agree_on_benchmark_lists(self):
+        # every seed-0 and seed-1 tvalue list and every seed-0 sums window,
+        # each path forced in turn
+        mixes = _load_bench_mixes()
+        lists = [job[2] for seed in (0, 1)
+                 for job in mixes.generate("tvalue", seed, mixes.job_count("tvalue", 20))]
+        lists += [job[1] for job in mixes.generate("sums", 0, mixes.job_count("sums", 20))
+                  if job[0] == "window"]
+        runs = [lattice._alpha_runs([F(n, d) for n, d in pairs]) for pairs in lists]
+        results = []
+        for path in ("packed", "product", "fold"):
+            with pytest.MonkeyPatch.context() as mp:
+                _force_path(mp, path)
+                results.append([_centre_t_value.__wrapped__(r) for r in runs])
+        assert results[0] == results[1] == results[2]
 
 
 # near-equal alphas: Farey neighbours j/d, (j + 1)/(d + 1) and their
