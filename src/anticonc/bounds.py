@@ -6,10 +6,11 @@ exactly where the quantities involved are rational (squaring removes the
 square roots); the reported lhs/rhs magnitudes are floats for reading.
 A report carries a value only when every condition holds, otherwise it
 names the failing inequality. Each function that takes an alpha list
-counts it once into runs with ``lattice._alpha_runs`` (most in
-``_counted``); the runs key the memoised t-value, third moments, minimal
-delta' and (reversed) variance profile, which the bounds read only through
-its total and its head sums.
+counts it once into (a, b, count) runs of alpha = a/b with
+``lattice._alpha_runs`` (in ``_counted``); these integer runs key the
+memoised t-value, third moments, minimal delta' and (reversed) variance
+profile, which the bounds read only through its total, its head sums and
+its (alpha, count) runs, the one place their Fractions are built.
 The normal window and the master bound take the head-variance,
 third-moment and epsilon' conditions they share from one builder,
 ``_side_conditions``, with their own head share and epsilon' limit.
@@ -89,8 +90,8 @@ def epsilon_prime(delta_prime: float, c) -> float:
 
 @lru_cache(maxsize=8)
 def _third_moment_sum(runs) -> Fraction:
-    """Exact sum of E|Y|^3 over (alpha, count) runs, one moment per run."""
-    return sum((third_abs_moment(a) * c for a, c in runs), ZERO)
+    """Exact sum of E|Y|^3 over (a, b, count) runs, one moment per run."""
+    return sum((third_abs_moment(a) * c for a, c in _profile(runs)[0].runs), ZERO)
 
 
 def minimal_delta_prime(alphas: Sequence) -> float:
@@ -100,7 +101,7 @@ def minimal_delta_prime(alphas: Sequence) -> float:
 
 @lru_cache(maxsize=8)
 def _delta_prime(runs) -> float:
-    """``minimal_delta_prime`` of the (alpha, count) runs."""
+    """``minimal_delta_prime`` of the (a, b, count) runs."""
     v, third = _profile(runs)[1], _third_moment_sum(runs)
     if v == 0:
         raise DomainError("total variance is zero")
@@ -122,26 +123,32 @@ def window_interval(eps: float, v_star: Fraction) -> tuple[float, float]:
 
 
 def _counted(alphas: Sequence) -> tuple[tuple, int, VarianceProfile, Fraction]:
-    """The (alpha, count) runs of ``alphas``, their number n of factors, the
+    """The (a, b, count) runs of ``alphas``, their number n of factors, the
     variance profile in reversed (decreasing alpha) order and its total V*."""
     runs = _alpha_runs(alphas)
-    return runs, sum(c for _, c in runs), *_profile(runs)
+    return runs, sum(c for *_, c in runs), *_profile(runs)
 
 
 @lru_cache(maxsize=8)
 def _profile(runs: tuple) -> tuple[VarianceProfile, Fraction]:
-    profile = VarianceProfile(runs[::-1])
+    profile = VarianceProfile(tuple((Fraction(a, b), c) for a, b, c in reversed(runs)))
     return profile, profile.total
 
 
-def _side_conditions(profile, n, v, c, delta_prime, eps, head, share, limit) -> tuple:
+def _alpha_bar(profile: VarianceProfile, n: int) -> Fraction:
+    """The mean alpha of a profile of n factors."""
+    return sum((a * c for a, c in profile.runs), ZERO) / n
+
+
+def _side_conditions(runs, profile, n, v, c, delta_prime, eps, head, share, limit) -> tuple:
     """The three conditions the normal window and the master bound share:
     the head-variance condition ``head``, V*_ceil(n(1-c)) >= share·V*; the
     third-moment condition against delta'; and epsilon' <= limit, with the
-    reported epsilon' ``eps``. Each is decided exactly."""
+    reported epsilon' ``eps``. ``runs`` are the (a, b, count) runs of
+    ``profile``. Each is decided exactly."""
     head_v = profile.prefix(math.ceil(n * (1 - c)))
     delta = Fraction(delta_prime)
-    third = _third_moment_sum(profile.runs)
+    third = _third_moment_sum(runs)
     return (
         ConditionCheck(head, head_v >= share * v, float(head_v), float(share) * float(v)),
         ConditionCheck("sum E|Y|^3 <= delta' V*^(3/2)", third * third <= delta * delta * v ** 3,
@@ -172,7 +179,7 @@ def clt_window(alphas: Sequence, c, delta_prime: float) -> BoundReport:
     eps = epsilon_prime(delta_prime, cf)
     conditions = (
         ConditionCheck("V* > 0", True, float(v), 0.0),
-        *_side_conditions(profile, n, v, cf, delta_prime, eps,
+        *_side_conditions(runs, profile, n, v, cf, delta_prime, eps,
                           "V*_ceil(n(1-c)) >= V*/2", Fraction(1, 2), Fraction(1, 2)),
     )
     lo, hi = window_interval(eps, v)
@@ -268,7 +275,7 @@ def make_main_bound_params(
     if delta_prime is None:
         delta_prime = _delta_prime(runs)
     eps = epsilon_prime(delta_prime, cf)
-    abar = sum((a * c for a, c in runs), ZERO) / n
+    abar = _alpha_bar(profile, n)
     xi = abar if d == 2 else Fraction(1)
     if gamma is None:
         near_one = xi * abar * abar * n
@@ -276,7 +283,7 @@ def make_main_bound_params(
     t = _centre_t_value(runs)
     m = C * math.sqrt(float(xi)) * float(t) ** -0.5 * math.sqrt(n)
     return MainBoundParams(
-        alphas=tuple(chain.from_iterable(repeat(a, c) for a, c in reversed(runs))),
+        alphas=tuple(chain.from_iterable(repeat(a, c) for a, c in profile.runs)),
         n=n,
         d=d,
         c=cf,
@@ -325,6 +332,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
     """
     v = params.profile.total
     n = params.n
+    runs = tuple((a.numerator, a.denominator, c) for a, c in reversed(params.profile.runs))
     gamma_f = Fraction(params.gamma)
     near_one_lhs = params.xi * params.alpha_bar ** 2 * n
     c_big = Fraction(params.C)
@@ -333,7 +341,7 @@ def main_bound(params: MainBoundParams) -> BoundReport:
     m_sq = c_big * c_big * params.xi * n / params.t.fraction
     conditions = (
         ConditionCheck("n >= 8", n >= 8, float(n), 8.0),
-        *_side_conditions(params.profile, n, v, params.c, params.delta_prime, params.epsilon_prime,
+        *_side_conditions(runs, params.profile, n, v, params.c, params.delta_prime, params.epsilon_prime,
                           "V*_ceil((1-c)n) >= (3/4) V*", Fraction(3, 4), Fraction(3, 16)),
         ConditionCheck("xi(abar) abar^2 n <= gamma V*^(3/2)",
                        near_one_lhs ** 2 <= gamma_f ** 2 * v ** 3,
@@ -365,8 +373,8 @@ def kesten_bound(alphas: Sequence, n: int, C_kesten: float) -> float:
     Specialized to unit scale parameters; meant for ratio comparisons
     against the sharp normal term, not as a certified inequality.
     """
-    runs = _alpha_runs(alphas)
-    abar = sum((a * c for a, c in runs), ZERO) / sum(c for _, c in runs)
+    _, n_factors, profile, _ = _counted(alphas)
+    abar = _alpha_bar(profile, n_factors)
     if abar >= 1:
         raise DomainError("alpha_bar must be below 1")
     if n < 1:
@@ -395,7 +403,7 @@ def theorem_local_conditions(alphas: Sequence, d: int, C: float) -> tuple[RatioR
     if d < 2:
         raise DomainError("dimension must be at least 2")
     runs, n, profile, v = _counted(alphas)
-    abar = sum((a * c for a, c in runs), ZERO) / n
+    abar = _alpha_bar(profile, n)
     xi = abar if d == 2 else Fraction(1)
     reports = []
     if v == 0:

@@ -21,7 +21,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from .caps import Caps, check
@@ -237,24 +236,35 @@ def iterated_decompose(blocks: Sequence[Block]) -> ChainDecomposition:
 
 def middle_layer_count(ks: Sequence[int]) -> int:
     """Number of tuples in the box prod {0..k_i - 1} with coordinate sum
-    ceil(N/2), N = sum (k_i - 1). Exact integer dynamic programming.
+    T = ceil(N/2), N = sum (k_i - 1). Exact, by de Moivre's dice-sum formula.
 
-    counts[s] is the number of tuples with coordinate sum s, kept for s up
-    to the target only, as no factor lowers a sum. A factor k is a box
-    filter of width k: with k zeros in front, the prefix sums pre give
-    counts'[s] = pre[s + k] - pre[s]. Nothing here reads ``lattice``, so
-    ``jones_bound`` compares two independent computations.
+    The count is the coefficient of x^T in prod (1 - x^k_i) / (1 - x), that
+    is in the numerator P = prod (1 - x^k) over the n factors with k >= 2
+    (a factor k = 1 is 1) times (1 - x)^-n. P is kept to degree T only, one
+    pass of differences per factor with k <= T, and the count is the sum of
+    P_e C(T - e + n - 1, n - 1), the binomials built by their exact
+    recurrence. Nothing here reads ``lattice``, so ``jones_bound`` compares
+    two independent computations.
     """
     if not ks:
         raise DomainError("need at least one factor")
-    if any(k < 1 for k in ks):
-        raise DomainError("factors must be >= 1")
-    target = (sum(k - 1 for k in ks) + 1) // 2
-    counts = [1]
     for k in ks:
-        pre = list(accumulate([0] * k + counts + [0] * (k - 1)))
-        counts = list(map(operator.sub, pre[k:k + target + 1], pre))
-    return counts[target]
+        # bool is an int subclass; True is no factor
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise DomainError(f"factors must be ints, got {k!r}")
+        if k < 1:
+            raise DomainError("factors must be >= 1")
+    target = (sum(ks) - len(ks) + 1) // 2
+    numerator, n = [1] + [0] * target, 0
+    for k in ks:
+        if k > 1:
+            n += 1
+            if k <= target:
+                numerator[k:] = map(operator.sub, numerator[k:], numerator)
+    binomials = [1]  # C(j + n - 1, n - 1) for j = 0 ... T
+    for j in range(1, target + 1):
+        binomials.append(binomials[-1] * (j + n - 1) // j)
+    return sum(map(operator.mul, numerator, reversed(binomials)))
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ integer recurrence for products of powers: the last run closes the window
 with two dot products, and the runs before it are one product or the
 first run's power with the factors in between folded one at a time,
 whichever takes fewer steps: one tally of the runs counts the product and
-sets up its recurrence, one fold schedule counts the fold and drives it.
-A small sum skips both: its runs are packed into big integers, one b-bit
-slot per coefficient, and multiplied in C (Kronecker substitution). The
-last few results are memoised by their (alpha, count) runs.
+sets up its recurrence, and the fold is priced in closed form. A small sum
+skips both: its runs are packed into big integers, one b-bit slot per
+coefficient, and multiplied in C (Kronecker substitution). The last few
+results are memoised by their (a, b, count) runs of alpha = a/b.
 ``_alpha_runs`` is the one place an alpha list is checked and counted into
-those runs (sorted on integers), ``_alpha_ratio`` the one place a single
-alpha is; a ``VarianceProfile`` holds such runs and derives its sums
-from them.
+those integer runs (sorted on integers), ``_alpha_ratio`` the one place a
+single alpha is; a ``VarianceProfile`` holds (alpha, count) runs and
+derives its sums from them.
 """
 
 from __future__ import annotations
@@ -351,22 +351,38 @@ def _packed_centre(factors, tally, b: int) -> int:
     return (pair & mask) + (pair >> b & mask)
 
 
+def _fold_price(head, reach: int) -> int:
+    """Steps of folding the factors of the (k, inner, outer, den, c) runs of
+    ``head`` after the first onto the first run's power, a last run of
+    half-width ``reach`` to come: Σ(min(R + 1, S) + k), S the half-width
+    folded and R that still to come after each factor. The j-th factor of a
+    run has S = S0 + jk and R = R0 - jk, so min(R + 1, S) is S while 2jk <
+    R0 + 1 - S0 and R + 1 after: two arithmetic progressions per run."""
+    half, rest = head[0][0] * head[0][-1], sum(k * c for k, *_, c in head[1:]) + reach
+    price = 0
+    for k, *_, c in head[1:]:
+        low = min(c, max(0, -((half - rest - 1) // (2 * k)) - 1))  # factors on the S side
+        price += (low * half + k * low * (low + 1) // 2
+                  + (c - low) * (rest + 1) - k * (c * (c + 1) - low * (low + 1)) // 2 + k * c)
+        half, rest = half + k * c, rest - k * c
+    return price
+
+
 @lru_cache(maxsize=8)
-def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
-    """``t_value`` of the (alpha, count) ``runs``, alphas increasing.
+def _centre_t_value(runs: tuple[tuple[int, int, int], ...]) -> Fraction:
+    """``t_value`` of the (a, b, count) ``runs``, alphas a/b increasing.
 
     h[x] is the numerator of slot x of the partial sum for x = 0 ... min(S,
     R + 1), S the half-width summed so far and R that of the factors still
     to come; slot -x holds h[x]. The runs before the last make h as one
     product of powers, N'·deg Q steps for its N' coefficients, or as the
     first run's power with the factors after it folded one at a time, a
-    fold of Σ(min(R + 1, S) + k) steps, whichever is fewer: one `_tally`
-    counts the product and one schedule of (k, inner, outer, top = min(R +
-    1, S)) per folded factor counts the fold and drives it. With s the
-    stride-2 prefix sums, a factor's outer weight sums k + 1 slots two
-    apart and its inner weight the k between them, so a fold step costs
-    O(min(S, R) + k) whatever k is. Slots 0 and 1/2 of the whole sum are
-    dot products of h against the last run's power.
+    fold of `_fold_price` steps, whichever is fewer: one `_tally` counts the
+    product and the fold's price is in closed form. With s the stride-2
+    prefix sums, a factor's outer weight sums k + 1 slots two apart and its
+    inner weight the k between them, so a fold step costs O(min(S, R) + k)
+    whatever k is. Slots 0 and 1/2 of the whole sum are dot products of h
+    against the last run's power.
 
     The price of the work, the last run's power plus the head path taken
     (the product, or the fold and its seed, the first run's power), is
@@ -375,21 +391,15 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     half-width S, is at most ``_PACKED_BITS`` takes `_packed_centre`
     instead of either path; the price and the check are the same.
     """
-    factors = [(*_extremal_weights(a), c) for a, c in runs]
-    den = math.prod([d ** c for _, _, _, d, c in factors])
+    # the integers of `_extremal_weights`, read off the checked ratios
+    factors = [(k := b // a, a * (k + 1) - b, b - a * k, b, c) for a, b, c in runs]
+    den = math.prod([b ** c for _, b, c in runs])
     *head, last = factors
+    reach = last[0] * last[-1]
     work = _power_price(_tally([last]))
     if head:
-        n, e, step, degree = tally = _tally(head)
-        half = head[0][0] * head[0][-1]
-        rest = n - half + last[0] * last[-1]  # R after the first run's power
-        seed_len, schedule = rest + 2, []
-        for k, inner, outer, _, c in head[1:]:
-            for _ in range(c):
-                rest -= k
-                half += k
-                schedule.append((k, inner, outer, min(rest + 1, half)))
-        product, fold = _power_price(tally), sum(top + k for k, _, _, top in schedule)
+        tally = _tally(head)
+        product, fold = _power_price(tally), _fold_price(head, reach)
         work += product if product < fold else _power_price(_tally(head[:1])) + fold
     check("tvalue_work", work)
     whole, b = _tally(factors), den.bit_length()
@@ -399,10 +409,15 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     if not head:
         return Fraction(p[0] + p[1], den)
     if product < fold:
-        h = _centre_power(head, tally)[:rest + 2]  # R is now the last run's
+        h = _centre_power(head, tally)[:reach + 2]
     else:
-        h = _centre_power(head[:1])[:seed_len]
-        for k, inner, outer, top in schedule:
+        half = head[0][0] * head[0][-1]
+        rest = whole[0] - half  # R after the first run's power
+        h = _centre_power(head[:1])[:rest + 2]
+        for k, inner, outer, _, _ in chain.from_iterable(repeat(f, f[-1]) for f in head[1:]):
+            rest -= k
+            half += k
+            top = min(rest + 1, half)
             m = min(k, len(h) - 1)
             # slots -k ... top + k: the mirror, the window, zeros past it
             g = [0] * (k - m) + h[m:0:-1] + h + [0] * (top + k + 1 - len(h))
@@ -417,8 +432,9 @@ def _centre_t_value(runs: tuple[tuple[Fraction, int], ...]) -> Fraction:
     return Fraction(at_zero + at_half, den)
 
 
-def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
-    """Check ``alphas`` and count them into (alpha, count) runs, alphas increasing.
+def _alpha_runs(alphas: Sequence) -> tuple[tuple[int, int, int], ...]:
+    """Check ``alphas`` and count them into (a, b, count) runs, alpha = a/b in
+    lowest terms, alphas increasing.
 
     An empty list, a bool, or an alpha outside (0, 1], is a DomainError; the
     latter names the first bad value. Counting (numerator, denominator)
@@ -434,7 +450,7 @@ def _alpha_runs(alphas: Sequence) -> tuple[tuple[Fraction, int], ...]:
             raise DomainError(f"alpha must lie in (0, 1], got {Fraction(num, den)}")
     b2 = max(den for _, den in counts) ** 2
     ordered = sorted(counts.items(), key=lambda run: run[0][0] * b2 // run[0][1])
-    return tuple((Fraction(num, den), c) for (num, den), c in ordered)
+    return tuple((num, den, c) for (num, den), c in ordered)
 
 
 def t_value(alphas: Sequence) -> Fraction:

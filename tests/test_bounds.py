@@ -89,8 +89,8 @@ class TestSharedCounts:
             third = sum((third_abs_moment(a) for a in alphas), F(0))
             v = sum((extremal_variance(a) for a in alphas), F(0))
             runs = _alpha_runs(alphas)
-            assert [a for a, _ in runs] == sorted(set(alphas))
-            assert dict(runs) == {a: alphas.count(a) for a in set(alphas)}
+            assert [F(a, b) for a, b, _ in runs] == sorted(set(alphas))
+            assert {F(a, b): c for a, b, c in runs} == {a: alphas.count(a) for a in set(alphas)}
             assert _third_moment_sum(runs) == third
             if v == 0:
                 continue

@@ -1,10 +1,12 @@
 import itertools
 import math
+import operator
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
+from conftest import bench_mixes
 from hypothesis import given, settings, strategies as st
 
 from anticonc import chains, geometry, lattice
@@ -252,6 +254,17 @@ def ref_middle_layer_count(ks):
     return counts[target]
 
 
+def ref_box_filter_count(ks):
+    """The prefix-sum box filter the count was before de Moivre's formula,
+    verbatim; ``ref_middle_layer_count`` takes about 10^9 steps on [1000] x 50."""
+    target = (sum(k - 1 for k in ks) + 1) // 2
+    counts = [1]
+    for k in ks:
+        pre = list(itertools.accumulate([0] * k + counts + [0] * (k - 1)))
+        counts = list(map(operator.sub, pre[k:k + target + 1], pre))
+    return counts[target]
+
+
 # factor lists with k = 1 factors and single factors among them
 factor_lists = st.one_of(
     st.lists(st.integers(1, 12), min_size=1, max_size=1),
@@ -273,13 +286,36 @@ class TestMiddleLayer:
         def refuse(*args):
             raise AssertionError("the middle layer must not read lattice")
 
-        monkeypatch.setattr(lattice, "_power_low", refuse)
+        for kernel in ("_power_low", "_centre_power", "_packed_centre", "_centre_t_value", "t_value"):
+            monkeypatch.setattr(lattice, kernel, refuse)
+        monkeypatch.setattr(chains, "t_value", refuse)
         assert [middle_layer_count(ks) for ks in cases] == want
         assert want == [ref_middle_layer_count(ks) for ks in cases]
+
+    def test_seed_zero_benchmark_lists(self):
+        # every uniform list of the seed-0 tvalue workload, alphas 1/k
+        mixes = bench_mixes()
+        lists = [[d for _, d in job[2]] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))
+                 if job[1] == "uniform"]
+        assert len(lists) == 128
+        assert [middle_layer_count(ks) for ks in lists] == [ref_middle_layer_count(ks) for ks in lists]
+
+    @pytest.mark.parametrize("ks", [[1000, 1000], [999, 3, 1000], [1000] * 50, [1] * 5 + [2, 700]],
+                             ids=["1000x2", "mixed-wide", "1000x50", "1s-and-wide"])
+    def test_wide_factors(self, ks):
+        # factors over the target skip their pass: 1000 > T = 999 in 1000x2
+        want = ref_box_filter_count(ks) if len(ks) > 10 else ref_middle_layer_count(ks)
+        assert middle_layer_count(ks) == want
+
+    @pytest.mark.parametrize("ks", [[True, 2], [2, False], [2.0, 3], [3, 2.5], [F(2), 3], ["2"]])
+    def test_non_int_factor_refused(self, ks):
+        with pytest.raises(DomainError, match="factors must be ints"):
+            middle_layer_count(ks)
 
     def test_examples(self):
         assert middle_layer_count([2, 2, 2, 2]) == 6
         assert middle_layer_count([7]) == 1
+        assert middle_layer_count([1] * 6) == 1  # every factor 1: one tuple, all zeros
         assert middle_layer_count([2, 3]) == 2
 
     def test_binomial_row(self):

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import itertools
 import math
 import random
@@ -7,10 +6,9 @@ import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from operator import mul
-from pathlib import Path
 
 import pytest
-from conftest import caps_env
+from conftest import bench_mixes, caps_env
 from hypothesis import given, settings, strategies as st
 
 from anticonc.caps import Caps
@@ -62,15 +60,6 @@ from anticonc.geometry import _point_line_dist_float
 def rational_point(rng, span=4, den=12):
     return (F(rng.randint(-span * den, span * den), den),
             F(rng.randint(-span * den, span * den), den))
-
-
-def bench_mixes():
-    """The seeded job lists of ``bench/mixes.py``, which imports no library code."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
-    spec = importlib.util.spec_from_file_location("bench_mixes", path)
-    mixes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mixes)
-    return mixes
 
 
 class TestNormSpec:

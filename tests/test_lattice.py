@@ -1,12 +1,11 @@
-import importlib.util
 import math
 import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate
-from pathlib import Path
 
 import pytest
+from conftest import bench_mixes
 from hypothesis import given, settings, strategies as st
 
 from anticonc.bounds import clt_window, main_bound, make_main_bound_params, minimal_delta_prime
@@ -500,14 +499,6 @@ def product_run_lists(draw):
     return alphas
 
 
-def _load_bench_mixes():
-    path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"
-    spec = importlib.util.spec_from_file_location("bench_mixes", path)
-    mixes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mixes)
-    return mixes
-
-
 class _PathTaken(Exception):
     pass
 
@@ -601,14 +592,15 @@ class TestProductOfPowersPath:
                 mp.setattr(lattice, "_PACKED_BITS", 0)
                 calls = _spy_powers(mp, stop=True)
                 with pytest.raises(_PathTaken):
-                    _centre_t_value.__wrapped__((*head_runs, (F(1), last)))
+                    _centre_t_value.__wrapped__((*((a.numerator, a.denominator, c) for a, c in head_runs),
+                                                 (1, 1, last)))
             assert calls == [1, len(head) if product < fold else 1]
 
     def test_seed_zero_benchmark_paths(self):
         # every sums window is over the packed cutoff and its three-run ones
         # take the product; of the tvalue lists, all but one uniform list and
         # 71 of the 128 random ones are packed, and the rest fold
-        mixes = _load_bench_mixes()
+        mixes = bench_mixes()
         sums = mixes.generate("sums", 0, mixes.job_count("sums", 20))
         windows = [job[1] for job in sums if job[0] == "window"]
         three_runs = [len(set(pairs)) == 3 for pairs in windows]
@@ -624,7 +616,7 @@ class TestProductOfPowersPath:
         # list and sums window (the largest benchmark price, 7,814, is a window)
         from anticonc.caps import Caps
 
-        mixes, prices = _load_bench_mixes(), []
+        mixes, prices = bench_mixes(), []
         check = lattice.check
         monkeypatch.setattr(lattice, "check", lambda name, amount: prices.append(amount) or check(name, amount))
         lists = [job[2] for job in mixes.generate("tvalue", 0, mixes.job_count("tvalue", 20))]
@@ -681,7 +673,7 @@ class TestPackedPath:
     def test_three_paths_agree_on_benchmark_lists(self):
         # every seed-0 and seed-1 tvalue list and every seed-0 sums window,
         # each path forced in turn
-        mixes = _load_bench_mixes()
+        mixes = bench_mixes()
         lists = [job[2] for seed in (0, 1)
                  for job in mixes.generate("tvalue", seed, mixes.job_count("tvalue", 20))]
         lists += [job[1] for job in mixes.generate("sums", 0, mixes.job_count("sums", 20))
@@ -693,6 +685,65 @@ class TestPackedPath:
                 _force_path(mp, path)
                 results.append([_centre_t_value.__wrapped__(r) for r in runs])
         assert results[0] == results[1] == results[2]
+
+
+def ref_fold_price(head, last) -> int:
+    """The fold's price as `_centre_t_value` summed it over its fold schedule
+    before the closed form, verbatim but for ``n``: ``head`` and ``last`` are
+    (k, inner, outer, den, c) runs."""
+    n = lattice._tally(head)[0]
+    half = head[0][0] * head[0][-1]
+    rest = n - half + last[0] * last[-1]  # R after the first run's power
+    seed_len, schedule = rest + 2, []
+    for k, inner, outer, _, c in head[1:]:
+        for _ in range(c):
+            rest -= k
+            half += k
+            schedule.append((k, inner, outer, min(rest + 1, half)))
+    return sum(top + k for k, _, _, top in schedule)
+
+
+def _fold_prices(alphas) -> tuple[int, int]:
+    """`_fold_price` and `ref_fold_price` of an alpha list's runs, the
+    factors built from `_extremal_weights`."""
+    *head, last = [(*_extremal_weights(F(a, b)), c) for a, b, c in lattice._alpha_runs(alphas)]
+    if not head:
+        return 0, 0
+    return lattice._fold_price(head, last[0] * last[-1]), ref_fold_price(head, last)
+
+
+class TestFoldPrice:
+    """The fold's price in closed form equals the sum over its schedule."""
+
+    @given(st.one_of(run_lists(), product_run_lists()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_schedule_sum(self, alphas):
+        closed, schedule = _fold_prices(alphas)
+        assert closed == schedule
+
+    @pytest.mark.parametrize("alphas", [
+        [F(1, 3), F(1, 2), F(1)], [F(1, 9), F(1, 2)] + [F(1)] * 50,
+        [F(1, 1000)] + [F(1, 3)] * 3 + [F(1, 2)] * 5,
+        [F(1, 7)] * 13 + [F(2, 7)] * 45 + [F(1, 2)] * 60 + [F(1)] * 3,
+        [F(1, 50)] + [F(1, 3)] * 200 + [F(1, 2)],
+    ], ids=["one-folded", "wide-last", "wide-first", "four-runs", "crossover-mid-run"])
+    def test_edge_lists(self, alphas):
+        # one folded factor; every factor on the S side (a wide last run) or
+        # on the R side (a wide first run); a run that crosses from the S
+        # side to the R side partway through
+        closed, schedule = _fold_prices(alphas)
+        assert closed == schedule > 0
+
+    def test_benchmark_lists(self):
+        # every seed-0 and seed-1 tvalue list and every seed-0 sums window
+        mixes = bench_mixes()
+        lists = [job[2] for seed in (0, 1)
+                 for job in mixes.generate("tvalue", seed, mixes.job_count("tvalue", 20))]
+        lists += [job[1] for job in mixes.generate("sums", 0, mixes.job_count("sums", 20))
+                  if job[0] == "window"]
+        prices = [_fold_prices([F(n, d) for n, d in pairs]) for pairs in lists]
+        assert len(prices) == 528
+        assert all(closed == schedule for closed, schedule in prices)
 
 
 # near-equal alphas: Farey neighbours j/d, (j + 1)/(d + 1) and their
@@ -719,15 +770,15 @@ class TestAlphaRuns:
     ])
     def test_near_equal_order(self, alphas):
         runs = lattice._alpha_runs(alphas)
-        assert [a for a, _ in runs] == sorted(set(alphas))
-        assert dict(runs) == {a: alphas.count(a) for a in alphas}
+        assert [F(a, b) for a, b, _ in runs] == sorted(set(alphas))
+        assert {F(a, b): c for a, b, c in runs} == {a: alphas.count(a) for a in alphas}
 
     @given(near_equal_alphas())
     @settings(max_examples=200, deadline=None)
     def test_order_matches_fraction_sort(self, alphas):
         runs = lattice._alpha_runs(alphas)
-        assert [a for a, _ in runs] == sorted(set(alphas))
-        assert [c for _, c in runs] == [alphas.count(a) for a in sorted(set(alphas))]
+        assert [F(a, b) for a, b, _ in runs] == sorted(set(alphas))
+        assert [c for *_, c in runs] == [alphas.count(a) for a in sorted(set(alphas))]
 
 
 class TestConcentration1d:

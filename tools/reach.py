@@ -11,8 +11,8 @@ function whose body never ran and every statement never executed (a
 statement inside a function that never ran, or inside an outer statement
 that never ran, is not listed again). It exits 1 if some function never
 ran, else 0, whatever the tests' own outcome: it reports reach, not test
-results. Tracing slows the suite about five times, and a hypothesis deadline
-or health check may then fail a test.
+results. Tracing slows the suite about five times, so it loads a hypothesis
+profile without deadlines first; a health check may still fail a test.
 """
 
 from __future__ import annotations
@@ -116,7 +116,11 @@ def main() -> int:
         return trace_line
 
     import pytest
+    from hypothesis import settings
 
+    # a traced example can overrun its deadline; reach does not time the tests
+    settings.register_profile("reach", deadline=None)
+    settings.load_profile("reach")
     threading.settrace(trace_call)
     sys.settrace(trace_call)
     try:
