@@ -310,6 +310,8 @@ def main_bound_rhs(params: MainBoundParams) -> float:
     if idx < 1:
         raise DomainError("m is so large that no variance terms remain")
     v_trim = params.profile.prefix(idx)
+    if v_trim == 0:
+        raise DomainError(f"no variance terms remain: V*_{idx} = 0")
     numerator = (
         1.0
         + 6.0 * params.epsilon_prime
@@ -352,6 +354,10 @@ def main_bound(params: MainBoundParams) -> BoundReport:
     )
 
     all_hold = all(cc.holds for cc in conditions)
+    try:
+        rhs = main_bound_rhs(params)
+    except DomainError:  # no variance terms remain, so a side condition fails
+        rhs = None
     extras = {
         "m": params.m,
         "epsilon_prime": params.epsilon_prime,
@@ -359,11 +365,9 @@ def main_bound(params: MainBoundParams) -> BoundReport:
         "v_star": v,
         "t": params.t.value,
         "t_exact_path": params.t.exact,
-        "rhs_unconditional": main_bound_rhs(params)
-        if params.n - math.floor(params.m) >= 1
-        else None,
+        "rhs_unconditional": rhs,
     }
-    value = main_bound_rhs(params) if all_hold else None
+    value = rhs if all_hold else None
     return BoundReport(value, conditions, params.t.fraction, extras)
 
 

@@ -8,14 +8,13 @@ stops at a resource cap.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from . import bounds as bounds_mod
 from . import chains as chains_mod
@@ -31,11 +30,12 @@ from .exact import as_fraction, fraction_str, parse_vector, vector_str
 # an OverflowError is a value too large for a float, such as a coordinate
 # of 10^400 whose distance is reported as a float
 _INPUT_ERRORS = (TypeError, ValueError, OverflowError)
+_DEFAULT = "(default: %(default)s)"
 
 
 def _emit(data: dict, output: str) -> None:
     if output == "json":
-        click.echo(json.dumps(data, sort_keys=True, indent=2, default=str))
+        print(json.dumps(data, sort_keys=True, indent=2, default=str))
         return
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -51,11 +51,15 @@ def _emit(data: dict, output: str) -> None:
             writer.writerow([prefix, value])
 
     walk("", data)
-    click.echo(buf.getvalue().rstrip("\n"))
+    print(buf.getvalue().rstrip("\n"))
 
 
 def _load_json(path: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DomainError(f"cannot read --input {path!r}: {exc.strerror}") from None
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise DomainError(f"input must be a JSON object, not {type(data).__name__}")
     return data
@@ -69,65 +73,101 @@ def _parse_alphas(text: str) -> list[Fraction]:
     return [parsed[s] for s in strings]
 
 
-def _scenario_exit(result: scenarios.ScenarioResult, output: str) -> None:
+def _scenario_exit(result: scenarios.ScenarioResult, output: str) -> int:
     _emit(result.to_json(), output)
-    sys.exit(0 if result.passed else 1)
+    return 0 if result.passed else 1
 
 
-class _Cli(click.Group):
-    """Command group that maps every subcommand's expected failures to exit 2.
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one line on stderr and exit 2, with
+    no usage block. Options are matched whole, never by prefix, and only
+    ``--help`` asks for help."""
 
-    Malformed input and a solver stopped by a resource cap both exit 2 with
-    one line on stderr, never with a traceback; exit 1 stays reserved for a
-    checked inequality that failed. An `InvariantViolation` (a structural
-    check that failed) is a `ValueError` and also exits 2 as an input
-    error: most of them fire on what the user supplied, such as a graph
-    that is not perfect handed to the block decomposition.
-    """
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
 
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except ResourceCapExceeded as exc:
-            click.echo(f"resource cap: {exc}", err=True)
-        except KeyError as exc:
-            click.echo(f"input error: missing field {exc}", err=True)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+    def error(self, message: str):
+        raise DomainError(message)
 
 
-@click.group(cls=_Cli)
-def main() -> None:
-    """Exact concentration toolkit."""
+_PARSER = _Parser(prog="anticonc", description="Exact concentration toolkit.")
+_COMMANDS = _PARSER.add_subparsers(required=True, metavar="COMMAND")
 
 
-_output_option = click.option(
-    "--output", type=click.Choice(["json", "csv"]), default="json", show_default=True
-)
+def _command(name: str, *options: tuple[tuple, dict]):
+    """Register the decorated function as subcommand ``name`` with ``options`` and
+    ``--output``; it gets them as keywords and returns its exit code, None for 0."""
+
+    def register(func):
+        sub = _COMMANDS.add_parser(name, help=func.__doc__.split("\n")[0], description=func.__doc__)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.add_argument("--output", choices=("json", "csv"), default="json", help=_DEFAULT)
+        sub.set_defaults(run=func)
+        return func
+
+    return register
 
 
-@main.command("nu-star")
-@click.option("--alpha", required=True, help="rational in (0,1], e.g. 3/8")
-@_output_option
+def _opt(*flags: str, **kwargs) -> tuple[tuple, dict]:
+    return flags, kwargs
+
+
+_INPUT = _opt("--input", dest="input_path", metavar="PATH", required=True, help="JSON file")
+
+
+def _run(args: list[str]) -> int:
+    """Run one command line. Malformed input, a usage error and a resource cap
+    exit 2 with one line on stderr, never a traceback; exit 1 is kept for a
+    checked inequality that failed. An `InvariantViolation` is a `ValueError`:
+    most fire on what the user supplied, such as a graph that is not perfect."""
+    try:
+        options = vars(_PARSER.parse_args(args))
+        if [] in options.values():  # before Python 3.12, argparse reads "--opt=--" as no value
+            raise DomainError("expected one argument, got '--'")
+        return options.pop("run")(**options) or 0
+    except ResourceCapExceeded as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+    except KeyError as exc:
+        print(f"input error: missing field {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+    return 2
+
+
+class _Main:
+    """``main()`` runs ``sys.argv`` and exits; ``main.main(args, standalone_mode=False)``
+    returns the exit code instead. Usage lines name ``anticonc`` whatever ``prog_name``."""
+
+    def __call__(self) -> None:
+        self.main()
+
+    def main(self, args=None, prog_name: str = "anticonc", standalone_mode: bool = True) -> int:
+        code = _run(sys.argv[1:] if args is None else list(args))
+        if standalone_mode:
+            sys.exit(code)
+        return code
+
+
+main = _Main()
+
+
+@_command("nu-star", _opt("--alpha", required=True, help="rational in (0,1], e.g. 3/8"))
 def nu_star_cmd(alpha: str, output: str) -> None:
     """Extremal lattice measure with concentration exactly alpha."""
     measure = lat.extremal_measure(as_fraction(alpha))
     _emit(measure.to_json(), output)
 
 
-@main.command("t-value")
-@click.option("--alphas", required=True, help="comma-separated rationals")
-@_output_option
+@_command("t-value", _opt("--alphas", required=True, help="comma-separated rationals"))
 def t_value_cmd(alphas: str, output: str) -> None:
     """Mass of the extremal sum on {0, 1/2}, exactly."""
     t = lat.t_value(_parse_alphas(alphas))
     _emit({"t": fraction_str(t), "float": float(t), "exact": True}, output)
 
 
-@main.command("concentration")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@_output_option
+@_command("concentration", _INPUT)
 def concentration_cmd(input_path: str, output: str) -> None:
     """Exact concentration of a lattice or vector measure (JSON file).
 
@@ -153,10 +193,8 @@ def concentration_cmd(input_path: str, output: str) -> None:
     _emit(result, output)
 
 
-@main.command("berge-check")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--complement", is_flag=True, help="search the complement graph only")
-@_output_option
+@_command("berge-check", _INPUT,
+          _opt("--complement", action="store_true", help="search the complement graph only"))
 def berge_cmd(input_path: str, complement: bool, output: str) -> None:
     """Odd-hole search on a point configuration or a raw graph."""
     data = _load_json(input_path)
@@ -184,10 +222,7 @@ def berge_cmd(input_path: str, complement: bool, output: str) -> None:
     _emit(result, output)
 
 
-@main.command("decompose")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", default=None, help="optional concentration bound")
-@_output_option
+@_command("decompose", _INPUT, _opt("--alpha", help="optional concentration bound"))
 def decompose_cmd(input_path: str, alpha: str | None, output: str) -> None:
     """Block decomposition of a uniform near-line vector measure."""
     # a uniform measure clears to its own atoms, each once
@@ -215,9 +250,7 @@ def _blocks_from_json(data: dict) -> list:
     ]
 
 
-@main.command("btk-chains")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@_output_option
+@_command("btk-chains", _INPUT)
 def btk_cmd(input_path: str, output: str) -> None:
     """Chain decomposition of a product of blocks.
 
@@ -233,10 +266,8 @@ def btk_cmd(input_path: str, output: str) -> None:
     _emit(result, output)
 
 
-@main.command("jones-bound")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@_output_option
-def jones_cmd(input_path: str, output: str) -> None:
+@_command("jones-bound", _INPUT)
+def jones_cmd(input_path: str, output: str) -> int:
     """Middle-layer bound for a product of blocks, with the exact check."""
     blocks = _blocks_from_json(_load_json(input_path))
     res = chains_mod.jones_bound(blocks)
@@ -247,47 +278,39 @@ def jones_cmd(input_path: str, output: str) -> None:
         "ok": res.ok,
     }
     _emit(result, output)
-    sys.exit(0 if res.ok else 1)
+    return 0 if res.ok else 1
 
 
-@main.command("clt-window")
-@click.option("--alphas", required=True, help="comma-separated rationals")
-@click.option("--c", "c_param", default="1/4", show_default=True)
-@click.option("--delta-prime", type=float, default=None, help="defaults to minimal feasible")
-@_output_option
-def clt_cmd(alphas: str, c_param: str, delta_prime: float | None, output: str) -> None:
+@_command("clt-window", _opt("--alphas", required=True, help="comma-separated rationals"),
+          _opt("--c", dest="c_param", metavar="C", default="1/4", help=_DEFAULT),
+          _opt("--delta-prime", type=float, help="defaults to minimal feasible"))
+def clt_cmd(alphas: str, c_param: str, delta_prime: float | None, output: str) -> int:
     """Normal window for the t-value with exact condition checks."""
     fracs = _parse_alphas(alphas)
     if delta_prime is None:
         delta_prime = bounds_mod.minimal_delta_prime(fracs)
     report = bounds_mod.clt_window(fracs, as_fraction(c_param), delta_prime)
     _emit(report.to_json(), output)
-    sys.exit(0 if report.extras.get("t_in_window", False) else 1)
+    return 0 if report.extras.get("t_in_window", False) else 1
 
 
-@main.command("main-bound")
-@click.option("--alphas", required=True, help="comma-separated rationals")
-@click.option("--d", type=int, default=2, show_default=True)
-@click.option("--big-c", type=float, required=True, help="norm-dependent constant C")
-@click.option("--c", "c_param", default="1/4", show_default=True)
-@click.option("--delta-prime", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@_output_option
-def main_bound_cmd(alphas, d, big_c, c_param, delta_prime, gamma, output) -> None:
+@_command("main-bound", _opt("--alphas", required=True, help="comma-separated rationals"),
+          _opt("--d", type=int, default=2, help=_DEFAULT),
+          _opt("--big-c", type=float, required=True, help="norm-dependent constant C"),
+          _opt("--c", dest="c_param", metavar="C", default="1/4", help=_DEFAULT),
+          _opt("--delta-prime", type=float), _opt("--gamma", type=float))
+def main_bound_cmd(alphas, d, big_c, c_param, delta_prime, gamma, output) -> int:
     """Master bound evaluation; reports every side condition."""
     params = bounds_mod.make_main_bound_params(
         _parse_alphas(alphas), d, big_c, as_fraction(c_param), delta_prime, gamma
     )
     report = bounds_mod.main_bound(params)
     _emit(report.to_json(), output)
-    sys.exit(0 if report.all_hold else 1)
+    return 0 if report.all_hold else 1
 
 
-@main.command("halasz")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--direction-samples", type=int, default=180, show_default=True)
-@click.option("--center-samples", type=int, default=256, show_default=True)
-@_output_option
+@_command("halasz", _INPUT, _opt("--direction-samples", type=int, default=180, help=_DEFAULT),
+          _opt("--center-samples", type=int, default=256, help=_DEFAULT))
 def halasz_cmd(input_path, direction_samples, center_samples, output) -> None:
     """Direction/shift diagnostics for plane measures: {"measures": [...]}."""
     data = _load_json(input_path)
@@ -303,46 +326,37 @@ def halasz_cmd(input_path, direction_samples, center_samples, output) -> None:
     _emit(result, output)
 
 
-@main.command("octagon")
-@_output_option
-def octagon_cmd(output: str) -> None:
+@_command("octagon")
+def octagon_cmd(output: str) -> int:
     """Run the octagon counterexample scenario."""
-    _scenario_exit(scenarios.run_octagon_scenario(), output)
+    return _scenario_exit(scenarios.run_octagon_scenario(), output)
 
 
-@main.command("sharpness")
-@click.option("--epsilon", default="1/1000", show_default=True)
-@click.option("--strip-samples", type=int, default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_output_option
-def sharpness_cmd(epsilon: str, strip_samples: int, seed: int, output: str) -> None:
+@_command("sharpness", _opt("--epsilon", default="1/1000", help=_DEFAULT),
+          _opt("--strip-samples", type=int, default=0, help=_DEFAULT),
+          _opt("--seed", type=int, default=0, help=_DEFAULT))
+def sharpness_cmd(epsilon: str, strip_samples: int, seed: int, output: str) -> int:
     """Run the strip-threshold sharpness scenario."""
     result = scenarios.run_sharpness_scenario(
         as_fraction(epsilon), strip_samples=strip_samples, seed=seed
     )
-    _scenario_exit(result, output)
+    return _scenario_exit(result, output)
 
 
-@main.command("verify-theorem22")
-@click.option("--input", "input_path", default=None, type=click.Path(exists=True))
-@click.option("--count", type=int, default=None, help="override instance count")
-@click.option("--seed", type=int, default=None, help="overrides the config seed")
-@_output_option
-def verify22_cmd(input_path, count, seed, output) -> None:
+@_command("verify-theorem22", _opt("--input", dest="input_path", metavar="PATH", help="JSON generator config"),
+          _opt("--count", type=int, help="override instance count"),
+          _opt("--seed", type=int, help="overrides the config seed"))
+def verify22_cmd(input_path, count, seed, output) -> int:
     """Randomized near-line verification of the sum/t-value inequality."""
-    gen = _load_json(input_path) if input_path else {}
+    gen = {} if input_path is None else _load_json(input_path)
     if count is not None:
         gen["count"] = count
     result = scenarios.run_verify_theorem22(gen, seed=seed)
-    _scenario_exit(result, output)
+    return _scenario_exit(result, output)
 
 
-@main.command("empirical")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--n", type=int, required=True)
-@click.option("--delta", default="1/100", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_output_option
+@_command("empirical", _INPUT, _opt("--n", type=int, required=True),
+          _opt("--delta", default="1/100", help=_DEFAULT), _opt("--seed", type=int, default=0, help=_DEFAULT))
 def empirical_cmd(input_path, n, delta, seed, output) -> None:
     """Empirical measure of n draws from the dilated input measure."""
     vm = geom.VectorMeasure.from_json(_load_json(input_path))

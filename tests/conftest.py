@@ -2,12 +2,16 @@
 
 ``ANTICONC_CAPS`` is the one source of caps, so a value set in the shell
 would change what the solvers accept. The autouse fixture unsets it; a test
-that needs other caps sets them with ``caps_env``.
+that needs other caps sets them with ``caps_env``. ``CliRunner`` runs the
+``anticonc`` command in process.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -34,3 +38,49 @@ def bench_mixes():
     mixes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mixes)
     return mixes
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also writes into the interleaved ``mixed`` one."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text: str) -> int:
+        self.mixed.write(text)
+        return super().write(text)
+
+
+@dataclass
+class CliResult:
+    """One run: ``output`` is stdout and stderr interleaved as written,
+    each with CRLF read as LF; ``exception`` is the ``SystemExit`` of a
+    nonzero exit or an exception that escaped the command, else None."""
+
+    output: str
+    stdout: str
+    stderr: str
+    exit_code: int
+    exception: BaseException | None
+
+
+class CliRunner:
+    """Runs ``main.main(args)`` in process with stdout, stderr and, if given,
+    environment variables swapped in for the call."""
+
+    def invoke(self, main, args, env=None) -> CliResult:
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        exit_code, exception = 0, None
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(list(args), prog_name="anticonc")
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:  # a traceback: exit 1, as an uncaught error would
+                exit_code, exception = 1, exc
+        text = [s.getvalue().replace("\r\n", "\n") for s in (mixed, out, err)]
+        return CliResult(*text, exit_code, exception)

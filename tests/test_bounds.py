@@ -461,6 +461,9 @@ _PARAMS = make_main_bound_params(_HALVES, 2, 1.0, F(1, 4))
         # m = 100 sqrt(n / t) is far above n = 16
         (lambda: main_bound_rhs(make_main_bound_params(_HALVES, 2, 100.0, F(1, 4))), DomainError,
          "m is so large that no variance terms remain"),
+        # n - floor(m) = 1, and the first factor in decreasing alpha has alpha 1
+        (lambda: main_bound_rhs(make_main_bound_params([F(1), F(5, 7)], 2, 1.0, F(1, 4))), DomainError,
+         "no variance terms remain: V*_1 = 0"),
         (lambda: kesten_bound(_HALVES, 0, 1.0), DomainError, "n must be positive"),
         (lambda: dataclasses.replace(_PARAMS, epsilon_prime=2 * _PARAMS.epsilon_prime),
          InvariantViolation, "epsilon' is inconsistent with delta' and c"),
@@ -468,7 +471,7 @@ _PARAMS = make_main_bound_params(_HALVES, 2, 1.0, F(1, 4))
          "xi rule broken: xi_2(x) = x, xi_d(x) = 1 for d > 2"),
     ],
     ids=["delta-prime", "epsilon-c", "delta-variance", "dimension", "big-c", "params-c",
-         "params-variance", "large-m", "kesten-n", "params-epsilon", "params-xi"],
+         "params-variance", "large-m", "alpha-one-prefix", "kesten-n", "params-epsilon", "params-xi"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -3,8 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from click.testing import CliRunner
-from conftest import caps_env
+from conftest import CliRunner, caps_env
 
 from anticonc.caps import Caps, ENV_VAR
 from anticonc.chains import Block, iterated_decompose

@@ -1,10 +1,13 @@
+import errno
 import json
 import math
+import os
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 from anticonc import lattice
 from anticonc.cli import main
@@ -320,6 +323,17 @@ class TestBoundsCommands:
         out = json.loads(result.output)
         assert any(c["name"] == "epsilon' <= 3/16" for c in out["conditions"])
 
+    @pytest.mark.parametrize("alphas", ["1,5/7", "4/9,4/5,1/1"])
+    def test_main_bound_with_no_trimmed_variance_reports(self, runner, alphas):
+        # the first n - floor(m) factors all have alpha 1, so V*_trim = 0 and
+        # the plug-in value is undefined; this used to be a ZeroDivisionError
+        result = runner.invoke(main, ["main-bound", "--alphas", alphas, "--big-c", "1.0"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr == ""
+        out = json.loads(result.output)
+        assert out["value"] is None and out["extras"]["rhs_unconditional"] is None
+        assert {c["name"]: c["holds"] for c in out["conditions"]}["n >= 8"] is False
+
 
 class TestScenarioCommands:
     def test_octagon(self, runner):
@@ -521,6 +535,10 @@ class TestOneNormOneOutput:
         assert lp2_out == l2_out
 
 
+_INPUT_COMMANDS = (["concentration"], ["berge-check"], ["decompose"], ["btk-chains"], ["jones-bound"],
+                   ["halasz"], ["verify-theorem22"], ["empirical", "--n", "4"])
+
+
 class TestErrorContract:
     """Every subcommand exits 2, without a traceback, on a cap or bad input."""
 
@@ -600,6 +618,27 @@ class TestErrorContract:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "input error: power recurrence left remainder 1 at m=3\n"
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", _INPUT_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                              ("directory", "Is a directory"),
+                                              ("unreadable", "Permission denied")])
+    def test_unreadable_input_exits_2(self, runner, tmp_path, monkeypatch, command, kind, reason):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "unreadable":
+            path.write_text("{}")
+            path.chmod(0)
+            if os.access(path, os.R_OK):  # a superuser reads it anyway: fail as the OS would
+                def denied(self, *args, **kwargs):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+                monkeypatch.setattr(pathlib.Path, "read_text", denied)
+        result = runner.invoke(main, [command[0], "--input", str(path), *command[1:]])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stderr == f"input error: cannot read --input {str(path)!r}: {reason}\n"
+        assert result.stdout == ""
 
     def test_zero_denominator_in_json_exits_2(self, runner, tmp_path):
         data = VectorMeasure.uniform(l2(2), [(0, 0), (2, 0)]).to_json()

@@ -3,8 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from click.testing import CliRunner
-from conftest import caps_env
+from conftest import CliRunner, caps_env
 
 from anticonc.cli import main
 from anticonc.errors import DomainError, ResourceCapExceeded

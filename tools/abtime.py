@@ -1,16 +1,18 @@
-"""Time one benchmark workload on two source trees in one process.
+"""Time one benchmark workload on two source trees, each in fresh interpreters.
 
     python tools/abtime.py PARENT [CHANGE] [--workload certify] [--seed 0] [--rounds 30]
 
 PARENT and CHANGE are checkouts of this repository; CHANGE defaults to the
-tree this file is in. Each tree's ``src/anticonc`` is imported under a
-package name of its own (``anticonc_parent``, ``anticonc_change``), and
-its ``bench/jobs.py`` against that package. The workload's seeded job list
-comes from ``bench/mixes.py``, with as many jobs as a benchmark run of
-``run_seconds`` (``BENCHMARK.json``) takes. Each round builds fresh inputs for both trees
-(not timed), then times one whole pass of the job list on each, the two in
-alternating order. Only the jobs' wall time counts; no reference kernel
-and no oracle runs.
+tree this file is in. Each round starts one new Python process per tree,
+parent first in even rounds and change first in odd ones. The process puts
+its tree's ``src`` first on the import path, loads that tree's
+``bench/jobs.py``, builds the workload's inputs (not timed), runs the job
+list once to warm up and then times one more pass of it. The seeded job
+list comes from this tree's ``bench/mixes.py``, with as many jobs as a
+benchmark run of ``run_seconds`` (``BENCHMARK.json``) takes. Only the
+jobs' wall time counts; no reference kernel and no oracle runs. Neither
+tree shares an interpreter, an import or a cache with the other, so the
+order in which they load cannot bias a round.
 
 It prints, for the rounds, the median parent/change ratio of pass times
 with its quartiles (above 1: the change is faster), how many rounds the
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import importlib.util
 import json
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,45 +38,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-class Tree:
-    """One checkout's package and bench jobs module, imported under ``name``."""
+def timed_pass(tree: str, workload: str, seed: str, n_jobs: str) -> None:
+    """In a fresh process: print the seconds of one warm pass of the job list
+    on ``tree`` and the digest of its exact outputs, as JSON."""
+    sys.path[:0] = [str(Path(tree) / "src"), str(ROOT / "bench")]
+    import mixes
+    import timing
 
-    def __init__(self, root: Path, name: str):
-        pkg_dir = root / "src" / "anticonc"
-        spec = importlib.util.spec_from_file_location(
-            name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
-        package = importlib.util.module_from_spec(spec)
-        sys.modules[name] = package
-        spec.loader.exec_module(package)
-        self.modules = {"anticonc": package}
-        for sub in sorted(p.stem for p in pkg_dir.glob("*.py") if p.stem != "__init__"):
-            self.modules[f"anticonc.{sub}"] = importlib.import_module(f"{name}.{sub}")
-        self.activate()  # bench/jobs.py imports ``anticonc`` by that name
-        spec = importlib.util.spec_from_file_location(f"{name}_jobs", root / "bench" / "jobs.py")
-        self.jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(self.jobs)
-        self.caps = self.modules["anticonc.caps"].Caps.from_env()
+    spec = importlib.util.spec_from_file_location("tree_jobs", Path(tree) / "bench" / "jobs.py")
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    from anticonc.caps import Caps
 
-    def activate(self) -> None:
-        """Point the name ``anticonc`` at this tree, for the imports jobs make while running."""
-        sys.modules.update(self.modules)
-
-    def run_pass(self, workload: str, specs: list, timing) -> tuple[float, list]:
-        """Seconds of job time over one pass, and each job's exact outputs."""
-        self.activate()
-        self.jobs.load(workload)
-        inputs = [self.jobs.build(spec) for spec in specs]
+    caps = Caps.from_env()
+    specs = mixes.generate(workload, int(seed), int(n_jobs))
+    jobs.load(workload)
+    for _ in range(2):  # a warm-up pass, then the timed one
+        inputs = [jobs.build(job) for job in specs]
         tracer, total, exact = timing.Tracer(False), 0.0, []
         gc.collect()
-        for spec, inp in zip(specs, inputs):
+        for job, inp in zip(specs, inputs):
             start = time.perf_counter()
             try:
-                result = self.jobs.run(spec, inp, tracer, self.caps)
+                result = jobs.run(job, inp, tracer, caps)
             except Exception as exc:  # a failed job is reported in the digest
                 result = exc
             total += time.perf_counter() - start
             exact.append(repr(result) if isinstance(result, Exception) else result.exact)
-        return total, exact
+    print(json.dumps({"seconds": total, "digest": mixes.digest(exact)}))
+
+
+def _run_tree(tree: Path, workload: str, seed: int, n_jobs: int) -> dict:
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import abtime; abtime.timed_pass(*sys.argv[1:])"
+    out = subprocess.run([sys.executable, "-c", code, str(tree), workload, str(seed), str(n_jobs)],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def main() -> int:
@@ -88,19 +86,16 @@ def main() -> int:
 
     sys.path.insert(0, str(ROOT / "bench"))
     import mixes
-    import timing
 
     n_jobs = mixes.job_count(args.workload, json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
-    specs = mixes.generate(args.workload, args.seed, n_jobs)
-    trees = [Tree(args.parent.resolve(), "anticonc_parent"), Tree(args.change.resolve(), "anticonc_change")]
-    for tree in trees:  # warm both
-        tree.run_pass(args.workload, specs, timing)
+    trees = [args.parent.resolve(), args.change.resolve()]
     ratios, digests = [], [set(), set()]
     for r in range(args.rounds):
         times = [0.0, 0.0]
         for k in ((0, 1) if r % 2 == 0 else (1, 0)):
-            times[k], exact = trees[k].run_pass(args.workload, specs, timing)
-            digests[k].add(mixes.digest(exact))
+            run = _run_tree(trees[k], args.workload, args.seed, n_jobs)
+            times[k] = run["seconds"]
+            digests[k].add(run["digest"])
         ratios.append(times[0] / times[1])
 
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
