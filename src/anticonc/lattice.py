@@ -10,8 +10,8 @@ Fractions and no comparison ever goes through floating point. Internally,
 t-values and convolutions run on integer numerators over one common
 denominator and build their Fractions once, at the end. An extremal
 factor's weights, its variance and its third absolute moment are integer
-closed forms in alpha = a/b, each O(1); ``ExtremalSpec`` keeps the Fraction
-form as their reference. A t-value reads only slots 0 and 1/2 of a
+closed forms in alpha = a/b, each O(1), read off one ``_mixture``;
+``ExtremalSpec`` is a view of it. A t-value reads only slots 0 and 1/2 of a
 symmetric sum, so it keeps one half of the centre window those slots can
 still be reached from. Equal alphas form a run, a power taken by one exact
 integer recurrence for products of powers: the last run closes the window
@@ -138,33 +138,9 @@ def _alpha_ratio(alpha) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Parameters of the two-uniform mixture with concentration alpha.
-
-    ``k`` is floor(1/alpha) and ``p`` the unique mixture weight with
-    p/k + (1-p)/(k+1) = alpha; for alpha = 1/k the second component vanishes.
-    The kernels read the integer closed form of ``_extremal_weights``; this
-    Fraction form is the reference it is tested against.
-    """
-
-    alpha: Fraction
-    k: int
-    p: Fraction
-
-    @classmethod
-    def from_alpha(cls, alpha) -> "ExtremalSpec":
-        a = Fraction(*_alpha_ratio(alpha))
-        k = int(1 / a)  # floor since a in (0, 1]
-        p = k * (a * (k + 1) - 1)
-        spec = cls(a, k, p)
-        if not (0 < p <= 1) or Fraction(p, k) + Fraction(1 - p, k + 1) != a:
-            raise DomainError(f"inconsistent mixture parameters for alpha={a}")
-        return spec
-
-
-def _extremal_weights(alpha) -> tuple[int, int, int, int]:
-    """(k, inner, outer, den) for the extremal measure of ``alpha``.
+def _mixture(a: int, b: int) -> tuple[int, int, int, int]:
+    """(k, inner, outer, den) for alpha = a/b as `_alpha_ratio` checks it: the
+    one formula of the extremal mixture.
 
     The measure puts inner/den on each of the k half-integer slots
     -(k-1), ..., k-1 and outer/den on each of the k+1 slots -k, ..., k (both
@@ -173,9 +149,36 @@ def _extremal_weights(alpha) -> tuple[int, int, int, int]:
     p/k = alpha(k+1) - 1 and (1-p)/(k+1) = 1 - alpha k. No common factor is
     left, as one would divide b and a. ``outer`` is 0 when alpha is 1/k.
     """
-    a, b = _alpha_ratio(alpha)
     k = b // a
     return k, a * (k + 1) - b, b - a * k, b
+
+
+def _extremal_weights(alpha) -> tuple[int, int, int, int]:
+    """`_mixture` of ``alpha``, checked to lie in (0, 1]."""
+    return _mixture(*_alpha_ratio(alpha))
+
+
+@dataclass(frozen=True)
+class ExtremalSpec:
+    """Parameters of the two-uniform mixture with concentration alpha.
+
+    ``k`` is floor(1/alpha) and ``p`` the unique mixture weight with
+    p/k + (1-p)/(k+1) = alpha; for alpha = 1/k the second component vanishes.
+    Read off `_mixture`: p = k·inner/den and (1-p)/(k+1) = outer/den, so the
+    self-check is 0 < k·inner <= den and inner + outer = a.
+    """
+
+    alpha: Fraction
+    k: int
+    p: Fraction
+
+    @classmethod
+    def from_alpha(cls, alpha) -> "ExtremalSpec":
+        a, b = _alpha_ratio(alpha)
+        k, inner, outer, _ = _mixture(a, b)
+        if not 0 < k * inner <= b or inner + outer != a:
+            raise DomainError(f"inconsistent mixture parameters for alpha={Fraction(a, b)}")
+        return cls(Fraction(a, b), k, Fraction(k * inner, b))
 
 
 def extremal_measure(alpha) -> LatticeMeasure:
@@ -391,8 +394,7 @@ def _centre_t_value(runs: tuple[tuple[int, int, int], ...]) -> Fraction:
     half-width S, is at most ``_PACKED_BITS`` takes `_packed_centre`
     instead of either path; the price and the check are the same.
     """
-    # the integers of `_extremal_weights`, read off the checked ratios
-    factors = [(k := b // a, a * (k + 1) - b, b - a * k, b, c) for a, b, c in runs]
+    factors = [(*_mixture(a, b), c) for a, b, c in runs]  # the ratios are checked
     den = math.prod([b ** c for _, b, c in runs])
     *head, last = factors
     reach = last[0] * last[-1]

@@ -555,9 +555,13 @@ def find_odd_hole(g: DistGraph, check_complement: bool = False) -> Optional[Hole
 def cocomparability_order(g: DistGraph) -> Optional[tuple[int, ...]]:
     """The order g keeps if it has no umbrella, else None (also if g keeps
     none): for each b, no non-neighbour before b may be adjacent to one
-    after it; only those adjacent to some earlier vertex are tested."""
-    order, masks, done, reach = g.__dict__.get("_order"), g.masks, 0, 0
-    for b in order or ():
+    after it; only those adjacent to some earlier vertex are tested. A graph
+    that keeps no order is not read, so its masks are not built."""
+    order = g.__dict__.get("_order")
+    if order is None:
+        return None
+    masks, done, reach = g.masks, 0, 0
+    for b in order:
         before, cand = done & ~masks[b], reach & ~(masks[b] | done)
         while cand:
             low = cand & -cand
@@ -574,9 +578,10 @@ def berge_path(ordering: Optional[Sequence[int]]) -> str:
 
 
 def is_berge(g: DistGraph) -> tuple[bool, Optional[HoleWitness]]:
-    """(True, None), or (False, the shortest odd hole, else antihole). Within the odd-hole
-    cap an order g keeps with no umbrella decides (module docstring), else both searches run."""
-    if g.n <= Caps.from_env().odd_hole and cocomparability_order(g) is not None:
+    """(True, None), or (False, the shortest odd hole, else antihole). An order g keeps
+    with no umbrella decides at any size (module docstring), else both searches run, each
+    checked against the odd-hole cap first."""
+    if cocomparability_order(g) is not None:
         return True, None
     witness = _shortest_odd_hole(g, False, 5)
     if witness is None:

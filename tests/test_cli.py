@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,8 @@ from conftest import CliRunner
 from anticonc import lattice
 from anticonc.cli import main
 from anticonc.errors import InvariantViolation
-from anticonc.geometry import NormSpec, PointConfig, VectorMeasure, l2
+from anticonc.geometry import NormSpec, PointConfig, VectorMeasure, distance_graph, l2
+from anticonc.perfect_graphs import cocomparability_order
 
 
 @pytest.fixture
@@ -196,6 +198,35 @@ class TestBergeCheck:
         result = runner.invoke(main, ["berge-check", "--input", path, "--complement"])
         assert result.exit_code == 0
         assert json.loads(result.output) == {"berge": None, "hole": hole, "in_complement": True}
+
+    @pytest.mark.parametrize("n", [65, 250])
+    @pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+    def test_strip_over_hole_cap_decided_by_ordering(self, runner, tmp_path, norm, n):
+        # seeded strips on the certify grid, |y| <= 9/10 of the near-line
+        # radius: the sweep order has no umbrella, so the odd-hole cap of 64,
+        # which prices only the search, is not asked
+        rng, b = random.Random(n), {"l2": 12, "l1": 3, "linf": 3}[norm]
+        points = [[f"{rng.randint(0, n * 32 // 6)}/32", f"{rng.randint(-b, b)}/32"] for _ in range(n)]
+        path = write_json(tmp_path, "pts.json", {"norm": norm, "dim": 2, "points": points})
+        start = time.perf_counter()
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert (out["berge"], out["hole"], out["decided_by"]) == (True, None, "ordering")
+        assert sorted(out["ordering"]) == list(range(n))
+
+    def test_strip_with_umbrella_over_hole_cap_exits_2(self, runner, tmp_path):
+        # a 65-point strip too wide to be near-line: its sweep order has an
+        # umbrella, so the search runs and its cap is checked first
+        rng = random.Random(0)
+        points = [[f"{rng.randint(0, 320)}/32", f"{rng.randint(-32, 32)}/32"] for _ in range(65)]
+        path = write_json(tmp_path, "pts.json", {"norm": "l2", "dim": 2, "points": points})
+        cfg = PointConfig.from_json({"norm": "l2", "dim": 2, "points": points})
+        assert cocomparability_order(distance_graph(cfg)) is None
+        result = runner.invoke(main, ["berge-check", "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == "resource cap: odd_hole needs 65, cap is 64\n"
 
     def test_huge_raw_graph_hits_cap_before_masks(self, runner, tmp_path, monkeypatch):
         from anticonc.perfect_graphs import DistGraph

@@ -203,13 +203,33 @@ wide_alphas = st.one_of(
 )
 
 
+def ref_extremal_spec(alpha) -> ExtremalSpec:
+    """``ExtremalSpec.from_alpha`` as it was, in Fractions, verbatim: the
+    reference for the integer closed forms."""
+    a = F(*lattice._alpha_ratio(alpha))
+    k = int(1 / a)  # floor since a in (0, 1]
+    p = k * (a * (k + 1) - 1)
+    spec = ExtremalSpec(a, k, p)
+    if not (0 < p <= 1) or F(p, k) + F(1 - p, k + 1) != a:
+        raise DomainError(f"inconsistent mixture parameters for alpha={a}")
+    return spec
+
+
+def _raised(fn, alpha):
+    try:
+        fn(alpha)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    raise AssertionError(f"{alpha!r} was accepted")
+
+
 class TestClosedForm:
-    """The integer closed forms against ``ExtremalSpec``'s Fraction form."""
+    """The integer closed forms against ``ref_extremal_spec``'s Fraction form."""
 
     @given(wide_alphas)
     @settings(max_examples=300, deadline=None)
     def test_weights_match_spec(self, alpha):
-        spec = ExtremalSpec.from_alpha(alpha)
+        spec = ref_extremal_spec(alpha)
         k, inner, outer, den = _extremal_weights(alpha)
         assert k == spec.k
         assert F(inner, den) == spec.p / spec.k
@@ -219,11 +239,50 @@ class TestClosedForm:
     @given(wide_alphas)
     @settings(max_examples=200, deadline=None)
     def test_variance_matches_spec(self, alpha):
-        spec = ExtremalSpec.from_alpha(alpha)
+        spec = ref_extremal_spec(alpha)
         k, p = spec.k, spec.p
         # p times the variance of the uniform law on k slots, plus 1 - p
         # times that on k + 1 slots
         assert extremal_variance(alpha) == p * F(k * k - 1, 12) + (1 - p) * F(k * (k + 2), 12)
+
+    @given(st.one_of(wide_alphas, wide_alphas.map(str), st.just(1)))
+    @settings(max_examples=300, deadline=None)
+    def test_spec_matches_reference(self, alpha):
+        spec = ExtremalSpec.from_alpha(alpha)
+        assert spec == ref_extremal_spec(alpha)
+        assert type(spec.alpha) is type(spec.p) is F and type(spec.k) is int
+
+    def test_spec_matches_reference_on_benchmark_alphas(self):
+        # every alpha of the seed-0 and seed-1 tvalue lists and the seed-0
+        # sums windows, as bench/jobs.py validates them
+        mixes = bench_mixes()
+        lists = [job[2] for seed in (0, 1)
+                 for job in mixes.generate("tvalue", seed, mixes.job_count("tvalue", 20))]
+        lists += [job[1] for job in mixes.generate("sums", 0, mixes.job_count("sums", 20))
+                  if job[0] == "window"]
+        alphas = [F(n, d) for pairs in lists for n, d in pairs]
+        assert len(alphas) > 10_000
+        assert [ExtremalSpec.from_alpha(a) for a in alphas] == [ref_extremal_spec(a) for a in alphas]
+
+    @pytest.mark.parametrize("alpha", [0, F(0), -1, "-1/2", "3/2", F(9, 8), 2, True, False, 0.5,
+                                       "1/0", "x", "", None, [F(1, 2)]])
+    def test_spec_errors_match_reference(self, alpha):
+        assert _raised(ExtremalSpec.from_alpha, alpha) == _raised(ref_extremal_spec, alpha)
+
+    @pytest.mark.parametrize("dk, di, do", [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)],
+                             ids=["outer+1", "outer-1", "inner+1", "inner-1", "k+1", "k-1"])
+    def test_spec_self_check_fails_on_a_wrong_closed_form(self, dk, di, do, monkeypatch):
+        # the closed form with k = b // a + dk and inner, outer off by di, do:
+        # the self-check reads a from alpha, not from inner + outer, so a
+        # wrong weight is caught, and a wrong k puts k·inner outside (0, den]
+        def wrong(a, b):
+            k = b // a + dk
+            return k, a * (k + 1) - b + di, b - a * k + do, b
+
+        monkeypatch.setattr(lattice, "_mixture", wrong)
+        for alpha in (F(3, 8), F(1, 3), F(5, 12), F(2, 3), F(1)):
+            with pytest.raises(DomainError, match=f"^inconsistent mixture parameters for alpha={alpha}$"):
+                ExtremalSpec.from_alpha(alpha)
 
     def test_cube_sums_match_loop(self):
         for t in range(500):

@@ -993,11 +993,21 @@ class TestCocomparabilityOrder:
         assert g.__dict__["_order"] is not None and bare.__dict__["_order"] is None
         assert g == bare and hash(g) == hash(bare) and len({g, bare}) == 1
 
-    def test_hole_cap_checked_before_the_order(self):
+    def test_hole_cap_checked_only_before_a_search(self):
+        # an order with no umbrella decides over the cap; the same graph with
+        # no kept order, and a graph whose order has an umbrella, still raise
+        from anticonc.scenarios import _sharpness_points
+
         g = distance_graph(bench_certify_configs()[0])
         assert cocomparability_order(g) is not None
-        with caps_env(odd_hole=5), pytest.raises(ResourceCapExceeded, match="^odd_hole needs 25, cap is 5$"):
-            is_berge(g)
+        with caps_env(odd_hole=5):
+            assert is_berge(g) == (True, None)
+            with pytest.raises(ResourceCapExceeded, match="^odd_hole needs 25, cap is 5$"):
+                is_berge(without_hint(g))
+        hole = distance_graph(PointConfig(l2(2), _sharpness_points(F(1, 1000))))
+        assert cocomparability_order(hole) is None
+        with caps_env(odd_hole=4), pytest.raises(ResourceCapExceeded, match="^odd_hole needs 5, cap is 4$"):
+            is_berge(hole)
 
     def test_seed_zero_benchmark_paths(self, monkeypatch):
         # every seed-0 certify graph and sharpness strip is decided by its

@@ -1,6 +1,6 @@
 """Time one benchmark workload on two source trees, each in fresh interpreters.
 
-    python tools/abtime.py PARENT [CHANGE] [--workload certify] [--seed 0] [--rounds 30]
+    python tools/abtime.py PARENT [CHANGE] [--workload certify] [--seed 0] [--rounds 30] [--setup]
 
 PARENT and CHANGE are checkouts of this repository; CHANGE defaults to the
 tree this file is in. Each round starts one new Python process per tree,
@@ -13,6 +13,12 @@ benchmark run of ``run_seconds`` (``BENCHMARK.json``) takes. Only the
 jobs' wall time counts; no reference kernel and no oracle runs. Neither
 tree shares an interpreter, an import or a cache with the other, so the
 order in which they load cannot bias a round.
+
+With ``--setup`` the process times the benchmark's set-up instead, as
+``bench/run.py`` probes it: importing the tree's ``bench/jobs.py`` and with
+it the library, then ``jobs.load`` and ``jobs.build`` of every job (no job
+runs). Its digest is of the built inputs, so equal digests mean both trees
+built the same objects; ``bench/expected.json`` pins none of them.
 
 It prints, for the rounds, the median parent/change ratio of pass times
 with its quartiles (above 1: the change is faster), how many rounds the
@@ -45,9 +51,7 @@ def timed_pass(tree: str, workload: str, seed: str, n_jobs: str) -> None:
     import mixes
     import timing
 
-    spec = importlib.util.spec_from_file_location("tree_jobs", Path(tree) / "bench" / "jobs.py")
-    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
+    jobs = _load_jobs(tree)
     from anticonc.caps import Caps
 
     caps = Caps.from_env()
@@ -68,8 +72,32 @@ def timed_pass(tree: str, workload: str, seed: str, n_jobs: str) -> None:
     print(json.dumps({"seconds": total, "digest": mixes.digest(exact)}))
 
 
-def _run_tree(tree: Path, workload: str, seed: int, n_jobs: int) -> dict:
-    code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import abtime; abtime.timed_pass(*sys.argv[1:])"
+def setup_pass(tree: str, workload: str, seed: str, n_jobs: str) -> None:
+    """In a fresh process: print the seconds the set-up of the job list takes
+    on ``tree``, from importing its ``bench/jobs.py`` to the last
+    ``jobs.build``, and the digest of the built inputs, as JSON."""
+    sys.path[:0] = [str(Path(tree) / "src"), str(ROOT / "bench")]
+    import mixes
+
+    specs = mixes.generate(workload, int(seed), int(n_jobs))
+    start = time.perf_counter()
+    jobs = _load_jobs(tree)
+    jobs.load(workload)
+    inputs = [jobs.build(job) for job in specs]
+    seconds = time.perf_counter() - start
+    print(json.dumps({"seconds": seconds, "digest": mixes.digest(inputs)}))
+
+
+def _load_jobs(tree: str):
+    spec = importlib.util.spec_from_file_location("tree_jobs", Path(tree) / "bench" / "jobs.py")
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs
+
+
+def _run_tree(tree: Path, workload: str, seed: int, n_jobs: int, setup: bool) -> dict:
+    probe = "setup_pass" if setup else "timed_pass"
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import abtime; abtime.{probe}(*sys.argv[1:])"
     out = subprocess.run([sys.executable, "-c", code, str(tree), workload, str(seed), str(n_jobs)],
                          check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -82,6 +110,7 @@ def main() -> int:
     parser.add_argument("--workload", default="certify")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--setup", action="store_true", help="time the set-up, not a pass of the jobs")
     args = parser.parse_args()
 
     sys.path.insert(0, str(ROOT / "bench"))
@@ -93,27 +122,29 @@ def main() -> int:
     for r in range(args.rounds):
         times = [0.0, 0.0]
         for k in ((0, 1) if r % 2 == 0 else (1, 0)):
-            run = _run_tree(trees[k], args.workload, args.seed, n_jobs)
+            run = _run_tree(trees[k], args.workload, args.seed, n_jobs, args.setup)
             times[k] = run["seconds"]
             digests[k].add(run["digest"])
         ratios.append(times[0] / times[1])
 
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     want = json.loads((ROOT / "bench" / "expected.json").read_text())["digests"].get(args.workload, {})
-    pinned = want.get("seed") == args.seed and want.get("jobs") == n_jobs
+    pinned = not args.setup and want.get("seed") == args.seed and want.get("jobs") == n_jobs
     equal = len(digests[0]) == len(digests[1]) == 1 and digests[0] == digests[1]
     out = {
         "workload": args.workload, "seed": args.seed, "jobs": n_jobs, "rounds": args.rounds,
+        "setup": args.setup,
         "ratio_median": round(median, 4), "ratio_q1": round(q1, 4), "ratio_q3": round(q3, 4),
         "change_wins": sum(x > 1 for x in ratios),
         "digests_equal": equal,
         "digest_expected": (equal and want["outputs"] in digests[0]) if pinned else None,
         "digests": [sorted(d) for d in digests],
     }
-    print(f"{args.workload} seed {args.seed}: {n_jobs} jobs, {args.rounds} rounds")
+    print(f"{args.workload} seed {args.seed}: {n_jobs} jobs, {args.rounds} rounds"
+          + (", set-up only" if args.setup else ""))
     print(f"parent/change time: median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
           f"change faster in {out['change_wins']} of {args.rounds} rounds")
-    print(f"output digests {'equal' if equal else 'DIFFER'}: {out['digests']}"
+    print(f"{'input' if args.setup else 'output'} digests {'equal' if equal else 'DIFFER'}: {out['digests']}"
           + ("" if not pinned else f"; bench/expected.json {'matches' if out['digest_expected'] else 'DIFFERS'}"))
     print(json.dumps(out))
     return 0 if equal else 1
