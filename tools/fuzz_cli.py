@@ -12,13 +12,18 @@ first, as the suite's fixture does; each example sets its own caps.
 
 It prints how many command lines ran (shrinking a failure runs more than
 ``--examples``) and, per subcommand, how many exited 0, 1 and 2, then the
-same as one JSON line. On a failure the traceback, with hypothesis' note of
-the shrunk command line, goes to standard error and the exit code is 1.
+same as one JSON line. Its ``digest`` is a sha256 over every run's command
+line, exit code, stdout and stderr, with the temporary directory replaced by
+a fixed token, so two trees that print the same bytes and exit alike on
+every example give the same digest. On a failure the traceback, with
+hypothesis' note of the shrunk command line, goes to standard error and the
+exit code is 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -64,11 +69,14 @@ def main() -> int:
 
     os.environ.pop(ENV_VAR, None)
     exits: Counter = Counter()
+    digest = hashlib.sha256()
 
     class CountingRunner(fuzz.CliRunner):
         def invoke(self, main, args, env=None):
             result = super().invoke(main, args, env)
             exits[args[0], result.exit_code] += 1
+            run = json.dumps([args, result.exit_code, result.stdout, result.stderr])
+            digest.update(run.replace(base, "TMPDIR").encode() + b"\n")
             return result
 
     fuzz.CliRunner = CountingRunner
@@ -90,7 +98,7 @@ def main() -> int:
     for command, row in table.items():
         print(f"  {command:18} " + "  ".join(f"exit {code}: {n:5}" for code, n in row.items()))
     print(json.dumps({"examples": args.examples, "runs": sum(exits.values()), "seconds": round(seconds, 1),
-                      "passed": failure is None, "exits": table}))
+                      "passed": failure is None, "exits": table, "digest": digest.hexdigest()}))
     if failure is not None:
         traceback.print_exception(failure)
         return 1
