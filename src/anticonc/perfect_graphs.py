@@ -359,17 +359,19 @@ def chromatic_number(g: DistGraph) -> ColoringCertificate:
     """Optimal colouring certificate by exact branch and bound.
 
     DSATUR greedy supplies the upper bound, the clique number the lower
-    bound (a greedy clique over the clique cap); backtracking assigns vertices
-    in index order trying colours in ascending order, which makes the
-    certificate deterministic: the first optimal colouring, whatever the bound.
+    bound (a greedy clique over the clique cap); when they meet, DSATUR's
+    colouring is the certificate. Otherwise, within the colouring cap,
+    backtracking assigns vertices in index order trying colours in ascending
+    order, which makes the certificate deterministic: the first optimal
+    colouring, whatever the bound.
     """
-    caps = check("coloring", g.n)
     # any valid clique lower bound keeps the search exact; the exact clique
     # number just lets it stop earlier
-    lb = _clique_number(g) if g.n <= caps.clique else _greedy_clique_size(g.masks)
+    lb = _clique_number(g) if g.n <= Caps.from_env().clique else _greedy_clique_size(g.masks)
     best_colors = _dsatur_greedy(g)
     best_k = max(best_colors, default=-1) + 1
     if lb < best_k:
+        check("coloring", g.n)  # the cap prices the backtrack alone
         masks = g.masks
         colors = [-1] * g.n
         # one stack level per vertex: cand[v] holds the colours v may still try
@@ -700,8 +702,7 @@ def block_decomposition(subject, frame, alpha=None):
     # the integer (numerator, point), as both are scaled by positive ints
     order = sorted(range(len(ipts)), key=lambda i: (dots[i], ipts[i]))
     g = distance_graph(subject).induced(order)
-    # nothing is coloured over the clique cap, and the colouring cap is still reported first
-    omega = _clique_number(g) if g.n <= Caps.from_env().coloring else None
+    omega = _clique_number(g)  # over the clique cap this raises before any colouring
     cert = chromatic_number(g)
     if cert.num_colors != omega:
         raise InvariantViolation(

@@ -10,7 +10,9 @@ those ints, and product sums add them. Sorts and row-end bisections compare
 the exact int keys floor(c 2^K) of ``_floor_keys``. `QuadExt` keeps the
 operations the other norms' tests, the box sweep and the scenarios use
 (``+``, ``-``, ``*``, ``**``, ``abs``, ``sum``, the comparisons), so every
-decision stays exact.
+decision stays exact. No library code calls ``<=``, but it stays: an int has
+no comparison with a `QuadExt`, so without ``__le__`` both ``q <= 3`` and its
+reflection ``3 >= q`` would raise `TypeError`.
 """
 
 from __future__ import annotations

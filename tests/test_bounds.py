@@ -6,6 +6,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticonc.bounds import (
     BoundReport,
@@ -32,6 +33,8 @@ from anticonc.lattice import (
     variance_profile,
 )
 
+ALPHA = st.integers(1, 30).flatmap(lambda b: st.integers(1, b).map(lambda a: F(a, b)))
+
 
 class TestEpsilonPrime:
     def test_formula(self):
@@ -53,6 +56,16 @@ class TestEpsilonPrime:
         below = math.nextafter(d, 0.0)
         assert not third * third <= F(below) ** 2 * v ** 3
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(runs=st.lists(st.tuples(ALPHA, st.integers(1, 10_000)), min_size=1, max_size=8)
+           .filter(lambda runs: any(alpha < 1 for alpha, _ in runs)))
+    def test_delta_prime_at_least_one_over_root_n(self, runs):
+        # E|Y|^3 >= V^(3/2) per factor (Jensen) and the power mean over the n
+        # factors give delta' >= n^(-1/2); so epsilon' <= 3/16 with c < 1/3
+        # needs n > 405^4 * 27 * (16/3)^4, about 5.9e14 factors, and no
+        # main-bound run meets every condition
+        alphas = [alpha for alpha, count in runs for _ in range(count)]
+        assert F(minimal_delta_prime(alphas)) ** 2 * len(alphas) >= 1
 
     def test_window_job_rounds_delta_prime_once(self):
         # minimal_delta_prime and make_main_bound_params with delta' unset

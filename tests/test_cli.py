@@ -276,6 +276,22 @@ class TestDecompose:
         out = json.loads(result.output)
         assert out["multiset_size"] == 3
 
+    @pytest.mark.parametrize("norm, atoms, blocks", [("l2", 248, 15), ("l1", 243, 12), ("linf", 243, 12)])
+    def test_strip_over_colouring_cap(self, runner, tmp_path, norm, atoms, blocks):
+        # the seeded 250-point strips of berge-check, as uniform measures on
+        # their distinct points: DSATUR meets the clique number, so the
+        # colouring cap of 200, which prices only the backtrack, is not asked
+        rng, b = random.Random(250), {"l2": 12, "l1": 3, "linf": 3}[norm]
+        points = [(f"{rng.randint(0, 250 * 32 // 6)}/32", f"{rng.randint(-b, b)}/32") for _ in range(250)]
+        data = VectorMeasure.uniform(NormSpec(norm, 2), list(dict.fromkeys(points))).to_json()
+        path = write_json(tmp_path, "vm.json", data)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["decompose", "--input", path])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.output)
+        assert (out["multiset_size"], out["num_blocks"]) == (atoms, blocks)
+
     def test_regular_pentagon_not_perfect_exits_2(self, runner, tmp_path):
         # sides about 0.82 (edges), diagonals about 1.33: the graph is a 5-cycle
         points = [("0", "7/10"), ("-2/3", "11/50"), ("-41/100", "-57/100"),

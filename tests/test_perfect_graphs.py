@@ -479,6 +479,15 @@ class TestChromaticNumber:
             cert = chromatic_number(g)
         assert cert.num_colors == n + 3 and cert.verify(g)
 
+    def test_colouring_cap_prices_the_backtrack(self):
+        # C5 plus 200 isolated vertices: DSATUR uses 3 colours, the clique
+        # number is 2, so the backtrack runs and its cap is asked first
+        g = DistGraph(205, frozenset((i, (i + 1) % 5) for i in range(5)))
+        with pytest.raises(ResourceCapExceeded, match="^coloring needs 205, cap is 200$"):
+            chromatic_number(g)
+        with caps_env(coloring=205):
+            assert chromatic_number(g).num_colors == 3
+
     def test_greedy_lower_bound_over_the_clique_cap(self):
         # a 27-point l2 strip with chi = omega = 8: with the lower bound 1 its
         # backtrack took over 10 s under this cap; the greedy clique has 8
@@ -1275,13 +1284,14 @@ class TestBlockDecomposition:
         pts = tuple((F(k, 3), F(0)) for k in range(12))
         cfg = PointConfig(l2(2), pts)
         frame = supporting_functional(l2(2), (F(1), F(0)))
-        with caps_env(clique=12, coloring=12):
+        # DSATUR meets the clique number, so the colouring cap is not asked
+        with caps_env(clique=12, coloring=11):
             assert len(block_decomposition(cfg, frame)) == 3
         with caps_env(clique=11), pytest.raises(ResourceCapExceeded, match="^clique needs 12, cap is 11$"):
             block_decomposition(cfg, frame)
-        # the colouring cap is checked first
+        # the clique cap is checked first
         with (caps_env(clique=11, coloring=11),
-              pytest.raises(ResourceCapExceeded, match="^coloring needs 12, cap is 11$")):
+              pytest.raises(ResourceCapExceeded, match="^clique needs 12, cap is 11$")):
             block_decomposition(cfg, frame)
 
     def test_nothing_coloured_over_the_clique_cap(self, monkeypatch):

@@ -72,6 +72,7 @@ class TestKernelOperations:
         assert x < 2 and x > 1 and not x >= 2 and x <= 2
         assert q2(1, 0) <= 1 and q2(1, 0) >= 1 and not q2(1, 0) < 1
         assert 1 < x and 2 > x  # reflected comparisons
+        assert 2 >= x and 1 >= q2(1, 0) and not 1 >= x  # int >= QuadExt is QuadExt.__le__
         # int components stay ints through the ring operations
         z = QuadExt(3, -2, 2)
         for w in (z + 1, z - 5, z * 4, z * z, z**3, -z, abs(z)):
