@@ -27,12 +27,16 @@ clique branch and bound on rows swept on demand, each root bounded by the
 weight of its unit x-window.
 
 The invariant of configs, measures and blocks (``chains.Block``): the
-integer form is stored and the Fraction values are derived. A config stores
-its points times one positive int (``PointConfig.scaled``), a measure its
-weights as integer numerators over their lcm (``VectorMeasure._ints``), a
-block its scaled points and functional numerators. Every constructor, public
-or private, ends in its class's one initialiser, which stores that form;
-``points``, ``weights`` and ``f_raw`` are derived on first read (`_IntForm`).
+integer form is stored and each Fraction value is built once, where it is
+read. A config stores its points times one positive int
+(``PointConfig.scaled``), a measure its weights as integer numerators over
+their lcm (``VectorMeasure._ints``), a block its scaled points and
+functional numerators. Every constructor, public or private, ends in its
+class's one initialiser, which stores that form. A public config of
+rational points also keeps the Fraction points it was given, and a measure
+carries them through its merge and sort; everything built from integers
+derives ``points``, ``weights``, ``f_raw`` and a concentration's
+``witness_points`` on first read (`_IntForm`), as do Q(sqrt(m)) configs.
 ``_scaled_integers`` is the only code that scales Fractions, once per public
 config or block; code that holds integers (product sums, merges, dilations,
 uniform multisets, chains) builds through ``_from_scaled`` or ``_from_ints``.
@@ -57,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .caps import check
@@ -249,8 +253,9 @@ class PointConfig(_IntForm):
     Coordinates are all rational or all `QuadExt` values with one m. A config
     stores ``scaled = (s, s * points)``, with s a positive int that takes every
     coordinate into Z (or Z[sqrt(m)]): the integer form every exact decision
-    on the points reads. Derived from it on first read: ``points``; ``_keys``,
-    the order form of ``_order_form`` that sorts and bisections read; and for
+    on the points reads. Derived from it on first read: ``points``, unless the
+    public constructor kept the rational points it was given; ``_keys``, the
+    order form of ``_order_form`` that sorts and bisections read; and for
     Z[sqrt(m)] ``_pairs``, each point's flat int tuple (a0, b0, a1, b1, ...)
     that the planar l2 test and product sums read (None for rational points).
     """
@@ -270,12 +275,14 @@ class PointConfig(_IntForm):
             first = pts[0][0]
             if any(not isinstance(c, QuadExt) or c.m != first.m for p in pts for c in p):
                 raise DomainError("coordinates must be all rational or all in one Q(sqrt(m))")
+            kept = {}
         else:
             pts = tuple(tuple(map(as_fraction, p)) for p in pts)
+            kept = {"points": pts}  # rational points are kept as given
         for p in pts:
             if len(p) != norm.dimension:
                 raise DimensionMismatch("point dimension does not match norm")
-        self._init(norm, *_scaled_integers(pts))
+        self._init(norm, *_scaled_integers(pts), **kept)
 
     @classmethod
     def _from_scaled(cls, norm: NormSpec, scale: int, ipts: Sequence[tuple], **derived) -> "PointConfig":
@@ -283,14 +290,13 @@ class PointConfig(_IntForm):
 
         The callers hold integer forms of checked configs of this norm, so
         the points need no second check; a caller that holds derived fields
-        (``_keys``, ``_pairs``) of these points hands them over."""
+        (``points``, ``_keys``, ``_pairs``) of these points hands them over."""
         config = object.__new__(cls)
-        config._init(norm, scale, ipts)
-        config.__dict__.update(derived)
+        config._init(norm, scale, ipts, **derived)
         return config
 
-    def _init(self, norm: NormSpec, scale: int, ipts: Sequence[tuple]) -> None:
-        self.__dict__.update(norm=norm, scaled=(scale, tuple(ipts)))
+    def _init(self, norm: NormSpec, scale: int, ipts: Sequence[tuple], **derived) -> None:
+        self.__dict__.update(norm=norm, scaled=(scale, tuple(ipts)), **derived)
 
     def __len__(self) -> int:
         return len(self.scaled[1])
@@ -340,9 +346,11 @@ class VectorMeasure(_IntForm):
         pts = list(merged)
         unit, keys = _order_form(scale, pts)
         order = sorted(range(len(pts)), key=keys.__getitem__)
-        config = PointConfig._from_scaled(
-            config.norm, scale, [pts[i] for i in order], _keys=(unit, [keys[i] for i in order])
-        )
+        derived = {"_keys": (unit, [keys[i] for i in order])}
+        if "points" in config.__dict__:  # the kept points, carried to the merged, sorted ones
+            kept = dict(zip(ipts, config.points))
+            derived["points"] = tuple([kept[pts[i]] for i in order])
+        config = PointConfig._from_scaled(config.norm, scale, [pts[i] for i in order], **derived)
         self._init(config, [merged[pts[i]] for i in order], den)
 
     @classmethod
@@ -420,12 +428,10 @@ def _scaled_integers(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...
 
 def _unscaled(scale: int, ipts: Sequence[tuple]) -> tuple[Point, ...]:
     """The points ``ipts / scale``: Fractions, or `QuadExt` values for
-    Z[sqrt(m)] coordinates, through one dict per distinct coordinate."""
-    coord = {
-        c: _over(c, scale) if isinstance(c, QuadExt) else Fraction(c, scale)
-        for c in {c for p in ipts for c in p}
-    }
-    return tuple(tuple(coord[c] for c in p) for p in ipts)
+    Z[sqrt(m)] coordinates, each distinct coordinate divided once."""
+    over = _over if _is_quad(ipts) else Fraction
+    coord = {c: over(c, scale) for c in set(chain.from_iterable(ipts))}
+    return tuple([tuple(map(coord.__getitem__, p)) for p in ipts])
 
 
 def _row_test(norm: NormSpec, s: int, pts: Sequence[tuple], pairs=None):
@@ -1004,10 +1010,23 @@ def product_sum_measure(measures: Sequence[VectorMeasure]) -> VectorMeasure:
 
 
 @dataclass(frozen=True)
-class ConcentrationResult:
+class ConcentrationResult(_IntForm):
+    """The concentration and its witness. ``concentration_q`` stores the
+    witness's integer form ``_form = (s, s * witness_points)``, and
+    ``witness_points`` is derived from it on first read."""
+
     value: Fraction
     witness: tuple[int, ...]  # indices into the measure's atoms
     witness_points: tuple[Point, ...]
+
+    _derive = {"witness_points": lambda self: _unscaled(*self._form)}
+
+    @classmethod
+    def _from_form(cls, value: Fraction, witness: tuple[int, ...], s: int, ipts: Sequence[tuple]):
+        """The result whose witness points are ``ipts / s``, stored as that integer form."""
+        result = object.__new__(cls)
+        result.__dict__.update(value=value, witness=witness, _form=(s, ipts))
+        return result
 
 
 def concentration_q(measure: VectorMeasure) -> ConcentrationResult:
@@ -1024,9 +1043,7 @@ def concentration_q(measure: VectorMeasure) -> ConcentrationResult:
         best, witness = _box_search(norm, s, ipts, nums)
     else:
         best, witness = _window_search(measure.config, nums)
-    return ConcentrationResult(
-        Fraction(best, den), witness, _unscaled(s, [ipts[i] for i in witness])
-    )
+    return ConcentrationResult._from_form(Fraction(best, den), witness, s, [ipts[i] for i in witness])
 
 
 def _box_search(norm: NormSpec, s: int, ipts, nums) -> tuple[int, tuple[int, ...]]:

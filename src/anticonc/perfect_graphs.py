@@ -240,12 +240,15 @@ def max_clique(
     when that is optimal, else the first maximum-weight leaf in branch order.
     """
     check("clique", g.n)
-    fw = [Fraction(1)] * g.n if weights is None else [as_fraction(w) for w in weights]
-    if len(fw) != g.n:
-        raise DomainError("weight vector length mismatch")
-    if any(w < 0 for w in fw):
-        raise DomainError("negative clique weight")
-    iw, denom = _numerators(fw)
+    if weights is None:
+        iw, denom = [1] * g.n, 1
+    else:
+        fw = [as_fraction(w) for w in weights]
+        if len(fw) != g.n:
+            raise DomainError("weight vector length mismatch")
+        if any(w < 0 for w in fw):
+            raise DomainError("negative clique weight")
+        iw, denom = _numerators(fw)
     best_w, best_set = _clique_search(g, iw)
     if weights is None:
         g.__dict__["_omega"] = best_w

@@ -31,6 +31,13 @@ def caps_env(**fields):
     return mock.patch.dict(os.environ, {ENV_VAR: json.dumps(fields)})
 
 
+# a measure on a rational pentagon, each atom of weight 1/5, whose distance
+# graph is C5: not perfect, and its colouring needs the backtrack
+PENTAGON = {"norm": "l2", "dim": 2, "atoms": [
+    {"point": p, "weight": "1/5"} for p in (["70/100", "0"], ["22/100", "67/100"], ["-57/100", "41/100"],
+                                            ["-57/100", "-41/100"], ["22/100", "-67/100"])]}
+
+
 def bench_mixes():
     """The seeded job lists of ``bench/mixes.py``, which imports no library code."""
     path = Path(__file__).resolve().parent.parent / "bench" / "mixes.py"

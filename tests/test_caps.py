@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from conftest import CliRunner, caps_env
+from conftest import PENTAGON, CliRunner, caps_env
 
 from anticonc.caps import Caps, ENV_VAR
 from anticonc.chains import Block, iterated_decompose
@@ -150,6 +150,20 @@ def test_cap_check_boundary(tmp_path, key, amount, call, data):
     _centre_t_value.cache_clear()
     capped = runner.invoke(main, args, env={ENV_VAR: json.dumps({key: amount - 1})})
     assert capped.exit_code == 2 and capped.stderr == f"resource cap: {message}\n"
+
+
+@pytest.mark.parametrize("caps, stderr", [
+    ({"coloring": 4}, "resource cap: coloring needs 5, cap is 4\n"),
+    ({"coloring": 5}, "input error: distance graph is not perfect here: chi=3, omega=2\n"),
+    (None, "input error: distance graph is not perfect here: chi=3, omega=2\n"),
+], ids=["capped", "at-cap", "default"])
+def test_decompose_reaches_the_coloring_cap(tmp_path, caps, stderr):
+    # the CLI path to the colouring backtrack: C5 needs it, and the cap refuses it
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(PENTAGON))
+    env = {} if caps is None else {ENV_VAR: json.dumps(caps)}
+    result = CliRunner().invoke(main, ["decompose", "--input", str(path)], env=env)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
 
 
 class TestTValueBudget:

@@ -5,6 +5,9 @@ order, some dropped, some malformed (values that start with ``-``, unknown
 or prefixed flags, junk rationals, norms, dimensions, weights, graphs, block
 lists and generator fields), an ``--input`` file drawn from the schema the
 subcommand reads (README, "Input schemas"), and a random ``ANTICONC_CAPS``.
+``decompose`` also reads a fixed pentagon whose distance graph is C5, in half
+its runs under a ``coloring`` cap near the 5 vertices its colouring
+backtrack asks for, so that cap is reached from the command line.
 Whatever the input, a run exits 0, 1 or 2 without a traceback, and exits 1
 only from a subcommand that checks an inequality. Numbers and sizes stay
 small, and caps never exceed their defaults, so the fixed example budget
@@ -17,7 +20,7 @@ from dataclasses import fields
 from unittest import mock
 
 import pytest
-from conftest import CliRunner
+from conftest import PENTAGON, CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anticonc.caps import ENV_VAR, Caps
@@ -125,7 +128,7 @@ COMMANDS = {
     "t-value": [("--alphas", ALPHAS_ARG)],
     "concentration": [(INPUT, st.one_of(vector_measures(), lattice_measures()))],
     "berge-check": [(INPUT, st.one_of(vector_measures("points"), GRAPH)), ("--complement", None)],
-    "decompose": [(INPUT, vector_measures()), ("--alpha", ALPHA_ARG)],
+    "decompose": [(INPUT, st.one_of(vector_measures(), st.just(PENTAGON))), ("--alpha", ALPHA_ARG)],
     "btk-chains": [(INPUT, block_lists())],
     "jones-bound": [(INPUT, block_lists())],
     "clt-window": [("--alphas", ALPHAS_ARG), ("--c", RATIONAL_ARG), ("--delta-prime", FLOAT_ARG)],
@@ -179,6 +182,8 @@ def command_lines(draw):
             argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
     if draw(st.integers(0, 9)) == 9:
         argv.insert(draw(st.integers(1, len(argv))), draw(JUNK_ARGS))
+    if data is PENTAGON and draw(st.booleans()):  # caps 3-6 straddle the 5 its colouring backtrack asks for
+        return argv, data, _cap_env({"coloring": draw(st.integers(3, 6))})
     return argv, data, _cap_env(draw(CAPS))
 
 

@@ -22,6 +22,7 @@ from anticonc.errors import (
 )
 from anticonc.geometry import (
     _FLOAT_GUARD,
+    ConcentrationResult,
     HalaszDiagnostics,
     LineFrame,
     NearLineFit,
@@ -1902,8 +1903,70 @@ class TestIntegerWeights:
             total = product_sum_measure(ms)
             results = [concentration_q(m) for m in ms + [total]]
             assert "points" not in total.config.__dict__ and "weights" not in total.__dict__
+            assert derived == []  # witness points too are derived on first read
+            for r in results:
+                assert r.witness_points
             assert derived == [m.config.scaled[1][i] for m, r in zip(ms + [total], results) for i in r.witness]
             assert results[-1].witness_points == tuple(total.points[i] for i in results[-1].witness)
+
+
+class TestKeptPoints:
+    """A public rational config keeps the Fraction points it was given, and a
+    measure carries them through its merge, drop and sort; Q(sqrt(m)) configs
+    and concentration witnesses derive their points on first read."""
+
+    @pytest.fixture
+    def unscaled(self, monkeypatch):
+        from anticonc import geometry
+
+        calls = []
+        original = geometry._unscaled
+        monkeypatch.setattr(geometry, "_unscaled", lambda s, ipts: calls.append(ipts) or original(s, ipts))
+        return calls, original
+
+    def test_public_config_keeps_its_points(self, unscaled):
+        calls, original = unscaled
+        rng = random.Random(1360)
+        for d in (1, 2, 3):
+            for _ in range(10):
+                pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(d))
+                       for _ in range(rng.randint(0, 6))]
+                cfg = PointConfig(l2(d), [[str(c) for c in p] for p in pts])  # coerced once, then kept
+                assert cfg.points == tuple(pts) == original(*cfg.scaled)
+        assert calls == []
+
+    def test_measure_carries_the_kept_points(self, unscaled):
+        calls, original = unscaled
+        rng = random.Random(1361)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                pts, ws = raw_atoms(rng, d, rng.randint(1, 8), zeros=True)
+                m = VectorMeasure(PointConfig(l2(d), pts), ws)
+                kept = m.config.__dict__["points"]
+                assert kept == original(*m.config.scaled)
+                assert list(kept) == sorted({p for p, w in zip(pts, ws) if w})  # merged, dropped, sorted
+        assert calls == []
+
+    def test_quadratic_configs_derive_their_points(self, unscaled):
+        calls, original = unscaled
+        rng = random.Random(1362)
+        for m in _quad_measures(rng, 6):
+            cfg = PointConfig(l2(2), m.points)
+            assert "points" not in cfg.__dict__
+            measure = VectorMeasure(cfg, m.weights)
+            assert "points" not in measure.config.__dict__
+            assert measure.points == m.points and calls[-1] == measure.config.scaled[1]
+
+    def test_witness_points_on_first_read(self, unscaled):
+        calls, original = unscaled
+        rng = random.Random(1363)
+        for m in [seeded_measure(rng, d, rng.randint(1, 6)) for d in (1, 2, 3)] + _quad_measures(rng, 4):
+            r = concentration_q(m)
+            assert "witness_points" not in r.__dict__ and not calls
+            h, text = hash(r), repr(r)
+            public = ConcentrationResult(r.value, r.witness, tuple(m.points[i] for i in r.witness))
+            assert r == public and public == r and h == hash(public) and text == repr(public)
+            calls.clear()
 
 
 class TestConfigMeasureIdentity:
@@ -2663,14 +2726,18 @@ class TestOffPlaneFit:
                             lambda *args: floats.append(args) or original(*args))
         monkeypatch.setitem(PointConfig._derive, "points",
                             lambda self: derived.append(self) or geometry._unscaled(*self.scaled))
+
+        def unkept(norm, pts):  # a public config keeps its points: build one that must derive them
+            return PointConfig._from_scaled(norm, *PointConfig(norm, pts).scaled)
+
         rng = random.Random(2830)
         for d in (1, 2, 3, 4):
             for pts in _off_plane_configs(rng, d, 4):
                 for make in EXACT_NORMS:
                     for early_stop in (False, True):
-                        near_line_fit(PointConfig(make(d), pts), early_stop)
+                        near_line_fit(unkept(make(d), pts), early_stop)
         assert floats == [] and derived == []
-        near_line_fit(PointConfig(lp(3, 3), [(1, 0, 0), (0, 1, 0)]))  # p >= 3 still searches in floats
+        near_line_fit(unkept(lp(3, 3), [(1, 0, 0), (0, 1, 0)]))  # p >= 3 still searches in floats
         assert floats and derived
 
     @pytest.mark.parametrize("pts, tied", [

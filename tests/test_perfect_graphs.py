@@ -377,6 +377,17 @@ class TestMaxClique:
             value, _ = max_clique(g)
             assert value == brute_max_clique_weight(g, [F(1)] * n)
 
+    def test_default_weights_are_given_unit_weights(self):
+        # no weights: the search runs on int ones, with the answer unit
+        # Fractions give, and only that call keeps the clique number
+        rng = random.Random(77)
+        for n in [0, 1, *(rng.randint(2, 14) for _ in range(30))]:
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            given = max_clique(g, [F(1)] * n)
+            assert "_omega" not in g.__dict__
+            value, witness = max_clique(g)
+            assert (value, witness) == given and type(value) is F and g._omega == value
+
     def test_matches_recursive_reference(self):
         # same value and same witness: the stack search branches and prunes
         # in the recursive order
